@@ -1,15 +1,24 @@
 """L2-regularized multinomial logistic regression, trained from scratch.
 
-Deterministic full-batch gradient descent with backtracking line search
-(halving, Armijo constant 1e-4). The objective is
+The objective is
 
     L(W, b) = ||W||^2 / (2C) + sum_i -log softmax(W x_i + b)[y_i]
 
 with the bias unpenalized, so C keeps its conventional meaning: larger C,
 weaker regularization. Logits are max-shifted before exponentiation.
+
+It is minimized by deterministic full-batch L-BFGS (Liu & Nocedal 1989;
+Nocedal & Wright, Numerical Optimization, ch. 7): the two-loop recursion
+over the last MEMORY curvature pairs, keeping a pair only when s'y > 0.
+Each step is found by backtracking (halving, Armijo constant 1e-4) with
+trial points scored by ``loss_value`` alone; ``loss_and_grad`` runs only
+at accepted points. A fit also stops, as not converged, once backtracking
+shrinks the decrease a step promises below float64 resolution of the loss
+(STALL).
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +26,8 @@ import numpy as np
 from .evaluation import accuracy, mean_rank, stratified_kfold
 
 ARMIJO = 1e-4
+MEMORY = 10  # L-BFGS curvature pairs kept
+STALL = 1e-15  # relative loss change below which a step cannot register
 MODEL_MAGIC = "finhyp-logreg v1"
 
 
@@ -46,6 +57,10 @@ class LogRegModel:
     bias: np.ndarray  # (K,)
     c: float
     labels: tuple[str, ...]
+    # optimizer diagnostics set by train; a loaded model keeps the defaults
+    iterations: int = 0
+    grad_max: float = float("nan")  # final gradient infinity-norm
+    converged: bool = False  # grad_max reached TrainConfig.grad_tol
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -110,13 +125,47 @@ def loss_and_grad(W, b, X, y, c):
     return loss, grad_w, grad_b
 
 
-def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel:
-    """Minimize the regularized log-loss from a zero start.
+def _lbfgs_direction(g, memory) -> np.ndarray:
+    """-H g by the two-loop recursion, H the inverse-Hessian estimate from
+    the (s, y, 1 / s'y) pairs in memory, scaled by s'y / y'y of the newest."""
+    q = g.copy()
+    alphas = []
+    for s, yv, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * yv
+        alphas.append(a)
+    if memory:
+        s, yv, rho = memory[-1]
+        q *= 1.0 / (rho * float(yv @ yv))
+    for (s, yv, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(yv @ q)) * s
+    return -q
 
-    Stops when the gradient infinity-norm drops to cfg.grad_tol or after
-    cfg.max_iter iterations. Identical inputs produce bitwise-identical
-    parameters; the Armijo backtracking guarantees the objective never
-    increases between iterations.
+
+def _backtrack(f, theta, p, loss: float, slope: float):
+    """Armijo backtracking along p from a unit step, halving on failure.
+    Returns the accepted point, or None once the first-order decrease
+    step * |slope| falls to STALL * |loss|."""
+    step = 1.0
+    while True:
+        trial = theta + step * p
+        if f(trial) <= loss + ARMIJO * step * slope:
+            return trial
+        step *= 0.5
+        if step * -slope <= STALL * abs(loss):
+            return None
+
+
+def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel:
+    """Minimize the regularized log-loss by L-BFGS from a zero start.
+
+    Stops, converged, when the gradient infinity-norm drops to
+    cfg.grad_tol. Stops, not converged, after cfg.max_iter iterations, or
+    when backtracking shrinks the first-order decrease step * |g'p| to
+    STALL * |loss|, where float64 can no longer resolve the change. The
+    model records iterations, grad_max and converged. Identical inputs
+    produce bitwise-identical parameters; the Armijo backtracking on
+    loss_value guarantees the objective never increases between iterations.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -125,28 +174,50 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
         raise ValueError("C must be positive")
     X, y = _check_xy(X, y, len(labels))
     k, d = len(labels), X.shape[1]
-    W = np.zeros((k, d))
-    b = np.zeros(k)
-    loss, gw, gb = loss_and_grad(W, b, X, y, c)
-    step = 1.0
-    for _ in range(cfg.max_iter):
-        gmax = max(np.abs(gw).max(), np.abs(gb).max())
-        if gmax <= cfg.grad_tol:
-            break
-        gsq = float(np.sum(gw * gw) + np.sum(gb * gb))
-        step = min(step * 2.0, 1e6)
-        while True:
-            W2 = W - step * gw
-            b2 = b - step * gb
-            if loss_value(W2, b2, X, y, c) <= loss - ARMIJO * step * gsq:
-                break
-            step *= 0.5
-            if step < 1e-20:
-                # gradient no longer yields a descent step at float precision
-                return LogRegModel(W, b, c, labels)
-        W, b = W2, b2
-        loss, gw, gb = loss_and_grad(W, b, X, y, c)
-    return LogRegModel(W, b, c, labels)
+
+    def unpack(t):
+        return t[: k * d].reshape(k, d), t[k * d :]
+
+    def value(t):
+        return loss_value(*unpack(t), X, y, c)
+
+    def value_and_grad(t):
+        loss, gw, gb = loss_and_grad(*unpack(t), X, y, c)
+        return loss, np.concatenate([gw.ravel(), gb])
+
+    theta = np.zeros(k * d + k)
+    loss, g = value_and_grad(theta)
+    memory: deque = deque(maxlen=MEMORY)
+    iterations = 0
+    while iterations < cfg.max_iter and np.abs(g).max() > cfg.grad_tol:
+        p = _lbfgs_direction(g, memory)
+        slope = float(g @ p)
+        if slope >= 0:
+            # rounding broke the descent property: restart from steepest descent
+            memory.clear()
+            p = -g
+            slope = -float(g @ g)
+        trial = _backtrack(value, theta, p, loss, slope)
+        if trial is None:
+            break  # stalled
+        loss, g_new = value_and_grad(trial)
+        s, yv = trial - theta, g_new - g
+        sy = float(s @ yv)
+        if sy > 0:
+            memory.append((s, yv, 1.0 / sy))
+        theta, g = trial, g_new
+        iterations += 1
+    W, b = unpack(theta)
+    grad_max = float(np.abs(g).max())
+    return LogRegModel(
+        W,
+        b,
+        c,
+        labels,
+        iterations=iterations,
+        grad_max=grad_max,
+        converged=grad_max <= cfg.grad_tol,
+    )
 
 
 def predict_proba(model: LogRegModel, x) -> np.ndarray:
@@ -235,8 +306,8 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
     return GridSearchResult(best.c, rows, model, folds, oof)
 
 
-def save_model(model: LogRegModel, path) -> None:
-    """Versioned plain-text persistence; floats via repr so a reload
+def model_text(model: LogRegModel) -> str:
+    """Versioned plain-text form of a model; floats via repr so a reload
     reproduces identical predictions."""
     lines = [MODEL_MAGIC]
     lines.append(f"C {repr(float(model.c))}")
@@ -249,8 +320,13 @@ def save_model(model: LogRegModel, path) -> None:
         lines.append(" ".join(repr(float(v)) for v in row))
     lines.append("b")
     lines.append(" ".join(repr(float(v)) for v in model.bias))
+    return "\n".join(lines) + "\n"
+
+
+def save_model(model: LogRegModel, path) -> None:
+    """Write model_text(model) to path."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(model_text(model))
 
 
 def load_model(path) -> LogRegModel:

@@ -46,8 +46,8 @@ from .model import (
     TrainConfig,
     grid_search,
     load_model,
+    model_text,
     predict_top3,
-    save_model,
 )
 from .oov import VARIANTS, OOVStrategy
 
@@ -453,17 +453,7 @@ def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
         "frontend": os.path.join(cfg.out_dir, "frontend.json"),
         "grid_json": os.path.join(cfg.out_dir, "grid.json"),
     }
-    fd, tmp = tempfile.mkstemp(dir=cfg.out_dir, prefix=".tmp-", suffix=".part")
-    os.close(fd)
-    try:
-        save_model(result.model, tmp)
-        os.replace(tmp, paths["model"])
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(paths["model"], model_text(result.model))
     _write_json(
         paths["frontend"],
         {

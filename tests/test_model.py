@@ -112,6 +112,50 @@ class TestTrain:
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
+    def test_reaches_grad_tol_on_17_class_problem(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(350, 76))
+        y = rng.integers(0, 17, size=350)
+        cfg = TrainConfig()
+        m = train(X, y, tuple(f"k{i}" for i in range(17)), 10.0, cfg)
+        assert m.converged
+        assert 0 < m.iterations < cfg.max_iter
+        _, gw, gb = loss_and_grad(m.weights, m.bias, X, y, 10.0)
+        assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
+        assert m.grad_max <= cfg.grad_tol
+
+    def test_stall_exit_on_tiny_c_large_loss(self, monkeypatch):
+        # loss ~5500 and C=1e-5: near the optimum a step's first-order
+        # decrease drops below float64 resolution long before grad_tol
+        losses = []
+        original = loss_and_grad
+
+        def recorder(W, b, X, y, c):
+            out = original(W, b, X, y, c)
+            losses.append(out[0])
+            return out
+
+        monkeypatch.setattr(model_mod, "loss_and_grad", recorder)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(4000, 8))
+        y = rng.integers(0, 4, size=4000)
+        cfg = TrainConfig()
+        m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
+        assert not m.converged
+        assert m.iterations < cfg.max_iter // 10
+        assert cfg.grad_tol < m.grad_max < 1e-3
+        assert len(losses) == m.iterations + 1
+        assert np.all(np.diff(losses) <= 0)
+
+    def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # a direction with g'p >= 0 must never be searched along
+        monkeypatch.setattr(model_mod, "_lbfgs_direction", lambda g, memory: g.copy())
+        X = np.zeros((3, 1))
+        y = np.array([0, 0, 1])
+        m = train(X, y, ("a", "b"), c=1.0)
+        assert m.converged
+        assert predict_proba(m, np.zeros(1)) == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+
     def test_weight_norm_grows_with_c(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 3))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from finhyp.embeddings import save_embeddings, EmbeddingStore
+from finhyp.model import save_model
 from finhyp.pipeline import (
     DataError,
     PRESETS,
@@ -331,7 +332,7 @@ def trained(synth_dir, tmp_path_factory):
 
 
 class TestTrainPredict:
-    def test_artifacts(self, trained):
+    def test_artifacts(self, trained, tmp_path):
         _, out, run = trained
         assert os.path.exists(run.paths["model"])
         assert os.path.exists(run.paths["frontend"])
@@ -341,6 +342,11 @@ class TestTrainPredict:
         assert fe["embedding_dim"] == 8
         assert fe["labels"] == list(run.model.labels)
         assert len(fe["scaler"]["mins"]) == len(fe["scaler"]["maxs"])
+        # model.txt holds exactly what save_model writes, and no temp file stays
+        save_model(run.model, tmp_path / "model.txt")
+        with open(run.paths["model"], "rb") as fh:
+            assert fh.read() == (tmp_path / "model.txt").read_bytes()
+        assert sorted(os.listdir(out)) == ["frontend.json", "grid.json", "model.txt"]
 
     def test_predict_round_trip(self, synth_dir, tmp_path, trained):
         cfg, out, run = trained
