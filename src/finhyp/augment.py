@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import tempfile
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
+from .fileio import atomic_write
 from .oov import NgramIndex, best_ngram_match
 
 log = logging.getLogger(__name__)
@@ -87,7 +86,7 @@ class DefinitionDict:
         return cls(data, source=str(path))
 
     def to_snapshot(self, path) -> None:
-        _atomic_write(
+        atomic_write(
             path,
             json.dumps(self.entries, sort_keys=True, ensure_ascii=False, indent=2)
             + "\n",
@@ -201,19 +200,3 @@ def fetch_definitions(terms, fetcher, snapshot_out, rate_limit: float = 0.0):
     ddict = DefinitionDict(entries, source=str(snapshot_out))
     ddict.to_snapshot(snapshot_out)
     return ddict, failures
-
-
-def _atomic_write(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise

@@ -110,19 +110,11 @@ def cosine_features(term_vec: np.ndarray, labels: LabelSet) -> np.ndarray:
     return np.array([cosine_distance(term_vec, lv) for lv in labels.vectors])
 
 
-def edit_features(term_raw: str, labels: LabelSet) -> np.ndarray:
-    """Edit distance from the lowercased term to each lowercased label."""
-    low = term_raw.lower()
-    return np.array(
-        [distance.levenshtein(low, lab.lower()) for lab in labels.labels], dtype=float
-    )
-
-
-def distance_features(
-    term: TermTokens, term_vec: np.ndarray, labels: LabelSet
-) -> np.ndarray:
-    """The 2K distance block: K cosine entries then K edit entries."""
-    return np.concatenate([cosine_features(term_vec, labels), edit_features(term.raw, labels)])
+def edit_features(texts, labels: LabelSet) -> np.ndarray:
+    """(N, K) edit distances from each lowercased text to each lowercased label."""
+    return distance.levenshtein_matrix(
+        [t.lower() for t in texts], [lab.lower() for lab in labels.labels]
+    ).astype(float)
 
 
 class MinMaxScaler:
@@ -231,10 +223,11 @@ def assemble_features(
             blocks.append(handcrafted(raw, fcfg.handcrafted))
         if fcfg.cosine:
             blocks.append(cosine_features(vec, labels))
-        if fcfg.edit:
-            blocks.append(edit_features(text, labels))
         rows.append(np.concatenate(blocks))
-    return np.vstack(rows)
+    matrix = np.vstack(rows)
+    if fcfg.edit:
+        matrix = np.hstack([matrix, edit_features(texts, labels)])
+    return matrix
 
 
 def build_features(

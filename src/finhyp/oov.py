@@ -52,14 +52,18 @@ def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIn
     return NgramIndex(store.vocab, strategy.ngram_min, strategy.ngram_max)
 
 
-def resolve_levenshtein(token: str, store: EmbeddingStore) -> str:
+def resolve_levenshtein(token: str, store: EmbeddingStore, vocab=None) -> str:
     """Vocabulary word at minimal edit distance from the lowercased token.
 
     Ties go to the shorter word, then the lexicographically smaller one.
+    ``vocab`` is ``store.vocab_lower`` as ``distance.pack`` returned it, when
+    the caller keeps one for repeated scans.
     """
     if len(store) == 0:
         raise ValueError("empty vocabulary")
-    i, _ = distance.nearest(token.lower(), store.vocab_lower)
+    i, _ = distance.nearest(
+        token.lower(), store.vocab_lower if vocab is None else vocab
+    )
     return store.vocab[i]
 
 
@@ -98,14 +102,17 @@ def best_ngram_match(text: str, index: NgramIndex):
     return best, best_score
 
 
-def resolve_ngram(token: str, index: NgramIndex, store: EmbeddingStore) -> str:
+def resolve_ngram(
+    token: str, index: NgramIndex, store: EmbeddingStore, vocab=None
+) -> str:
     """Best n-gram Jaccard match from the vocabulary, falling back to the
-    nearest-edit-distance word when no n-gram is shared."""
+    nearest-edit-distance word when no n-gram is shared. ``vocab`` is as in
+    resolve_levenshtein."""
     if len(store) == 0:
         raise ValueError("empty vocabulary")
     match = best_ngram_match(token, index)
     if match is None:
-        return resolve_levenshtein(token, store)
+        return resolve_levenshtein(token, store, vocab)
     return store.vocab[match[0]]
 
 
@@ -113,9 +120,10 @@ def resolve_ngram(token: str, index: NgramIndex, store: EmbeddingStore) -> str:
 class OOVStrategy:
     """Configured OOV behaviour, bound lazily to a store.
 
-    The n-gram index and the per-token memo are rebuilt whenever the
-    strategy is used against a different store. Memo insertion is
-    idempotent, so concurrent lookups of the same token are safe.
+    The packed vocabulary, the n-gram index and the per-token memo are
+    rebuilt whenever the strategy is used against a different store. Memo
+    insertion is idempotent, so concurrent lookups of the same token are
+    safe.
     """
 
     variant: str = "zero"
@@ -127,6 +135,7 @@ class OOVStrategy:
     _index: NgramIndex | None = field(
         default=None, repr=False, compare=False, init=False
     )
+    _vocab: object = field(default=None, repr=False, compare=False, init=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def __post_init__(self):
@@ -142,14 +151,15 @@ class OOVStrategy:
         if store is not self._store:
             self._store = store
             self._memo = {}
+            self._vocab = distance.pack(store.vocab_lower)
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )
         if token in self._memo:
             return self._memo[token]
         if self.variant == "levenshtein":
-            sub = resolve_levenshtein(token, store)
+            sub = resolve_levenshtein(token, store, self._vocab)
         else:
-            sub = resolve_ngram(token, self._index, store)
+            sub = resolve_ngram(token, self._index, store, self._vocab)
         self._memo[token] = sub
         return sub

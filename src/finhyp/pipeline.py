@@ -12,7 +12,6 @@ import dataclasses
 import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 
 from .augment import (
@@ -41,6 +40,7 @@ from .features import (
     assemble_features,
     build_features,
 )
+from .fileio import atomic_write
 from .model import (
     LogRegModel,
     TrainConfig,
@@ -249,22 +249,6 @@ def load_dataset(path):
     if labels is None:
         raise DataError(f'{path}: missing "label" column')
     return terms, labels
-
-
-def atomic_write(path, text: str) -> None:
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _write_json(path, payload) -> None:

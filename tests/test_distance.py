@@ -4,11 +4,12 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhyp import _editdist_py
+from finhyp import _editdist_np, _editdist_py, distance
 from finhyp.distance import BACKEND, levenshtein, nearest
 
 try:
@@ -16,7 +17,24 @@ try:
 except ImportError:
     _editdist_c = None
 
-BACKENDS = [pytest.param(_editdist_py, id="python")]
+
+class _NumpyKernels:
+    """The numpy batch DPs behind the scalar interface, so that every
+    backend test runs on them too."""
+
+    @staticmethod
+    def levenshtein(a, b):
+        return int(_editdist_np.levenshtein_matrix([a], [b])[0, 0])
+
+    @staticmethod
+    def nearest(query, candidates):
+        return _editdist_np.PackedWords(candidates).nearest(query)
+
+
+BACKENDS = [
+    pytest.param(_editdist_py, id="python"),
+    pytest.param(_NumpyKernels, id="numpy"),
+]
 if _editdist_c is not None:
     BACKENDS.append(pytest.param(_editdist_c, id="c"))
 
@@ -126,6 +144,79 @@ class TestNearest:
             ]
             query = "".join(rng.choices(ALPHABET, k=rng.randint(0, 8)))
             assert impl.nearest(query, cands) == brute_nearest(query, cands)
+
+
+# Lone surrogates are valid str code points; the numpy kernels must take
+# every string the scalar ones take.
+EDGE_ALPHABET = ALPHABET + "\ud800\udfff"
+EDGE_WORDS = st.text(alphabet=EDGE_ALPHABET, max_size=10)
+# Two letters make ties in distance, length and spelling common.
+TIE_WORDS = st.text(alphabet="ab", max_size=5)
+
+
+class TestNumpyKernels:
+    @given(
+        texts=st.lists(EDGE_WORDS, max_size=6),
+        targets=st.lists(EDGE_WORDS, max_size=4),
+    )
+    def test_matrix_against_reference(self, texts, targets):
+        out = _editdist_np.levenshtein_matrix(texts, targets)
+        assert out.dtype == np.int32
+        assert out.shape == (len(texts), len(targets))
+        assert out.tolist() == [
+            [reference_levenshtein(t, g) for g in targets] for t in texts
+        ]
+
+    @given(
+        query=EDGE_WORDS,
+        cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),
+    )
+    def test_nearest_against_brute_force(self, query, cands):
+        assert _editdist_np.PackedWords(cands).nearest(query) == brute_nearest(
+            query, cands
+        )
+
+    @given(query=TIE_WORDS, cands=st.lists(TIE_WORDS, min_size=1, max_size=30))
+    def test_nearest_ties_against_brute_force(self, query, cands):
+        assert _editdist_np.PackedWords(cands).nearest(query) == brute_nearest(
+            query, cands
+        )
+
+    def test_lone_surrogates(self):
+        a, b = "x\ud800y", "\udfffxy"
+        assert _NumpyKernels.levenshtein(a, b) == reference_levenshtein(a, b) == 2
+        assert _NumpyKernels.nearest("\ud800", ["\udfff", "\ud800"]) == (1, 0)
+
+    def test_distances_beyond_int16(self):
+        long_text = "ab" * 20_000
+        targets = ["", "ba", "xyz"]
+        out = _editdist_np.levenshtein_matrix([long_text, ""], targets)
+        assert out.tolist() == [
+            [reference_levenshtein(long_text, g) for g in targets],
+            [0, 2, 3],
+        ]
+        assert out[0, 0] == 40_000
+        assert _editdist_np.PackedWords([long_text, "q" * 3]).nearest("") == (1, 3)
+        assert _editdist_np.PackedWords([long_text]).nearest("b") == (0, 39_999)
+
+    def test_empty_inputs(self):
+        assert _editdist_np.levenshtein_matrix([], ["ab"]).shape == (0, 1)
+        assert _editdist_np.levenshtein_matrix(["ab"], []).shape == (1, 0)
+        assert _editdist_np.levenshtein_matrix(["", ""], [""]).tolist() == [[0], [0]]
+        with pytest.raises(ValueError):
+            _editdist_np.PackedWords([]).nearest("x")
+
+    @given(query=EDGE_WORDS, cands=st.lists(EDGE_WORDS, min_size=1, max_size=20))
+    def test_packed_nearest_matches_plain_list(self, query, cands):
+        assert distance.nearest(query, distance.pack(cands)) == nearest(query, cands)
+
+    @given(
+        texts=st.lists(EDGE_WORDS, max_size=5), targets=st.lists(EDGE_WORDS, max_size=3)
+    )
+    def test_backend_matrix_matches_scalar(self, texts, targets):
+        assert distance.levenshtein_matrix(texts, targets).tolist() == [
+            [levenshtein(t, g) for g in targets] for t in texts
+        ]
 
 
 @pytest.mark.skipif(_editdist_c is None, reason="compiled kernel not built")

@@ -114,7 +114,7 @@ class TestDistanceFeatures:
         assert out == pytest.approx([0.0, 1.0])
 
     def test_edit_block_lowercases(self):
-        out = edit_features("BOND", two_label_set())
+        out = edit_features(["BOND"], two_label_set())[0]
         assert out.tolist() == [0.0, levenshtein("bond", "option")]
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finhyp import distance
 from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore, lookup
 from finhyp.oov import (
@@ -147,6 +148,31 @@ class TestOOVStrategy:
         strat = OOVStrategy("levenshtein")
         assert strat.resolve("bonds", make_store(["bond"])) == "bond"
         assert strat.resolve("bonds", make_store(["bands"])) == "bands"
+
+    @pytest.mark.parametrize("variant", ["levenshtein", "ngram"])
+    def test_packs_vocabulary_once_per_store(self, monkeypatch, variant):
+        packed = []
+
+        def counting_pack(words):
+            packed.append(list(words))
+            return real_pack(words)
+
+        real_pack = distance.pack
+        monkeypatch.setattr(distance, "pack", counting_pack)
+        strat = OOVStrategy(variant)
+        store = make_store(["bond", "swap", "option"])
+        for token in ["bonds", "swaps", "optin", "xq", "zz", "bonds"]:
+            assert strat.resolve(token, store) in store.vocab
+        assert packed == [store.vocab_lower]
+        other = make_store(["Bands", "yield"])
+        assert strat.resolve("bandz", other) == "Bands"
+        assert strat.resolve("yields", other) == "yield"
+        assert packed == [store.vocab_lower, other.vocab_lower]
+
+    def test_lowercase_duplicates_resolve_to_first(self):
+        store = make_store(["Bond", "bond", "swap"])
+        assert OOVStrategy("levenshtein").resolve("BONDS", store) == "Bond"
+        assert resolve_levenshtein("bonds", store) == "Bond"
 
     @settings(max_examples=50)
     @given(token=st.text(alphabet="abcd-", max_size=8))
