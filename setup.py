@@ -3,13 +3,18 @@ import os
 from setuptools import Extension, setup
 
 # The compiled edit-distance kernel is optional: finhyp.distance falls back to
-# the pure-Python twin when the extension is absent. Set FINHYP_PURE_PYTHON=1
-# at build time to skip compilation entirely.
+# the pure-Python twin when the extension is absent. With Cython the kernel is
+# built from the .pyx; without it, from the Cython-generated .c shipped next to
+# it. Set FINHYP_PURE_PYTHON=1 at build time to skip compilation entirely.
 ext_modules = []
 if os.environ.get("FINHYP_PURE_PYTHON") != "1":
     try:
         from Cython.Build import cythonize
-
+    except ImportError:
+        ext_modules = [
+            Extension("finhyp._editdist", ["src/finhyp/_editdist.c"], optional=True)
+        ]
+    else:
         ext_modules = cythonize(
             [
                 Extension(
@@ -20,7 +25,5 @@ if os.environ.get("FINHYP_PURE_PYTHON") != "1":
             ],
             language_level=3,
         )
-    except ImportError:
-        ext_modules = []
 
 setup(ext_modules=ext_modules)

@@ -214,20 +214,18 @@ def assemble_features(
         raise ValueError("raw_terms and texts must align")
     if len(raw_terms) == 0:
         raise ValueError("empty dataset")
-    rows = []
-    for raw, text in zip(raw_terms, texts):
-        term = TermTokens.from_raw(text)
-        vec = embed_term(store, term, resolver)
-        blocks = [vec]
-        if fcfg.handcrafted is not None:
-            blocks.append(handcrafted(raw, fcfg.handcrafted))
-        if fcfg.cosine:
-            blocks.append(cosine_features(vec, labels))
-        rows.append(np.concatenate(blocks))
-    matrix = np.vstack(rows)
+    vecs = np.vstack(
+        [embed_term(store, TermTokens.from_raw(text), resolver) for text in texts]
+    )
+    blocks = [vecs]
+    if fcfg.handcrafted is not None:
+        hcfg = fcfg.handcrafted
+        blocks.append(np.vstack([handcrafted(raw, hcfg) for raw in raw_terms]))
+    if fcfg.cosine:
+        blocks.append(np.vstack([cosine_features(vec, labels) for vec in vecs]))
     if fcfg.edit:
-        matrix = np.hstack([matrix, edit_features(texts, labels)])
-    return matrix
+        blocks.append(edit_features(texts, labels))
+    return np.hstack(blocks)
 
 
 def build_features(

@@ -155,6 +155,21 @@ class PipelineConfig:
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
 _TUPLE_FIELDS = ("indicators", "c_grid", "labels")
 
+# The fields that fix the feature rows. run_train records them in
+# frontend.json and run_predict replays them over its own config.
+FRONTEND_FIELDS = (
+    "augment",
+    "cosine_features",
+    "edit_features",
+    "handcrafted",
+    "indicators",
+    "labels",
+    "min_match_score",
+    "ngram_max",
+    "ngram_min",
+    "oov_strategy",
+)
+
 
 def config_from_dict(data: dict) -> PipelineConfig:
     unknown = sorted(set(data) - _CONFIG_FIELDS)
@@ -174,16 +189,7 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def load_config(path) -> PipelineConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise DataError(f"cannot read config: {err}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise DataError(f"{path}: invalid JSON: {err}") from None
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path, "config"))
 
 
 def apply_preset(cfg: PipelineConfig, name: str) -> PipelineConfig:
@@ -297,12 +303,14 @@ def _load_snapshot(path) -> DefinitionDict:
         raise DataError(f"{path}: bad snapshot: {err}") from None
 
 
-def _feature_config(handcrafted, indicators, cosine, edit) -> FeatureConfig:
-    try:
-        hcfg = HandcraftedConfig(tuple(indicators)) if handcrafted else None
-    except ValueError as err:
-        raise DataError(str(err)) from None
-    return FeatureConfig(handcrafted=hcfg, cosine=bool(cosine), edit=bool(edit))
+def _texts(cfg: PipelineConfig, terms):
+    """The texts that get embedded and measured, plus augmentation coverage
+    (None when augmentation is off)."""
+    if not cfg.augment:
+        return list(terms), None
+    ddict = _load_snapshot(cfg.snapshot_path)
+    augmented, coverage = augment_dataset(terms, ddict, cfg.min_match_score)
+    return [a.text for a in augmented], coverage
 
 
 @dataclass
@@ -311,7 +319,6 @@ class Frontend:
 
     store: EmbeddingStore
     resolver: OOVStrategy
-    labels: tuple[str, ...]
     label_set: LabelSet
     fcfg: FeatureConfig
     texts: list[str]
@@ -334,20 +341,19 @@ def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Fronten
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
-    if cfg.augment:
-        ddict = _load_snapshot(cfg.snapshot_path)
-        augmented, coverage = augment_dataset(terms, ddict, cfg.min_match_score)
-        texts = [a.text for a in augmented]
-    else:
-        texts, coverage = list(terms), None
+    texts, coverage = _texts(cfg, terms)
     try:
         label_set = LabelSet.build(labels, store, resolver)
     except ValueError as err:
         raise DataError(f"bad label set: {err}") from None
-    fcfg = _feature_config(
-        cfg.handcrafted, cfg.indicators, cfg.cosine_features, cfg.edit_features
+    try:
+        hcfg = HandcraftedConfig(cfg.indicators) if cfg.handcrafted else None
+    except ValueError as err:
+        raise DataError(str(err)) from None
+    fcfg = FeatureConfig(
+        handcrafted=hcfg, cosine=cfg.cosine_features, edit=cfg.edit_features
     )
-    return Frontend(store, resolver, labels, label_set, fcfg, texts, coverage)
+    return Frontend(store, resolver, label_set, fcfg, texts, coverage)
 
 
 def _grid_payload(result) -> dict:
@@ -369,6 +375,23 @@ def _grid_payload(result) -> dict:
 # ---------------------------------------------------------------------- runs
 
 
+def _fit(cfg: PipelineConfig, dataset_path, failure: str):
+    """Frontend, fitted scaler, class indices and grid-search result for a
+    labeled dataset; grid-search errors become "<failure> failed: ..."."""
+    terms, gold_labels = load_dataset(dataset_path)
+    fe = prepare_frontend(cfg, terms, gold_labels)
+    X, scaler = build_features(
+        terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg
+    )
+    y = [fe.label_set.index(lab) for lab in gold_labels]
+    tcfg = TrainConfig(c_grid=cfg.c_grid, folds=cfg.folds, seed=cfg.seed)
+    try:
+        result = grid_search(X, y, fe.label_set.labels, tcfg)
+    except ValueError as err:
+        raise DataError(f"{failure} failed: {err}") from None
+    return fe, scaler, y, result
+
+
 @dataclass
 class CvRun:
     report: EvalReport
@@ -380,16 +403,8 @@ class CvRun:
 def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     """Grid-searched cross-validation; writes report.txt, report.json,
     grid.json and folds.json under cfg.out_dir."""
-    terms, gold_labels = load_dataset(dataset_path)
-    fe = prepare_frontend(cfg, terms, gold_labels)
-    X, _ = build_features(terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg)
-    y = [fe.label_set.index(lab) for lab in gold_labels]
-    tcfg = TrainConfig(c_grid=cfg.c_grid, folds=cfg.folds, seed=cfg.seed)
-    try:
-        result = grid_search(X, y, fe.labels, tcfg)
-    except ValueError as err:
-        raise DataError(f"cross-validation failed: {err}") from None
-    report = evaluate(result.oof_predictions[result.best_c], y, fe.labels)
+    fe, _, y, result = _fit(cfg, dataset_path, "cross-validation")
+    report = evaluate(result.oof_predictions[result.best_c], y, fe.label_set.labels)
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {
@@ -419,17 +434,7 @@ class TrainRun:
 def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     """Grid-search then fit on the full dataset; writes model.txt plus the
     frontend.json needed to rebuild identical feature rows at predict time."""
-    terms, gold_labels = load_dataset(dataset_path)
-    fe = prepare_frontend(cfg, terms, gold_labels)
-    X, scaler = build_features(
-        terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg
-    )
-    y = [fe.label_set.index(lab) for lab in gold_labels]
-    tcfg = TrainConfig(c_grid=cfg.c_grid, folds=cfg.folds, seed=cfg.seed)
-    try:
-        result = grid_search(X, y, fe.labels, tcfg)
-    except ValueError as err:
-        raise DataError(f"training failed: {err}") from None
+    fe, scaler, _, result = _fit(cfg, dataset_path, "training")
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     paths = {
@@ -438,41 +443,13 @@ def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
         "grid_json": os.path.join(cfg.out_dir, "grid.json"),
     }
     atomic_write(paths["model"], model_text(result.model))
-    _write_json(
-        paths["frontend"],
-        {
-            "augment": cfg.augment,
-            "cosine_features": cfg.cosine_features,
-            "edit_features": cfg.edit_features,
-            "embedding_dim": fe.store.dim,
-            "handcrafted": cfg.handcrafted,
-            "indicators": list(cfg.indicators),
-            "labels": list(fe.labels),
-            "min_match_score": cfg.min_match_score,
-            "ngram_max": cfg.ngram_max,
-            "ngram_min": cfg.ngram_min,
-            "oov_strategy": cfg.oov_strategy,
-            "scaler": scaler.state(),
-        },
+    frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
+    frontend.update(
+        labels=fe.label_set.labels, embedding_dim=fe.store.dim, scaler=scaler.state()
     )
+    _write_json(paths["frontend"], frontend)
     _write_json(paths["grid_json"], _grid_payload(result))
     return TrainRun(result.model, result.best_c, fe.coverage, paths)
-
-
-_FRONTEND_KEYS = (
-    "augment",
-    "cosine_features",
-    "edit_features",
-    "embedding_dim",
-    "handcrafted",
-    "indicators",
-    "labels",
-    "min_match_score",
-    "ngram_max",
-    "ngram_min",
-    "oov_strategy",
-    "scaler",
-)
 
 
 @dataclass
@@ -483,51 +460,36 @@ class PredictRun:
 
 def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
     """Score terms with a trained model directory (model.txt + frontend.json);
-    writes predictions.jsonl under cfg.out_dir."""
+    writes predictions.jsonl under cfg.out_dir. The frontend fields recorded
+    in frontend.json replace cfg's own values for them."""
     try:
         model = load_model(os.path.join(model_dir, "model.txt"))
     except OSError as err:
         raise DataError(f"cannot read model: {err}") from None
     except ValueError as err:
         raise DataError(f"bad model file: {err}") from None
-    frontend = _read_json(os.path.join(model_dir, "frontend.json"), "frontend")
-    missing = sorted(set(_FRONTEND_KEYS) - set(frontend))
+    frontend_path = os.path.join(model_dir, "frontend.json")
+    frontend = _read_json(frontend_path, "frontend")
+    missing = sorted(set(FRONTEND_FIELDS + ("embedding_dim", "scaler")) - set(frontend))
     if missing:
         raise DataError(f"frontend.json missing keys: {', '.join(missing)}")
-
-    labels = tuple(frontend["labels"])
-    if labels != model.labels:
+    if tuple(frontend["labels"]) != model.labels:
         raise DataError("label set mismatch between model.txt and frontend.json")
-    store = _load_store(cfg.embedding_path)
-    if store.dim != frontend["embedding_dim"]:
-        raise DataError(
-            f"embedding dim {store.dim} != trained dim {frontend['embedding_dim']}"
-        )
+    recorded = {key: frontend[key] for key in FRONTEND_FIELDS}
     try:
-        resolver = OOVStrategy(
-            frontend["oov_strategy"], frontend["ngram_min"], frontend["ngram_max"]
-        )
-    except ValueError as err:
-        raise DataError(f"bad frontend: {err}") from None
+        cfg = config_from_dict({**dataclasses.asdict(cfg), **recorded})
+    except DataError as err:
+        raise DataError(f"{frontend_path}: {err}") from None
 
     terms, _ = load_terms(terms_path)
-    if frontend["augment"]:
-        ddict = _load_snapshot(cfg.snapshot_path)
-        augmented, _ = augment_dataset(terms, ddict, frontend["min_match_score"])
-        texts = [a.text for a in augmented]
-    else:
-        texts = terms
-    try:
-        label_set = LabelSet.build(labels, store, resolver)
-    except ValueError as err:
-        raise DataError(f"bad label set: {err}") from None
-    fcfg = _feature_config(
-        frontend["handcrafted"],
-        frontend["indicators"],
-        frontend["cosine_features"],
-        frontend["edit_features"],
+    fe = prepare_frontend(cfg, terms)
+    if fe.store.dim != frontend["embedding_dim"]:
+        raise DataError(
+            f"embedding dim {fe.store.dim} != trained dim {frontend['embedding_dim']}"
+        )
+    matrix = assemble_features(
+        terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg
     )
-    matrix = assemble_features(terms, texts, store, resolver, label_set, fcfg)
     try:
         scaler = MinMaxScaler.from_state(frontend["scaler"])
     except (KeyError, TypeError, ValueError) as err:
@@ -573,12 +535,7 @@ def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     terms, _ = load_terms(dataset_path)
     store = _load_store(cfg.embedding_path)
     resolver = make_resolver(cfg)
-    if cfg.augment:
-        ddict = _load_snapshot(cfg.snapshot_path)
-        augmented, _ = augment_dataset(terms, ddict, cfg.min_match_score)
-        texts = [a.text for a in augmented]
-    else:
-        texts = terms
+    texts, _ = _texts(cfg, terms)
 
     occurrences = 0
     seen: dict[str, str] = {}

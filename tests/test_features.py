@@ -199,6 +199,24 @@ class TestAssembly:
         assert row[:2].tolist() == [0.0, 1.0]
         assert row[2 + 8] == 4  # four uppercase characters in raw
 
+    def test_rows_equal_single_row_assembly(self):
+        rng = np.random.default_rng(3)
+        store = EmbeddingStore(["bond", "option", "swap"], rng.normal(size=(3, 5)))
+        labels = LabelSet.build(["bond", "option", "swap"], store)
+        raw = ["bond Inc.", "Option bond", "SWAP", "unknown"]
+        texts = ["bond", "option bond", "swap. a bond", "unknown"]
+        for fcfg in (
+            ALL_ON,
+            FeatureConfig(),
+            FeatureConfig(HandcraftedConfig(), True, False),
+            FeatureConfig(None, False, True),
+        ):
+            X = assemble_features(raw, texts, store, None, labels, fcfg)
+            assert X.shape == (4, feature_width(5, 3, fcfg))
+            for i in range(4):
+                one = assemble_features([raw[i]], [texts[i]], store, None, labels, fcfg)
+                assert X[i].tobytes() == one[0].tobytes()
+
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
             assemble_features(["a"], [], self.store, None, self.labels, ALL_ON)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
 from finhyp.model import save_model
 from finhyp.pipeline import (
@@ -214,7 +215,7 @@ class TestPrepareFrontend:
         cfg = base_cfg(synth_dir, tmp_path)
         terms, labels = load_dataset(synth_dir / "terms.csv")
         fe = prepare_frontend(cfg, terms, labels)
-        assert fe.labels == tuple(sorted(set(labels)))
+        assert fe.label_set.labels == tuple(sorted(set(labels)))
         assert fe.coverage is None
         assert fe.texts == terms
 
@@ -223,7 +224,7 @@ class TestPrepareFrontend:
         ordered = tuple(dict.fromkeys(labels))
         cfg = base_cfg(synth_dir, tmp_path, labels=ordered)
         fe = prepare_frontend(cfg, terms, labels)
-        assert fe.labels == ordered
+        assert fe.label_set.labels == ordered
 
     def test_extra_dataset_label_rejected(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path, labels=("OnlyOne", "Another"))
@@ -424,6 +425,87 @@ class TestTrainPredict:
         assert pr.n_terms == 5
 
 
+class TestFrontendJson:
+    """frontend.json fixes the feature rows; predict replays it over its config."""
+
+    def tampered(self, out, tmp_path, edit):
+        model_dir = tmp_path / "tampered"
+        model_dir.mkdir()
+        for name in ("model.txt", "frontend.json"):
+            (model_dir / name).write_bytes((out / name).read_bytes())
+        fe = json.loads((model_dir / "frontend.json").read_text())
+        edit(fe)
+        (model_dir / "frontend.json").write_text(json.dumps(fe))
+        return model_dir
+
+    def predict_cli(self, cfg, model_dir, terms_path, out):
+        return main(
+            [
+                "predict",
+                str(terms_path),
+                "--model",
+                str(model_dir),
+                "--embeddings",
+                cfg.embedding_path,
+                "--out",
+                str(out),
+            ]
+        )
+
+    def test_missing_key(self, synth_dir, tmp_path, trained, capsys):
+        cfg, out, _ = trained
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.pop("ngram_min"))
+        with pytest.raises(DataError, match="missing keys: ngram_min"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path)
+        assert code == 2
+        assert "ngram_min" in capsys.readouterr().err
+
+    def test_bad_recorded_value(self, synth_dir, tmp_path, trained, capsys):
+        cfg, out, _ = trained
+        model_dir = self.tampered(
+            out, tmp_path, lambda fe: fe.update(oov_strategy="bogus")
+        )
+        with pytest.raises(DataError, match="bogus"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path)
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+
+    def test_predict_config_frontend_fields_ignored(self, synth_dir, tmp_path, trained):
+        cfg, out, _ = trained
+        same = run_predict(
+            dataclasses.replace(cfg, out_dir=str(tmp_path / "same")),
+            out,
+            synth_dir / "terms.csv",
+        )
+        other_cfg = apply_preset(
+            dataclasses.replace(
+                cfg, oov_strategy="zero", out_dir=str(tmp_path / "other")
+            ),
+            "BL",
+        )
+        other = run_predict(other_cfg, out, synth_dir / "terms.csv")
+        with open(same.path, "rb") as a, open(other.path, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_indicator_count_error(self, synth_dir, tmp_path):
+        cfg = apply_preset(
+            base_cfg(synth_dir, tmp_path, indicators=("Inc.", "Corp", "Ltd")),
+            "BL.HF",
+        )
+        with pytest.raises(DataError, match="exactly 7 indicator substrings"):
+            run_cv(cfg, synth_dir / "terms.csv")
+
+
 class TestInspectOov:
     def make_inputs(self, tmp_path):
         store = EmbeddingStore(
@@ -455,6 +537,27 @@ class TestInspectOov:
         )
         run = run_inspect_oov(cfg, csv_path)
         assert "bonds -> bond" in run.text
+
+    def test_augmented_term_only_csv(self, tmp_path):
+        emb, _ = self.make_inputs(tmp_path)
+        csv_path = tmp_path / "plain.csv"
+        csv_path.write_text("term\nswap\n")
+        snap = tmp_path / "snap.json"
+        snap.write_text(json.dumps({"swap": "Swaps trade bonds. More."}))
+        cfg = PipelineConfig(
+            embedding_path=str(emb),
+            out_dir=str(tmp_path),
+            augment=True,
+            snapshot_path=str(snap),
+        )
+        run = run_inspect_oov(cfg, csv_path)
+        # "swap" alone is in the vocabulary; the augmented text is not
+        assert run.text.splitlines()[2:] == [
+            "Swaps -> ZERO",
+            "bonds. -> ZERO",
+            "swap. -> ZERO",
+            "trade -> ZERO",
+        ]
 
     def test_all_in_vocab(self, tmp_path):
         emb, _ = self.make_inputs(tmp_path)
