@@ -5,6 +5,7 @@ multiple workers. Multi-word terms embed as the sum of their token vectors.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,18 +121,18 @@ def load_embeddings(path) -> EmbeddingStore:
                     f"line {lineno}: more rows than header count {count}"
                 )
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
+                row = list(map(float, values))
             except ValueError:
                 raise EmbeddingFormatError(
                     f"line {lineno}: unparseable float in row {token!r}"
                 ) from None
-            if not np.all(np.isfinite(vec)):
+            if not all(map(math.isfinite, row)):
                 raise EmbeddingFormatError(
                     f"line {lineno}: non-finite value in row {token!r}"
                 )
             seen.add(token)
             tokens.append(token)
-            vectors[n] = vec
+            vectors[n] = row
             n += 1
         if n != count:
             raise EmbeddingFormatError(f"expected {count} rows, found {n}")

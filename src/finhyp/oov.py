@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import distance
+from ._editdist_np import codes
 from .embeddings import EmbeddingStore
 
 levenshtein = distance.levenshtein
@@ -26,10 +29,51 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
     return frozenset(out)
 
 
-class NgramIndex:
-    """Inverted index from character n-grams to entry ids.
+def _first(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted a that differ from their predecessor."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
 
-    Entries are lowercased before indexing; immutable after build.
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a, ascending: one sort and an adjacent-difference
+    mask (numpy 2's hash-based ``np.unique`` is several times slower here)."""
+    a = np.sort(a)
+    return a[_first(a)]
+
+
+def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of a, ascending, and each entry's index among them."""
+    order = np.argsort(a)
+    a = a[order]
+    first = _first(a)
+    rank = np.empty(len(a), dtype=np.int64)
+    rank[order] = np.cumsum(first) - 1
+    return a[first], rank
+
+
+def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Index of each key in the sorted distinct keys, or -1 where absent."""
+    at = np.searchsorted(keys, key)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == key[hit]
+    return np.where(hit, at, -1)
+
+
+class NgramIndex:
+    """Inverted index from character n-grams to entry ids, as flat arrays.
+
+    Entries are lowercased and mapped to a dense alphabet of ``A`` symbols.
+    Every n-gram gets an exact integer id by prefix extension: its key is
+    ``prefix_id * A + last_symbol``, where ``prefix_id`` is the id of its
+    (n-1)-prefix, and its id is the key's rank among the level's sorted
+    distinct keys (``keys[n]``; a 1-gram's id is its symbol). Keys stay
+    below (distinct (n-1)-grams) * A, so they never overflow int64. Grams of
+    length ngram_min..ngram_max get global ids ``offset[n] + id``; entry ids
+    of gram g are ``post[indptr[g]:indptr[g + 1]]``, ascending, and
+    ``count[i]`` is the number of distinct grams of entry i. Immutable after
+    build.
     """
 
     def __init__(self, entries, ngram_min: int = 3, ngram_max: int = 6):
@@ -39,13 +83,53 @@ class NgramIndex:
         self.entries_lower = [e.lower() for e in self.entries]
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
-        self.entry_grams: list[frozenset[str]] = []
-        self.grams: dict[str, set[int]] = {}
-        for i, low in enumerate(self.entries_lower):
-            gs = char_ngrams(low, ngram_min, ngram_max)
-            self.entry_grams.append(gs)
-            for g in gs:
-                self.grams.setdefault(g, set()).add(i)
+        n_entries = len(self.entries_lower)
+        stride = max(n_entries, 1)
+        lens = np.array([len(e) for e in self.entries_lower], dtype=np.int64)
+        self.alphabet, sym = np.unique(
+            codes("".join(self.entries_lower)), return_inverse=True
+        )
+        sym = sym.astype(np.int64)
+        width = len(self.alphabet)
+        entry = np.repeat(np.arange(n_entries), lens)
+        # characters left in the entry from each position, itself included
+        left = np.repeat(np.cumsum(lens), lens) - np.arange(len(sym))
+        self.keys = {1: np.arange(width)}
+        self.offset: dict[int, int] = {}
+        pairs, n_grams = [], 0
+        starts, ids = np.arange(len(sym)), sym
+        for n in range(1, ngram_max + 1):
+            if n > 1:
+                keep = left[starts] >= n
+                starts = starts[keep]
+                key = ids[keep] * width + sym[starts + n - 1]
+                self.keys[n], ids = _rank(key)
+            if n >= ngram_min:
+                self.offset[n] = n_grams
+                pairs.append((n_grams + ids) * stride + entry[starts])
+                n_grams += len(self.keys[n])
+        pairs = _sorted_unique(np.concatenate(pairs))
+        gram, self.post = np.divmod(pairs, stride)
+        self.indptr = np.zeros(n_grams + 1, dtype=np.int64)
+        np.cumsum(np.bincount(gram, minlength=n_grams), out=self.indptr[1:])
+        self.count = np.bincount(self.post, minlength=n_entries)
+
+    def gram_ids(self, text: str) -> np.ndarray:
+        """Global ids of the distinct indexed n-grams of text (lowercased),
+        ascending; grams absent from the index are left out."""
+        q = codes(text.lower())
+        ids = sym = _find(self.alphabet, q)
+        out = []
+        for n in range(1, min(self.ngram_max, len(q)) + 1):
+            if n > 1:
+                prev, last = ids[:-1], sym[n - 1 :]
+                key = prev * len(self.alphabet) + last
+                ids = np.where(
+                    (prev >= 0) & (last >= 0), _find(self.keys[n], key), -1
+                )
+            if n >= self.ngram_min:
+                out.append(self.offset[n] + ids[ids >= 0])
+        return _sorted_unique(np.concatenate(out)) if out else np.zeros(0, np.int64)
 
 
 def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
@@ -73,26 +157,22 @@ def best_ngram_match(text: str, index: NgramIndex):
     Returns None when text shares no n-gram with any entry. Ties are broken
     by smaller edit distance, then shorter entry, then lexicographic order.
     """
-    query = char_ngrams(text.lower(), index.ngram_min, index.ngram_max)
-    if not query:
+    grams = index.gram_ids(text)
+    if not len(grams):
         return None
-    ids: set[int] = set()
-    for g in query:
-        hits = index.grams.get(g)
-        if hits:
-            ids |= hits
-    if not ids:
-        return None
-    scored = []
-    for i in sorted(ids):
-        gs = index.entry_grams[i]
-        inter = len(query & gs)
-        union = len(query | gs)
-        scored.append((inter / union, i))
-    best_score = max(s for s, _ in scored)
     low = text.lower()
+    size = len(char_ngrams(low, index.ngram_min, index.ngram_max))
+    # concatenated posting lists of the shared grams, one bincount over them
+    lo, hi = index.indptr[grams], index.indptr[grams + 1]
+    span = hi - lo
+    at = np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)
+    shared = np.bincount(index.post[at])
+    ids = np.flatnonzero(shared)
+    inter = shared[ids]
+    scores = inter / (size + index.count[ids] - inter)
+    best_score = float(scores.max())
     best = min(
-        (i for s, i in scored if s == best_score),
+        ids[scores == best_score].tolist(),
         key=lambda i: (
             levenshtein(low, index.entries_lower[i]),
             len(index.entries_lower[i]),

@@ -48,6 +48,14 @@ class TestLoad:
         with pytest.raises(EmbeddingFormatError, match=r"line 2.*non-finite"):
             load_embeddings(write(tmp_path, "1 2\na nan 0\n"))
 
+    def test_first_bad_line_reported_first(self, tmp_path):
+        text = "3 2\na inf 0\nb 1 0\nb 0 1\n"
+        with pytest.raises(EmbeddingFormatError, match=r"^line 2: non-finite"):
+            load_embeddings(write(tmp_path, text))
+        # within a row, an unparseable float is reported before a non-finite one
+        with pytest.raises(EmbeddingFormatError, match=r"^line 2: unparseable"):
+            load_embeddings(write(tmp_path, "1 2\na inf x\n"))
+
     def test_bad_float(self, tmp_path):
         with pytest.raises(EmbeddingFormatError, match="line 2"):
             load_embeddings(write(tmp_path, "1 2\na one 0\n"))

@@ -3,10 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finhyp import distance
+from finhyp import distance, oov
 from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore, lookup
 from finhyp.oov import (
@@ -19,6 +19,64 @@ from finhyp.oov import (
 )
 
 from conftest import make_store
+
+
+class SetNgramIndex:
+    """Reference oracle: the dict-of-sets inverted index that NgramIndex's
+    flat arrays replaced."""
+
+    def __init__(self, entries, ngram_min=3, ngram_max=6):
+        self.entries_lower = [e.lower() for e in entries]
+        self.ngram_min = ngram_min
+        self.ngram_max = ngram_max
+        self.entry_grams = []
+        self.grams = {}
+        for i, low in enumerate(self.entries_lower):
+            gs = char_ngrams(low, ngram_min, ngram_max)
+            self.entry_grams.append(gs)
+            for g in gs:
+                self.grams.setdefault(g, set()).add(i)
+
+
+def set_best_ngram_match(text, index):
+    """best_ngram_match over a SetNgramIndex, as it was computed before."""
+    query = char_ngrams(text.lower(), index.ngram_min, index.ngram_max)
+    if not query:
+        return None
+    ids = set()
+    for g in query:
+        ids |= index.grams.get(g, set())
+    if not ids:
+        return None
+    scored = []
+    for i in sorted(ids):
+        gs = index.entry_grams[i]
+        scored.append((len(query & gs) / len(query | gs), i))
+    best_score = max(s for s, _ in scored)
+    low = text.lower()
+    best = min(
+        (i for s, i in scored if s == best_score),
+        key=lambda i: (
+            levenshtein(low, index.entries_lower[i]),
+            len(index.entries_lower[i]),
+            index.entries_lower[i],
+        ),
+    )
+    return best, best_score
+
+
+# upper case, a non-Latin-1 letter, a CJK ideograph, a space, a lone surrogate
+MIXED = "aAbBcé中 \ud800"
+
+
+def words(alphabet, max_size=8):
+    return st.lists(st.sampled_from(alphabet), max_size=max_size).map("".join)
+
+
+@st.composite
+def gram_sizes(draw):
+    ngram_min = draw(st.integers(1, 6))
+    return ngram_min, draw(st.integers(ngram_min, 6))
 
 
 class TestCharNgrams:
@@ -121,6 +179,47 @@ class TestNgramMatch:
         assert got is not None and got[0] == 0
 
 
+class TestNgramIndexMatchesSetOracle:
+    @staticmethod
+    def check(entries, queries, sizes):
+        index = NgramIndex(entries, *sizes)
+        oracle = SetNgramIndex(entries, *sizes)
+        for text in queries:
+            assert best_ngram_match(text, index) == set_best_ngram_match(
+                text, oracle
+            ), (entries, text, sizes)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(words(MIXED), max_size=12),
+        queries=st.lists(words(MIXED), min_size=1, max_size=6),
+        sizes=gram_sizes(),
+    )
+    @example(entries=["Bond", "bond", "BONDS"], queries=["bond", "Bonds"], sizes=(3, 6))
+    @example(entries=[], queries=["bond", ""], sizes=(1, 6))
+    @example(entries=["", "ab"], queries=["ab", "a", ""], sizes=(1, 2))
+    @example(entries=["abcdef"], queries=["ab", "abc"], sizes=(4, 6))
+    @example(entries=["中é \ud800x", "É"], queries=["\ud800", "é"], sizes=(1, 3))
+    def test_mixed_alphabet(self, entries, queries, sizes):
+        self.check(entries, queries, sizes)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        entries=st.lists(words("ab", 7), min_size=1, max_size=20),
+        queries=st.lists(words("ab", 7), min_size=1, max_size=6),
+        sizes=gram_sizes(),
+    )
+    def test_two_letter_alphabet_ties(self, entries, queries, sizes):
+        self.check(entries, queries, sizes)
+
+    def test_keeps_no_per_gram_containers(self):
+        index = NgramIndex(["bond", "swap", "Bond"])
+        assert not hasattr(index, "grams")
+        assert not hasattr(index, "entry_grams")
+        for value in vars(index).values():
+            assert not isinstance(value, (set, frozenset))
+
+
 class TestOOVStrategy:
     def test_variants_validated(self):
         with pytest.raises(ValueError):
@@ -168,6 +267,25 @@ class TestOOVStrategy:
         assert strat.resolve("bandz", other) == "Bands"
         assert strat.resolve("yields", other) == "yield"
         assert packed == [store.vocab_lower, other.vocab_lower]
+
+    def test_builds_ngram_index_once_per_store(self, monkeypatch):
+        built = []
+
+        def counting_build(store, strategy):
+            built.append(store)
+            return real_build(store, strategy)
+
+        real_build = oov.build_ngram_index
+        monkeypatch.setattr(oov, "build_ngram_index", counting_build)
+        strat = OOVStrategy("ngram")
+        store = make_store(["bond", "swap", "option"])
+        for token in ["bonds", "swaps", "optin", "xq", "zz", "bonds", "opt"]:
+            assert strat.resolve(token, store) in store.vocab
+        assert built == [store]
+        other = make_store(["Bands", "yield"])
+        assert strat.resolve("bandz", other) == "Bands"
+        assert strat.resolve("yields", other) == "yield"
+        assert built == [store, other]
 
     def test_lowercase_duplicates_resolve_to_first(self):
         store = make_store(["Bond", "bond", "swap"])
