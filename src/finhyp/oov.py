@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distance
-from ._editdist_np import codes
+from .distance import codes
 from .embeddings import EmbeddingStore
 
 levenshtein = distance.levenshtein
@@ -140,8 +140,8 @@ def resolve_levenshtein(token: str, store: EmbeddingStore, vocab=None) -> str:
     """Vocabulary word at minimal edit distance from the lowercased token.
 
     Ties go to the shorter word, then the lexicographically smaller one.
-    ``vocab`` is ``store.vocab_lower`` as ``distance.pack`` returned it, when
-    the caller keeps one for repeated scans.
+    ``vocab`` is ``store.vocab_lower`` packed as a ``distance.PackedWords``,
+    when the caller keeps one for repeated scans.
     """
     if len(store) == 0:
         raise ValueError("empty vocabulary")
@@ -215,7 +215,9 @@ class OOVStrategy:
     _index: NgramIndex | None = field(
         default=None, repr=False, compare=False, init=False
     )
-    _vocab: object = field(default=None, repr=False, compare=False, init=False)
+    _vocab: distance.PackedWords | None = field(
+        default=None, repr=False, compare=False, init=False
+    )
     _memo: dict = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def __post_init__(self):
@@ -231,7 +233,7 @@ class OOVStrategy:
         if store is not self._store:
             self._store = store
             self._memo = {}
-            self._vocab = distance.pack(store.vocab_lower)
+            self._vocab = distance.PackedWords(store.vocab_lower)
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )

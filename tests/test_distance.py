@@ -1,21 +1,19 @@
-"""Edit-distance kernel: reference oracle, metric axioms, backend parity."""
-import os
+"""Edit distance: reference oracles, metric axioms, the numpy batch DPs."""
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finhyp import _editdist_np, _editdist_py, distance
-from finhyp.distance import BACKEND, levenshtein, nearest
-
-try:
-    from finhyp import _editdist as _editdist_c
-except ImportError:
-    _editdist_c = None
+from finhyp import distance
+from finhyp.distance import (
+    BACKEND,
+    PackedWords,
+    levenshtein,
+    levenshtein_matrix,
+    nearest,
+)
 
 
 class _NumpyKernels:
@@ -24,19 +22,19 @@ class _NumpyKernels:
 
     @staticmethod
     def levenshtein(a, b):
-        return int(_editdist_np.levenshtein_matrix([a], [b])[0, 0])
+        return int(levenshtein_matrix([a], [b])[0, 0])
 
     @staticmethod
     def nearest(query, candidates):
-        return _editdist_np.PackedWords(candidates).nearest(query)
+        return nearest(query, PackedWords(candidates))
 
 
+# "python": the module's API on plain values, that is the pure-Python pair DP
+# and ``nearest`` packing the candidate list on the spot.
 BACKENDS = [
-    pytest.param(_editdist_py, id="python"),
+    pytest.param(distance, id="python"),
     pytest.param(_NumpyKernels, id="numpy"),
 ]
-if _editdist_c is not None:
-    BACKENDS.append(pytest.param(_editdist_c, id="c"))
 
 
 def reference_levenshtein(a: str, b: str) -> int:
@@ -160,7 +158,7 @@ class TestNumpyKernels:
         targets=st.lists(EDGE_WORDS, max_size=4),
     )
     def test_matrix_against_reference(self, texts, targets):
-        out = _editdist_np.levenshtein_matrix(texts, targets)
+        out = levenshtein_matrix(texts, targets)
         assert out.dtype == np.int32
         assert out.shape == (len(texts), len(targets))
         assert out.tolist() == [
@@ -172,15 +170,11 @@ class TestNumpyKernels:
         cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),
     )
     def test_nearest_against_brute_force(self, query, cands):
-        assert _editdist_np.PackedWords(cands).nearest(query) == brute_nearest(
-            query, cands
-        )
+        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
 
     @given(query=TIE_WORDS, cands=st.lists(TIE_WORDS, min_size=1, max_size=30))
     def test_nearest_ties_against_brute_force(self, query, cands):
-        assert _editdist_np.PackedWords(cands).nearest(query) == brute_nearest(
-            query, cands
-        )
+        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
 
     def test_lone_surrogates(self):
         a, b = "x\ud800y", "\udfffxy"
@@ -190,65 +184,45 @@ class TestNumpyKernels:
     def test_distances_beyond_int16(self):
         long_text = "ab" * 20_000
         targets = ["", "ba", "xyz"]
-        out = _editdist_np.levenshtein_matrix([long_text, ""], targets)
+        out = levenshtein_matrix([long_text, ""], targets)
         assert out.tolist() == [
             [reference_levenshtein(long_text, g) for g in targets],
             [0, 2, 3],
         ]
         assert out[0, 0] == 40_000
-        assert _editdist_np.PackedWords([long_text, "q" * 3]).nearest("") == (1, 3)
-        assert _editdist_np.PackedWords([long_text]).nearest("b") == (0, 39_999)
+        assert nearest("", PackedWords([long_text, "q" * 3])) == (1, 3)
+        assert nearest("b", PackedWords([long_text])) == (0, 39_999)
 
     def test_empty_inputs(self):
-        assert _editdist_np.levenshtein_matrix([], ["ab"]).shape == (0, 1)
-        assert _editdist_np.levenshtein_matrix(["ab"], []).shape == (1, 0)
-        assert _editdist_np.levenshtein_matrix(["", ""], [""]).tolist() == [[0], [0]]
+        assert levenshtein_matrix([], ["ab"]).shape == (0, 1)
+        assert levenshtein_matrix(["ab"], []).shape == (1, 0)
+        assert levenshtein_matrix(["", ""], [""]).tolist() == [[0], [0]]
         with pytest.raises(ValueError):
-            _editdist_np.PackedWords([]).nearest("x")
+            nearest("x", PackedWords([]))
 
-    @given(query=EDGE_WORDS, cands=st.lists(EDGE_WORDS, min_size=1, max_size=20))
-    def test_packed_nearest_matches_plain_list(self, query, cands):
-        assert distance.nearest(query, distance.pack(cands)) == nearest(query, cands)
+    @given(
+        queries=st.lists(EDGE_WORDS, min_size=1, max_size=4),
+        cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),
+    )
+    def test_packed_nearest_matches_plain_list(self, queries, cands):
+        # one pack serves every scan, as OOVStrategy keeps it per store
+        packed = PackedWords(cands)
+        assert [nearest(q, packed) for q in queries] == [
+            nearest(q, cands) for q in queries
+        ]
 
     @given(
         texts=st.lists(EDGE_WORDS, max_size=5), targets=st.lists(EDGE_WORDS, max_size=3)
     )
     def test_backend_matrix_matches_scalar(self, texts, targets):
-        assert distance.levenshtein_matrix(texts, targets).tolist() == [
+        assert levenshtein_matrix(texts, targets).tolist() == [
             [levenshtein(t, g) for g in targets] for t in texts
         ]
 
 
-@pytest.mark.skipif(_editdist_c is None, reason="compiled kernel not built")
-class TestBackendParity:
-    @given(a=WORDS, b=WORDS)
-    def test_levenshtein_identical(self, a, b):
-        assert _editdist_c.levenshtein(a, b) == _editdist_py.levenshtein(a, b)
-
-    @given(
-        query=WORDS,
-        cands=st.lists(st.text(alphabet=ALPHABET, max_size=8), min_size=1, max_size=20),
-    )
-    def test_nearest_identical(self, query, cands):
-        assert _editdist_c.nearest(query, cands) == _editdist_py.nearest(query, cands)
-
-
-def test_default_backend_prefers_compiled():
-    if _editdist_c is not None:
-        assert BACKEND == "c"
-    else:
-        assert BACKEND == "python"
+def test_backend_is_python():
+    # perfbench records BACKEND with every result, and its compare.py refuses
+    # to compare results recorded under different values.
+    assert BACKEND == "python"
     assert levenshtein("kitten", "sitting") == 3
     assert nearest("kitten", ["sitting", "mitten"]) == (1, 1)
-
-
-def test_env_var_forces_python_backend():
-    env = dict(os.environ, FINHYP_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "from finhyp.distance import BACKEND; print(BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"

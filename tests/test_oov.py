@@ -252,12 +252,12 @@ class TestOOVStrategy:
     def test_packs_vocabulary_once_per_store(self, monkeypatch, variant):
         packed = []
 
-        def counting_pack(words):
-            packed.append(list(words))
-            return real_pack(words)
+        class CountingPack(distance.PackedWords):
+            def __init__(self, words):
+                packed.append(list(words))
+                super().__init__(words)
 
-        real_pack = distance.pack
-        monkeypatch.setattr(distance, "pack", counting_pack)
+        monkeypatch.setattr(distance, "PackedWords", CountingPack)
         strat = OOVStrategy(variant)
         store = make_store(["bond", "swap", "option"])
         for token in ["bonds", "swaps", "optin", "xq", "zz", "bonds"]:
