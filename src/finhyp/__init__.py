@@ -48,7 +48,6 @@ from .features import (
     MinMaxScaler,
     assemble_features,
     build_features,
-    cosine_distance,
     feature_width,
     handcrafted,
 )
@@ -58,7 +57,6 @@ from .model import (
     grid_search,
     load_model,
     predict_proba,
-    predict_top3,
     rank_labels,
     save_model,
     train,

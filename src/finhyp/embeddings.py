@@ -6,6 +6,7 @@ multiple workers. Multi-word terms embed as the sum of their token vectors.
 from __future__ import annotations
 
 import math
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,15 +154,17 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
 def lookup(store: EmbeddingStore, token: str, resolver=None):
     """Vector for one token plus a record of how it was resolved.
 
-    Exact match first, then lowercase; OOV tokens go to the resolver
-    (an object with .resolve(token, store) -> vocab token or None).
-    A None resolver or a None resolution yields the zero vector.
+    Exact match first, then lowercase, then both again with edge
+    punctuation stripped (the "." that ends a sentence or a definition-
+    augmented term). OOV tokens go, unstripped, to the resolver (an object
+    with .resolve(token, store) -> vocab token or None). A None resolver or
+    a None resolution yields the zero vector.
     """
-    i = store._index.get(token)
-    if i is None:
-        i = store._index.get(token.lower())
-    if i is not None:
-        return store.vectors[i], Resolution(IN_VOCAB, token)
+    stripped = token.strip(string.punctuation)
+    for candidate in (token, token.lower(), stripped, stripped.lower()):
+        i = store._index.get(candidate)
+        if i is not None:
+            return store.vectors[i], Resolution(IN_VOCAB, token)
     substitute = resolver.resolve(token, store) if resolver is not None else None
     if substitute is None:
         return np.zeros(store.dim), Resolution(ZERO, token)

@@ -1,9 +1,11 @@
 """Task metrics and stratified k-fold splitting.
 
-Predictions are ranked top-3 lists of label indices. Accuracy reads the
-rank-1 entry; mean rank uses the 1-based position of the gold label in the
-list, or 4 when absent; macro F1 averages per-class F1 over every configured
-class, counting classes the split never saw as 0.
+Predictions are an (N, <=3) integer array of ranked label indices, one row
+per term; equal-length lists work too. Accuracy reads the rank-1 column;
+mean rank uses the 1-based position of the gold label in the row, or 4 when
+absent; macro F1 averages per-class F1 over every configured class, counting
+classes the split never saw as 0. Integer totals are divided once, so
+accuracy and mean rank are the exact ratios rounded to float.
 """
 from __future__ import annotations
 
@@ -13,66 +15,55 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def accuracy(pred_lists, gold) -> float:
+def _aligned(preds, gold):
+    """Predictions and gold as int arrays, checked to align and be non-empty."""
+    preds = np.asarray(preds, dtype=np.int64)
+    gold = np.asarray(gold, dtype=np.int64)
+    if len(preds) != len(gold):
+        raise ValueError("predictions and gold must align")
+    if len(gold) == 0:
+        raise ValueError("empty input")
+    return preds, gold
+
+
+def accuracy(preds, gold) -> float:
     """Fraction of rows whose rank-1 prediction equals the gold label."""
-    if len(pred_lists) != len(gold):
-        raise ValueError("predictions and gold must align")
-    if len(gold) == 0:
-        raise ValueError("empty input")
-    correct = sum(1 for p, g in zip(pred_lists, gold) if p[0] == g)
-    return correct / len(gold)
+    preds, gold = _aligned(preds, gold)
+    return int(np.count_nonzero(preds[:, 0] == gold)) / len(gold)
 
 
-def _rank(pred, gold_label) -> int:
-    for i, p in enumerate(pred[:3]):
-        if p == gold_label:
-            return i + 1
-    return 4
-
-
-def mean_rank(pred_lists, gold) -> float:
+def mean_rank(preds, gold) -> float:
     """Average 1-based rank of the gold label in the top-3 list, 4 if absent."""
-    if len(pred_lists) != len(gold):
-        raise ValueError("predictions and gold must align")
-    if len(gold) == 0:
-        raise ValueError("empty input")
-    total = sum(_rank(p, g) for p, g in zip(pred_lists, gold))
-    return total / len(gold)
+    preds, gold = _aligned(preds, gold)
+    hit = preds[:, :3] == gold[:, None]
+    ranks = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, 4)
+    return int(ranks.sum()) / len(gold)
 
 
-def macro_f1(pred_lists, gold, n_classes: int):
+def confusion_matrix(preds, gold, n_classes: int) -> np.ndarray:
+    """Counts indexed [gold, rank-1 prediction]."""
+    preds, gold = _aligned(preds, gold)
+    top = preds[:, 0]
+    if min(gold.min(), top.min()) < 0 or max(gold.max(), top.max()) >= n_classes:
+        raise ValueError(f"label index outside [0, {n_classes})")
+    cells = np.bincount(gold * n_classes + top, minlength=n_classes**2)
+    return cells.reshape(n_classes, n_classes)
+
+
+def macro_f1(preds, gold, n_classes: int):
     """Unweighted mean of per-class F1 over all n_classes.
 
     Per class, precision and recall come from rank-1 predictions; a class
     with zero precision+recall denominator contributes F1 = 0. Returns
     (macro, per-class array).
     """
-    if len(pred_lists) != len(gold):
-        raise ValueError("predictions and gold must align")
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    for p, g in zip(pred_lists, gold):
-        top = p[0]
-        if top == g:
-            tp[g] += 1
-        else:
-            fp[top] += 1
-            fn[g] += 1
+    conf = confusion_matrix(preds, gold, n_classes)
+    tp = np.diag(conf)
+    # 2tp + fp + fn: the class's column total plus its row total
+    denom = conf.sum(axis=0) + conf.sum(axis=1)
     per_class = np.zeros(n_classes)
-    for k in range(n_classes):
-        denom = 2 * tp[k] + fp[k] + fn[k]
-        if denom > 0:
-            per_class[k] = 2 * tp[k] / denom
+    np.divide(2 * tp, denom, out=per_class, where=denom > 0)
     return float(per_class.mean()), per_class
-
-
-def confusion_matrix(pred_lists, gold, n_classes: int) -> np.ndarray:
-    """Counts indexed [gold, rank-1 prediction]."""
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for p, g in zip(pred_lists, gold):
-        m[g, p[0]] += 1
-    return m
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
@@ -143,17 +134,17 @@ class EvalReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def evaluate(pred_lists, gold, labels) -> EvalReport:
+def evaluate(preds, gold, labels) -> EvalReport:
     """Full report over top-3 predictions and gold label indices."""
     labels = tuple(labels)
     k = len(labels)
-    macro, per_class = macro_f1(pred_lists, gold, k)
-    conf = confusion_matrix(pred_lists, gold, k)
+    macro, per_class = macro_f1(preds, gold, k)
+    conf = confusion_matrix(preds, gold, k)
     return EvalReport(
         labels=labels,
         n=len(gold),
-        accuracy=accuracy(pred_lists, gold),
-        mean_rank=mean_rank(pred_lists, gold),
+        accuracy=accuracy(preds, gold),
+        mean_rank=mean_rank(preds, gold),
         macro_f1=macro,
         per_class_f1=tuple(float(v) for v in per_class),
         confusion=tuple(tuple(int(v) for v in row) for row in conf),

@@ -23,7 +23,6 @@ class HandcraftedConfig:
     """Seven indicator substrings plus the three casing/length counters."""
 
     indicator_substrings: tuple[str, ...] = DEFAULT_INDICATORS
-    case_sensitive: bool = True
 
     def __post_init__(self):
         if len(self.indicator_substrings) != 7:
@@ -36,17 +35,15 @@ class HandcraftedConfig:
 def handcrafted(term_raw: str, cfg: HandcraftedConfig | None = None) -> np.ndarray:
     """The 10 hand-crafted features of the original term string.
 
-    Positions 0-6: indicator substring present. 7: character count.
-    8: upper-case letter count. 9: upper/lower ratio with the denominator
-    floored at 1 (all-caps terms would otherwise divide by zero).
+    Positions 0-6: indicator substring present (case-sensitive). 7: character
+    count. 8: upper-case letter count. 9: upper/lower ratio with the
+    denominator floored at 1 (all-caps terms would otherwise divide by zero).
     """
     if cfg is None:
         cfg = HandcraftedConfig()
     out = np.zeros(HANDCRAFTED_WIDTH)
-    hay = term_raw if cfg.case_sensitive else term_raw.casefold()
     for i, sub in enumerate(cfg.indicator_substrings):
-        needle = sub if cfg.case_sensitive else sub.casefold()
-        if needle in hay:
+        if sub in term_raw:
             out[i] = 1.0
     upper = sum(1 for ch in term_raw if ch.isupper())
     lower = sum(1 for ch in term_raw if ch.islower())
@@ -91,23 +88,23 @@ class LabelSet:
         return self._index[label]
 
 
-def cosine_distance(u, v) -> float:
-    """1 - cosine similarity, in [0, 2]; defined as 1 when either norm is 0."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
-    return min(max(d, 0.0), 2.0)
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return m / np.where(norms > 0.0, norms, 1.0)
 
 
-def cosine_features(term_vec: np.ndarray, labels: LabelSet) -> np.ndarray:
-    """Cosine distance from the term vector to each label vector, in order."""
-    return np.array([cosine_distance(term_vec, lv) for lv in labels.vectors])
+def cosine_features(vecs, labels: LabelSet) -> np.ndarray:
+    """(N, K) cosine distances, 1 - cosine similarity clipped to [0, 2], from
+    each term vector to each label vector. A zero-norm term or label stays a
+    zero row after normalisation, so its distances are exactly 1.
+
+    The product is stacked as N one-row products, not one (N, D) @ (D, K)
+    GEMM, whose blocking makes a row's rounding depend on the rows batched
+    with it; this way a row's features are the same bits in any batch.
+    """
+    unit = _unit_rows(np.asarray(vecs, dtype=np.float64))
+    sim = (unit[:, None, :] @ _unit_rows(labels.vectors).T)[:, 0, :]
+    return np.clip(1.0 - sim, 0.0, 2.0)
 
 
 def edit_features(texts, labels: LabelSet) -> np.ndarray:
@@ -222,7 +219,7 @@ def assemble_features(
         hcfg = fcfg.handcrafted
         blocks.append(np.vstack([handcrafted(raw, hcfg) for raw in raw_terms]))
     if fcfg.cosine:
-        blocks.append(np.vstack([cosine_features(vec, labels) for vec in vecs]))
+        blocks.append(cosine_features(vecs, labels))
     if fcfg.edit:
         blocks.append(edit_features(texts, labels))
     return np.hstack(blocks)

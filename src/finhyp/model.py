@@ -221,27 +221,22 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
 
 
 def predict_proba(model: LogRegModel, x) -> np.ndarray:
-    """softmax(Wx + b); rows sum to 1 and never contain NaN."""
+    """softmax(Wx + b) of one row x or of each row of a matrix x; rows sum to
+    1 and never contain NaN. Rows are multiplied one at a time (a stacked
+    product), so a row's probabilities are the same bits in any batch."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != model.dim:
         raise ValueError(f"feature length {x.shape[-1]} != model dim {model.dim}")
-    return _softmax(x @ model.weights.T + model.bias)
+    logits = (x[..., None, :] @ model.weights.T)[..., 0, :]
+    return _softmax(logits + model.bias)
 
 
-def rank_labels(probs, top: int = 3) -> list[int]:
-    """Label indices sorted by descending probability, truncated to top.
-
-    Stable sort, so exact probability ties keep label-set order.
-    """
+def rank_labels(probs) -> np.ndarray:
+    """(N, min(3, K)) label indices of each row of an (N, K) probability
+    matrix, by descending probability. The sort is stable, so exact ties
+    keep label-set order."""
     probs = np.asarray(probs)
-    order = np.argsort(-probs, kind="stable")
-    return [int(i) for i in order[: min(top, len(probs))]]
-
-
-def predict_top3(model: LogRegModel, x):
-    """(label, probability) pairs for the top-3 ranked classes of one row."""
-    p = predict_proba(model, x)
-    return [(model.labels[i], float(p[i])) for i in rank_labels(p)]
+    return np.argsort(-probs, axis=1, kind="stable")[:, :3]
 
 
 @dataclass
@@ -259,8 +254,8 @@ class GridSearchResult:
     rows: list[GridRow]
     model: LogRegModel
     folds: list[np.ndarray]
-    # out-of-fold top-3 predictions per C, aligned with the input rows
-    oof_predictions: dict[float, list[list[int]]] = field(repr=False, default_factory=dict)
+    # out-of-fold (N, min(3, K)) top-3 arrays per C, aligned with the input rows
+    oof_predictions: dict[float, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
@@ -274,9 +269,9 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
     folds = stratified_kfold(y.tolist(), cfg.folds, cfg.seed)
     all_idx = np.arange(len(y))
     rows: list[GridRow] = []
-    oof: dict[float, list[list[int]]] = {}
+    oof: dict[float, np.ndarray] = {}
     for c in cfg.c_grid:
-        preds: list[list[int] | None] = [None] * len(y)
+        preds = oof[c] = np.empty((len(y), min(3, len(labels))), dtype=np.int64)
         fold_mrs = []
         fold_accs = []
         for test_idx in folds:
@@ -284,13 +279,9 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
             train_mask[test_idx] = False
             train_idx = all_idx[train_mask]
             m = train(X[train_idx], y[train_idx], labels, c, cfg)
-            p = predict_proba(m, X[test_idx])
-            fold_preds = [rank_labels(p[i]) for i in range(len(test_idx))]
-            for j, row_i in enumerate(test_idx):
-                preds[int(row_i)] = fold_preds[j]
-            gold = y[test_idx].tolist()
-            fold_mrs.append(mean_rank(fold_preds, gold))
-            fold_accs.append(accuracy(fold_preds, gold))
+            preds[test_idx] = rank_labels(predict_proba(m, X[test_idx]))
+            fold_mrs.append(mean_rank(preds[test_idx], y[test_idx]))
+            fold_accs.append(accuracy(preds[test_idx], y[test_idx]))
         rows.append(
             GridRow(
                 c=c,
@@ -300,7 +291,6 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
                 fold_accuracies=tuple(fold_accs),
             )
         )
-        oof[c] = preds  # type: ignore[assignment]
     best = min(rows, key=lambda r: (r.mean_rank, -r.accuracy, r.c))
     model = train(X, y, labels, best.c, cfg)
     return GridSearchResult(best.c, rows, model, folds, oof)

@@ -47,7 +47,8 @@ from .model import (
     grid_search,
     load_model,
     model_text,
-    predict_top3,
+    predict_proba,
+    rank_labels,
 )
 from .oov import VARIANTS, OOVStrategy
 
@@ -502,20 +503,17 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
         raise DataError(
             f"model dim {model.dim} != trained feature width {scaler.n_features}"
         )
-    X = scaler.transform(matrix)
-
-    lines = []
-    for term, row in zip(terms, X):
-        ranked = predict_top3(model, row)
-        lines.append(
-            json.dumps(
-                {
-                    "term": term,
-                    "top3": [lab for lab, _ in ranked],
-                    "probs": [p for _, p in ranked],
-                }
-            )
+    probs = predict_proba(model, scaler.transform(matrix))
+    lines = [
+        json.dumps(
+            {
+                "term": term,
+                "top3": [model.labels[i] for i in ranked],
+                "probs": [row[i] for i in ranked],
+            }
         )
+        for term, ranked, row in zip(terms, rank_labels(probs).tolist(), probs.tolist())
+    ]
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "predictions.jsonl")
     atomic_write(out_path, "\n".join(lines) + "\n")

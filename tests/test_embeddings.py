@@ -10,6 +10,7 @@ from finhyp.embeddings import (
     ZERO,
     EmbeddingFormatError,
     EmbeddingStore,
+    Resolution,
     TermTokens,
     embed_term,
     load_embeddings,
@@ -119,6 +120,27 @@ class TestLookup:
         vec, res = lookup(toy_store, "xyz", OOVStrategy("zero"))
         assert res.kind == ZERO
         assert res.substitute is None
+
+    def test_edge_punctuation_stripped(self, toy_store):
+        # "term. sentence" from augmentation, or a comma-joined word
+        for tok, word in (("swap.", "swap"), ("Swap,", "swap"), ("(index)", "index")):
+            vec, res = lookup(toy_store, tok)
+            assert res == Resolution(IN_VOCAB, tok)
+            assert np.array_equal(vec, toy_store.vector(word))
+
+    def test_stripped_oov_resolves_original_token(self, toy_store):
+        seen = []
+
+        class Recorder:
+            def resolve(self, token, store):
+                seen.append(token)
+                return "bond"
+
+        _, res = lookup(toy_store, "bonds.", Recorder())
+        assert seen == ["bonds."]
+        assert res == Resolution(REPLACED, "bonds.", "bond")
+        _, res = lookup(toy_store, "...", Recorder())
+        assert seen == ["bonds.", "..."]
 
     def test_replacement_recorded(self, toy_store):
         vec, res = lookup(toy_store, "bonds", OOVStrategy("levenshtein"))

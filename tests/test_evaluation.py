@@ -71,6 +71,27 @@ class TestAgainstOracles:
                 float(oracle_macro_f1(preds, gold, k)), abs=1e-12
             )
 
+    def test_hundred_random_sets_as_arrays(self):
+        # the (N, <=3) int array the pipeline passes scores as its lists do
+        rng = np.random.default_rng(99)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(2, 8))
+            preds, gold = random_predictions(rng, n, k)
+            P, g = np.array(preds), np.array(gold)
+            assert accuracy(P, g) == float(oracle_accuracy(preds, gold))
+            assert mean_rank(P, g) == float(oracle_mean_rank(preds, gold))
+            macro, per_class = macro_f1(P, g, k)
+            assert macro == pytest.approx(
+                float(oracle_macro_f1(preds, gold, k)), abs=1e-12
+            )
+            list_macro, list_per_class = macro_f1(preds, gold, k)
+            assert macro == list_macro
+            assert np.array_equal(per_class, list_per_class)
+            assert np.array_equal(
+                confusion_matrix(P, g, k), confusion_matrix(preds, gold, k)
+            )
+
     def test_rank_mixture_is_seven_thirds(self):
         # gold seen at ranks 1, 2 and 4 averages to 7/3
         preds = [[0, 9, 9], [9, 0, 9], [9, 9, 9]]
@@ -146,6 +167,12 @@ class TestConfusion:
         gold = [0, 1, 1]
         m = confusion_matrix(preds, gold, 2)
         assert m[0, 0] == 1 and m[1, 1] == 1 and m[1, 0] == 1
+
+    def test_label_outside_class_range_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            confusion_matrix([[2]], [0], 2)
+        with pytest.raises(ValueError, match="outside"):
+            confusion_matrix([[0]], [-1], 2)
 
 
 class TestStratifiedKfold:

@@ -1,7 +1,7 @@
 """Hand-crafted features, distance features, scaling and row assembly."""
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -15,7 +15,6 @@ from finhyp.features import (
     MinMaxScaler,
     assemble_features,
     build_features,
-    cosine_distance,
     cosine_features,
     edit_features,
     feature_width,
@@ -55,30 +54,103 @@ class TestHandcrafted:
         assert handcrafted("xxbbxx", cfg)[:7].tolist() == [0, 1, 0, 0, 0, 0, 0]
 
 
+def cosine_distance(u, v) -> float:
+    """Reference one-pair cosine distance: 1 - cosine similarity, clipped to
+    [0, 2]; 1 when either norm is 0. The (N, K) block must reproduce it."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"length mismatch {u.shape} vs {v.shape}")
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 1.0
+    d = 1.0 - float(np.dot(u, v)) / (nu * nv)
+    return min(max(d, 0.0), 2.0)
+
+
+def cosine_block(vecs, label_vecs) -> np.ndarray:
+    label_vecs = np.asarray(label_vecs, dtype=np.float64)
+    names = [f"l{j}" for j in range(len(label_vecs))]
+    return cosine_features(np.asarray(vecs, dtype=np.float64), LabelSet(names, label_vecs))
+
+
+# Nonzero elements stay away from 0 so no norm or norm product underflows,
+# where the one-pair reference itself loses precision.
+ELEMENT = st.one_of(st.just(0.0), st.floats(1e-3, 5.0), st.floats(-5.0, -1e-3))
+
+
+@st.composite
+def cosine_inputs(draw):
+    """Term rows and label rows with zero-norm rows on either side and labels
+    that are positive or negative multiples of a term row."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(2, 5))
+    vecs = draw(hnp.arrays(np.float64, (n, d), elements=ELEMENT))
+    labels = draw(hnp.arrays(np.float64, (k, d), elements=ELEMENT))
+    vecs[draw(hnp.arrays(np.bool_, n))] = 0.0
+    labels[draw(hnp.arrays(np.bool_, k))] = 0.0
+    for j in range(k):
+        scale = draw(st.sampled_from([None, 1.0, 8.5, 0.25, -1.0, -3.0]))
+        if scale is not None:
+            labels[j] = scale * vecs[draw(st.integers(0, n - 1))]
+    return vecs, labels
+
+
 class TestCosineDistance:
     def test_identical_is_zero(self):
-        assert cosine_distance([1.0, 2.0], [2.0, 4.0]) == pytest.approx(0.0)
+        out = cosine_block([[1.0, 2.0]], [[2.0, 4.0], [0.0, 1.0]])
+        assert out[0, 0] == pytest.approx(0.0)
 
     def test_orthogonal_is_one(self):
-        assert cosine_distance([1.0, 0.0], [0.0, 3.0]) == pytest.approx(1.0)
+        out = cosine_block([[1.0, 0.0]], [[0.0, 3.0], [1.0, 1.0]])
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_opposite_is_two(self):
-        assert cosine_distance([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(2.0)
+        out = cosine_block([[1.0, 0.0]], [[-2.0, 0.0], [1.0, 1.0]])
+        assert out[0, 0] == pytest.approx(2.0)
 
     def test_zero_norm_defined_as_one(self):
-        assert cosine_distance([0.0, 0.0], [1.0, 1.0]) == 1.0
-        assert cosine_distance([0.0, 0.0], [0.0, 0.0]) == 1.0
+        out = cosine_block([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [0.0, 0.0]])
+        assert out[0].tolist() == [1.0, 1.0]  # zero-norm term
+        assert out[:, 1].tolist() == [1.0, 1.0]  # zero-norm label
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            cosine_distance([1.0], [1.0, 2.0])
+            cosine_block([[1.0]], [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_clip_to_range(self):
+        # Normalised parallel and antiparallel rows can round to a
+        # similarity just past +-1; the block clips it back into [0, 2].
+        v = np.array(
+            [[1.0, 1.0, 1.0], [-0.4529517073695439, 1.6798240956309836, -1.030009095804535]]
+        )
+        for scale in (1.0, 8.4988544520022, -1.0, -8.4988544520022):
+            out = cosine_block(v, scale * v)
+            assert np.all(out >= 0.0) and np.all(out <= 2.0)
+            expected = 0.0 if scale > 0 else 2.0
+            assert np.abs(np.diag(out) - expected).max() <= 1e-12
 
     @given(
-        u=hnp.arrays(np.float64, 3, elements=st.floats(-5, 5)),
-        v=hnp.arrays(np.float64, 3, elements=st.floats(-5, 5)),
+        u=hnp.arrays(np.float64, (4, 3), elements=st.floats(-5, 5)),
+        v=hnp.arrays(np.float64, (2, 3), elements=st.floats(-5, 5)),
     )
     def test_bounded(self, u, v):
-        assert 0.0 <= cosine_distance(u, v) <= 2.0
+        out = cosine_block(u, v)
+        assert np.all(out >= 0.0) and np.all(out <= 2.0)
+
+    @given(cosine_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_one_pair_reference(self, inputs):
+        vecs, labels = inputs
+        out = cosine_block(vecs, labels)
+        assert out.shape == (len(vecs), len(labels))
+        expected = np.array([[cosine_distance(u, v) for v in labels] for u in vecs])
+        assert np.abs(out - expected).max() <= 1e-12
+        # zero-norm rows and columns are exactly 1, not merely close
+        assert np.all(out[~vecs.any(axis=1)] == 1.0)
+        assert np.all(out[:, ~labels.any(axis=1)] == 1.0)
 
 
 def two_label_set():
@@ -110,8 +182,9 @@ class TestLabelSet:
 
 class TestDistanceFeatures:
     def test_cosine_block(self):
-        out = cosine_features(np.array([1.0, 0.0]), two_label_set())
-        assert out == pytest.approx([0.0, 1.0])
+        out = cosine_features(np.array([[1.0, 0.0], [0.0, 2.0]]), two_label_set())
+        assert out.shape == (2, 2)
+        assert out.ravel() == pytest.approx([0.0, 1.0, 1.0, 0.0])
 
     def test_edit_block_lowercases(self):
         out = edit_features(["BOND"], two_label_set())[0]

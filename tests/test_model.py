@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import finhyp.model as model_mod
 from finhyp.model import (
@@ -13,7 +16,6 @@ from finhyp.model import (
     loss_and_grad,
     loss_value,
     predict_proba,
-    predict_top3,
     rank_labels,
     save_model,
     train,
@@ -199,6 +201,16 @@ class TestPredict:
         assert p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(p > 0)
 
+    def test_batch_rows_equal_single_rows(self):
+        # a term's probabilities must not depend on the terms scored with it
+        rng = np.random.default_rng(8)
+        m = LogRegModel(rng.normal(size=(7, 40)), rng.normal(size=7), 1.0, "abcdefg")
+        X = rng.normal(size=(50, 40))
+        batch = predict_proba(m, X)
+        for i in range(len(X)):
+            assert batch[i].tobytes() == predict_proba(m, X[i]).tobytes()
+            assert batch[i].tobytes() == predict_proba(m, X[i : i + 1])[0].tobytes()
+
     def test_extreme_logits_stable(self):
         m = LogRegModel(
             weights=np.array([[500.0], [-500.0]]),
@@ -215,20 +227,39 @@ class TestPredict:
             predict_proba(self.make_model(), np.zeros(5))
 
     def test_rank_labels_descending_and_truncated(self):
-        assert rank_labels(np.array([0.1, 0.5, 0.2, 0.2])) == [1, 2, 3]
+        ranked = rank_labels(np.array([[0.1, 0.5, 0.2, 0.2]]))
+        assert ranked.dtype == np.int64
+        assert ranked.tolist() == [[1, 2, 3]]
 
     def test_rank_ties_keep_label_order(self):
-        assert rank_labels(np.array([0.25, 0.25, 0.25, 0.25])) == [0, 1, 2]
+        assert rank_labels(np.array([[0.25, 0.25, 0.25, 0.25]])).tolist() == [[0, 1, 2]]
 
     def test_rank_shorter_than_three(self):
-        assert rank_labels(np.array([0.4, 0.6])) == [1, 0]
+        assert rank_labels(np.array([[0.4, 0.6], [0.5, 0.5]])).tolist() == [[1, 0], [0, 1]]
 
-    def test_predict_top3_pairs(self):
+    def test_rank_of_predicted_matrix(self):
         m = self.make_model()
-        ranked = predict_top3(m, np.array([1.0, 0.0]))
-        assert [lab for lab, _ in ranked][0] == "x"
-        probs = [p for _, p in ranked]
-        assert probs == sorted(probs, reverse=True)
+        X = np.array([[1.0, 0.0], [0.0, 3.0]])
+        p = predict_proba(m, X)
+        ranked = rank_labels(p)
+        assert [m.labels[i] for i in ranked[:, 0]] == ["x", "y"]
+        top = np.take_along_axis(p, ranked, axis=1)
+        assert np.all(np.diff(top, axis=1) <= 0)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(2, 6)),
+            # few distinct values, so all-equal rows and tied pairs are common
+            elements=st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_matches_per_row_stable_sort(self, probs):
+        expected = [
+            sorted(range(len(row)), key=lambda j: -row[j])[:3] for row in probs.tolist()
+        ]
+        assert rank_labels(probs).tolist() == expected
 
 
 class TestPersistence:

@@ -1,5 +1,6 @@
 """End-to-end pipeline runs against small synthetic datasets."""
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -551,11 +552,12 @@ class TestInspectOov:
             snapshot_path=str(snap),
         )
         run = run_inspect_oov(cfg, csv_path)
-        # "swap" alone is in the vocabulary; the augmented text is not
+        # the augmented text is "swap. Swaps trade bonds.": "swap." is "swap"
+        # once its edge punctuation is stripped; "bonds." strips to "bonds",
+        # still out of vocabulary
         assert run.text.splitlines()[2:] == [
             "Swaps -> ZERO",
             "bonds. -> ZERO",
-            "swap. -> ZERO",
             "trade -> ZERO",
         ]
 
@@ -694,3 +696,68 @@ class TestAugmentedCv:
         for t, text in zip(terms, fe.texts):
             if text != t:
                 assert text == f"{t}. A synthetic token."
+
+
+def pinned_run(root):
+    """Artifacts of one small BL.HF.OOVm.D2.+ run: cross-validation, OOV
+    inspection, then train and predict on the same rows. Every third term
+    has a definition; its augmented text is "<term>. <first sentence>"."""
+    data = generate(5, 75, seed=11, dim=8, sigma=1.2)
+    csv_path, emb_path = write_dataset(data, root / "data")
+    definitions = {
+        " ".join(term.lower().split()): f"A {label.lower()} contract. Not this one."
+        for term, label in data.rows[::3]
+    }
+    snapshot = root / "snapshot.json"
+    snapshot.write_text(json.dumps(definitions))
+    cfg = apply_preset(
+        PipelineConfig(
+            embedding_path=emb_path,
+            snapshot_path=str(snapshot),
+            c_grid=(0.1, 1.0),
+            folds=3,
+            seed=2,
+        ),
+        "BL.HF.OOVm.D2.+",
+    )
+
+    def at(name):
+        return dataclasses.replace(cfg, out_dir=str(root / name))
+
+    cv = run_cv(at("cv"), csv_path)
+    oov = run_inspect_oov(at("oov"), csv_path)
+    run_train(at("model"), csv_path)
+    pred = run_predict(at("pred"), str(root / "model"), csv_path)
+    paths = {
+        "report.txt": cv.paths["report_txt"],
+        "grid.json": cv.paths["grid_json"],
+        "folds.json": cv.paths["folds_json"],
+        "oov.txt": oov.path,
+    }
+    digests = {
+        name: hashlib.sha256(open(path, "rb").read()).hexdigest()
+        for name, path in paths.items()
+    }
+    top3 = [json.loads(line)["top3"] for line in open(pred.path)]
+    return digests, top3
+
+
+class TestPinnedArtifacts:
+    """The artifacts of one small run, pinned so that any unintended drift
+    in tokenisation, features, fitting, ranking or metrics fails here. They
+    hold no float bits that depend on the BLAS kernel: metrics are ratios of
+    counts, and the probabilities in predictions.jsonl are left out."""
+
+    DIGESTS = {
+        "report.txt": "740d959f00cef010907c4035cd8aada66c429651fc9bb969c7a683bc0b76a1d1",
+        "grid.json": "67ebbfdd39ba59ffeff40f54e1d5f329f72427435eca523200740b48faad6463",
+        "folds.json": "46220c6c8f579b8aa67fa2af67e6bd9762c1211089a46409b4dd3b0906ba8578",
+        "oov.txt": "3aa963311125d8023b149020a8c381b5bd04df8afc156c0146dc8a42277c1d6a",
+    }
+    TOP3_DIGEST = "90e26c8ef8b52baeede0ae522c2ce0ff6c3813adad241ee9bc9db567eb24d008"
+
+    def test_augmented_preset_artifacts(self, tmp_path):
+        digests, top3 = pinned_run(tmp_path)
+        assert digests == self.DIGESTS
+        top3_json = json.dumps(top3).encode("utf-8")
+        assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
