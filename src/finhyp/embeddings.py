@@ -5,7 +5,11 @@ multiple workers. Multi-word terms embed as the sum of their token vectors.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import re
+import stat
 import string
 from dataclasses import dataclass
 
@@ -14,6 +18,11 @@ import numpy as np
 IN_VOCAB = "in_vocab"
 REPLACED = "replaced"
 ZERO = "zero"
+
+# Body lines per np.loadtxt call: small enough that a chunk's strings and
+# block add little to peak memory, large enough to amortise the call.
+_CHUNK_LINES = 512
+_WHITESPACE = re.compile(r"\s")
 
 
 class EmbeddingFormatError(ValueError):
@@ -87,57 +96,152 @@ class EmbeddingStore:
 
 def load_embeddings(path) -> EmbeddingStore:
     """Parse a word2vec text file: "<count> <dim>" header, then one
-    "<token> <floats...>" row per line, UTF-8."""
+    "<token> <floats...>" row per line, UTF-8.
+
+    Bodies whose rows are single-space separated are parsed by numpy's C
+    parser; any other body is parsed again, from its first line, by the
+    per-line loop, which alone raises EmbeddingFormatError for the body.
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
         try:
-            count, dim = int(parts[0]), int(parts[1])
+            count, dim = _read_header(fh)
+            rows = count
+            st = os.fstat(fh.fileno())
+            if stat.S_ISREG(st.st_mode):
+                # A row holds at least a token and dim values, each of one
+                # character, and dim separators, so the file bounds the rows
+                # whatever its header claims.
+                rows = min(count, st.st_size // (2 * dim + 1))
+            if fh.seekable():
+                body = fh.tell()
+                store = _parse_body_fast(fh, count, dim, rows)
+                if store is not None:
+                    return store
+                fh.seek(body)
+            return _parse_body(fh, count, dim, rows)
+        except UnicodeDecodeError as err:
+            raise _not_utf8(fh, err) from None
+
+
+def _read_header(fh) -> tuple[int, int]:
+    header = fh.readline()
+    parts = header.split()
+    if len(parts) != 2:
+        raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
+    try:
+        count, dim = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EmbeddingFormatError(
+            f"line 1: malformed header {header.strip()!r}"
+        ) from None
+    if count < 0 or dim < 1:
+        raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
+    return count, dim
+
+
+def _parse_body_fast(fh, count: int, dim: int, rows: int) -> EmbeddingStore | None:
+    """The store np.loadtxt reads from the body, or None when some line is
+    not "<token> <float> ... <float>" with single spaces, or the rows do
+    not make a valid store of count x dim.
+
+    Whatever np.loadtxt accepts here, str.split() and float() read as the
+    same token and values, so the result equals _parse_body's.
+    """
+    tokens: list[str] = []
+    vectors = np.empty((rows, dim), dtype=np.float64)
+    n = 0
+    while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+        pairs = [line.split(" ", 1) for line in chunk]
+        if min(map(len, pairs)) < 2:
+            return None
+        heads = [p[0] for p in pairs]
+        rests = [p[1] for p in pairs]
+        # str.split() would cut a token holding whitespace; loadtxt skips
+        # (and warns on) a blank rest where the loop sees a short row.
+        if "" in heads or _WHITESPACE.search("".join(heads)):
+            return None
+        if "\n" in rests or "" in rests:
+            return None
+        try:
+            block = np.loadtxt(
+                rests,
+                dtype=np.float64,
+                delimiter=" ",
+                comments=None,
+                quotechar=None,
+                ndmin=2,
+            )
+        except ValueError:
+            return None
+        if block.shape != (len(chunk), dim) or n + len(chunk) > rows:
+            return None
+        vectors[n : n + len(chunk)] = block
+        tokens.extend(heads)
+        n += len(chunk)
+    if n != count:
+        return None
+    try:
+        # Duplicate tokens and non-finite values are refused here.
+        return EmbeddingStore(tokens, vectors)
+    except ValueError:
+        return None
+
+
+def _parse_body(fh, count: int, dim: int, rows: int) -> EmbeddingStore:
+    """Parse the body line by line, raising on the first bad line."""
+    tokens: list[str] = []
+    seen: set[str] = set()
+    vectors = np.empty((rows, dim), dtype=np.float64)
+    n = 0
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip() == "":
+            continue
+        fields = line.split()
+        token, values = fields[0], fields[1:]
+        if len(values) != dim:
+            raise EmbeddingFormatError(
+                f"line {lineno}: row length {len(values)} != dim {dim}"
+            )
+        if token in seen:
+            raise EmbeddingFormatError(f"line {lineno}: duplicate token {token!r}")
+        if n >= count:
+            raise EmbeddingFormatError(
+                f"line {lineno}: more rows than header count {count}"
+            )
+        try:
+            row = list(map(float, values))
         except ValueError:
             raise EmbeddingFormatError(
-                f"line 1: malformed header {header.strip()!r}"
+                f"line {lineno}: unparseable float in row {token!r}"
             ) from None
-        if count < 0 or dim < 1:
-            raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
-
-        tokens: list[str] = []
-        seen: set[str] = set()
-        vectors = np.empty((count, dim), dtype=np.float64)
-        n = 0
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip() == "":
-                continue
-            fields = line.split()
-            token, values = fields[0], fields[1:]
-            if len(values) != dim:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: row length {len(values)} != dim {dim}"
-                )
-            if token in seen:
-                raise EmbeddingFormatError(f"line {lineno}: duplicate token {token!r}")
-            if n >= count:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: more rows than header count {count}"
-                )
-            try:
-                row = list(map(float, values))
-            except ValueError:
-                raise EmbeddingFormatError(
-                    f"line {lineno}: unparseable float in row {token!r}"
-                ) from None
-            if not all(map(math.isfinite, row)):
-                raise EmbeddingFormatError(
-                    f"line {lineno}: non-finite value in row {token!r}"
-                )
-            seen.add(token)
-            tokens.append(token)
-            vectors[n] = row
-            n += 1
-        if n != count:
-            raise EmbeddingFormatError(f"expected {count} rows, found {n}")
+        if not all(map(math.isfinite, row)):
+            raise EmbeddingFormatError(
+                f"line {lineno}: non-finite value in row {token!r}"
+            )
+        seen.add(token)
+        tokens.append(token)
+        vectors[n] = row
+        n += 1
+    if n != count:
+        raise EmbeddingFormatError(f"expected {count} rows, found {n}")
     return EmbeddingStore(tokens, vectors)
+
+
+def _not_utf8(fh, err: UnicodeDecodeError) -> EmbeddingFormatError:
+    """The error naming the first line, counted as text mode counts lines,
+    that UTF-8 cannot decode. A pipe cannot be read again, so its error
+    names no line."""
+    if fh.seekable():
+        fh.seek(0)
+        lineno = 0
+        for raw in fh.buffer:
+            for line in raw.splitlines():
+                lineno += 1
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as line_err:
+                    return EmbeddingFormatError(f"line {lineno}: not UTF-8: {line_err}")
+    return EmbeddingFormatError(f"not UTF-8: {err}")
 
 
 def save_embeddings(store: EmbeddingStore, path) -> None:

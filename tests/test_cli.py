@@ -145,6 +145,26 @@ class TestDataErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "store, message",
+        [
+            (b"2 3\nab\xff 1 2 3\ncd 1 2 3\n", "error: line 2: not UTF-8: "),
+            (b"1000000000000 300\nab 1 2 3\n", "error: line 2: row length 3 != dim 300"),
+            (b"1000000000000 3\nab 1 2 3\n", "error: expected 1000000000000 rows, found 1"),
+        ],
+        ids=["not-utf8", "huge-count-short-row", "huge-count"],
+    )
+    def test_bad_store_exits_2(self, tmp_path, capsys, store, message):
+        emb = tmp_path / "emb.txt"
+        emb.write_bytes(store)
+        terms = tmp_path / "terms.csv"
+        terms.write_text("term\nab\n")
+        code = main(
+            ["inspect-oov", str(terms), "--embeddings", str(emb), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_bad_config_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
