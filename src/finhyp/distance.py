@@ -1,14 +1,19 @@
-"""Edit distance: a scalar DP for one pair, numpy DPs for one string
-against many.
+"""Edit distance: Myers' bit-parallel algorithm, with a DP beyond 64 characters.
 
-Each numpy DP measures one string against a whole set of strings in one
-pass: the rows run over the one string's characters, the set is the vector
-axis. Strings are int32 code points (lone surrogates included), distances
-int32. ``levenshtein_matrix`` serves the edit-feature block (one DP per
-class label over all texts) and ``nearest`` the OOV scans of a vocabulary
-packed once per store. The scalar ``levenshtein`` stays in pure Python for
-the n-gram tie-breaks, which measure a few pairs at a time: one pair costs
-less there than through a one-pair numpy call.
+Myers' algorithm (Myers 1999, *JACM* 46:395, in the form of Hyyrö 2001)
+keeps one column of the DP between a pattern and a text as two bit vectors,
+the +1 and -1 vertical deltas, and advances it by one text character in a
+few word operations. A text's distance is its length plus the deltas summed
+down the last column.
+
+``levenshtein_matrix`` (the edit-feature block) and ``nearest`` (the OOV
+scans of a vocabulary packed once per store) run it in numpy: each pattern
+of at most 64 characters is one uint64 word, the texts are the vector axis,
+and the loop runs over text positions. Texts are mapped to a dense alphabet
+of small unsigned symbols; a pattern character outside it matches nothing.
+A pattern longer than 64 characters runs a numpy DP over the same symbols
+instead. The scalar ``levenshtein``, for the n-gram tie-breaks, runs the
+algorithm on Python ints, which have no width limit.
 """
 from __future__ import annotations
 
@@ -17,6 +22,14 @@ import numpy as np
 # The edit-distance implementation in use. perfbench records it with every
 # result, and its compare.py refuses to compare results whose values differ.
 BACKEND = "python"
+
+# Longest pattern that fits one uint64 word of Myers' algorithm.
+_WORD = 64
+_ONE = np.uint64(1)
+_PAIRS = np.uint64(0x5555555555555555)
+_NIBBLES = np.uint64(0x3333333333333333)
+_BYTES = np.uint64(0x0F0F0F0F0F0F0F0F)
+_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def codes(text: str) -> np.ndarray:
@@ -27,27 +40,100 @@ def codes(text: str) -> np.ndarray:
 
 def levenshtein(a: str, b: str) -> int:
     """Minimal number of single-character edits turning ``a`` into ``b``."""
-    # Two-row DP over the shorter string.
-    if len(a) > len(b):
+    # The longer string is the pattern, so the loop runs over the shorter.
+    if len(a) < len(b):
         a, b = b, a
-    la = len(a)
-    prev = list(range(la + 1))
-    curr = [0] * (la + 1)
-    for i, cb in enumerate(b, 1):
-        curr[0] = i
-        for j in range(1, la + 1):
-            v = prev[j - 1]
-            if a[j - 1] != cb:
-                v += 1
-            ins = curr[j - 1] + 1
-            if ins < v:
-                v = ins
-            dele = prev[j] + 1
-            if dele < v:
-                v = dele
-            curr[j] = v
-        prev, curr = curr, prev
-    return prev[la]
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    pv, mv = mask, 0
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return len(b) + pv.bit_count() - (mv & mask).bit_count()
+
+
+def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Index of each key in the sorted distinct keys, or -1 where absent."""
+    at = np.searchsorted(keys, key)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == key[hit]
+    return np.where(hit, at, -1)
+
+
+def _symbols(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct code points of text, and each character's index
+    among them, in the smallest unsigned dtype that also holds their count
+    (the DP's symbol for a character outside the alphabet)."""
+    alphabet, sym = np.unique(codes(text), return_inverse=True)
+    return alphabet, sym.reshape(-1).astype(np.min_scalar_type(len(alphabet)))
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a uint64 array, as int64 (numpy 1.x has no
+    bitwise_count). Bit counts are summed in pairs, nibbles and bytes; the
+    multiply adds the eight byte counts into the top byte."""
+    x = x - ((x >> _ONE) & _PAIRS)
+    x = (x & _NIBBLES) + ((x >> np.uint64(2)) & _NIBBLES)
+    x = (x + (x >> np.uint64(4))) & _BYTES
+    return ((x * _BYTE_SUM) >> np.uint64(56)).astype(np.int64)
+
+
+def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask) -> np.ndarray:
+    """Summed vertical deltas of the last DP column of each lane.
+
+    ``peq[s]`` holds the match bits of symbol s for each pattern (shape
+    (A,) or (A, K)); ``sym_t`` is (L, n), lane r's text down column r. Step
+    j advances only the first ``active[j]`` lanes, so a lane whose text is
+    shorter than L must come after every longer one, and its vectors stay
+    as its last character left them. ``mask`` has the low m bits set for a
+    pattern of m characters.
+    """
+    shape = (sym_t.shape[1],) + peq.shape[1:]
+    pv = np.empty(shape, dtype=np.uint64)
+    pv[...] = mask
+    mv = np.zeros(shape, dtype=np.uint64)
+    for j, n in enumerate(active):
+        eq = peq[sym_t[j, :n]]
+        p, m = pv[:n], mv[:n]
+        xv = eq | m
+        xh = (((eq & p) + p) ^ p) | eq
+        # The top row of a global distance grows by 1 per text character.
+        ph = ((m | ~(xh | p)) << _ONE) | _ONE
+        mh = (p & xh) << _ONE
+        p[...] = mh | ~(xv | ph)
+        m[...] = ph & xv
+    return _popcount(pv & mask) - _popcount(mv & mask)
+
+
+def _peq(alphabet: np.ndarray, patterns) -> tuple[np.ndarray, np.ndarray]:
+    """(A, K) match bits of K patterns of at most 64 characters over the
+    alphabet, and their (K,) masks."""
+    lens = np.array([len(p) for p in patterns], dtype=np.intp)
+    sym = _find(alphabet, codes("".join(patterns)))
+    pattern = np.repeat(np.arange(len(patterns)), lens)
+    bit = np.arange(len(sym)) - np.repeat(np.cumsum(lens) - lens, lens)
+    hit = sym >= 0
+    peq = np.zeros((len(alphabet), len(patterns)), dtype=np.uint64)
+    np.bitwise_or.at(
+        peq, (sym[hit], pattern[hit]), _ONE << bit[hit].astype(np.uint64)
+    )
+    # 2**64 - 1 is computed exactly in Python; a uint64 shift by 64 is not.
+    masks = np.array([2**m - 1 for m in lens.tolist()], dtype=np.uint64)
+    return peq, masks
+
+
+def _dp_row(alphabet: np.ndarray, pattern: str) -> np.ndarray:
+    """Symbols of pattern for ``_last_row``; a character outside the
+    alphabet gets len(alphabet), which no text symbol equals."""
+    sym = _find(alphabet, codes(pattern))
+    return np.where(sym >= 0, sym, len(alphabet))
 
 
 def _last_row(cols: np.ndarray, row: np.ndarray, bound: int = -1):
@@ -78,40 +164,55 @@ def _last_row(cols: np.ndarray, row: np.ndarray, bound: int = -1):
 def levenshtein_matrix(texts, targets) -> np.ndarray:
     """(N, K) int32 distances from each of N texts to each of K targets.
 
-    The texts are packed once, padded to the longest; one DP per target reads
-    each text's answer at that text's own length.
+    The texts are the lanes, longest first, and the targets of at most 64
+    characters are the patterns of one Myers pass over text positions.
     """
     texts = list(texts)
+    targets = list(targets)
     lens = np.array([len(t) for t in texts], dtype=np.intp)
-    width = int(lens.max()) if len(texts) else 0
-    packed = np.zeros((len(texts), width), dtype=np.int32)
-    packed[np.arange(width) < lens[:, None]] = codes("".join(texts))
-    rows = np.arange(len(texts))
+    order = np.argsort(-lens, kind="stable")
+    lens = lens[order]
+    width = int(lens[0]) if len(texts) else 0
+    alphabet, sym = _symbols("".join(texts[i] for i in order.tolist()))
+    sym_t = np.zeros((width, len(texts)), dtype=sym.dtype)
+    sym_t.T[np.arange(width) < lens[:, None]] = sym
+    # lanes still inside their text at each position
+    active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
+    short = [k for k, t in enumerate(targets) if len(t) <= _WORD]
+    if short:
+        peq, masks = _peq(alphabet, [targets[k] for k in short])
+        deltas = _myers(peq, sym_t, active.tolist(), masks)
+        out[order[:, None], short] = lens[:, None] + deltas
+    rows = np.arange(len(texts))
     for k, target in enumerate(targets):
-        out[:, k] = _last_row(packed, codes(target))[rows, lens]
+        if len(target) > _WORD:
+            last = _last_row(sym_t.T, _dp_row(alphabet, target))
+            out[order, k] = last[rows, lens]
     return out
 
 
 class PackedWords:
     """A word list packed once for repeated ``nearest`` scans.
 
-    Words are grouped by length; each group is an (n, length) int32 matrix
-    with the words' positions in the list, ascending.
+    The words are mapped to a dense alphabet and grouped by length; each
+    group is the words' positions in the list, ascending, and an
+    (length, n) matrix of their symbols, one word per column.
     """
 
     def __init__(self, words):
         self.words = list(words)
-        groups: dict[int, list[int]] = {}
-        for i, w in enumerate(self.words):
-            groups.setdefault(len(w), []).append(i)
-        self.buckets = {
-            length: (
-                np.array(ids, dtype=np.intp),
-                codes("".join(self.words[i] for i in ids)).reshape(len(ids), length),
-            )
-            for length, ids in groups.items()
-        }
+        lens = np.array([len(w) for w in self.words], dtype=np.intp)
+        order = np.argsort(lens, kind="stable")
+        self.alphabet, sym = _symbols("".join(self.words[i] for i in order.tolist()))
+        lengths, sizes = np.unique(lens, return_counts=True)
+        self.buckets = {}
+        start = at = 0
+        for length, size in zip(lengths.tolist(), sizes.tolist()):
+            block = sym[at : at + size * length].reshape(size, length)
+            self.buckets[length] = (order[start : start + size], block.T.copy())
+            start += size
+            at += size * length
 
 
 def nearest(query: str, candidates) -> tuple[int, int]:
@@ -132,16 +233,23 @@ def nearest(query: str, candidates) -> tuple[int, int]:
     if not words:
         raise ValueError("empty candidate list")
     lq = len(query)
-    q = codes(query)
+    if lq <= _WORD:
+        peq, masks = _peq(candidates.alphabet, [query])
+        peq, mask = peq[:, 0], masks[0]
+    else:
+        row = _dp_row(candidates.alphabet, query)
     best_i, best_d, best_len = -1, -1, -1
     for length in sorted(candidates.buckets, key=lambda n: (abs(n - lq), n)):
         if best_d >= 0 and abs(length - lq) > best_d:
             break
-        ids, cols = candidates.buckets[length]
-        last = _last_row(cols, q, best_d)
-        if last is None:
-            continue
-        dist = last[:, length]
+        ids, sym_t = candidates.buckets[length]
+        if lq <= _WORD:
+            dist = length + _myers(peq, sym_t, [len(ids)] * length, mask)
+        else:
+            last = _last_row(sym_t.T, row, best_d)
+            if last is None:
+                continue
+            dist = last[:, length]
         d = int(dist.min())
         if best_d >= 0 and (d > best_d or (d == best_d and length >= best_len)):
             continue

@@ -5,6 +5,7 @@ multiple workers. Multi-word terms embed as the sum of their token vectors.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import os
@@ -101,23 +102,27 @@ def load_embeddings(path) -> EmbeddingStore:
     Bodies whose rows are single-space separated are parsed by numpy's C
     parser; any other body is parsed again, from its first line, by the
     per-line loop, which alone raises EmbeddingFormatError for the body.
+    A stream that cannot seek (a pipe) is read into memory first.
     """
     with open(path, encoding="utf-8") as fh:
+        if fh.seekable():
+            st = os.fstat(fh.fileno())
+            size = st.st_size if stat.S_ISREG(st.st_mode) else None
+        else:
+            data = fh.buffer.read()
+            size = len(data)
+            fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
         try:
             count, dim = _read_header(fh)
-            rows = count
-            st = os.fstat(fh.fileno())
-            if stat.S_ISREG(st.st_mode):
-                # A row holds at least a token and dim values, each of one
-                # character, and dim separators, so the file bounds the rows
-                # whatever its header claims.
-                rows = min(count, st.st_size // (2 * dim + 1))
-            if fh.seekable():
-                body = fh.tell()
-                store = _parse_body_fast(fh, count, dim, rows)
-                if store is not None:
-                    return store
-                fh.seek(body)
+            # A row holds at least a token and dim values, each of one
+            # character, and dim separators, so the byte count bounds the
+            # rows whatever the header claims.
+            rows = count if size is None else min(count, size // (2 * dim + 1))
+            body = fh.tell()
+            store = _parse_body_fast(fh, count, dim, rows)
+            if store is not None:
+                return store
+            fh.seek(body)
             return _parse_body(fh, count, dim, rows)
         except UnicodeDecodeError as err:
             raise _not_utf8(fh, err) from None
@@ -229,18 +234,16 @@ def _parse_body(fh, count: int, dim: int, rows: int) -> EmbeddingStore:
 
 def _not_utf8(fh, err: UnicodeDecodeError) -> EmbeddingFormatError:
     """The error naming the first line, counted as text mode counts lines,
-    that UTF-8 cannot decode. A pipe cannot be read again, so its error
-    names no line."""
-    if fh.seekable():
-        fh.seek(0)
-        lineno = 0
-        for raw in fh.buffer:
-            for line in raw.splitlines():
-                lineno += 1
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as line_err:
-                    return EmbeddingFormatError(f"line {lineno}: not UTF-8: {line_err}")
+    that UTF-8 cannot decode."""
+    fh.seek(0)
+    lineno = 0
+    for raw in fh.buffer:
+        for line in raw.splitlines():
+            lineno += 1
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as line_err:
+                return EmbeddingFormatError(f"line {lineno}: not UTF-8: {line_err}")
     return EmbeddingFormatError(f"not UTF-8: {err}")
 
 

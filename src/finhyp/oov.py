@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distance
-from .distance import codes
+from .distance import _find, codes
 from .embeddings import EmbeddingStore
 
 levenshtein = distance.levenshtein
@@ -51,14 +51,6 @@ def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty(len(a), dtype=np.int64)
     rank[order] = np.cumsum(first) - 1
     return a[first], rank
-
-
-def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """Index of each key in the sorted distinct keys, or -1 where absent."""
-    at = np.searchsorted(keys, key)
-    hit = at < len(keys)
-    hit[hit] = keys[at[hit]] == key[hit]
-    return np.where(hit, at, -1)
 
 
 class NgramIndex:
@@ -182,17 +174,14 @@ def best_ngram_match(text: str, index: NgramIndex):
     return best, best_score
 
 
-def resolve_ngram(
-    token: str, index: NgramIndex, store: EmbeddingStore, vocab=None
-) -> str:
+def resolve_ngram(token: str, index: NgramIndex, store: EmbeddingStore) -> str:
     """Best n-gram Jaccard match from the vocabulary, falling back to the
-    nearest-edit-distance word when no n-gram is shared. ``vocab`` is as in
-    resolve_levenshtein."""
+    nearest-edit-distance word when no n-gram is shared."""
     if len(store) == 0:
         raise ValueError("empty vocabulary")
     match = best_ngram_match(token, index)
     if match is None:
-        return resolve_levenshtein(token, store, vocab)
+        return resolve_levenshtein(token, store)
     return store.vocab[match[0]]
 
 
@@ -200,10 +189,11 @@ def resolve_ngram(
 class OOVStrategy:
     """Configured OOV behaviour, bound lazily to a store.
 
-    The packed vocabulary, the n-gram index and the per-token memo are
-    rebuilt whenever the strategy is used against a different store. Memo
-    insertion is idempotent, so concurrent lookups of the same token are
-    safe.
+    The n-gram index and the per-token memo are rebuilt whenever the
+    strategy is used against a different store; the packed vocabulary is
+    built for it on the first edit-distance scan, which the n-gram variant
+    needs only for tokens that share no n-gram. Memo insertion is
+    idempotent, so concurrent lookups of the same token are safe.
     """
 
     variant: str = "zero"
@@ -233,15 +223,18 @@ class OOVStrategy:
         if store is not self._store:
             self._store = store
             self._memo = {}
-            self._vocab = distance.PackedWords(store.vocab_lower)
+            self._vocab = None
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )
         if token in self._memo:
             return self._memo[token]
-        if self.variant == "levenshtein":
-            sub = resolve_levenshtein(token, store, self._vocab)
+        match = None if self._index is None else best_ngram_match(token, self._index)
+        if match is not None:
+            sub = store.vocab[match[0]]
         else:
-            sub = resolve_ngram(token, self._index, store, self._vocab)
+            if self._vocab is None:
+                self._vocab = distance.PackedWords(store.vocab_lower)
+            sub = resolve_levenshtein(token, store, self._vocab)
         self._memo[token] = sub
         return sub

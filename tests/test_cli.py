@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, output artifacts, config precedence."""
 import json
 import os
+import threading
 
 import pytest
 
@@ -164,6 +165,29 @@ class TestDataErrors:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith(message)
+
+    def test_header_count_beyond_pipe_exits_2(self, tmp_path, capsys):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        emb = tmp_path / "pipe"
+        os.mkfifo(emb)
+        terms = tmp_path / "terms.csv"
+        terms.write_text("term\nab\n")
+        writer = threading.Thread(
+            target=emb.write_bytes,
+            args=(b"1000000000000 300\nab 1 2 3\n",),
+            daemon=True,
+        )
+        writer.start()
+        code = main(
+            ["inspect-oov", str(terms), "--embeddings", str(emb), "--out", str(tmp_path)]
+        )
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: row length 3 != dim 300"
+        )
 
     def test_bad_config_file(self, synth_dir, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -15,6 +15,9 @@ from finhyp.distance import (
     nearest,
 )
 
+# uint64 scalar arithmetic warns on overflow; the kernels must not rely on it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class _NumpyKernels:
     """The numpy batch DPs behind the scalar interface, so that every
@@ -100,13 +103,13 @@ def brute_nearest(query, candidates):
     best = min(
         range(len(candidates)),
         key=lambda i: (
-            levenshtein(query, candidates[i]),
+            reference_levenshtein(query, candidates[i]),
             len(candidates[i]),
             candidates[i],
             i,
         ),
     )
-    return best, levenshtein(query, candidates[best])
+    return best, reference_levenshtein(query, candidates[best])
 
 
 class TestNearest:
@@ -218,6 +221,71 @@ class TestNumpyKernels:
         assert levenshtein_matrix(texts, targets).tolist() == [
             [levenshtein(t, g) for g in targets] for t in texts
         ]
+
+
+# Patterns of at most 64 characters fill one uint64 word of Myers' algorithm;
+# longer ones take the DP. Labels and queries draw from characters the texts
+# never hold, as well as from the texts' own.
+PATTERN_ALPHABET = EDGE_ALPHABET + "Zλ"
+
+
+def text_of_length(n):
+    return st.text(alphabet=PATTERN_ALPHABET, min_size=n, max_size=n)
+
+
+BOUNDARY_PATTERNS = st.sampled_from([0, 1, 63, 64, 65, 100]).flatmap(text_of_length)
+
+
+class TestWordBoundary:
+    @given(
+        texts=st.lists(st.text(alphabet=EDGE_ALPHABET, max_size=80), max_size=5),
+        targets=st.lists(BOUNDARY_PATTERNS, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_against_reference(self, texts, targets):
+        assert levenshtein_matrix(texts, targets).tolist() == [
+            [reference_levenshtein(t, g) for g in targets] for t in texts
+        ]
+
+    @given(
+        query=st.integers(63, 65).flatmap(text_of_length),
+        cands=st.lists(
+            st.integers(58, 70).flatmap(
+                lambda n: st.text(alphabet=EDGE_ALPHABET, min_size=n, max_size=n)
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_against_brute_force(self, query, cands):
+        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
+
+    @given(
+        a=st.text(alphabet=PATTERN_ALPHABET, max_size=150),
+        b=st.text(alphabet=PATTERN_ALPHABET, max_size=150),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scalar_against_reference(self, a, b):
+        assert levenshtein(a, b) == reference_levenshtein(a, b)
+
+    def test_dp_only_beyond_64(self, monkeypatch):
+        calls = []
+        real = distance._last_row
+
+        def counting(cols, row, bound=-1):
+            calls.append(len(row))
+            return real(cols, row, bound)
+
+        monkeypatch.setattr(distance, "_last_row", counting)
+        texts = ["a" * 70, "ab", ""]
+        levenshtein_matrix(texts, ["", "a", "b" * 64])
+        nearest("a", texts)
+        nearest("b" * 64, texts)
+        assert calls == []
+        levenshtein_matrix(texts, ["b" * 64, "a" * 65])
+        nearest("a" * 65, texts)
+        assert calls == [65, 65]
 
 
 def test_backend_is_python():

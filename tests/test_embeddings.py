@@ -281,7 +281,22 @@ class TestLoadOracle:
     def test_fifo_not_utf8(self, tmp_path):
         kind, message = load_through_fifo(tmp_path, b"2 2\na 1 0\nb\xff 0 1\n")
         assert kind == "error"
-        assert message.startswith("not UTF-8: 'utf-8' codec can't decode byte 0xff")
+        assert message.startswith(
+            "line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff"
+        )
+
+    def test_fifo_header_count_beyond_size(self, tmp_path):
+        # the bytes read bound the rows, as a regular file's size does
+        got = load_through_fifo(tmp_path, b"1000000000000 3\nab 1 2 3\n")
+        assert got == ("error", "expected 1000000000000 rows, found 1")
+
+    def test_clean_fifo_never_reaches_the_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("fast path fell back")
+
+        monkeypatch.setattr(embeddings, "_parse_body", refuse)
+        got = load_through_fifo(tmp_path, b"2 2\na 1 0\nb 0 1\n")
+        assert got == (["a", "b"], (2, 2), np.eye(2).tobytes())
 
 
 def load_through_fifo(tmp_path, data):

@@ -266,7 +266,21 @@ class TestOOVStrategy:
         other = make_store(["Bands", "yield"])
         assert strat.resolve("bandz", other) == "Bands"
         assert strat.resolve("yields", other) == "yield"
+        # shares no n-gram, so the n-gram variant scans the vocabulary too
+        assert strat.resolve("qq", other) == "Bands"
         assert packed == [store.vocab_lower, other.vocab_lower]
+
+    def test_ngram_packs_no_vocabulary_when_every_token_shares_grams(
+        self, monkeypatch
+    ):
+        def refuse(words):
+            raise AssertionError("vocabulary packed")
+
+        monkeypatch.setattr(distance, "PackedWords", refuse)
+        strat = OOVStrategy("ngram")
+        store = make_store(["bond", "swap", "option"])
+        for token in ["bonds", "swaps", "optin", "bonds"]:
+            assert strat.resolve(token, store) in store.vocab
 
     def test_builds_ngram_index_once_per_store(self, monkeypatch):
         built = []
@@ -299,3 +313,4 @@ class TestOOVStrategy:
         strat = OOVStrategy("ngram")
         sub = strat.resolve(token, store)
         assert sub in store.vocab
+        assert sub == resolve_ngram(token, NgramIndex(store.vocab), store)
