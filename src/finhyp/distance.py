@@ -67,12 +67,27 @@ def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.where(hit, at, -1)
 
 
-def _symbols(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct code points of text, and each character's index
-    among them, in the smallest unsigned dtype that also holds their count
-    (the DP's symbol for a character outside the alphabet)."""
-    alphabet, sym = np.unique(codes(text), return_inverse=True)
-    return alphabet, sym.reshape(-1).astype(np.min_scalar_type(len(alphabet)))
+def _first(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted a that differ from their predecessor."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a, ascending: one sort and an adjacent-difference
+    mask (numpy 2's hash-based ``np.unique`` is several times slower here,
+    and its first call imports numpy.ma)."""
+    a = np.sort(a)
+    return a[_first(a)]
+
+
+def _alphabet(chars: np.ndarray) -> tuple[np.ndarray, np.dtype]:
+    """Sorted distinct code points of chars, and the smallest unsigned dtype
+    that holds their count: a character's symbol is its index among them,
+    and the count is the DP's symbol for a character outside them."""
+    alphabet = _sorted_unique(chars)
+    return alphabet, np.min_scalar_type(len(alphabet))
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -173,9 +188,10 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
     width = int(lens[0]) if len(texts) else 0
-    alphabet, sym = _symbols("".join(texts[i] for i in order.tolist()))
-    sym_t = np.zeros((width, len(texts)), dtype=sym.dtype)
-    sym_t.T[np.arange(width) < lens[:, None]] = sym
+    chars = codes("".join(texts[i] for i in order.tolist()))
+    alphabet, dtype = _alphabet(chars)
+    sym_t = np.zeros((width, len(texts)), dtype=dtype)
+    sym_t.T[np.arange(width) < lens[:, None]] = np.searchsorted(alphabet, chars)
     # lanes still inside their text at each position
     active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
@@ -204,13 +220,17 @@ class PackedWords:
         self.words = list(words)
         lens = np.array([len(w) for w in self.words], dtype=np.intp)
         order = np.argsort(lens, kind="stable")
-        self.alphabet, sym = _symbols("".join(self.words[i] for i in order.tolist()))
-        lengths, sizes = np.unique(lens, return_counts=True)
+        chars = codes("".join(self.words[i] for i in order.tolist()))
+        self.alphabet, dtype = _alphabet(chars)
+        sizes = np.bincount(lens)
         self.buckets = {}
         start = at = 0
-        for length, size in zip(lengths.tolist(), sizes.tolist()):
-            block = sym[at : at + size * length].reshape(size, length)
-            self.buckets[length] = (order[start : start + size], block.T.copy())
+        for length in np.flatnonzero(sizes).tolist():
+            size = int(sizes[length])
+            block = chars[at : at + size * length].reshape(size, length)
+            # one group at a time, so no vocabulary-sized index array is made
+            sym_t = np.searchsorted(self.alphabet, block.T).astype(dtype)
+            self.buckets[length] = (order[start : start + size], sym_t)
             start += size
             at += size * length
 
