@@ -67,27 +67,16 @@ def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.where(hit, at, -1)
 
 
-def _first(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of sorted a that differ from their predecessor."""
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return first
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Distinct values of a, ascending: one sort and an adjacent-difference
-    mask (numpy 2's hash-based ``np.unique`` is several times slower here,
-    and its first call imports numpy.ma)."""
-    a = np.sort(a)
-    return a[_first(a)]
-
-
-def _alphabet(chars: np.ndarray) -> tuple[np.ndarray, np.dtype]:
-    """Sorted distinct code points of chars, and the smallest unsigned dtype
-    that holds their count: a character's symbol is its index among them,
-    and the count is the DP's symbol for a character outside them."""
-    alphabet = _sorted_unique(chars)
-    return alphabet, np.min_scalar_type(len(alphabet))
+def _alphabet(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct code points of text, and a table from each code point
+    up to the largest to its symbol, its index among them. The table has the
+    smallest unsigned dtype that also holds their count, the DP's symbol for
+    a character outside them."""
+    alphabet = codes("".join(sorted(set(text))))
+    size = int(alphabet[-1]) + 1 if len(alphabet) else 0
+    table = np.zeros(size, dtype=np.min_scalar_type(len(alphabet)))
+    table[alphabet] = np.arange(len(alphabet))
+    return alphabet, table
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
@@ -188,10 +177,10 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
     width = int(lens[0]) if len(texts) else 0
-    chars = codes("".join(texts[i] for i in order.tolist()))
-    alphabet, dtype = _alphabet(chars)
-    sym_t = np.zeros((width, len(texts)), dtype=dtype)
-    sym_t.T[np.arange(width) < lens[:, None]] = np.searchsorted(alphabet, chars)
+    joined = "".join(texts[i] for i in order.tolist())
+    alphabet, table = _alphabet(joined)
+    sym_t = np.zeros((width, len(texts)), dtype=table.dtype)
+    sym_t.T[np.arange(width) < lens[:, None]] = table[codes(joined)]
     # lanes still inside their text at each position
     active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
@@ -220,17 +209,16 @@ class PackedWords:
         self.words = list(words)
         lens = np.array([len(w) for w in self.words], dtype=np.intp)
         order = np.argsort(lens, kind="stable")
-        chars = codes("".join(self.words[i] for i in order.tolist()))
-        self.alphabet, dtype = _alphabet(chars)
+        joined = "".join(self.words[i] for i in order.tolist())
+        self.alphabet, table = _alphabet(joined)
+        sym = table[codes(joined)]
         sizes = np.bincount(lens)
         self.buckets = {}
         start = at = 0
         for length in np.flatnonzero(sizes).tolist():
             size = int(sizes[length])
-            block = chars[at : at + size * length].reshape(size, length)
-            # one group at a time, so no vocabulary-sized index array is made
-            sym_t = np.searchsorted(self.alphabet, block.T).astype(dtype)
-            self.buckets[length] = (order[start : start + size], sym_t)
+            block = sym[at : at + size * length].reshape(size, length)
+            self.buckets[length] = (order[start : start + size], block.T.copy())
             start += size
             at += size * length
 

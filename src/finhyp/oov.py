@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distance
-from .distance import _find, _first, _sorted_unique, codes
+from .distance import _find, codes
 from .embeddings import EmbeddingStore
 
 levenshtein = distance.levenshtein
@@ -27,6 +27,20 @@ def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
         for i in range(len(text) - n + 1):
             out.add(text[i : i + n])
     return frozenset(out)
+
+
+def _first(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted a that differ from their predecessor."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a, ascending: one sort and an adjacent-difference
+    mask (numpy 2's hash-based ``np.unique`` is several times slower here)."""
+    a = np.sort(a)
+    return a[_first(a)]
 
 
 def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

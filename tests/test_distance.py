@@ -147,9 +147,9 @@ class TestNearest:
             assert impl.nearest(query, cands) == brute_nearest(query, cands)
 
 
-# Lone surrogates are valid str code points; the numpy kernels must take
-# every string the scalar ones take.
-EDGE_ALPHABET = ALPHABET + "\ud800\udfff"
+# Lone surrogates and the last code point are valid str code points; the
+# numpy kernels must take every string the scalar ones take.
+EDGE_ALPHABET = ALPHABET + "\ud800\udfff\U0010ffff"
 EDGE_WORDS = st.text(alphabet=EDGE_ALPHABET, max_size=10)
 # Two letters make ties in distance, length and spelling common.
 TIE_WORDS = st.text(alphabet="ab", max_size=5)
