@@ -2,9 +2,23 @@
 
 A store is immutable after load; lookups are read-only and safe to run from
 multiple workers. Multi-word terms embed as the sum of their token vectors.
+
+Loading a regular file keeps a binary copy of the parsed store beside it,
+``<store>.finhyp-cache.npz`` (next to the file the path resolves to, after
+symlinks). The copy is an uncompressed numpy archive of the tokens (UTF-8,
+newline-joined), the float64 vectors, a format version and the SHA-256 of
+the store's bytes, so it takes about 8 x rows x dim bytes plus the tokens.
+A later load hashes the store and uses the copy only if its version and
+digest match; the vectors are the same bits either way. Nothing is written
+for a pipe or other non-regular file, for a store that fails to load, for a
+file that changed while it was parsed, or when the write itself fails (a
+read-only directory, a full disk); the load succeeds regardless. A missing,
+stale or unreadable copy just means the text is parsed again, so deleting
+it is always safe.
 """
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import math
@@ -12,9 +26,12 @@ import os
 import re
 import stat
 import string
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fileio import atomic_open, atomic_write
 
 IN_VOCAB = "in_vocab"
 REPLACED = "replaced"
@@ -24,6 +41,11 @@ ZERO = "zero"
 # block add little to peak memory, large enough to amortise the call.
 _CHUNK_LINES = 512
 _WHITESPACE = re.compile(r"\s")
+
+SIDECAR_SUFFIX = ".finhyp-cache.npz"
+# Bump when the sidecar's layout or the parse it records changes.
+_SIDECAR_VERSION = 1
+_HASH_BLOCK = 1 << 20
 
 
 class EmbeddingFormatError(ValueError):
@@ -99,15 +121,25 @@ def load_embeddings(path) -> EmbeddingStore:
     """Parse a word2vec text file: "<count> <dim>" header, then one
     "<token> <floats...>" row per line, UTF-8.
 
-    Bodies whose rows are single-space separated are parsed by numpy's C
-    parser; any other body is parsed again, from its first line, by the
-    per-line loop, which alone raises EmbeddingFormatError for the body.
-    A stream that cannot seek (a pipe) is read into memory first.
+    A regular file whose sidecar (see the module docstring) matches its
+    SHA-256 loads from the sidecar; otherwise the text is parsed, and the
+    parsed store written to the sidecar. Bodies whose rows are single-space
+    separated are parsed by numpy's C parser; any other body is parsed
+    again, from its first line, by the per-line loop, which alone raises
+    EmbeddingFormatError for the body. A stream that cannot seek (a pipe)
+    is read into memory first.
     """
     with open(path, encoding="utf-8") as fh:
+        sidecar = None
         if fh.seekable():
             st = os.fstat(fh.fileno())
             size = st.st_size if stat.S_ISREG(st.st_mode) else None
+            if size is not None:
+                sidecar = _sidecar_key(path, fh, st)
+            if sidecar is not None:
+                store = _read_sidecar(*sidecar)
+                if store is not None:
+                    return store
         else:
             data = fh.buffer.read()
             size = len(data)
@@ -120,12 +152,83 @@ def load_embeddings(path) -> EmbeddingStore:
             rows = count if size is None else min(count, size // (2 * dim + 1))
             body = fh.tell()
             store = _parse_body_fast(fh, count, dim, rows)
-            if store is not None:
-                return store
-            fh.seek(body)
-            return _parse_body(fh, count, dim, rows)
+            if store is None:
+                fh.seek(body)
+                store = _parse_body(fh, count, dim, rows)
         except UnicodeDecodeError as err:
             raise _not_utf8(fh, err) from None
+        if sidecar is not None:
+            now = os.fstat(fh.fileno())
+            # The digest was taken before the parse; a file written to since
+            # may not hold what was parsed.
+            if (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns):
+                _write_sidecar(*sidecar, store)
+        return store
+
+
+def _sidecar_key(path, fh, st) -> tuple[str, bytes] | None:
+    """(sidecar path, SHA-256 of the file) when path, after symlinks, names
+    the regular file open as fh, else None; fh is left at its start.
+
+    Resolving the path puts the sidecar beside the file itself, so a store
+    opened as /dev/stdin or /proc/self/fd/N never writes under /dev."""
+    real = os.path.realpath(path)
+    try:
+        named = os.stat(real)
+    except OSError:
+        return None
+    if (named.st_dev, named.st_ino) != (st.st_dev, st.st_ino):
+        return None
+    digest = hashlib.sha256()
+    while block := fh.buffer.read(_HASH_BLOCK):
+        digest.update(block)
+    fh.seek(0)
+    return real + SIDECAR_SUFFIX, digest.digest()
+
+
+def _read_sidecar(sidecar: str, digest: bytes) -> EmbeddingStore | None:
+    """The store the sidecar holds if it records this version and digest,
+    else None. Pickled members are refused, never loaded."""
+    try:
+        with np.load(sidecar, allow_pickle=False) as archive:
+            if archive["version"].tolist() != [_SIDECAR_VERSION]:
+                return None
+            if archive["sha256"].tobytes() != digest:
+                return None
+            vectors = archive["vectors"]
+            blob = archive["tokens"].tobytes()
+        if vectors.dtype != np.float64:
+            return None
+        tokens = blob.decode("utf-8").split("\n") if blob else []
+        # The store's own shape, finiteness and duplicate checks.
+        return EmbeddingStore(tokens, vectors)
+    except Exception:  # absent, truncated or foreign: parse the text instead
+        return None
+
+
+def _write_sidecar(sidecar: str, digest: bytes, store: EmbeddingStore) -> None:
+    """Write the sidecar, ignoring a failure: the load has succeeded.
+
+    The layout is np.savez's, an uncompressed zip of .npy members, but each
+    member is written from its array's own memory: np.savez would copy the
+    vectors first, and at load time that copy would be the process's peak.
+    """
+    arrays = {
+        "version": np.array([_SIDECAR_VERSION], dtype=np.int64),
+        "sha256": np.frombuffer(digest, dtype=np.uint8),
+        "tokens": np.frombuffer("\n".join(store.vocab).encode("utf-8"), dtype=np.uint8),
+        "vectors": store.vectors,
+    }
+    try:
+        with atomic_open(sidecar, binary=True) as fh:
+            with zipfile.ZipFile(fh, "w") as archive:
+                for name, arr in arrays.items():
+                    with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                        header = np.lib.format.header_data_from_array_1_0(arr)
+                        np.lib.format.write_array_header_1_0(member, header)
+                        member.write(arr.reshape(-1).view(np.uint8))
+    except OSError:
+        pass
 
 
 def _read_header(fh) -> tuple[int, int]:
@@ -250,12 +353,17 @@ def _not_utf8(fh, err: UnicodeDecodeError) -> EmbeddingFormatError:
 def save_embeddings(store: EmbeddingStore, path) -> None:
     """Write the store in the same text format load_embeddings reads.
 
-    Floats are written with repr, so a load round-trips bit-exactly.
+    Floats are written with repr, so a load round-trips bit-exactly. A
+    token that is empty or holds whitespace would not read back as one
+    token; it raises ValueError before anything is written.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(store)} {store.dim}\n")
-        for tok, vec in zip(store.vocab, store.vectors):
-            fh.write(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    for tok in store.vocab:
+        if tok == "" or _WHITESPACE.search(tok):
+            raise ValueError(f"token {tok!r} is empty or holds whitespace")
+    lines = [f"{len(store)} {store.dim}\n"]
+    for tok, vec in zip(store.vocab, store.vectors):
+        lines.append(tok + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    atomic_write(path, "".join(lines))
 
 
 def lookup(store: EmbeddingStore, token: str, resolver=None):

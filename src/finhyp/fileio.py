@@ -1,20 +1,27 @@
 """Crash-safe file output shared by every writer in the package."""
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 
 
-def atomic_write(path, text: str) -> None:
-    """Write text as UTF-8 with LF newlines to a temp file beside path, then
-    rename it over path; readers never see a partial file, and a failed
-    write leaves no temp file behind."""
+@contextlib.contextmanager
+def atomic_open(path, binary: bool = False):
+    """A file to write, opened in a temp file beside path and renamed over
+    path when the block exits normally; readers never see a partial file,
+    and a failed write leaves no temp file behind. Text mode writes UTF-8
+    with LF newlines."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if binary:
+            fh = os.fdopen(fd, "wb")
+        else:
+            fh = os.fdopen(fd, "w", encoding="utf-8", newline="\n")
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -22,3 +29,9 @@ def atomic_write(path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write text or bytes to path through atomic_open."""
+    with atomic_open(path, binary=not isinstance(data, str)) as fh:
+        fh.write(data)

@@ -1,7 +1,14 @@
 """Embedding store: parsing, persistence, lookup and term summation."""
+import errno
+import hashlib
 import math
 import os
+import re
+import subprocess
+import sys
+import tempfile
 import threading
+import zipfile
 from unittest import mock
 
 import numpy as np
@@ -23,6 +30,7 @@ from finhyp.embeddings import (
     lookup,
     save_embeddings,
 )
+from finhyp.fileio import atomic_write
 from finhyp.oov import OOVStrategy
 
 
@@ -311,6 +319,261 @@ def load_through_fifo(tmp_path, data):
     writer.join(timeout=10)
     assert not writer.is_alive()
     return got
+
+
+def sidecar_of(path):
+    return path.parent / (path.name + embeddings.SIDECAR_SUFFIX)
+
+
+def rewrite_archive(path, **members):
+    """Replace some members of a sidecar archive, keeping the rest."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(members)
+    path.unlink()
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class Tripwire:
+    """Unpickling one calls trip(), which records that it happened."""
+
+    unpickled = []
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    Tripwire.unpickled.append(True)
+    return "tripped"
+
+
+SIDECAR_TOKENS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"))
+    | st.sampled_from("é漢\x00\x1f_"),
+    min_size=1,
+    max_size=4,
+).filter(lambda tok: not embeddings._WHITESPACE.search(tok))
+
+
+@st.composite
+def small_stores(draw):
+    n = draw(st.integers(0, 5))
+    dim = draw(st.integers(1, 3))
+    tokens = draw(st.lists(SIDECAR_TOKENS, min_size=n, max_size=n, unique=True))
+    values = draw(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False),
+            min_size=n * dim,
+            max_size=n * dim,
+        )
+    )
+    return EmbeddingStore(tokens, np.array(values, dtype=np.float64).reshape(n, dim))
+
+
+class TestSidecar:
+    @given(store=small_stores())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_warm_load_equals_cold_load(self, tmp_path, store):
+        path = tmp_path / "emb.txt"
+        save_embeddings(store, path)
+        sidecar_of(path).unlink(missing_ok=True)
+        cold = load_embeddings(path)
+        assert sidecar_of(path).exists()
+        with mock.patch.object(embeddings, "_read_header", side_effect=AssertionError):
+            warm = load_embeddings(path)
+        assert warm.vocab == cold.vocab == store.vocab
+        assert warm.vectors.tobytes() == cold.vectors.tobytes() == store.vectors.tobytes()
+        assert warm.vectors.shape == cold.vectors.shape
+        assert not warm.vectors.flags.writeable
+
+    def test_same_size_rewrite_is_parsed_again(self, tmp_path):
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        load_embeddings(path)
+        before = sidecar_of(path).read_bytes()
+        stamp = os.stat(path)
+        path.write_text("2 2\na 0 1\nb 1 0\n", encoding="utf-8")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        store = load_embeddings(path)
+        assert np.array_equal(store.vectors, [[0.0, 1.0], [1.0, 0.0]])
+        assert sidecar_of(path).read_bytes() != before
+        with np.load(sidecar_of(path)) as archive:
+            digest = archive["sha256"].tobytes()
+        assert digest == hashlib.sha256(path.read_bytes()).digest()
+
+    @pytest.mark.parametrize(
+        "spoil",
+        ["truncated", "garbage", "empty", "digest", "version", "pickled", "float32"],
+    )
+    def test_bad_sidecar_ignored_and_replaced(self, tmp_path, spoil):
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        good = load_embeddings(path)
+        sidecar = sidecar_of(path)
+        valid = sidecar.read_bytes()
+        if spoil == "truncated":
+            sidecar.write_bytes(valid[: len(valid) // 2])
+        elif spoil == "garbage":
+            sidecar.write_bytes(b"not an archive\n")
+        elif spoil == "empty":
+            sidecar.write_bytes(b"")
+        elif spoil == "digest":
+            rewrite_archive(sidecar, sha256=np.zeros(32, dtype=np.uint8))
+        elif spoil == "version":
+            rewrite_archive(sidecar, version=np.array([999], dtype=np.int64))
+        elif spoil == "pickled":
+            rewrite_archive(sidecar, tokens=np.array([Tripwire()], dtype=object))
+        elif spoil == "float32":
+            rewrite_archive(sidecar, vectors=good.vectors.astype(np.float32))
+        Tripwire.unpickled.clear()
+        store = load_embeddings(path)
+        assert Tripwire.unpickled == []
+        assert store.vocab == good.vocab
+        assert store.vectors.tobytes() == good.vectors.tobytes()
+        assert sidecar.read_bytes() == valid
+
+    def test_foreign_sidecar_with_matching_digest_rechecked(self, tmp_path):
+        # A sidecar is trusted for its digest only; the store checks still run.
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        load_embeddings(path)
+        rewrite_archive(sidecar_of(path), tokens=np.frombuffer(b"a\na", dtype=np.uint8))
+        store = load_embeddings(path)
+        assert store.vocab == ["a", "b"]
+
+    @pytest.mark.parametrize("failure", ["mkstemp", "replace", "write"])
+    def test_failed_write_does_not_fail_the_load(self, tmp_path, monkeypatch, failure):
+        def fail(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        if failure == "mkstemp":
+            monkeypatch.setattr(tempfile, "mkstemp", fail)
+        elif failure == "replace":
+            monkeypatch.setattr(os, "replace", fail)
+        else:
+            monkeypatch.setattr(zipfile.ZipFile, "open", fail)
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        store = load_embeddings(path)
+        assert store.vocab == ["a", "b"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    def test_file_changed_during_parse_not_cached(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        parse = embeddings._parse_body_fast
+
+        def parse_then_append(fh, *args):
+            store = parse(fh, *args)
+            with open(path, "a", encoding="utf-8") as out:
+                out.write("c 1 1\n")
+            return store
+
+        monkeypatch.setattr(embeddings, "_parse_body_fast", parse_then_append)
+        assert load_embeddings(path).vocab == ["a", "b"]
+        assert not sidecar_of(path).exists()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"2 2\na 1 0\nb 0 1 2\n", "line 3: row length 3 != dim 2"),
+            (b"2 2\na 1 0\na 0 1\n", "line 3: duplicate token 'a'"),
+            (b"1 2\na nan 0\n", "line 2: non-finite value in row 'a'"),
+            (b"2 2\na 1 0\nb\xff 0 1\n", "line 3: not UTF-8: "),
+            (b"3 2\na 1 0\nb 0 1\n", "expected 3 rows, found 2"),
+        ],
+    )
+    def test_bad_store_never_cached(self, tmp_path, body, message):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(body)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError) as err:
+                load_embeddings(path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    def test_symlink_caches_beside_the_file(self, tmp_path):
+        target = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        link = tmp_path / "link.txt"
+        link.symlink_to(target)
+        assert load_embeddings(link).vocab == ["a", "b"]
+        assert sidecar_of(target).exists()
+        assert not sidecar_of(link).exists()
+
+    @pytest.mark.parametrize("source", ["pipe", "file"])
+    def test_dev_stdin_writes_nothing_under_dev(self, tmp_path, source):
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin on this platform")
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        code = (
+            "from finhyp.embeddings import load_embeddings\n"
+            "print(load_embeddings('/dev/stdin').vocab)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(embeddings.__file__)))
+        with open(path, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                stdin=stdin if source == "file" else None,
+                input=None if source == "file" else path.read_bytes(),
+                capture_output=True,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"['a', 'b']\n"
+        assert not os.path.exists("/dev/stdin" + embeddings.SIDECAR_SUFFIX)
+        # A pipe has no file to cache beside; a redirected file caches beside itself.
+        assert sidecar_of(path).exists() == (source == "file")
+
+
+class TestSave:
+    @pytest.mark.parametrize("token", ["a b", "", "a\tb", "a\xa0b", "x\n"])
+    def test_token_that_would_not_read_back(self, tmp_path, token):
+        store = EmbeddingStore([token, "c"], np.ones((2, 2)))
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(repr(token))):
+            save_embeddings(store, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refusal_leaves_existing_file(self, tmp_path):
+        path = write(tmp_path, "1 1\nkeep 1\n")
+        with pytest.raises(ValueError, match="'a b'"):
+            save_embeddings(EmbeddingStore(["a b"], np.ones((1, 1))), path)
+        assert path.read_text(encoding="utf-8") == "1 1\nkeep 1\n"
+
+    def test_bytes_unchanged(self, tmp_path):
+        store = EmbeddingStore(["x", "é"], np.array([[0.1, -0.0], [1e300, 2.5e-320]]))
+        save_embeddings(store, tmp_path / "out.txt")
+        assert (tmp_path / "out.txt").read_bytes() == (
+            "2 2\nx 0.1 -0.0\né 1e+300 2.5e-320\n".encode("utf-8")
+        )
+
+
+class TestAtomicWrite:
+    def test_text_and_bytes(self, tmp_path):
+        path = tmp_path / "f"
+        atomic_write(path, "a\r\nb\né\n")
+        assert path.read_bytes() == "a\r\nb\né\n".encode("utf-8")
+        atomic_write(path, b"\x00\xff\r\n")
+        assert path.read_bytes() == b"\x00\xff\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
+
+    def test_failure_keeps_old_file_and_no_temp(self, tmp_path, monkeypatch):
+        path = tmp_path / "f"
+        path.write_bytes(b"old")
+
+        def fail(*args):
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            atomic_write(path, b"new")
+        assert path.read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
 class TestStore:

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from finhyp import embeddings
 from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
 from finhyp.model import save_model
@@ -505,6 +506,40 @@ class TestFrontendJson:
         )
         with pytest.raises(DataError, match="exactly 7 indicator substrings"):
             run_cv(cfg, synth_dir / "terms.csv")
+
+
+def refuse_parse(*args):
+    raise AssertionError("the store text was parsed")
+
+
+class TestStoreSidecar:
+    """The parsed-store sidecar changes no artifact: a run that parses the
+    store and the run after it, which loads the sidecar, write the same bytes."""
+
+    def test_cold_and_warm_runs_write_identical_artifacts(self, tmp_path, monkeypatch):
+        data_dir = tmp_path / "data"
+        write_dataset(generate(3, 36, seed=7, dim=8, plant_substrings=True), data_dir)
+        sidecar = data_dir / ("embeddings.txt" + embeddings.SIDECAR_SUFFIX)
+        terms = data_dir / "terms.csv"
+        model_dir = tmp_path / "model"
+        run_train(apply_preset(base_cfg(data_dir, model_dir), "BL.HF.OOVm.D2"), terms)
+        runs = {
+            "predictions.jsonl": lambda out: run_predict(
+                apply_preset(base_cfg(data_dir, out), "BL.HF.OOVm.D2"), model_dir, terms
+            ),
+            "oov.txt": lambda out: run_inspect_oov(
+                apply_preset(base_cfg(data_dir, out), "BL.HF.OOVl"), terms
+            ),
+        }
+        for name, run in runs.items():
+            sidecar.unlink()
+            run(tmp_path / "cold")
+            assert sidecar.exists()
+            with monkeypatch.context() as patched:
+                patched.setattr(embeddings, "_read_header", refuse_parse)
+                run(tmp_path / "warm")
+            cold = (tmp_path / "cold" / name).read_bytes()
+            assert cold and cold == (tmp_path / "warm" / name).read_bytes()
 
 
 class TestInspectOov:
