@@ -202,7 +202,9 @@ def _read_sidecar(sidecar: str, digest: bytes) -> EmbeddingStore | None:
         tokens = blob.decode("utf-8").split("\n") if blob else []
         # The store's own shape, finiteness and duplicate checks.
         return EmbeddingStore(tokens, vectors)
-    except Exception:  # absent, truncated or foreign: parse the text instead
+    except Exception:
+        # np.load and zipfile raise many kinds of error on an absent,
+        # truncated or foreign file; each means the text is parsed instead.
         return None
 
 
@@ -212,6 +214,8 @@ def _write_sidecar(sidecar: str, digest: bytes, store: EmbeddingStore) -> None:
     The layout is np.savez's, an uncompressed zip of .npy members, but each
     member is written from its array's own memory: np.savez would copy the
     vectors first, and at load time that copy would be the process's peak.
+    Members carry ZipInfo's fixed 1980 timestamp, so the sidecar's bytes
+    depend on the store alone.
     """
     arrays = {
         "version": np.array([_SIDECAR_VERSION], dtype=np.int64),
@@ -223,7 +227,8 @@ def _write_sidecar(sidecar: str, digest: bytes, store: EmbeddingStore) -> None:
         with atomic_open(sidecar, binary=True) as fh:
             with zipfile.ZipFile(fh, "w") as archive:
                 for name, arr in arrays.items():
-                    with archive.open(name + ".npy", "w", force_zip64=True) as member:
+                    info = zipfile.ZipInfo(name + ".npy")
+                    with archive.open(info, "w", force_zip64=True) as member:
                         header = np.lib.format.header_data_from_array_1_0(arr)
                         np.lib.format.write_array_header_1_0(member, header)
                         member.write(arr.reshape(-1).view(np.uint8))
