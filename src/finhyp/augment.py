@@ -11,9 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from .fileio import atomic_write
@@ -46,7 +43,7 @@ def first_sentence(text: str) -> str:
 class DefinitionDict:
     """Normalized headword -> definition text, immutable once constructed."""
 
-    def __init__(self, entries: dict, source: str = ""):
+    def __init__(self, entries: dict):
         self.entries: dict[str, str] = {}
         for head, definition in entries.items():
             if not isinstance(head, str) or not isinstance(definition, str):
@@ -54,7 +51,6 @@ class DefinitionDict:
             if not definition.strip():
                 continue
             self.entries[normalize(head)] = definition
-        self.source = source
         self._index: NgramIndex | None = None
         self._headwords = sorted(self.entries)
 
@@ -83,7 +79,7 @@ class DefinitionDict:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError(f"snapshot {path} must hold a JSON object")
-        return cls(data, source=str(path))
+        return cls(data)
 
     def to_snapshot(self, path) -> None:
         atomic_write(
@@ -156,6 +152,11 @@ class HttpFetcher:
         self.cfg = cfg
 
     def __call__(self, term: str):
+        # urllib.request is slow to import and only fetching needs it.
+        import urllib.error
+        import urllib.parse
+        import urllib.request
+
         url = f"{self.cfg.base_url}?term={urllib.parse.quote(term)}"
         req = urllib.request.Request(
             url, headers={"User-Agent": self.cfg.user_agent}
@@ -197,6 +198,6 @@ def fetch_definitions(terms, fetcher, snapshot_out, rate_limit: float = 0.0):
             continue
         head, definition = found
         entries[normalize(head)] = definition
-    ddict = DefinitionDict(entries, source=str(snapshot_out))
+    ddict = DefinitionDict(entries)
     ddict.to_snapshot(snapshot_out)
     return ddict, failures

@@ -103,9 +103,6 @@ class EmbeddingStore:
     def __contains__(self, token: str) -> bool:
         return token in self._index
 
-    def row(self, token: str) -> int:
-        return self._index[token]
-
     def vector(self, token: str) -> np.ndarray:
         return self.vectors[self._index[token]]
 

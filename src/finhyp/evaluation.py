@@ -9,7 +9,6 @@ accuracy and mean rank are the exact ratios rounded to float.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +128,6 @@ class EvalReport:
             "per_class_f1": list(self.per_class_f1),
             "confusion": [list(row) for row in self.confusion],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def evaluate(preds, gold, labels) -> EvalReport:

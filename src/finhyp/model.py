@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import accuracy, mean_rank, stratified_kfold
+from .fileio import atomic_write
 
 ARMIJO = 1e-4
 MEMORY = 10  # L-BFGS curvature pairs kept
@@ -314,9 +315,8 @@ def model_text(model: LogRegModel) -> str:
 
 
 def save_model(model: LogRegModel, path) -> None:
-    """Write model_text(model) to path."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_text(model))
+    """Write model_text(model) to path atomically."""
+    atomic_write(path, model_text(model))
 
 
 def load_model(path) -> LogRegModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distance
-from .distance import _find, codes
+from .distance import _alphabet, _find, codes
 from .embeddings import EmbeddingStore
 
 levenshtein = distance.levenshtein
@@ -78,10 +78,9 @@ class NgramIndex:
         n_entries = len(self.entries_lower)
         stride = max(n_entries, 1)
         lens = np.array([len(e) for e in self.entries_lower], dtype=np.int64)
-        self.alphabet, sym = np.unique(
-            codes("".join(self.entries_lower)), return_inverse=True
-        )
-        sym = sym.astype(np.int64)
+        joined = "".join(self.entries_lower)
+        self.alphabet, table = _alphabet(joined)
+        sym = table[codes(joined)].astype(np.int64)
         width = len(self.alphabet)
         entry = np.repeat(np.arange(n_entries), lens)
         # characters left in the entry from each position, itself included

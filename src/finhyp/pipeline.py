@@ -258,10 +258,6 @@ def load_dataset(path):
     return terms, labels
 
 
-def _write_json(path, payload) -> None:
-    atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _read_json(path, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -278,10 +274,6 @@ def _read_json(path, what: str) -> dict:
 # ------------------------------------------------------------------ frontend
 
 
-def make_resolver(cfg: PipelineConfig) -> OOVStrategy:
-    return OOVStrategy(cfg.oov_strategy, cfg.ngram_min, cfg.ngram_max)
-
-
 def _load_store(path) -> EmbeddingStore:
     if not path:
         raise DataError("no embedding_path configured")
@@ -293,25 +285,29 @@ def _load_store(path) -> EmbeddingStore:
         raise DataError(str(err)) from None
 
 
-def _load_snapshot(path) -> DefinitionDict:
+def _augment(cfg: PipelineConfig, terms):
+    """Every term augmented from cfg's snapshot, and the matched fraction."""
+    path = cfg.snapshot_path
     if not path:
         raise DataError("augmentation requires snapshot_path")
     try:
-        return DefinitionDict.from_snapshot(path)
+        ddict = DefinitionDict.from_snapshot(path)
     except OSError as err:
         raise DataError(f"cannot read snapshot: {err}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as err:
         raise DataError(f"{path}: bad snapshot: {err}") from None
+    return augment_dataset(terms, ddict, cfg.min_match_score)
 
 
-def _texts(cfg: PipelineConfig, terms):
-    """The texts that get embedded and measured, plus augmentation coverage
-    (None when augmentation is off)."""
+def _inputs(cfg: PipelineConfig, terms):
+    """The embedding store, the OOV resolver, the texts that get embedded
+    and measured, and augmentation coverage (None when augmentation is off)."""
+    store = _load_store(cfg.embedding_path)
+    resolver = OOVStrategy(cfg.oov_strategy, cfg.ngram_min, cfg.ngram_max)
     if not cfg.augment:
-        return list(terms), None
-    ddict = _load_snapshot(cfg.snapshot_path)
-    augmented, coverage = augment_dataset(terms, ddict, cfg.min_match_score)
-    return [a.text for a in augmented], coverage
+        return store, resolver, list(terms), None
+    augmented, coverage = _augment(cfg, terms)
+    return store, resolver, [a.text for a in augmented], coverage
 
 
 @dataclass
@@ -327,8 +323,7 @@ class Frontend:
 
 
 def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Frontend:
-    store = _load_store(cfg.embedding_path)
-    resolver = make_resolver(cfg)
+    store, resolver, texts, coverage = _inputs(cfg, terms)
     if cfg.labels:
         labels = cfg.labels
     elif dataset_labels:
@@ -342,7 +337,6 @@ def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Fronten
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
-    texts, coverage = _texts(cfg, terms)
     try:
         label_set = LabelSet.build(labels, store, resolver)
     except ValueError as err:
@@ -376,6 +370,17 @@ def _grid_payload(result) -> dict:
 # ---------------------------------------------------------------------- runs
 
 
+def _write_out(cfg: PipelineConfig, name: str, content) -> str:
+    """Write content to name under cfg.out_dir atomically and return the
+    path; content is text, or a payload written as sorted, indented JSON."""
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, name)
+    if not isinstance(content, str):
+        content = json.dumps(content, sort_keys=True, indent=2) + "\n"
+    atomic_write(path, content)
+    return path
+
+
 def _fit(cfg: PipelineConfig, dataset_path, failure: str):
     """Frontend, fitted scaler, class indices and grid-search result for a
     labeled dataset; grid-search errors become "<failure> failed: ..."."""
@@ -406,21 +411,13 @@ def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     grid.json and folds.json under cfg.out_dir."""
     fe, _, y, result = _fit(cfg, dataset_path, "cross-validation")
     report = evaluate(result.oof_predictions[result.best_c], y, fe.label_set.labels)
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    folds = {"folds": [[int(i) for i in fold] for fold in result.folds]}
     paths = {
-        "report_txt": os.path.join(cfg.out_dir, "report.txt"),
-        "report_json": os.path.join(cfg.out_dir, "report.json"),
-        "grid_json": os.path.join(cfg.out_dir, "grid.json"),
-        "folds_json": os.path.join(cfg.out_dir, "folds.json"),
+        "report_txt": _write_out(cfg, "report.txt", report.to_text()),
+        "report_json": _write_out(cfg, "report.json", report.to_json_dict()),
+        "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
+        "folds_json": _write_out(cfg, "folds.json", folds),
     }
-    atomic_write(paths["report_txt"], report.to_text())
-    atomic_write(paths["report_json"], report.to_json())
-    _write_json(paths["grid_json"], _grid_payload(result))
-    _write_json(
-        paths["folds_json"],
-        {"folds": [[int(i) for i in fold] for fold in result.folds]},
-    )
     return CvRun(report, result.best_c, fe.coverage, paths)
 
 
@@ -436,20 +433,15 @@ def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     """Grid-search then fit on the full dataset; writes model.txt plus the
     frontend.json needed to rebuild identical feature rows at predict time."""
     fe, scaler, _, result = _fit(cfg, dataset_path, "training")
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    paths = {
-        "model": os.path.join(cfg.out_dir, "model.txt"),
-        "frontend": os.path.join(cfg.out_dir, "frontend.json"),
-        "grid_json": os.path.join(cfg.out_dir, "grid.json"),
-    }
-    atomic_write(paths["model"], model_text(result.model))
     frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
     frontend.update(
         labels=fe.label_set.labels, embedding_dim=fe.store.dim, scaler=scaler.state()
     )
-    _write_json(paths["frontend"], frontend)
-    _write_json(paths["grid_json"], _grid_payload(result))
+    paths = {
+        "model": _write_out(cfg, "model.txt", model_text(result.model)),
+        "frontend": _write_out(cfg, "frontend.json", frontend),
+        "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
+    }
     return TrainRun(result.model, result.best_c, fe.coverage, paths)
 
 
@@ -514,9 +506,7 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
         )
         for term, ranked, row in zip(terms, rank_labels(probs).tolist(), probs.tolist())
     ]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "predictions.jsonl")
-    atomic_write(out_path, "\n".join(lines) + "\n")
+    out_path = _write_out(cfg, "predictions.jsonl", "\n".join(lines) + "\n")
     return PredictRun(out_path, len(terms))
 
 
@@ -531,9 +521,7 @@ class OovRun:
 def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     """List every out-of-vocabulary token with its resolution; writes oov.txt."""
     terms, _ = load_terms(dataset_path)
-    store = _load_store(cfg.embedding_path)
-    resolver = make_resolver(cfg)
-    texts, _ = _texts(cfg, terms)
+    store, resolver, texts, _ = _inputs(cfg, terms)
 
     occurrences = 0
     seen: dict[str, str] = {}
@@ -548,19 +536,14 @@ def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     lines = [f"oov_unique: {len(seen)}", f"oov_occurrences: {occurrences}"]
     lines.extend(f"{token} -> {seen[token]}" for token in sorted(seen))
     report = "\n".join(lines) + "\n"
-
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "oov.txt")
-    atomic_write(out_path, report)
-    return OovRun(report, out_path, len(seen), occurrences)
+    return OovRun(report, _write_out(cfg, "oov.txt", report), len(seen), occurrences)
 
 
 def run_augment_apply(cfg: PipelineConfig, dataset_path):
     """Write augmented.csv showing term/text/matched headword per row;
     returns (path, coverage)."""
     terms, gold_labels = load_terms(dataset_path)
-    ddict = _load_snapshot(cfg.snapshot_path)
-    augmented, coverage = augment_dataset(terms, ddict, cfg.min_match_score)
+    augmented, coverage = _augment(cfg, terms)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -572,10 +555,7 @@ def run_augment_apply(cfg: PipelineConfig, dataset_path):
         writer.writerow(["term", "label", "text", "matched_headword"])
         for a, lab in zip(augmented, gold_labels):
             writer.writerow([a.raw, lab, a.text, a.matched_headword or ""])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    out_path = os.path.join(cfg.out_dir, "augmented.csv")
-    atomic_write(out_path, buf.getvalue())
-    return out_path, coverage
+    return _write_out(cfg, "augmented.csv", buf.getvalue()), coverage
 
 
 def run_augment_fetch(cfg: PipelineConfig, terms_path, base_url: str = ""):

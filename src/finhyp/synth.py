@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingStore, save_embeddings
+from .fileio import atomic_open
 
 # Default class profile: (label, weight) in descending frequency order.
 CLASS_PROFILE: tuple[tuple[str, int], ...] = (
@@ -167,7 +168,7 @@ def write_dataset(data: SynthData, out_dir) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(os.fspath(out_dir), "terms.csv")
     emb_path = os.path.join(os.fspath(out_dir), "embeddings.txt")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(csv_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["term", "label"])
         writer.writerows(data.rows)

@@ -1,11 +1,16 @@
 """CLI behavior: exit codes, output artifacts, config precedence."""
 import json
 import os
+import stat
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import finhyp
 from finhyp.cli import FETCHER_URL_ENV, main
+from finhyp.embeddings import SIDECAR_SUFFIX
 
 
 @pytest.fixture(scope="module")
@@ -444,3 +449,59 @@ class TestModuleEntry:
             text=True,
         )
         assert proc.returncode == 1
+
+
+SRC_DIR = os.path.dirname(os.path.dirname(finhyp.__file__))
+
+# Writes one of every kind of file finhyp makes into the directory argv[1].
+WRITE_EVERY_ARTIFACT = """
+import sys
+from finhyp.augment import DefinitionDict
+from finhyp.pipeline import PipelineConfig, run_cv, run_train
+from finhyp.synth import generate, write_dataset
+
+out = sys.argv[1]
+csv_path, emb_path = write_dataset(generate(3, 36, seed=5, dim=8), out)
+cfg = PipelineConfig(embedding_path=emb_path, c_grid=(1.0,), folds=3, out_dir=out)
+run_cv(cfg, csv_path)
+run_train(cfg, csv_path)
+DefinitionDict({"swap": "A swap."}).to_snapshot(out + "/snapshot.json")
+"""
+
+
+def run_python(code, *args, umask="022"):
+    """Run python -c code in a fresh interpreter under the given umask."""
+    return subprocess.run(
+        ["sh", "-c", f'umask {umask} && exec "$@"', "sh", sys.executable, "-c", code]
+        + list(args),
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC_DIR),
+    )
+
+
+class TestFreshProcess:
+    @pytest.mark.parametrize("umask, mode", [("022", 0o644), ("027", 0o640)])
+    def test_artifacts_get_the_umask_mode(self, tmp_path, umask, mode):
+        proc = run_python(WRITE_EVERY_ARTIFACT, str(tmp_path), umask=umask)
+        assert proc.returncode == 0, proc.stderr
+        names = [
+            "terms.csv",
+            "embeddings.txt",
+            "embeddings.txt" + SIDECAR_SUFFIX,
+            "report.txt",
+            "report.json",
+            "grid.json",
+            "folds.json",
+            "model.txt",
+            "frontend.json",
+            "snapshot.json",
+        ]
+        modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in names}
+        assert modes == dict.fromkeys(names, mode)
+        assert not [name for name in os.listdir(tmp_path) if name.startswith(".tmp-")]
+
+    def test_cli_import_leaves_urllib_request_unloaded(self):
+        proc = run_python("import sys, finhyp.cli; print('urllib.request' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -255,11 +255,11 @@ class TestReport:
         import json
 
         r = self.make_report()
-        data = json.loads(r.to_json())
+        data = json.loads(json.dumps(r.to_json_dict()))
         assert data["labels"] == ["alpha", "beta", "gamma"]
         assert data["accuracy"] == r.accuracy
         assert data["confusion"][0][0] == r.confusion[0][0]
-        assert r.to_json() == r.to_json()
+        assert data == r.to_json_dict()
 
     def test_is_frozen(self):
         r = self.make_report()

@@ -184,6 +184,9 @@ class TestNgramIndexMatchesSetOracle:
     def check(entries, queries, sizes):
         index = NgramIndex(entries, *sizes)
         oracle = SetNgramIndex(entries, *sizes)
+        # the alphabet is the sorted distinct code points of the entries
+        lowered = distance.codes("".join(e.lower() for e in entries))
+        np.testing.assert_array_equal(index.alphabet, np.unique(lowered))
         for text in queries:
             assert best_ngram_match(text, index) == set_best_ngram_match(
                 text, oracle

@@ -735,8 +735,9 @@ class TestAugmentedCv:
 
 def pinned_run(root):
     """Artifacts of one small BL.HF.OOVm.D2.+ run: cross-validation, OOV
-    inspection, then train and predict on the same rows. Every third term
-    has a definition; its augmented text is "<term>. <first sentence>"."""
+    inspection, augmented texts, then train and predict on the same rows.
+    Every third term has a definition; its augmented text is
+    "<term>. <first sentence>"."""
     data = generate(5, 75, seed=11, dim=8, sigma=1.2)
     csv_path, emb_path = write_dataset(data, root / "data")
     definitions = {
@@ -761,13 +762,16 @@ def pinned_run(root):
 
     cv = run_cv(at("cv"), csv_path)
     oov = run_inspect_oov(at("oov"), csv_path)
+    augmented, _ = run_augment_apply(at("aug"), csv_path)
     run_train(at("model"), csv_path)
     pred = run_predict(at("pred"), str(root / "model"), csv_path)
     paths = {
         "report.txt": cv.paths["report_txt"],
+        "report.json": cv.paths["report_json"],
         "grid.json": cv.paths["grid_json"],
         "folds.json": cv.paths["folds_json"],
         "oov.txt": oov.path,
+        "augmented.csv": augmented,
     }
     digests = {
         name: hashlib.sha256(open(path, "rb").read()).hexdigest()
@@ -785,9 +789,11 @@ class TestPinnedArtifacts:
 
     DIGESTS = {
         "report.txt": "740d959f00cef010907c4035cd8aada66c429651fc9bb969c7a683bc0b76a1d1",
+        "report.json": "4c584fc867d988250dc924b83a5f11c8b8eeef6de53db636820855f440b74dd5",
         "grid.json": "67ebbfdd39ba59ffeff40f54e1d5f329f72427435eca523200740b48faad6463",
         "folds.json": "46220c6c8f579b8aa67fa2af67e6bd9762c1211089a46409b4dd3b0906ba8578",
         "oov.txt": "3aa963311125d8023b149020a8c381b5bd04df8afc156c0146dc8a42277c1d6a",
+        "augmented.csv": "7fb1358a95d3ee2c60928eba0b04fcf804e7acfc24133ee4c2005178c9892520",
     }
     TOP3_DIGEST = "90e26c8ef8b52baeede0ae522c2ce0ff6c3813adad241ee9bc9db567eb24d008"
 
