@@ -15,6 +15,11 @@ file that changed while it was parsed, or when the write itself fails (a
 read-only directory, a full disk); the load succeeds regardless. A missing,
 stale or unreadable copy just means the text is parsed again, so deleting
 it is always safe.
+
+A store loaded from a regular file records that file's path, after
+symlinks, as ``EmbeddingStore.path``, so that caches derived from the store
+(the n-gram index of ``finhyp.oov``) can sit beside it; a store read from a
+pipe or built in memory has ``path`` None.
 """
 from __future__ import annotations
 
@@ -26,12 +31,11 @@ import os
 import re
 import stat
 import string
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open, atomic_write
+from .fileio import atomic_savez, atomic_write
 
 IN_VOCAB = "in_vocab"
 REPLACED = "replaced"
@@ -76,7 +80,7 @@ class TermTokens:
 class EmbeddingStore:
     """Vocabulary of unique tokens, each with a dense vector of length dim."""
 
-    def __init__(self, tokens, vectors):
+    def __init__(self, tokens, vectors, path: str | None = None):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
@@ -95,6 +99,9 @@ class EmbeddingStore:
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.dim: int = vectors.shape[1]
+        # The file the store was loaded from, symlinks resolved; None for a
+        # pipe or a store built in memory.
+        self.path = path
         self._vocab_lower: list[str] | None = None
 
     def __len__(self) -> int:
@@ -127,14 +134,14 @@ def load_embeddings(path) -> EmbeddingStore:
     is read into memory first.
     """
     with open(path, encoding="utf-8") as fh:
-        sidecar = None
+        key = None
         if fh.seekable():
             st = os.fstat(fh.fileno())
             size = st.st_size if stat.S_ISREG(st.st_mode) else None
             if size is not None:
-                sidecar = _sidecar_key(path, fh, st)
-            if sidecar is not None:
-                store = _read_sidecar(*sidecar)
+                key = _store_key(path, fh, st)
+            if key is not None:
+                store = _read_sidecar(*key)
                 if store is not None:
                     return store
         else:
@@ -154,18 +161,19 @@ def load_embeddings(path) -> EmbeddingStore:
                 store = _parse_body(fh, count, dim, rows)
         except UnicodeDecodeError as err:
             raise _not_utf8(fh, err) from None
-        if sidecar is not None:
+        if key is not None:
+            store.path = key[0]
             now = os.fstat(fh.fileno())
             # The digest was taken before the parse; a file written to since
             # may not hold what was parsed.
             if (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns):
-                _write_sidecar(*sidecar, store)
+                _write_sidecar(*key, store)
         return store
 
 
-def _sidecar_key(path, fh, st) -> tuple[str, bytes] | None:
-    """(sidecar path, SHA-256 of the file) when path, after symlinks, names
-    the regular file open as fh, else None; fh is left at its start.
+def _store_key(path, fh, st) -> tuple[str, bytes] | None:
+    """(path after symlinks, SHA-256 of the file) when that path names the
+    regular file open as fh, else None; fh is left at its start.
 
     Resolving the path puts the sidecar beside the file itself, so a store
     opened as /dev/stdin or /proc/self/fd/N never writes under /dev."""
@@ -180,14 +188,15 @@ def _sidecar_key(path, fh, st) -> tuple[str, bytes] | None:
     while block := fh.buffer.read(_HASH_BLOCK):
         digest.update(block)
     fh.seek(0)
-    return real + SIDECAR_SUFFIX, digest.digest()
+    return real, digest.digest()
 
 
-def _read_sidecar(sidecar: str, digest: bytes) -> EmbeddingStore | None:
-    """The store the sidecar holds if it records this version and digest,
-    else None. Pickled members are refused, never loaded."""
+def _read_sidecar(real: str, digest: bytes) -> EmbeddingStore | None:
+    """The store the sidecar of the file at real holds if it records this
+    version and digest, else None. Pickled members are refused, never
+    loaded."""
     try:
-        with np.load(sidecar, allow_pickle=False) as archive:
+        with np.load(real + SIDECAR_SUFFIX, allow_pickle=False) as archive:
             if archive["version"].tolist() != [_SIDECAR_VERSION]:
                 return None
             if archive["sha256"].tobytes() != digest:
@@ -198,22 +207,17 @@ def _read_sidecar(sidecar: str, digest: bytes) -> EmbeddingStore | None:
             return None
         tokens = blob.decode("utf-8").split("\n") if blob else []
         # The store's own shape, finiteness and duplicate checks.
-        return EmbeddingStore(tokens, vectors)
+        return EmbeddingStore(tokens, vectors, real)
     except Exception:
         # np.load and zipfile raise many kinds of error on an absent,
         # truncated or foreign file; each means the text is parsed instead.
         return None
 
 
-def _write_sidecar(sidecar: str, digest: bytes, store: EmbeddingStore) -> None:
-    """Write the sidecar, ignoring a failure: the load has succeeded.
-
-    The layout is np.savez's, an uncompressed zip of .npy members, but each
-    member is written from its array's own memory: np.savez would copy the
-    vectors first, and at load time that copy would be the process's peak.
-    Members carry ZipInfo's fixed 1980 timestamp, so the sidecar's bytes
-    depend on the store alone.
-    """
+def _write_sidecar(real: str, digest: bytes, store: EmbeddingStore) -> None:
+    """Write the sidecar, ignoring a failure: the load has succeeded. The
+    vectors are written from their own memory; a copy of them would be the
+    load's peak."""
     arrays = {
         "version": np.array([_SIDECAR_VERSION], dtype=np.int64),
         "sha256": np.frombuffer(digest, dtype=np.uint8),
@@ -221,14 +225,7 @@ def _write_sidecar(sidecar: str, digest: bytes, store: EmbeddingStore) -> None:
         "vectors": store.vectors,
     }
     try:
-        with atomic_open(sidecar, binary=True) as fh:
-            with zipfile.ZipFile(fh, "w") as archive:
-                for name, arr in arrays.items():
-                    info = zipfile.ZipInfo(name + ".npy")
-                    with archive.open(info, "w", force_zip64=True) as member:
-                        header = np.lib.format.header_data_from_array_1_0(arr)
-                        np.lib.format.write_array_header_1_0(member, header)
-                        member.write(arr.reshape(-1).view(np.uint8))
+        atomic_savez(real + SIDECAR_SUFFIX, arrays)
     except OSError:
         pass
 

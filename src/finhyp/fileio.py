@@ -4,6 +4,9 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
+import zipfile
+
+import numpy as np
 
 # The mode open() gives a new file. The umask can only be read by setting
 # it, which would change it for every running thread, so it is read once,
@@ -44,3 +47,21 @@ def atomic_write(path, data: str | bytes) -> None:
     """Write text or bytes to path through atomic_open."""
     with atomic_open(path, binary=not isinstance(data, str)) as fh:
         fh.write(data)
+
+
+def atomic_savez(path, arrays: dict) -> None:
+    """Write arrays to path through atomic_open in np.savez's layout, an
+    uncompressed zip of .npy members that np.load reads.
+
+    Each member is written from its array's own memory, where np.savez
+    would copy it first. Members carry ZipInfo's fixed 1980 timestamp, so
+    the file's bytes depend on the arrays alone.
+    """
+    with atomic_open(path, binary=True) as fh:
+        with zipfile.ZipFile(fh, "w") as archive:
+            for name, arr in arrays.items():
+                info = zipfile.ZipInfo(name + ".npy")
+                with archive.open(info, "w", force_zip64=True) as member:
+                    header = np.lib.format.header_data_from_array_1_0(arr)
+                    np.lib.format.write_array_header_1_0(member, header)
+                    member.write(arr.reshape(-1).view(np.uint8))

@@ -4,9 +4,20 @@ Three strategies: keep the zero vector, substitute the vocabulary word at
 minimal edit distance, or substitute the best character-n-gram Jaccard match
 (with an edit-distance fallback when no n-gram is shared). All string
 comparison is lowercase-normalized; resolution is pure and memoized per run.
+
+The n-gram index of a store loaded from a file is cached beside that file,
+``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of
+the index's arrays, a format version, the gram sizes, the entry count and
+the SHA-256 of the vocabulary (newline-joined, UTF-8). The index depends on
+the vocabulary alone, so a cache whose records all match, and whose arrays
+pass the structural checks of ``_read_index``, is used in place of a build;
+the index is the same arrays either way. Any other cache is rebuilt and
+rewritten. A failed write is ignored, so deleting the cache is always safe.
+A store read from a pipe or built in memory is indexed in memory only.
 """
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,10 +25,15 @@ import numpy as np
 from . import distance
 from .distance import _alphabet, _find, codes
 from .embeddings import EmbeddingStore
+from .fileio import atomic_savez
 
 levenshtein = distance.levenshtein
 
 VARIANTS = ("zero", "levenshtein", "ngram")
+
+INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
+# Bump when the index's arrays, or the build that makes them, change.
+_INDEX_VERSION = 1
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
@@ -69,12 +85,7 @@ class NgramIndex:
     """
 
     def __init__(self, entries, ngram_min: int = 3, ngram_max: int = 6):
-        if not (1 <= ngram_min <= ngram_max):
-            raise ValueError("require 1 <= ngram_min <= ngram_max")
-        self.entries = list(entries)
-        self.entries_lower = [e.lower() for e in self.entries]
-        self.ngram_min = ngram_min
-        self.ngram_max = ngram_max
+        self._set_entries(entries, ngram_min, ngram_max)
         n_entries = len(self.entries_lower)
         stride = max(n_entries, 1)
         lens = np.array([len(e) for e in self.entries_lower], dtype=np.int64)
@@ -105,6 +116,34 @@ class NgramIndex:
         np.cumsum(np.bincount(gram, minlength=n_grams), out=self.indptr[1:])
         self.count = np.bincount(self.post, minlength=n_entries)
 
+    def _set_entries(self, entries, ngram_min: int, ngram_max: int) -> None:
+        if not (1 <= ngram_min <= ngram_max):
+            raise ValueError("require 1 <= ngram_min <= ngram_max")
+        self.entries = list(entries)
+        self.entries_lower = [e.lower() for e in self.entries]
+        self.ngram_min = ngram_min
+        self.ngram_max = ngram_max
+
+    @classmethod
+    def _restore(cls, entries, ngram_min: int, ngram_max: int, arrays) -> "NgramIndex":
+        """The index of entries whose build gave arrays: ``alphabet``,
+        ``keys<n>`` for n >= 2, ``indptr``, ``post`` and ``count``, as
+        _write_index records them."""
+        index = cls.__new__(cls)
+        index._set_entries(entries, ngram_min, ngram_max)
+        index.alphabet = arrays["alphabet"]
+        index.keys = {1: np.arange(len(index.alphabet))}
+        for n in range(2, ngram_max + 1):
+            index.keys[n] = arrays[f"keys{n}"]
+        index.offset, n_grams = {}, 0
+        for n in range(ngram_min, ngram_max + 1):
+            index.offset[n] = n_grams
+            n_grams += len(index.keys[n])
+        index.indptr = arrays["indptr"]
+        index.post = arrays["post"]
+        index.count = arrays["count"]
+        return index
+
     def gram_ids(self, text: str) -> np.ndarray:
         """Global ids of the distinct indexed n-grams of text (lowercased),
         ascending; grams absent from the index are left out."""
@@ -124,7 +163,81 @@ class NgramIndex:
 
 
 def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
-    return NgramIndex(store.vocab, strategy.ngram_min, strategy.ngram_max)
+    """The n-gram index of the store's vocabulary, read from its cache beside
+    the store file when that is valid, else built (and, for a store with a
+    path, cached); see the module docstring."""
+    sizes = (strategy.ngram_min, strategy.ngram_max)
+    if store.path is None:
+        return NgramIndex(store.vocab, *sizes)
+    path = store.path + INDEX_SUFFIX.format(*sizes)
+    digest = hashlib.sha256("\n".join(store.vocab).encode("utf-8")).digest()
+    index = _read_index(path, digest, store.vocab, *sizes)
+    if index is None:
+        index = NgramIndex(store.vocab, *sizes)
+        _write_index(path, digest, index)
+    return index
+
+
+def _read_index(path, digest: bytes, entries, ngram_min: int, ngram_max: int):
+    """The index cached at path if it records this version, gram sizes,
+    entry count and vocabulary digest and its arrays are consistent, else
+    None. Pickled members are refused, never loaded."""
+    names = ["alphabet", "indptr", "post", "count"]
+    names += [f"keys{n}" for n in range(2, ngram_max + 1)]
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if archive["version"].tolist() != [_INDEX_VERSION]:
+                return None
+            if archive["ngrams"].tolist() != [ngram_min, ngram_max]:
+                return None
+            if archive["entries"].tolist() != [len(entries)]:
+                return None
+            if archive["sha256"].tobytes() != digest:
+                return None
+            arrays = {name: archive[name] for name in names}
+    except Exception:
+        # np.load and zipfile raise many kinds of error on an absent,
+        # truncated or foreign file; each means the index is built instead.
+        return None
+    if any(a.ndim != 1 for a in arrays.values()):
+        return None
+    if arrays["alphabet"].dtype != np.int32:
+        return None
+    if any(arrays[name].dtype != np.int64 for name in names[1:]):
+        return None
+    index = NgramIndex._restore(entries, ngram_min, ngram_max, arrays)
+    indptr, post = index.indptr, index.post
+    n_grams = index.offset[ngram_max] + len(index.keys[ngram_max])
+    # Every gram id that gram_ids can return indexes indptr, every posting
+    # indexes the entries, and count is what the build would have made.
+    if len(indptr) != n_grams + 1 or indptr[0] != 0 or indptr[-1] != len(post):
+        return None
+    if np.any(indptr[1:] < indptr[:-1]):
+        return None
+    if np.any(post < 0) or np.any(post >= len(entries)):
+        return None
+    if not np.array_equal(index.count, np.bincount(post, minlength=len(entries))):
+        return None
+    return index
+
+
+def _write_index(path, digest: bytes, index: NgramIndex) -> None:
+    """Cache the index at path, ignoring a failure: the index is built."""
+    arrays = {
+        "version": np.array([_INDEX_VERSION], dtype=np.int64),
+        "ngrams": np.array([index.ngram_min, index.ngram_max], dtype=np.int64),
+        "entries": np.array([len(index.entries)], dtype=np.int64),
+        "sha256": np.frombuffer(digest, dtype=np.uint8),
+        "alphabet": index.alphabet,
+        **{f"keys{n}": index.keys[n] for n in range(2, index.ngram_max + 1)},
+        "indptr": index.indptr,
+        "post": index.post,
+        "count": index.count,
+    }
+    try:
+        atomic_savez(path, arrays)
+    except OSError:
+        pass
 
 
 def resolve_levenshtein(token: str, store: EmbeddingStore, vocab=None) -> str:
@@ -188,11 +301,16 @@ def resolve_ngram(token: str, index: NgramIndex, store: EmbeddingStore) -> str:
 class OOVStrategy:
     """Configured OOV behaviour, bound lazily to a store.
 
-    The n-gram index and the per-token memo are rebuilt whenever the
-    strategy is used against a different store; the packed vocabulary is
-    built for it on the first edit-distance scan, which the n-gram variant
-    needs only for tokens that share no n-gram. Memo insertion is
-    idempotent, so concurrent lookups of the same token are safe.
+    The n-gram index and the per-token memo are set up anew whenever the
+    strategy is used against a different store. The index comes from
+    ``build_ngram_index``: for a store loaded from a file (``store.path``
+    set) it is read from the cache beside that file when valid, and built
+    and cached otherwise; a pipe or in-memory store is indexed in memory.
+    Only the n-gram variant reads or writes that cache. The packed
+    vocabulary is built for the store on the first edit-distance scan,
+    which the n-gram variant needs only for tokens that share no n-gram.
+    Memo insertion is idempotent, so concurrent lookups of the same token
+    are safe.
     """
 
     variant: str = "zero"

@@ -151,6 +151,8 @@ class PipelineConfig:
             raise ValueError("require 1 <= ngram_min <= ngram_max")
         if not 0 <= self.min_match_score <= 1:
             raise ValueError("min_match_score must be in [0, 1]")
+        if not self.out_dir:
+            raise ValueError("out_dir must not be empty")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}

@@ -14,3 +14,27 @@ def toy_store() -> EmbeddingStore:
 def make_store(tokens, dim=3, seed=0) -> EmbeddingStore:
     rng = np.random.default_rng(seed)
     return EmbeddingStore(list(tokens), rng.normal(size=(len(tokens), dim)))
+
+
+def rewrite_archive(path, **members):
+    """Replace some members of a numpy archive, keeping the rest."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    arrays.update(members)
+    path.unlink()
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+class Tripwire:
+    """Unpickling one calls trip(), which records that it happened."""
+
+    unpickled = []
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+def _trip():
+    Tripwire.unpickled.append(True)
+    return "tripped"

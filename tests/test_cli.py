@@ -11,6 +11,7 @@ import pytest
 import finhyp
 from finhyp.cli import FETCHER_URL_ENV, main
 from finhyp.embeddings import SIDECAR_SUFFIX
+from finhyp.oov import INDEX_SUFFIX
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,24 @@ class TestDataErrors:
             ]
         )
         assert code == 2
+
+    def test_empty_out_dir_in_config_file(self, synth_dir, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"out_dir": ""}')
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            [
+                "inspect-oov",
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(synth_dir / "embeddings.txt"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad config: out_dir must not be empty\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 class TestCvCommand:
@@ -462,7 +481,9 @@ from finhyp.synth import generate, write_dataset
 
 out = sys.argv[1]
 csv_path, emb_path = write_dataset(generate(3, 36, seed=5, dim=8), out)
-cfg = PipelineConfig(embedding_path=emb_path, c_grid=(1.0,), folds=3, out_dir=out)
+cfg = PipelineConfig(
+    embedding_path=emb_path, c_grid=(1.0,), folds=3, out_dir=out, oov_strategy="ngram"
+)
 run_cv(cfg, csv_path)
 run_train(cfg, csv_path)
 DefinitionDict({"swap": "A swap."}).to_snapshot(out + "/snapshot.json")
@@ -489,6 +510,7 @@ class TestFreshProcess:
             "terms.csv",
             "embeddings.txt",
             "embeddings.txt" + SIDECAR_SUFFIX,
+            "embeddings.txt" + INDEX_SUFFIX.format(3, 6),
             "report.txt",
             "report.json",
             "grid.json",

@@ -33,6 +33,8 @@ from finhyp.embeddings import (
 from finhyp.fileio import atomic_write
 from finhyp.oov import OOVStrategy
 
+from conftest import Tripwire, rewrite_archive
+
 
 CLEAN_ROWS = b"".join(b"t%d 1 2\n" % i for i in range(3000))
 
@@ -323,30 +325,6 @@ def load_through_fifo(tmp_path, data):
 
 def sidecar_of(path):
     return path.parent / (path.name + embeddings.SIDECAR_SUFFIX)
-
-
-def rewrite_archive(path, **members):
-    """Replace some members of a sidecar archive, keeping the rest."""
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    arrays.update(members)
-    path.unlink()
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-class Tripwire:
-    """Unpickling one calls trip(), which records that it happened."""
-
-    unpickled = []
-
-    def __reduce__(self):
-        return (_trip, ())
-
-
-def _trip():
-    Tripwire.unpickled.append(True)
-    return "tripped"
 
 
 SIDECAR_TOKENS = st.text(

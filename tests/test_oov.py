@@ -1,5 +1,10 @@
 """OOV resolution: nearest-word optimality, n-gram matching, determinism."""
+import os
 import random
+import subprocess
+import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ from finhyp.oov import (
     resolve_ngram,
 )
 
-from conftest import make_store
+from conftest import Tripwire, make_store, rewrite_archive
 
 
 class SetNgramIndex:
@@ -317,3 +322,225 @@ class TestOOVStrategy:
         sub = strat.resolve(token, store)
         assert sub in store.vocab
         assert sub == resolve_ngram(token, NgramIndex(store.vocab), store)
+
+
+def index_file(store, sizes=(3, 6)):
+    return store.path + oov.INDEX_SUFFIX.format(*sizes)
+
+
+def filed_store(directory, tokens):
+    """A store that records a file path, as load_embeddings gives one; only
+    the cache beside that path is ever touched."""
+    store = make_store(tokens)
+    store.path = os.path.join(directory, "emb.txt")
+    return store
+
+
+def assert_same_index(warm, cold):
+    """Every attribute equal, arrays with their dtypes."""
+    assert vars(warm).keys() == vars(cold).keys()
+    for name, want in vars(cold).items():
+        got = getattr(warm, name)
+        if name == "keys":
+            assert got.keys() == want.keys()
+            pairs = [(got[n], want[n]) for n in want]
+        elif isinstance(want, np.ndarray):
+            pairs = [(got, want)]
+        else:
+            assert got == want, name
+            continue
+        for a, b in pairs:
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+
+
+def refuse_build(*args, **kwargs):
+    raise AssertionError("the n-gram index was built")
+
+
+# Store tokens: no whitespace, and UTF-8 encodable, as a loaded store's are.
+STORE_WORDS = st.lists(
+    st.text(alphabet="aAbBcé中-", min_size=1, max_size=8), min_size=1, max_size=12
+).map(lambda ws: list(dict.fromkeys(ws)))
+
+
+class TestNgramIndexCache:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tokens=STORE_WORDS,
+        queries=st.lists(words(MIXED), min_size=1, max_size=6),
+        sizes=gram_sizes(),
+    )
+    def test_warm_index_equals_cold(self, tokens, queries, sizes):
+        strat = OOVStrategy("ngram", *sizes)
+        with tempfile.TemporaryDirectory() as directory:
+            store = filed_store(directory, tokens)
+            cold = oov.build_ngram_index(store, strat)
+            assert os.path.exists(index_file(store, sizes))
+            with mock.patch.object(NgramIndex, "__init__", refuse_build):
+                warm = oov.build_ngram_index(store, strat)
+        assert_same_index(warm, cold)
+        assert_same_index(cold, NgramIndex(tokens, *sizes))
+        for text in queries + tokens:
+            assert best_ngram_match(text, warm) == best_ngram_match(text, cold)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            "truncated",
+            "foreign zip",
+            "pickled",
+            "version",
+            "pair",
+            "digest",
+            "entries",
+            "indptr start",
+            "indptr end",
+            "decreasing indptr",
+            "post above range",
+            "post below zero",
+            "count",
+            "int32 post",
+            "2-D post",
+            "int64 alphabet",
+            "keys length",
+        ],
+    )
+    def test_spoiled_file_is_rebuilt_and_rewritten(self, tmp_path, spoil):
+        tokens = ["bond", "bonds", "swap", "Swaption", "yield"]
+        store = filed_store(tmp_path, tokens)
+        strat = OOVStrategy("ngram")
+        cold = oov.build_ngram_index(store, strat)
+        path = tmp_path / os.path.basename(index_file(store))
+        valid = path.read_bytes()
+        with np.load(path) as archive:
+            indptr, post, count = archive["indptr"], archive["post"], archive["count"]
+            alphabet = archive["alphabet"]
+        if spoil == "truncated":
+            path.write_bytes(valid[: len(valid) // 2])
+        elif spoil == "foreign zip":
+            path.unlink()
+            np.savez(path, indptr=indptr)
+        elif spoil == "pickled":
+            rewrite_archive(path, post=np.array([Tripwire()], dtype=object))
+        elif spoil == "version":
+            rewrite_archive(path, version=np.array([999], dtype=np.int64))
+        elif spoil == "pair":
+            rewrite_archive(path, ngrams=np.array([2, 4], dtype=np.int64))
+        elif spoil == "digest":
+            rewrite_archive(path, sha256=np.zeros(32, dtype=np.uint8))
+        elif spoil == "entries":
+            rewrite_archive(path, entries=np.array([4], dtype=np.int64))
+        elif spoil == "indptr start":
+            indptr[0] = 1
+            rewrite_archive(path, indptr=indptr)
+        elif spoil == "indptr end":
+            indptr[-1] -= 1
+            rewrite_archive(path, indptr=indptr)
+        elif spoil == "decreasing indptr":
+            indptr[1] = indptr[2] + 1
+            rewrite_archive(path, indptr=indptr)
+        elif spoil == "post above range":
+            post[0] = len(tokens)
+            rewrite_archive(path, post=post)
+        elif spoil == "post below zero":
+            post[0] = -1
+            rewrite_archive(path, post=post)
+        elif spoil == "count":
+            count[0] += 1
+            rewrite_archive(path, count=count)
+        elif spoil == "int32 post":
+            rewrite_archive(path, post=post.astype(np.int32))
+        elif spoil == "2-D post":
+            rewrite_archive(path, post=post.reshape(-1, 1))
+        elif spoil == "int64 alphabet":
+            rewrite_archive(path, alphabet=alphabet.astype(np.int64))
+        elif spoil == "keys length":
+            rewrite_archive(path, keys6=np.zeros(0, dtype=np.int64))
+        assert path.read_bytes() != valid
+        Tripwire.unpickled.clear()
+        built = []
+        real_init = NgramIndex.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            real_init(self, *args)
+
+        with mock.patch.object(NgramIndex, "__init__", counting_init):
+            index = oov.build_ngram_index(store, strat)
+        assert Tripwire.unpickled == []
+        assert len(built) == 1
+        assert_same_index(index, cold)
+        assert path.read_bytes() == valid
+
+    def test_gram_sizes_get_separate_files(self, tmp_path):
+        store = filed_store(tmp_path, ["bond", "bonds", "swap"])
+        indexes = {}
+        for sizes in [(3, 6), (2, 4)]:
+            indexes[sizes] = oov.build_ngram_index(store, OOVStrategy("ngram", *sizes))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "emb.txt" + oov.INDEX_SUFFIX.format(2, 4),
+            "emb.txt" + oov.INDEX_SUFFIX.format(3, 6),
+        ]
+        with mock.patch.object(NgramIndex, "__init__", refuse_build):
+            for sizes, cold in indexes.items():
+                warm = oov.build_ngram_index(store, OOVStrategy("ngram", *sizes))
+                assert_same_index(warm, cold)
+
+    def test_new_vocabulary_is_indexed_again(self, tmp_path):
+        strat = OOVStrategy("ngram")
+        oov.build_ngram_index(filed_store(tmp_path, ["bond", "swap"]), strat)
+        store = filed_store(tmp_path, ["bond", "swaps"])
+        index = oov.build_ngram_index(store, strat)
+        assert_same_index(index, NgramIndex(store.vocab))
+        with mock.patch.object(NgramIndex, "__init__", refuse_build):
+            assert_same_index(oov.build_ngram_index(store, strat), index)
+
+    @pytest.mark.parametrize("variant", ["zero", "levenshtein"])
+    def test_other_variants_touch_no_file(self, tmp_path, variant):
+        store = filed_store(tmp_path, ["bond", "swap"])
+        strat = OOVStrategy(variant)
+        for token in ["bonds", "swaps", "qq"]:
+            strat.resolve(token, store)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_store_without_path_is_indexed_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = make_store(["bond", "swap"])
+        assert store.path is None
+        assert OOVStrategy("ngram").resolve("bonds", store) == "bond"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["pipe", "file"])
+    def test_dev_stdin(self, tmp_path, source):
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin on this platform")
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\nbond 1 0\nswap 0 1\n", encoding="utf-8")
+        code = (
+            "from finhyp.embeddings import load_embeddings\n"
+            "from finhyp.oov import OOVStrategy\n"
+            "store = load_embeddings('/dev/stdin')\n"
+            "print(store.path, OOVStrategy('ngram').resolve('bonds', store))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(oov.__file__)))
+        with open(path, "rb") as stdin:
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                stdin=stdin if source == "file" else None,
+                input=None if source == "file" else path.read_bytes(),
+                capture_output=True,
+                cwd=tmp_path,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == 0, proc.stderr
+        cached = "emb.txt" + oov.INDEX_SUFFIX.format(3, 6)
+        assert not os.path.exists("/dev/stdin" + oov.INDEX_SUFFIX.format(3, 6))
+        # A pipe is indexed in memory; a redirected file caches beside itself.
+        if source == "pipe":
+            assert proc.stdout == b"None bond\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+        else:
+            assert proc.stdout == f"{os.path.realpath(path)} bond\n".encode()
+            assert (tmp_path / cached).exists()

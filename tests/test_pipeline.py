@@ -1,13 +1,16 @@
 """End-to-end pipeline runs against small synthetic datasets."""
 import dataclasses
+import errno
 import hashlib
 import json
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from finhyp import embeddings
+from finhyp import embeddings, oov
 from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
 from finhyp.model import save_model
@@ -124,6 +127,8 @@ class TestConfig:
             PipelineConfig(ngram_min=5, ngram_max=3)
         with pytest.raises(ValueError):
             PipelineConfig(min_match_score=1.5)
+        with pytest.raises(ValueError, match="out_dir must not be empty"):
+            PipelineConfig(out_dir="")
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(DataError, match="unknown config keys: typo"):
@@ -542,6 +547,48 @@ class TestStoreSidecar:
             assert cold and cold == (tmp_path / "warm" / name).read_bytes()
 
 
+INDEX_3_6 = "embeddings.txt" + oov.INDEX_SUFFIX.format(3, 6)
+
+
+class TestNgramIndexCache:
+    def test_only_ngram_runs_write_the_index(self, tmp_path):
+        data_dir = tmp_path / "data"
+        write_dataset(generate(3, 36, seed=7, dim=8, typo_rate=0.3), data_dir)
+        terms = data_dir / "terms.csv"
+        run_cv(apply_preset(base_cfg(data_dir, tmp_path / "zero"), "BL"), terms)
+        lev = apply_preset(base_cfg(data_dir, tmp_path / "lev"), "BL.HF.OOVl.D2")
+        run_cv(lev, terms)
+        run_inspect_oov(lev, terms)
+        assert "->" in (tmp_path / "lev" / "oov.txt").read_text()
+        assert not (data_dir / INDEX_3_6).exists()
+        run_inspect_oov(apply_preset(base_cfg(data_dir, tmp_path / "m"), "BL.HF.OOVm.D2"), terms)
+        assert (data_dir / INDEX_3_6).exists()
+
+    def test_unwritable_store_directory(self, tmp_path, monkeypatch):
+        # mkstemp fails in the store's directory as it does in a read-only
+        # one for a user without write permission there.
+        data_dir = tmp_path / "data"
+        write_dataset(generate(3, 36, seed=7, dim=8, typo_rate=0.3), data_dir)
+        terms = data_dir / "terms.csv"
+        cfg = apply_preset(base_cfg(data_dir, tmp_path / "free"), "BL.HF.OOVm.D2")
+        run_inspect_oov(cfg, terms)
+        free = (tmp_path / "free" / "oov.txt").read_bytes()
+        for name in os.listdir(data_dir):
+            if name not in ("terms.csv", "embeddings.txt"):
+                os.unlink(data_dir / name)
+        real_mkstemp = tempfile.mkstemp
+
+        def mkstemp(*args, dir=None, **kwargs):
+            if os.path.samefile(dir, data_dir):
+                raise PermissionError(errno.EACCES, "Permission denied", dir)
+            return real_mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        run = run_inspect_oov(dataclasses.replace(cfg, out_dir=str(tmp_path / "ro")), terms)
+        assert sorted(os.listdir(data_dir)) == ["embeddings.txt", "terms.csv"]
+        assert open(run.path, "rb").read() == free
+
+
 class TestInspectOov:
     def make_inputs(self, tmp_path):
         store = EmbeddingStore(
@@ -800,5 +847,67 @@ class TestPinnedArtifacts:
     def test_augmented_preset_artifacts(self, tmp_path):
         digests, top3 = pinned_run(tmp_path)
         assert digests == self.DIGESTS
+        top3_json = json.dumps(top3).encode("utf-8")
+        assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
+
+
+def ngram_run(data_dir, out):
+    """Every artifact, by name, of one small BL.HF.OOVm.D2 run: cross-
+    validation, OOV inspection, then train and predict on the same rows.
+    The store is written to data_dir, so its n-gram index cache is warm on a
+    second run over the same data_dir."""
+    data = generate(5, 75, seed=13, dim=8, sigma=1.2, typo_rate=0.3)
+    csv_path, emb_path = write_dataset(data, data_dir)
+    cfg = apply_preset(
+        PipelineConfig(embedding_path=emb_path, c_grid=(0.1, 1.0), folds=3, seed=2),
+        "BL.HF.OOVm.D2",
+    )
+
+    def at(name):
+        return dataclasses.replace(cfg, out_dir=str(out / name))
+
+    cv = run_cv(at("cv"), csv_path)
+    paths = {
+        name: cv.paths[name.replace(".", "_")]
+        for name in ("report.txt", "report.json", "grid.json", "folds.json")
+    }
+    paths["oov.txt"] = run_inspect_oov(at("oov"), csv_path).path
+    train = run_train(at("model"), csv_path)
+    paths["model.txt"] = train.paths["model"]
+    paths["frontend.json"] = train.paths["frontend"]
+    paths["predictions.jsonl"] = run_predict(at("pred"), str(out / "model"), csv_path).path
+    return {name: open(path, "rb").read() for name, path in paths.items()}
+
+
+def refuse_index_build(*args):
+    raise AssertionError("the n-gram index was built")
+
+
+class TestPinnedNgramIndexArtifacts:
+    """A BL.HF.OOVm.D2 run writes the same bytes with a cold n-gram index
+    cache and a warm one. The counts-based artifacts and the top-3 lists
+    are pinned as well; model.txt and the probabilities are compared
+    between the two runs only, as they hold BLAS-dependent bits."""
+
+    DIGESTS = {
+        "report.txt": "60a48f9fe7a99c78372cd479eb302c7a90ee92bac048ec133dad0f33ab9a2c8c",
+        "report.json": "d38ec9189e09667c8f3e937d4f5df7975281aca6a03c3c857940a082e0cef661",
+        "grid.json": "c240628ae3dddd3d96c81d2e5ffd44519ffe81fb35856436212ad676d4e541e5",
+        "folds.json": "02a6b0279e502f18cb03c0868be11aacdf1a080144a7b1efcecdeb95804f9ab8",
+        "oov.txt": "52894a9fa040a1220b61dfe71510d431cde73bc8d3dfd08fc5dd92f0e7135004",
+    }
+    TOP3_DIGEST = "110910cf96006aba61cd12ffab19460fc8944770f5b21f65fd8cacf96671ea8c"
+
+    def test_cold_and_warm_index(self, tmp_path):
+        data_dir = tmp_path / "data"
+        runs = {"cold": ngram_run(data_dir, tmp_path / "cold")}
+        assert (data_dir / INDEX_3_6).exists()
+        with mock.patch.object(oov.NgramIndex, "__init__", refuse_index_build):
+            runs["warm"] = ngram_run(data_dir, tmp_path / "warm")
+        assert runs["cold"] == runs["warm"]
+        arts = runs["warm"]
+        digests = {name: hashlib.sha256(arts[name]).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS
+        top3 = [json.loads(line)["top3"] for line in arts["predictions.jsonl"].splitlines()]
         top3_json = json.dumps(top3).encode("utf-8")
         assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
