@@ -48,7 +48,6 @@ from .features import (
     MinMaxScaler,
     assemble_features,
     build_features,
-    feature_width,
     handcrafted,
 )
 from .model import (

@@ -117,10 +117,9 @@ class AugmentedTerm:
 
 
 def augment_one(
-    term, ddict: DefinitionDict, min_score: float = DEFAULT_MIN_SCORE
+    raw: str, ddict: DefinitionDict, min_score: float = DEFAULT_MIN_SCORE
 ) -> AugmentedTerm:
-    """Augment a raw term string (or re-augment an AugmentedTerm by its raw)."""
-    raw = term.raw if isinstance(term, AugmentedTerm) else term
+    """Augment a raw term string."""
     head = match_term(raw, ddict, min_score)
     if head is None:
         return AugmentedTerm(raw, None, None, raw)

@@ -116,9 +116,10 @@ def _config(args) -> PipelineConfig:
         overrides["embedding_path"] = args.embeddings
     if args.snapshot:
         overrides["snapshot_path"] = args.snapshot
-    env_url = os.environ.get(FETCHER_URL_ENV)
-    if env_url:
-        overrides["fetcher_base_url"] = env_url
+    # the fetcher URL: --base-url, else the environment, else the config
+    url = getattr(args, "base_url", None) or os.environ.get(FETCHER_URL_ENV)
+    if url:
+        overrides["fetcher_base_url"] = url
     if not overrides:
         return cfg
     try:
@@ -154,10 +155,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_augment_fetch(args) -> int:
-    cfg = _config(args)
-    snapshot, entries, failures = run_augment_fetch(
-        cfg, args.terms, args.base_url or ""
-    )
+    snapshot, entries, failures = run_augment_fetch(_config(args), args.terms)
     print(f"fetched {entries} definitions, {failures} failures")
     print(f"wrote: {snapshot}")
     return 0

@@ -223,20 +223,17 @@ class PackedWords:
             at += size * length
 
 
-def nearest(query: str, candidates) -> tuple[int, int]:
-    """Index and distance of the candidate closest to ``query``.
+def nearest(query: str, candidates: PackedWords) -> tuple[int, int]:
+    """Index and distance of the word of ``candidates`` closest to ``query``.
 
-    Ties go to the shorter candidate, then the lexicographically smaller
-    one, then the earlier position. Raises ValueError on an empty list.
-    ``candidates`` is a sequence of strings, packed on the spot, or a
-    ``PackedWords`` kept for repeated scans of one list.
+    Ties go to the shorter word, then the lexicographically smaller one,
+    then the earlier position. Raises ValueError on an empty list. A list
+    is packed once, as ``PackedWords``, and the pack kept for every scan.
 
     Length groups are scanned in order of |length - len(query)|, which
     bounds each group's distances from below; the scan stops once that gap
     exceeds the best distance found.
     """
-    if not isinstance(candidates, PackedWords):
-        candidates = PackedWords(candidates)
     words = candidates.words
     if not words:
         raise ValueError("empty candidate list")

@@ -140,10 +140,10 @@ class MinMaxScaler:
         return self.mins.shape[0]
 
     def transform(self, matrix) -> np.ndarray:
+        """The rows of a 2-D matrix mapped by the fitted columns."""
         matrix = np.asarray(matrix, dtype=np.float64)
-        one_row = matrix.ndim == 1
-        if one_row:
-            matrix = matrix[None, :]
+        if matrix.ndim != 2:
+            raise ValueError("transform requires a 2-D matrix")
         if matrix.shape[1] != self.n_features:
             raise ValueError(
                 f"column count {matrix.shape[1]} != fitted {self.n_features}"
@@ -152,10 +152,7 @@ class MinMaxScaler:
         safe = span > 0
         out = np.zeros_like(matrix)
         out[:, safe] = -1.0 + 2.0 * (matrix[:, safe] - self.mins[safe]) / span[safe]
-        return out[0] if one_row else out
-
-    def fit_transform(self, matrix) -> np.ndarray:
-        return self.fit(matrix).transform(matrix)
+        return out
 
     def state(self) -> dict:
         """JSON-safe fitted parameters; from_state() restores them exactly."""
@@ -180,17 +177,6 @@ class FeatureConfig:
     handcrafted: HandcraftedConfig | None = None
     cosine: bool = False
     edit: bool = False
-
-
-def feature_width(dim: int, n_labels: int, fcfg: FeatureConfig) -> int:
-    width = dim
-    if fcfg.handcrafted is not None:
-        width += HANDCRAFTED_WIDTH
-    if fcfg.cosine:
-        width += n_labels
-    if fcfg.edit:
-        width += n_labels
-    return width
 
 
 def assemble_features(

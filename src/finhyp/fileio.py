@@ -43,10 +43,10 @@ def atomic_open(path, binary: bool = False):
         raise
 
 
-def atomic_write(path, data: str | bytes) -> None:
-    """Write text or bytes to path through atomic_open."""
-    with atomic_open(path, binary=not isinstance(data, str)) as fh:
-        fh.write(data)
+def atomic_write(path, text: str) -> None:
+    """Write text to path through atomic_open, as UTF-8 with LF newlines."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def atomic_savez(path, arrays: dict) -> None:

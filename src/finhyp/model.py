@@ -12,9 +12,9 @@ Nocedal & Wright, Numerical Optimization, ch. 7): the two-loop recursion
 over the last MEMORY curvature pairs, keeping a pair only when s'y > 0.
 Each step is found by backtracking (halving, Armijo constant 1e-4) with
 trial points scored by ``loss_value`` alone; ``loss_and_grad`` runs only
-at accepted points. A fit also stops, as not converged, once backtracking
-shrinks the decrease a step promises below float64 resolution of the loss
-(STALL).
+at accepted points. A fit also stops, as not converged, after MAX_ITER
+iterations or once backtracking shrinks the decrease a step promises below
+float64 resolution of the loss (STALL).
 """
 from __future__ import annotations
 
@@ -29,13 +29,13 @@ from .fileio import atomic_write
 ARMIJO = 1e-4
 MEMORY = 10  # L-BFGS curvature pairs kept
 STALL = 1e-15  # relative loss change below which a step cannot register
+MAX_ITER = 1000  # L-BFGS iterations before a fit stops, not converged
 MODEL_MAGIC = "finhyp-logreg v1"
 
 
 @dataclass
 class TrainConfig:
     c_grid: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
-    max_iter: int = 1000
     grad_tol: float = 1e-6
     folds: int = 5
     seed: int = 0
@@ -161,7 +161,7 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
     """Minimize the regularized log-loss by L-BFGS from a zero start.
 
     Stops, converged, when the gradient infinity-norm drops to
-    cfg.grad_tol. Stops, not converged, after cfg.max_iter iterations, or
+    cfg.grad_tol. Stops, not converged, after MAX_ITER iterations, or
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
     model records iterations, grad_max and converged. Identical inputs
@@ -190,7 +190,7 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
     loss, g = value_and_grad(theta)
     memory: deque = deque(maxlen=MEMORY)
     iterations = 0
-    while iterations < cfg.max_iter and np.abs(g).max() > cfg.grad_tol:
+    while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
         p = _lbfgs_direction(g, memory)
         slope = float(g @ p)
         if slope >= 0:
@@ -320,6 +320,7 @@ def save_model(model: LogRegModel, path) -> None:
 
 
 def load_model(path) -> LogRegModel:
+    """The model that model_text wrote to path; ValueError on any other file."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
@@ -328,26 +329,25 @@ def load_model(path) -> LogRegModel:
         c = float(lines[1].split(" ", 1)[1])
         dim = int(lines[2].split(" ", 1)[1])
         k = int(lines[3].split(" ", 1)[1])
-        labels = []
-        pos = 4
-        for _ in range(k):
-            if not lines[pos].startswith("label "):
-                raise ValueError(f"model file corrupt at line {pos + 1}")
-            labels.append(lines[pos][len("label ") :])
-            pos += 1
-        if lines[pos] != "W":
-            raise ValueError("model file corrupt: missing W section")
-        pos += 1
-        weights = np.array(
-            [[float(v) for v in lines[pos + i].split()] for i in range(k)]
-        )
-        pos += k
-        if lines[pos] != "b":
-            raise ValueError("model file corrupt: missing b section")
-        bias = np.array([float(v) for v in lines[pos + 1].split()])
     except (IndexError, ValueError) as exc:
-        if isinstance(exc, ValueError) and "corrupt" in str(exc):
-            raise
+        raise ValueError(f"model file corrupt: {exc}") from exc
+    # k label lines, "W", k weight rows, "b", the bias row
+    if len(lines) < 2 * k + 7:
+        raise ValueError("model file corrupt: truncated")
+    for pos in range(4, 4 + k):
+        if not lines[pos].startswith("label "):
+            raise ValueError(f"model file corrupt at line {pos + 1}")
+    if lines[4 + k] != "W":
+        raise ValueError("model file corrupt: missing W section")
+    if lines[5 + 2 * k] != "b":
+        raise ValueError("model file corrupt: missing b section")
+    labels = [line[len("label ") :] for line in lines[4 : 4 + k]]
+    try:
+        weights = np.array(
+            [[float(v) for v in line.split()] for line in lines[5 + k : 5 + 2 * k]]
+        )
+        bias = np.array([float(v) for v in lines[6 + 2 * k].split()])
+    except ValueError as exc:
         raise ValueError(f"model file corrupt: {exc}") from exc
     if weights.shape != (k, dim) or bias.shape != (k,):
         raise ValueError("model file corrupt: shape mismatch")

@@ -27,8 +27,6 @@ from .distance import _alphabet, _find, codes
 from .embeddings import EmbeddingStore
 from .fileio import atomic_savez
 
-levenshtein = distance.levenshtein
-
 VARIANTS = ("zero", "levenshtein", "ngram")
 
 INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
@@ -240,21 +238,6 @@ def _write_index(path, digest: bytes, index: NgramIndex) -> None:
         pass
 
 
-def resolve_levenshtein(token: str, store: EmbeddingStore, vocab=None) -> str:
-    """Vocabulary word at minimal edit distance from the lowercased token.
-
-    Ties go to the shorter word, then the lexicographically smaller one.
-    ``vocab`` is ``store.vocab_lower`` packed as a ``distance.PackedWords``,
-    when the caller keeps one for repeated scans.
-    """
-    if len(store) == 0:
-        raise ValueError("empty vocabulary")
-    i, _ = distance.nearest(
-        token.lower(), store.vocab_lower if vocab is None else vocab
-    )
-    return store.vocab[i]
-
-
 def best_ngram_match(text: str, index: NgramIndex):
     """Entry sharing the most n-gram mass with text, as (entry_id, jaccard).
 
@@ -278,7 +261,7 @@ def best_ngram_match(text: str, index: NgramIndex):
     best = min(
         ids[scores == best_score].tolist(),
         key=lambda i: (
-            levenshtein(low, index.entries_lower[i]),
+            distance.levenshtein(low, index.entries_lower[i]),
             len(index.entries_lower[i]),
             index.entries_lower[i],
         ),
@@ -286,23 +269,16 @@ def best_ngram_match(text: str, index: NgramIndex):
     return best, best_score
 
 
-def resolve_ngram(token: str, index: NgramIndex, store: EmbeddingStore) -> str:
-    """Best n-gram Jaccard match from the vocabulary, falling back to the
-    nearest-edit-distance word when no n-gram is shared."""
-    if len(store) == 0:
-        raise ValueError("empty vocabulary")
-    match = best_ngram_match(token, index)
-    if match is None:
-        return resolve_levenshtein(token, store)
-    return store.vocab[match[0]]
-
-
 @dataclass
 class OOVStrategy:
-    """Configured OOV behaviour, bound lazily to a store.
+    """Configured OOV behaviour, bound lazily to a store; the package's only
+    OOV resolver. ``levenshtein`` substitutes the vocabulary word nearest the
+    lowercased token by edit distance (``distance.nearest``), ``ngram`` the
+    best n-gram match (``best_ngram_match``), or that word when none exists.
 
     The n-gram index and the per-token memo are set up anew whenever the
-    strategy is used against a different store. The index comes from
+    strategy is used against a different store; binding to an empty store
+    raises ValueError, before any index is built. The index comes from
     ``build_ngram_index``: for a store loaded from a file (``store.path``
     set) it is read from the cache beside that file when valid, and built
     and cached otherwise; a pipe or in-memory store is indexed in memory.
@@ -338,6 +314,8 @@ class OOVStrategy:
         if self.variant == "zero":
             return None
         if store is not self._store:
+            if len(store) == 0:
+                raise ValueError("empty vocabulary")
             self._store = store
             self._memo = {}
             self._vocab = None
@@ -352,6 +330,6 @@ class OOVStrategy:
         else:
             if self._vocab is None:
                 self._vocab = distance.PackedWords(store.vocab_lower)
-            sub = resolve_levenshtein(token, store, self._vocab)
+            sub = store.vocab[distance.nearest(token.lower(), self._vocab)[0]]
         self._memo[token] = sub
         return sub

@@ -305,6 +305,9 @@ def _inputs(cfg: PipelineConfig, terms):
     """The embedding store, the OOV resolver, the texts that get embedded
     and measured, and augmentation coverage (None when augmentation is off)."""
     store = _load_store(cfg.embedding_path)
+    if len(store) == 0 and cfg.oov_strategy != "zero":
+        msg = f"empty store; OOV strategy {cfg.oov_strategy!r} needs a vocabulary"
+        raise DataError(f"{cfg.embedding_path}: {msg}")
     resolver = OOVStrategy(cfg.oov_strategy, cfg.ngram_min, cfg.ngram_max)
     if not cfg.augment:
         return store, resolver, list(terms), None
@@ -560,16 +563,15 @@ def run_augment_apply(cfg: PipelineConfig, dataset_path):
     return _write_out(cfg, "augmented.csv", buf.getvalue()), coverage
 
 
-def run_augment_fetch(cfg: PipelineConfig, terms_path, base_url: str = ""):
-    """Fetch definitions for every term into a snapshot file;
-    returns (snapshot path, entry count, failure count)."""
+def run_augment_fetch(cfg: PipelineConfig, terms_path):
+    """Fetch definitions for every term from cfg.fetcher_base_url into a
+    snapshot file; returns (snapshot path, entry count, failure count)."""
     terms, _ = load_terms(terms_path)
-    url = base_url or cfg.fetcher_base_url
-    if not url:
+    if not cfg.fetcher_base_url:
         raise DataError("no fetcher base URL configured")
     fetcher = HttpFetcher(
         FetcherConfig(
-            base_url=url,
+            base_url=cfg.fetcher_base_url,
             timeout=cfg.fetcher_timeout,
             rate_limit=cfg.fetcher_rate_limit,
             user_agent=cfg.fetcher_user_agent,

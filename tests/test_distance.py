@@ -32,10 +32,15 @@ class _NumpyKernels:
         return nearest(query, PackedWords(candidates))
 
 
-# "python": the module's API on plain values, that is the pure-Python pair DP
-# and ``nearest`` packing the candidate list on the spot.
+class _PythonKernels:
+    """The pure-Python pair DP, and ``nearest`` over a fresh pack of the list."""
+
+    levenshtein = staticmethod(levenshtein)
+    nearest = staticmethod(_NumpyKernels.nearest)
+
+
 BACKENDS = [
-    pytest.param(distance, id="python"),
+    pytest.param(_PythonKernels, id="python"),
     pytest.param(_NumpyKernels, id="numpy"),
 ]
 
@@ -208,10 +213,11 @@ class TestNumpyKernels:
         cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),
     )
     def test_packed_nearest_matches_plain_list(self, queries, cands):
-        # one pack serves every scan, as OOVStrategy keeps it per store
+        # one pack serves every scan, as OOVStrategy keeps it per store, and
+        # answers as a fresh pack of the list does for each query
         packed = PackedWords(cands)
         assert [nearest(q, packed) for q in queries] == [
-            nearest(q, cands) for q in queries
+            nearest(q, PackedWords(cands)) for q in queries
         ]
 
     @given(
@@ -279,12 +285,13 @@ class TestWordBoundary:
 
         monkeypatch.setattr(distance, "_last_row", counting)
         texts = ["a" * 70, "ab", ""]
+        packed = PackedWords(texts)
         levenshtein_matrix(texts, ["", "a", "b" * 64])
-        nearest("a", texts)
-        nearest("b" * 64, texts)
+        nearest("a", packed)
+        nearest("b" * 64, packed)
         assert calls == []
         levenshtein_matrix(texts, ["b" * 64, "a" * 65])
-        nearest("a" * 65, texts)
+        nearest("a" * 65, packed)
         assert calls == [65, 65]
 
 
@@ -293,4 +300,4 @@ def test_backend_is_python():
     # to compare results recorded under different values.
     assert BACKEND == "python"
     assert levenshtein("kitten", "sitting") == 3
-    assert nearest("kitten", ["sitting", "mitten"]) == (1, 1)
+    assert nearest("kitten", PackedWords(["sitting", "mitten"])) == (1, 1)

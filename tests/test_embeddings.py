@@ -30,7 +30,7 @@ from finhyp.embeddings import (
     lookup,
     save_embeddings,
 )
-from finhyp.fileio import atomic_write
+from finhyp.fileio import atomic_open, atomic_write
 from finhyp.oov import OOVStrategy
 
 from conftest import Tripwire, rewrite_archive
@@ -536,7 +536,8 @@ class TestAtomicWrite:
         path = tmp_path / "f"
         atomic_write(path, "a\r\nb\né\n")
         assert path.read_bytes() == "a\r\nb\né\n".encode("utf-8")
-        atomic_write(path, b"\x00\xff\r\n")
+        with atomic_open(path, binary=True) as fh:
+            fh.write(b"\x00\xff\r\n")
         assert path.read_bytes() == b"\x00\xff\r\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
@@ -549,7 +550,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError):
-            atomic_write(path, b"new")
+            atomic_write(path, "new")
         assert path.read_bytes() == b"old"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 

@@ -17,7 +17,6 @@ from finhyp.features import (
     build_features,
     cosine_features,
     edit_features,
-    feature_width,
     handcrafted,
 )
 
@@ -194,18 +193,22 @@ class TestDistanceFeatures:
 class TestMinMaxScaler:
     def test_maps_to_unit_interval(self):
         X = np.array([[5.0, -1.0], [10.0, 3.0]])
-        scaled = MinMaxScaler().fit_transform(X)
+        scaled = MinMaxScaler().fit(X).transform(X)
         assert scaled.tolist() == [[-1.0, -1.0], [1.0, 1.0]]
 
     def test_constant_column_zero(self):
         X = np.array([[2.0, 1.0], [2.0, 3.0]])
-        scaled = MinMaxScaler().fit_transform(X)
+        scaled = MinMaxScaler().fit(X).transform(X)
         assert scaled[:, 0].tolist() == [0.0, 0.0]
 
     def test_out_of_range_not_clipped(self):
         scaler = MinMaxScaler().fit(np.array([[5.0], [10.0]]))
-        assert scaler.transform(np.array([15.0])).tolist() == [3.0]
-        assert scaler.transform(np.array([0.0])).tolist() == [-3.0]
+        assert scaler.transform(np.array([[15.0], [0.0]])).tolist() == [[3.0], [-3.0]]
+
+    def test_one_dimensional_input_rejected(self):
+        scaler = MinMaxScaler().fit(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            scaler.transform(np.zeros(3))
 
     def test_column_mismatch(self):
         scaler = MinMaxScaler().fit(np.zeros((2, 3)))
@@ -232,7 +235,7 @@ class TestMinMaxScaler:
         )
     )
     def test_training_cells_always_in_range(self, X):
-        scaled = MinMaxScaler().fit_transform(X)
+        scaled = MinMaxScaler().fit(X).transform(X)
         assert np.all(scaled >= -1.0) and np.all(scaled <= 1.0)
 
 
@@ -247,10 +250,18 @@ class TestAssembly:
         self.labels = LabelSet.build(["bond", "option"], self.store)
 
     def test_feature_width_accounting(self):
-        assert feature_width(300, 17, ALL_ON) == 300 + 10 + 17 + 17
-        off = FeatureConfig(handcrafted=None, cosine=False, edit=False)
-        assert feature_width(300, 17, off) == 300
-        assert feature_width(32, 5, FeatureConfig(HandcraftedConfig(), False, True)) == 47
+        words = ["bond", "swap", "option", "future", "index"]
+        store = EmbeddingStore(words, np.random.default_rng(0).normal(size=(5, 32)))
+        labels = LabelSet.build(words, store)
+
+        def width(fcfg):
+            return assemble_features(
+                ["Bond Inc."], ["bond"], store, None, labels, fcfg
+            ).shape[1]
+
+        assert width(ALL_ON) == 32 + 10 + 5 + 5
+        assert width(FeatureConfig(handcrafted=None, cosine=False, edit=False)) == 32
+        assert width(FeatureConfig(HandcraftedConfig(), False, True)) == 47
 
     def test_block_layout(self):
         X = assemble_features(
@@ -285,7 +296,9 @@ class TestAssembly:
             FeatureConfig(None, False, True),
         ):
             X = assemble_features(raw, texts, store, None, labels, fcfg)
-            assert X.shape == (4, feature_width(5, 3, fcfg))
+            hand = 10 if fcfg.handcrafted is not None else 0
+            width = 5 + hand + 3 * (fcfg.cosine + fcfg.edit)
+            assert X.shape == (4, width)
             for i in range(4):
                 one = assemble_features([raw[i]], [texts[i]], store, None, labels, fcfg)
                 assert X[i].tobytes() == one[0].tobytes()

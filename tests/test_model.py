@@ -121,7 +121,7 @@ class TestTrain:
         cfg = TrainConfig()
         m = train(X, y, tuple(f"k{i}" for i in range(17)), 10.0, cfg)
         assert m.converged
-        assert 0 < m.iterations < cfg.max_iter
+        assert 0 < m.iterations < model_mod.MAX_ITER
         _, gw, gb = loss_and_grad(m.weights, m.bias, X, y, 10.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
         assert m.grad_max <= cfg.grad_tol
@@ -144,7 +144,7 @@ class TestTrain:
         cfg = TrainConfig()
         m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
         assert not m.converged
-        assert m.iterations < cfg.max_iter // 10
+        assert m.iterations < model_mod.MAX_ITER // 10
         assert cfg.grad_tol < m.grad_max < 1e-3
         assert len(losses) == m.iterations + 1
         assert np.all(np.diff(losses) <= 0)
@@ -293,6 +293,32 @@ class TestPersistence:
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:5]) + "\n")
         with pytest.raises(ValueError):
+            load_model(p)
+
+
+    @pytest.mark.parametrize("token", ["corrupt", "broken"])
+    def test_bad_weight_is_corrupt_whatever_its_text(self, tmp_path, token):
+        m, _ = self.train_small()
+        p = tmp_path / "m.txt"
+        save_model(m, p)
+        lines = p.read_text().splitlines()
+        w = lines.index("W")
+        lines[w + 1] = lines[w + 1].split(" ", 1)[0] + " " + token
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^model file corrupt: .*'{token}'"):
+            load_model(p)
+
+    def test_structural_errors_are_not_wrapped(self, tmp_path):
+        m, _ = self.train_small()
+        p = tmp_path / "m.txt"
+        save_model(m, p)
+        lines = p.read_text().splitlines()
+        p.write_text("\n".join(lines).replace("\nW\n", "\nX\n") + "\n")
+        with pytest.raises(ValueError, match="^model file corrupt: missing W section$"):
+            load_model(p)
+        lines[4] = "name alpha"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="^model file corrupt at line 5$"):
             load_model(p)
 
 

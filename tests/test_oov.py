@@ -19,8 +19,6 @@ from finhyp.oov import (
     OOVStrategy,
     best_ngram_match,
     char_ngrams,
-    resolve_levenshtein,
-    resolve_ngram,
 )
 
 from conftest import Tripwire, make_store, rewrite_archive
@@ -101,6 +99,10 @@ class TestCharNgrams:
             assert g in text
 
 
+def resolve_levenshtein(token, store):
+    return OOVStrategy("levenshtein").resolve(token, store)
+
+
 class TestResolveLevenshtein:
     def test_fixture_from_error_analysis(self):
         store = make_store(["corporate", "bond", "swap"])
@@ -169,13 +171,13 @@ class TestNgramMatch:
 
     def test_resolver_falls_back_to_levenshtein(self):
         store = make_store(["swap", "bond"])
-        index = NgramIndex(store.vocab)
-        assert resolve_ngram("xy", index, store) == resolve_levenshtein("xy", store)
+        assert best_ngram_match("xy", NgramIndex(store.vocab)) is None
+        got = OOVStrategy("ngram").resolve("xy", store)
+        assert got == resolve_levenshtein("xy", store)
 
     def test_resolver_prefers_shared_grams(self):
         store = make_store(["corporate", "swap"])
-        index = NgramIndex(store.vocab)
-        assert resolve_ngram("corporates", index, store) == "corporate"
+        assert OOVStrategy("ngram").resolve("corporates", store) == "corporate"
 
     def test_tie_breaks_deterministic(self):
         # same Jaccard against both entries; levenshtein prefers "abcde"
@@ -237,6 +239,19 @@ class TestOOVStrategy:
 
     def test_zero_returns_none(self, toy_store):
         assert OOVStrategy("zero").resolve("anything", toy_store) is None
+
+    def test_empty_store_raises_before_indexing(self, monkeypatch):
+        def refuse(store, strategy):
+            raise AssertionError("index built for an empty store")
+
+        monkeypatch.setattr(oov, "build_ngram_index", refuse)
+        empty = EmbeddingStore([], np.zeros((0, 3)))
+        assert OOVStrategy("zero").resolve("x", empty) is None
+        for variant in ("levenshtein", "ngram"):
+            strat = OOVStrategy(variant)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="empty vocabulary"):
+                    strat.resolve("x", empty)
 
     def test_in_vocab_token_resolves_to_itself(self, toy_store):
         for variant in ("zero", "levenshtein", "ngram"):
@@ -321,7 +336,11 @@ class TestOOVStrategy:
         strat = OOVStrategy("ngram")
         sub = strat.resolve(token, store)
         assert sub in store.vocab
-        assert sub == resolve_ngram(token, NgramIndex(store.vocab), store)
+        match = best_ngram_match(token, NgramIndex(store.vocab))
+        if match is None:
+            assert sub == resolve_levenshtein(token, store)
+        else:
+            assert sub == store.vocab[match[0]]
 
 
 def index_file(store, sizes=(3, 6)):

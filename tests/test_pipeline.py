@@ -723,25 +723,6 @@ class TestAugmentRuns:
             "swap": "A swap definition."
         }
 
-    def test_flag_overrides_config_url(self, tmp_path, monkeypatch):
-        csv_path = tmp_path / "d.csv"
-        csv_path.write_text("term\nswap\n")
-        seen = {}
-
-        class StubFetcher:
-            def __init__(self, cfg):
-                seen["url"] = cfg.base_url
-
-            def __call__(self, term):
-                return None
-
-        monkeypatch.setattr("finhyp.pipeline.HttpFetcher", StubFetcher)
-        cfg = PipelineConfig(
-            out_dir=str(tmp_path), fetcher_base_url="http://config.test"
-        )
-        run_augment_fetch(cfg, csv_path, base_url="http://flag.test")
-        assert seen["url"] == "http://flag.test"
-
 
 class TestAugmentedCv:
     def test_empty_snapshot_equals_plain(self, synth_dir, tmp_path):
