@@ -8,12 +8,20 @@ down the last column.
 
 ``levenshtein_matrix`` (the edit-feature block) and ``nearest`` (the OOV
 scans of a vocabulary packed once per store) run it in numpy: each pattern
-of at most 64 characters is one uint64 word, the texts are the vector axis,
-and the loop runs over text positions. Texts are mapped to a dense alphabet
-of small unsigned symbols; a pattern character outside it matches nothing.
-A pattern longer than 64 characters runs a numpy DP over the same symbols
-instead. The scalar ``levenshtein``, for the n-gram tie-breaks, runs the
-algorithm on Python ints, which have no width limit.
+of at most 64 characters is one uint64 word, the texts are the lanes of the
+vector axis, the patterns a second axis, and the loop runs over text
+positions. Texts are mapped to a dense alphabet of small unsigned symbols;
+a pattern character outside it matches nothing. A pattern longer than 64
+characters runs a numpy DP over the same symbols instead. The scalar
+``levenshtein``, for the n-gram tie-breaks, runs the algorithm on Python
+ints, which have no width limit.
+
+``nearest`` takes all of a run's queries at once. It scans the packed
+vocabulary's length groups in rings r = 0, 1, 2, ... of |length - len(query)|,
+and at each ring scans a group once, in one Myers pass whose patterns are
+every open query at that gap. A pass holds at most ``_CHUNK`` lanes x
+patterns; a larger one is split. A bare ``str`` is not a batch of queries,
+and raises TypeError.
 """
 from __future__ import annotations
 
@@ -25,6 +33,9 @@ BACKEND = "python"
 
 # Longest pattern that fits one uint64 word of Myers' algorithm.
 _WORD = 64
+# Most lanes x patterns in one ``nearest`` Myers pass: each of its uint64
+# work arrays then holds at most 8 MiB.
+_CHUNK = 1 << 20
 _ONE = np.uint64(1)
 _PAIRS = np.uint64(0x5555555555555555)
 _NIBBLES = np.uint64(0x3333333333333333)
@@ -223,43 +234,78 @@ class PackedWords:
             at += size * length
 
 
-def nearest(query: str, candidates: PackedWords) -> tuple[int, int]:
-    """Index and distance of the word of ``candidates`` closest to ``query``.
+def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
+    """Index and distance of the word of ``candidates`` closest to each query.
 
     Ties go to the shorter word, then the lexicographically smaller one,
-    then the earlier position. Raises ValueError on an empty list. A list
-    is packed once, as ``PackedWords``, and the pack kept for every scan.
+    then the earlier position. Raises ValueError on an empty list, and
+    TypeError when ``queries`` is one ``str`` rather than a sequence of
+    them. A list is packed once, as ``PackedWords``, and the pack kept for
+    every scan.
 
-    Length groups are scanned in order of |length - len(query)|, which
-    bounds each group's distances from below; the scan stops once that gap
-    exceeds the best distance found.
+    The queries are scanned together, in rings r = 0, 1, 2, ... of
+    |length - len(query)|, which bounds a length group's distances from
+    below. A query leaves the scan once r exceeds its best distance or no
+    group is left at that gap. At each ring, a group is scanned once for all
+    open queries that need it: one Myers pass with those of at most 64
+    characters as its patterns, split so that lanes x patterns stays within
+    ``_CHUNK``, and the DP for each longer one. Duplicate queries are
+    scanned once.
     """
+    if isinstance(queries, str):
+        raise TypeError("queries must be a sequence of str, not a str")
+    queries = list(queries)
     words = candidates.words
     if not words:
         raise ValueError("empty candidate list")
-    lq = len(query)
-    if lq <= _WORD:
-        peq, masks = _peq(candidates.alphabet, [query])
-        peq, mask = peq[:, 0], masks[0]
-    else:
-        row = _dp_row(candidates.alphabet, query)
-    best_i, best_d, best_len = -1, -1, -1
-    for length in sorted(candidates.buckets, key=lambda n: (abs(n - lq), n)):
-        if best_d >= 0 and abs(length - lq) > best_d:
-            break
-        ids, sym_t = candidates.buckets[length]
-        if lq <= _WORD:
-            dist = length + _myers(peq, sym_t, [len(ids)] * length, mask)
-        else:
-            last = _last_row(sym_t.T, row, best_d)
-            if last is None:
-                continue
-            dist = last[:, length]
+    unique = list(dict.fromkeys(queries))
+    lq = np.array([len(q) for q in unique], dtype=np.intp)
+    # A query longer than a word gets an unused placeholder column.
+    peq, masks = _peq(
+        candidates.alphabet, [q if len(q) <= _WORD else "" for q in unique]
+    )
+    rows = {
+        k: _dp_row(candidates.alphabet, unique[k])
+        for k in np.flatnonzero(lq > _WORD).tolist()
+    }
+    lengths = np.array(sorted(candidates.buckets), dtype=np.intp)
+    # the widest gap at which each query has a group left
+    reach = np.maximum(lq - lengths[0], lengths[-1] - lq)
+    best_i = [-1] * len(unique)
+    best_d = np.full(len(unique), -1, dtype=np.int64)
+
+    def keep(k: int, length: int, ids: np.ndarray, dist: np.ndarray) -> None:
+        """Take group length's nearest word for query k if it beats the best."""
         d = int(dist.min())
-        if best_d >= 0 and (d > best_d or (d == best_d and length >= best_len)):
-            continue
-        hits = ids[dist == d].tolist()
+        if best_d[k] >= 0 and (
+            d > best_d[k] or (d == best_d[k] and length >= len(words[best_i[k]]))
+        ):
+            return
         # ids ascend, so min() keeps the earliest of equal words
-        best_i = min(hits, key=words.__getitem__)
-        best_d, best_len = d, length
-    return best_i, best_d
+        best_i[k] = min(ids[dist == d].tolist(), key=words.__getitem__)
+        best_d[k] = d
+
+    r = 0
+    while True:
+        live = (r <= reach) & ((best_d < 0) | (r <= best_d))
+        if not live.any():
+            break
+        at_gap = (np.abs(lq - lengths[:, None]) == r) & live
+        for g in np.flatnonzero(at_gap.any(axis=1)).tolist():
+            length = int(lengths[g])
+            ids, sym_t = candidates.buckets[length]
+            cols = np.flatnonzero(at_gap[g])
+            short = cols[lq[cols] <= _WORD]
+            step = max(1, _CHUNK // len(ids))
+            for at in range(0, len(short), step):
+                part = short[at : at + step]
+                deltas = _myers(peq[:, part], sym_t, [len(ids)] * length, masks[part])
+                for j, k in enumerate(part.tolist()):
+                    keep(k, length, ids, length + deltas[:, j])
+            for k in cols[lq[cols] > _WORD].tolist():
+                last = _last_row(sym_t.T, rows[k], int(best_d[k]))
+                if last is not None:
+                    keep(k, length, ids, last[:, length])
+        r += 1
+    index = {q: k for k, q in enumerate(unique)}
+    return [(best_i[index[q]], int(best_d[index[q]])) for q in queries]

@@ -365,20 +365,32 @@ def save_embeddings(store: EmbeddingStore, path) -> None:
     atomic_write(path, "".join(lines))
 
 
-def lookup(store: EmbeddingStore, token: str, resolver=None):
-    """Vector for one token plus a record of how it was resolved.
+def find(store: EmbeddingStore, token: str) -> int | None:
+    """Row of the store's entry for token, or None when token is OOV.
 
     Exact match first, then lowercase, then both again with edge
     punctuation stripped (the "." that ends a sentence or a definition-
-    augmented term). OOV tokens go, unstripped, to the resolver (an object
-    with .resolve(token, store) -> vocab token or None). A None resolver or
-    a None resolution yields the zero vector.
+    augmented term).
     """
     stripped = token.strip(string.punctuation)
     for candidate in (token, token.lower(), stripped, stripped.lower()):
         i = store._index.get(candidate)
         if i is not None:
-            return store.vectors[i], Resolution(IN_VOCAB, token)
+            return i
+    return None
+
+
+def lookup(store: EmbeddingStore, token: str, resolver=None):
+    """Vector for one token plus a record of how it was resolved.
+
+    An in-vocabulary token is found as ``find`` finds it. OOV tokens go,
+    unstripped, to the resolver (an object with .resolve(token, store) ->
+    vocab token or None). A None resolver or a None resolution yields the
+    zero vector.
+    """
+    i = find(store, token)
+    if i is not None:
+        return store.vectors[i], Resolution(IN_VOCAB, token)
     substitute = resolver.resolve(token, store) if resolver is not None else None
     if substitute is None:
         return np.zeros(store.dim), Resolution(ZERO, token)

@@ -276,10 +276,15 @@ class OOVStrategy:
     lowercased token by edit distance (``distance.nearest``), ``ngram`` the
     best n-gram match (``best_ngram_match``), or that word when none exists.
 
-    The n-gram index and the per-token memo are set up anew whenever the
-    strategy is used against a different store; binding to an empty store
-    raises ValueError, before any index is built. The index comes from
-    ``build_ngram_index``: for a store loaded from a file (``store.path``
+    The per-token memo is filled by ``resolve_all``, which a run calls once
+    with all of its OOV tokens, so that the run's edit-distance scans are
+    one ``distance.nearest`` call; ``resolve`` returns the memo entry and
+    sends a token missing from it through ``resolve_all``. The strategy
+    binds to a store only when some token needs resolving, so a run without
+    OOV tokens builds no index. The n-gram index and the memo are set up
+    anew whenever the strategy binds to a different store; binding to an
+    empty store raises ValueError, before any index is built. The index
+    comes from ``build_ngram_index``: for a store loaded from a file (``store.path``
     set) it is read from the cache beside that file when valid, and built
     and cached otherwise; a pipe or in-memory store is indexed in memory.
     Only the n-gram variant reads or writes that cache. The packed
@@ -313,6 +318,20 @@ class OOVStrategy:
         """Vocabulary substitute for an OOV token, or None for zero-vector."""
         if self.variant == "zero":
             return None
+        if store is not self._store or token not in self._memo:
+            self.resolve_all([token], store)
+        return self._memo[token]
+
+    def resolve_all(self, tokens, store: EmbeddingStore) -> None:
+        """Resolve every OOV token of tokens not resolved yet into the memo:
+        those with an n-gram match one by one, the rest with one
+        ``distance.nearest`` call over their lowercased forms."""
+        if self.variant == "zero":
+            return
+        memo = self._memo if store is self._store else {}
+        todo = [t for t in dict.fromkeys(tokens) if t not in memo]
+        if not todo:
+            return
         if store is not self._store:
             if len(store) == 0:
                 raise ValueError("empty vocabulary")
@@ -322,14 +341,17 @@ class OOVStrategy:
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )
-        if token in self._memo:
-            return self._memo[token]
-        match = None if self._index is None else best_ngram_match(token, self._index)
-        if match is not None:
-            sub = store.vocab[match[0]]
-        else:
-            if self._vocab is None:
-                self._vocab = distance.PackedWords(store.vocab_lower)
-            sub = store.vocab[distance.nearest(token.lower(), self._vocab)[0]]
-        self._memo[token] = sub
-        return sub
+        scan, index = [], self._index
+        for token in todo:
+            match = None if index is None else best_ngram_match(token, index)
+            if match is None:
+                scan.append(token)
+            else:
+                self._memo[token] = store.vocab[match[0]]
+        if not scan:
+            return
+        if self._vocab is None:
+            self._vocab = distance.PackedWords(store.vocab_lower)
+        found = distance.nearest([t.lower() for t in scan], self._vocab)
+        for token, (i, _) in zip(scan, found):
+            self._memo[token] = store.vocab[i]

@@ -27,6 +27,7 @@ from .embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
     TermTokens,
+    find,
     load_embeddings,
     lookup,
 )
@@ -315,6 +316,15 @@ def _inputs(cfg: PipelineConfig, terms):
     return store, resolver, [a.text for a in augmented], coverage
 
 
+def _resolve_oov(store: EmbeddingStore, resolver: OOVStrategy, texts) -> None:
+    """Resolve the distinct OOV tokens of texts in one batch, so that their
+    edit-distance scans share one ``distance.nearest`` call."""
+    tokens = dict.fromkeys(
+        t for text in texts for t in TermTokens.from_raw(text).tokens
+    )
+    resolver.resolve_all([t for t in tokens if find(store, t) is None], store)
+
+
 @dataclass
 class Frontend:
     """Everything needed to turn raw terms into scaled feature rows."""
@@ -342,6 +352,7 @@ def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Fronten
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
+    _resolve_oov(store, resolver, [*texts, *labels])
     try:
         label_set = LabelSet.build(labels, store, resolver)
     except ValueError as err:
@@ -527,6 +538,7 @@ def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     """List every out-of-vocabulary token with its resolution; writes oov.txt."""
     terms, _ = load_terms(dataset_path)
     store, resolver, texts, _ = _inputs(cfg, terms)
+    _resolve_oov(store, resolver, texts)
 
     occurrences = 0
     seen: dict[str, str] = {}

@@ -29,7 +29,7 @@ class _NumpyKernels:
 
     @staticmethod
     def nearest(query, candidates):
-        return nearest(query, PackedWords(candidates))
+        return nearest([query], PackedWords(candidates))[0]
 
 
 class _PythonKernels:
@@ -178,11 +178,11 @@ class TestNumpyKernels:
         cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),
     )
     def test_nearest_against_brute_force(self, query, cands):
-        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
+        assert nearest([query], PackedWords(cands))[0] == brute_nearest(query, cands)
 
     @given(query=TIE_WORDS, cands=st.lists(TIE_WORDS, min_size=1, max_size=30))
     def test_nearest_ties_against_brute_force(self, query, cands):
-        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
+        assert nearest([query], PackedWords(cands))[0] == brute_nearest(query, cands)
 
     def test_lone_surrogates(self):
         a, b = "x\ud800y", "\udfffxy"
@@ -198,15 +198,15 @@ class TestNumpyKernels:
             [0, 2, 3],
         ]
         assert out[0, 0] == 40_000
-        assert nearest("", PackedWords([long_text, "q" * 3])) == (1, 3)
-        assert nearest("b", PackedWords([long_text])) == (0, 39_999)
+        assert nearest([""], PackedWords([long_text, "q" * 3]))[0] == (1, 3)
+        assert nearest(["b"], PackedWords([long_text]))[0] == (0, 39_999)
 
     def test_empty_inputs(self):
         assert levenshtein_matrix([], ["ab"]).shape == (0, 1)
         assert levenshtein_matrix(["ab"], []).shape == (1, 0)
         assert levenshtein_matrix(["", ""], [""]).tolist() == [[0], [0]]
         with pytest.raises(ValueError):
-            nearest("x", PackedWords([]))
+            nearest(["x"], PackedWords([]))
 
     @given(
         queries=st.lists(EDGE_WORDS, min_size=1, max_size=4),
@@ -216,8 +216,8 @@ class TestNumpyKernels:
         # one pack serves every scan, as OOVStrategy keeps it per store, and
         # answers as a fresh pack of the list does for each query
         packed = PackedWords(cands)
-        assert [nearest(q, packed) for q in queries] == [
-            nearest(q, PackedWords(cands)) for q in queries
+        assert [nearest([q], packed)[0] for q in queries] == [
+            nearest([q], PackedWords(cands))[0] for q in queries
         ]
 
     @given(
@@ -265,7 +265,7 @@ class TestWordBoundary:
     )
     @settings(max_examples=40, deadline=None)
     def test_nearest_against_brute_force(self, query, cands):
-        assert nearest(query, PackedWords(cands)) == brute_nearest(query, cands)
+        assert nearest([query], PackedWords(cands))[0] == brute_nearest(query, cands)
 
     @given(
         a=st.text(alphabet=PATTERN_ALPHABET, max_size=150),
@@ -287,12 +287,81 @@ class TestWordBoundary:
         texts = ["a" * 70, "ab", ""]
         packed = PackedWords(texts)
         levenshtein_matrix(texts, ["", "a", "b" * 64])
-        nearest("a", packed)
-        nearest("b" * 64, packed)
+        nearest(["a"], packed)
+        nearest(["b" * 64], packed)
         assert calls == []
         levenshtein_matrix(texts, ["b" * 64, "a" * 65])
-        nearest("a" * 65, packed)
+        nearest(["a" * 65], packed)
         assert calls == [65, 65]
+
+
+# Query batches: short and long queries, "" and characters outside the
+# candidates' alphabet (Z and λ), with every other query repeated.
+BATCH_QUERIES = st.lists(
+    st.one_of(
+        st.text(alphabet=PATTERN_ALPHABET, max_size=10),
+        st.sampled_from([64, 65, 70]).flatmap(text_of_length),
+    ),
+    max_size=8,
+).map(lambda qs: qs + qs[::2])
+BATCH_CANDIDATES = st.lists(
+    st.text(alphabet=EDGE_ALPHABET, max_size=12), min_size=1, max_size=20
+)
+
+
+class TestBatchNearest:
+    @given(queries=BATCH_QUERIES, cands=BATCH_CANDIDATES)
+    @settings(max_examples=60, deadline=None)
+    def test_batch_against_brute_force(self, queries, cands):
+        assert nearest(queries, PackedWords(cands)) == [
+            brute_nearest(q, cands) for q in queries
+        ]
+
+    @given(queries=BATCH_QUERIES, cands=BATCH_CANDIDATES)
+    @settings(max_examples=60, deadline=None)
+    def test_answer_independent_of_batch(self, queries, cands):
+        packed = PackedWords(cands)
+        assert nearest(queries, packed) == [nearest([q], packed)[0] for q in queries]
+
+    @given(
+        queries=st.lists(TIE_WORDS, max_size=12),
+        cands=st.lists(TIE_WORDS, min_size=1, max_size=40),
+    )
+    def test_ties_against_brute_force(self, queries, cands):
+        assert nearest(queries, PackedWords(cands)) == [
+            brute_nearest(q, cands) for q in queries
+        ]
+
+    @pytest.mark.parametrize("chunk", [1, 5, 12])
+    def test_split_groups_give_the_same_answers(self, monkeypatch, chunk):
+        rng = random.Random(chunk)
+        cands = ["".join(rng.choices("abc", k=rng.randint(2, 5))) for _ in range(60)]
+        queries = ["".join(rng.choices("abcZ", k=rng.randint(0, 7))) for _ in range(30)]
+        packed = PackedWords(cands)
+        passes = []
+        real = distance._myers
+
+        def recording(peq, sym_t, active, mask):
+            passes.append((sym_t.shape[1], peq.shape[1]))
+            return real(peq, sym_t, active, mask)
+
+        monkeypatch.setattr(distance, "_myers", recording)
+        whole = nearest(queries, packed)
+        n_whole = len(passes)
+        passes.clear()
+        monkeypatch.setattr(distance, "_CHUNK", chunk)
+        assert nearest(queries, packed) == whole
+        # groups were split, and lanes x patterns stays within the bound
+        # unless one pattern alone exceeds it
+        assert len(passes) > n_whole
+        assert all(lanes * k <= chunk or k == 1 for lanes, k in passes)
+
+    def test_bare_str_rejected(self):
+        with pytest.raises(TypeError):
+            nearest("swap", PackedWords(["swap", "bond"]))
+
+    def test_empty_batch(self):
+        assert nearest([], PackedWords(["swap"])) == []
 
 
 def test_backend_is_python():
@@ -300,4 +369,4 @@ def test_backend_is_python():
     # to compare results recorded under different values.
     assert BACKEND == "python"
     assert levenshtein("kitten", "sitting") == 3
-    assert nearest("kitten", PackedWords(["sitting", "mitten"])) == (1, 1)
+    assert nearest(["kitten"], PackedWords(["sitting", "mitten"]))[0] == (1, 1)

@@ -324,6 +324,46 @@ class TestOOVStrategy:
         assert strat.resolve("yields", other) == "yield"
         assert built == [store, other]
 
+    @pytest.mark.parametrize("variant", ["levenshtein", "ngram"])
+    def test_resolve_all_matches_token_by_token(self, monkeypatch, variant):
+        store = make_store(["Bond", "swap", "option", "corporate", "ab", "x" * 70])
+        tokens = ["bonds", "Swaps", "optin", "xq", "zz", "bonds", "CORPORATES"]
+        tokens += ["", "x" * 66, "ABC"]
+        single = OOVStrategy(variant)
+        for token in tokens:
+            single.resolve(token, store)
+        scans = []
+        real = distance.nearest
+
+        def counting(queries, packed):
+            scans.append(list(queries))
+            return real(queries, packed)
+
+        monkeypatch.setattr(distance, "nearest", counting)
+        batch = OOVStrategy(variant)
+        batch.resolve_all(tokens, store)
+        assert len(scans) == 1
+        assert [batch.resolve(t, store) for t in tokens] == [
+            single._memo[t] for t in tokens
+        ]
+        assert batch._memo == single._memo
+        assert len(scans) == 1
+
+    def test_resolve_all_binds_only_for_a_token_to_resolve(self, monkeypatch):
+        def refuse(store, strategy):
+            raise AssertionError("the n-gram index was built")
+
+        store = make_store(["bond", "swap"])
+        strat = OOVStrategy("ngram")
+        with monkeypatch.context() as patched:
+            patched.setattr(oov, "build_ngram_index", refuse)
+            strat.resolve_all([], store)
+            assert strat._store is None
+        strat.resolve_all(["bonds"], store)
+        monkeypatch.setattr(oov, "build_ngram_index", refuse)
+        strat.resolve_all(["bonds", "bonds"], store)
+        assert strat._memo == {"bonds": "bond"}
+
     def test_lowercase_duplicates_resolve_to_first(self):
         store = make_store(["Bond", "bond", "swap"])
         assert OOVStrategy("levenshtein").resolve("BONDS", store) == "Bond"

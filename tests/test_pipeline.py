@@ -564,6 +564,33 @@ class TestNgramIndexCache:
         run_inspect_oov(apply_preset(base_cfg(data_dir, tmp_path / "m"), "BL.HF.OOVm.D2"), terms)
         assert (data_dir / INDEX_3_6).exists()
 
+    def test_all_in_vocabulary_run_writes_no_index(self, tmp_path):
+        # every token of the terms and of the labels is in the store
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        store = EmbeddingStore(["bond", "option", "swap", "future"], np.eye(4))
+        save_embeddings(store, data_dir / "embeddings.txt")
+        terms = data_dir / "terms.csv"
+        rows = ["bond,Bond", "bond option,Bond", "option bond,Bond"]
+        rows += ["swap,Swap", "swap future,Swap", "future swap,Swap"]
+        terms.write_text("term,label\n" + "\n".join(rows) + "\n")
+        cfg = apply_preset(base_cfg(data_dir, tmp_path / "out"), "BL.HF.OOVm.D2")
+        run_cv(cfg, terms)
+        assert run_inspect_oov(cfg, terms).unique == 0
+        assert not list(data_dir.glob("*.finhyp-ngram-*.npz"))
+
+    def test_label_error_writes_no_index(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data = generate(3, 36, seed=7, dim=8, typo_rate=0.3)
+        csv_path, emb_path = write_dataset(data, data_dir)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"labels": list(data.labels[:2])}))
+        argv = ["cv", csv_path, "--config", str(config), "--preset", "BL.HF.OOVm.D2"]
+        code = main(argv + ["--embeddings", emb_path, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "outside the configured label set" in capsys.readouterr().err
+        assert not list(data_dir.glob("*.finhyp-ngram-*.npz"))
+
     def test_unwritable_store_directory(self, tmp_path, monkeypatch):
         # mkstemp fails in the store's directory as it does in a read-only
         # one for a user without write permission there.
@@ -832,16 +859,16 @@ class TestPinnedArtifacts:
         assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
 
 
-def ngram_run(data_dir, out):
-    """Every artifact, by name, of one small BL.HF.OOVm.D2 run: cross-
-    validation, OOV inspection, then train and predict on the same rows.
-    The store is written to data_dir, so its n-gram index cache is warm on a
-    second run over the same data_dir."""
+def typo_run(data_dir, out, preset):
+    """Every artifact, by name, of one small run under preset on a set with
+    typo'd tokens: cross-validation, OOV inspection, then train and predict
+    on the same rows. The store is written to data_dir, so an n-gram preset
+    finds its index cache warm on a second run over the same data_dir."""
     data = generate(5, 75, seed=13, dim=8, sigma=1.2, typo_rate=0.3)
     csv_path, emb_path = write_dataset(data, data_dir)
     cfg = apply_preset(
         PipelineConfig(embedding_path=emb_path, c_grid=(0.1, 1.0), folds=3, seed=2),
-        "BL.HF.OOVm.D2",
+        preset,
     )
 
     def at(name):
@@ -881,12 +908,36 @@ class TestPinnedNgramIndexArtifacts:
 
     def test_cold_and_warm_index(self, tmp_path):
         data_dir = tmp_path / "data"
-        runs = {"cold": ngram_run(data_dir, tmp_path / "cold")}
+        runs = {"cold": typo_run(data_dir, tmp_path / "cold", "BL.HF.OOVm.D2")}
         assert (data_dir / INDEX_3_6).exists()
         with mock.patch.object(oov.NgramIndex, "__init__", refuse_index_build):
-            runs["warm"] = ngram_run(data_dir, tmp_path / "warm")
+            runs["warm"] = typo_run(data_dir, tmp_path / "warm", "BL.HF.OOVm.D2")
         assert runs["cold"] == runs["warm"]
         arts = runs["warm"]
+        digests = {name: hashlib.sha256(arts[name]).hexdigest() for name in self.DIGESTS}
+        assert digests == self.DIGESTS
+        top3 = [json.loads(line)["top3"] for line in arts["predictions.jsonl"].splitlines()]
+        top3_json = json.dumps(top3).encode("utf-8")
+        assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
+
+
+class TestPinnedEditDistanceArtifacts:
+    """A BL.HF.OOVl.D2 run on the typo'd set of TestPinnedNgramIndexArtifacts:
+    every OOV token is resolved by an edit-distance scan of the vocabulary,
+    and the tokens span several lengths. The counts-based artifacts and the
+    top-3 lists are pinned."""
+
+    DIGESTS = {
+        "report.txt": "90b6a83f09558b14258bdd20e027e3cf23f324a7032ac49e3b3801b07461f9d9",
+        "report.json": "dcbfa22db446f57cecf1cc582844b3ea59db20eb940955ef85efeb0f3d8c021c",
+        "grid.json": "68b1d4a123fce48d6ac899da2dcef4777d0a0b84fcb89db32e2112422ecc7574",
+        "folds.json": "02a6b0279e502f18cb03c0868be11aacdf1a080144a7b1efcecdeb95804f9ab8",
+        "oov.txt": "52894a9fa040a1220b61dfe71510d431cde73bc8d3dfd08fc5dd92f0e7135004",
+    }
+    TOP3_DIGEST = "afadc96afb0d4fc9b6615ae2fe633693170d985d5cf4f68d21b7eadbed554567"
+
+    def test_edit_distance_preset_artifacts(self, tmp_path):
+        arts = typo_run(tmp_path / "data", tmp_path / "out", "BL.HF.OOVl.D2")
         digests = {name: hashlib.sha256(arts[name]).hexdigest() for name in self.DIGESTS}
         assert digests == self.DIGESTS
         top3 = [json.loads(line)["top3"] for line in arts["predictions.jsonl"].splitlines()]
