@@ -60,7 +60,7 @@ from .model import (
     save_model,
     train,
 )
-from .oov import NgramIndex, OOVStrategy, best_ngram_match, char_ngrams
+from .oov import NgramIndex, OOVStrategy, best_ngram_matches, char_ngrams
 from .pipeline import (
     PRESETS,
     DataError,

@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .fileio import atomic_write
-from .oov import NgramIndex, best_ngram_match
+from .oov import NgramIndex, best_ngram_matches
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def match_term(
     norm = normalize(term)
     if norm in ddict.entries:
         return norm
-    found = best_ngram_match(norm, ddict.index)
+    found = best_ngram_matches([norm], ddict.index)[0]
     if found is None:
         return None
     entry_id, score = found

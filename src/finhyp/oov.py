@@ -5,6 +5,13 @@ minimal edit distance, or substitute the best character-n-gram Jaccard match
 (with an edit-distance fallback when no n-gram is shared). All string
 comparison is lowercase-normalized; resolution is pure and memoized per run.
 
+``best_ngram_matches`` scores a batch of texts against an ``NgramIndex``
+in one numpy pass: the texts' grams by one prefix extension over their
+concatenated symbols, their shared postings by one sort of (text, entry)
+keys, and each text's best Jaccard score by one ``maximum.reduceat``. The
+edit-distance tie-break runs only for a text whose best score two or more
+entries share. A run resolves all of its OOV tokens with one such call.
+
 The n-gram index of a store loaded from a file is cached beside that file,
 ``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of
 the index's arrays, a format version, the gram sizes, the entry count and
@@ -32,6 +39,9 @@ VARIANTS = ("zero", "levenshtein", "ngram")
 INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
 # Bump when the index's arrays, or the build that makes them, change.
 _INDEX_VERSION = 1
+# Most postings one pass of ``best_ngram_matches`` expands; a text with more
+# has a pass of its own.
+_POSTINGS = 1 << 14
 
 
 def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
@@ -70,7 +80,8 @@ def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class NgramIndex:
     """Inverted index from character n-grams to entry ids, as flat arrays.
 
-    Entries are lowercased and mapped to a dense alphabet of ``A`` symbols.
+    Entries are lowercased for the build and mapped to a dense alphabet of
+    ``A`` symbols; the index keeps only the entries as given.
     Every n-gram gets an exact integer id by prefix extension: its key is
     ``prefix_id * A + last_symbol``, where ``prefix_id`` is the id of its
     (n-1)-prefix, and its id is the key's rank among the level's sorted
@@ -84,10 +95,11 @@ class NgramIndex:
 
     def __init__(self, entries, ngram_min: int = 3, ngram_max: int = 6):
         self._set_entries(entries, ngram_min, ngram_max)
-        n_entries = len(self.entries_lower)
+        lower = [e.lower() for e in self.entries]
+        n_entries = len(lower)
         stride = max(n_entries, 1)
-        lens = np.array([len(e) for e in self.entries_lower], dtype=np.int64)
-        joined = "".join(self.entries_lower)
+        lens = np.array([len(e) for e in lower], dtype=np.int64)
+        joined = "".join(lower)
         self.alphabet, table = _alphabet(joined)
         sym = table[codes(joined)].astype(np.int64)
         width = len(self.alphabet)
@@ -118,7 +130,6 @@ class NgramIndex:
         if not (1 <= ngram_min <= ngram_max):
             raise ValueError("require 1 <= ngram_min <= ngram_max")
         self.entries = list(entries)
-        self.entries_lower = [e.lower() for e in self.entries]
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
 
@@ -141,23 +152,6 @@ class NgramIndex:
         index.post = arrays["post"]
         index.count = arrays["count"]
         return index
-
-    def gram_ids(self, text: str) -> np.ndarray:
-        """Global ids of the distinct indexed n-grams of text (lowercased),
-        ascending; grams absent from the index are left out."""
-        q = codes(text.lower())
-        ids = sym = _find(self.alphabet, q)
-        out = []
-        for n in range(1, min(self.ngram_max, len(q)) + 1):
-            if n > 1:
-                prev, last = ids[:-1], sym[n - 1 :]
-                key = prev * len(self.alphabet) + last
-                ids = np.where(
-                    (prev >= 0) & (last >= 0), _find(self.keys[n], key), -1
-                )
-            if n >= self.ngram_min:
-                out.append(self.offset[n] + ids[ids >= 0])
-        return _sorted_unique(np.concatenate(out)) if out else np.zeros(0, np.int64)
 
 
 def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
@@ -206,8 +200,9 @@ def _read_index(path, digest: bytes, entries, ngram_min: int, ngram_max: int):
     index = NgramIndex._restore(entries, ngram_min, ngram_max, arrays)
     indptr, post = index.indptr, index.post
     n_grams = index.offset[ngram_max] + len(index.keys[ngram_max])
-    # Every gram id that gram_ids can return indexes indptr, every posting
-    # indexes the entries, and count is what the build would have made.
+    # Every gram id that best_ngram_matches can look up indexes indptr,
+    # every posting indexes the entries, and count is what the build would
+    # have made.
     if len(indptr) != n_grams + 1 or indptr[0] != 0 or indptr[-1] != len(post):
         return None
     if np.any(indptr[1:] < indptr[:-1]):
@@ -238,35 +233,102 @@ def _write_index(path, digest: bytes, index: NgramIndex) -> None:
         pass
 
 
-def best_ngram_match(text: str, index: NgramIndex):
-    """Entry sharing the most n-gram mass with text, as (entry_id, jaccard).
+def _gram_pairs(lows: list[str], index: NgramIndex):
+    """Text and global gram id of each distinct (text, indexed n-gram) pair
+    of the lowercased texts, sorted by text, then gram: one prefix-extension
+    pass, as the build makes, over the texts' concatenated symbols. A character outside the index alphabet
+    ends every gram that contains it, and a gram whose prefix is absent from
+    the index is absent too, so a position leaves the pass at its first
+    unindexed gram."""
+    n_grams = max(len(index.indptr) - 1, 1)
+    lens = np.array([len(low) for low in lows], dtype=np.int64)
+    sym = _find(index.alphabet, codes("".join(lows)))
+    text = np.repeat(np.arange(len(lows)), lens)
+    # characters left in the text from each position, itself included
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(len(sym))
+    width = len(index.alphabet)
+    starts = np.flatnonzero(sym >= 0)
+    ids, pairs = sym[starts], []
+    for n in range(1, index.ngram_max + 1):
+        if n > 1:
+            keep = left[starts] >= n
+            starts, ids = starts[keep], ids[keep]
+            last = sym[starts + n - 1]
+            ids = np.where(last >= 0, _find(index.keys[n], ids * width + last), -1)
+            keep = ids >= 0
+            starts, ids = starts[keep], ids[keep]
+        if n >= index.ngram_min:
+            pairs.append(text[starts] * n_grams + index.offset[n] + ids)
+    return np.divmod(_sorted_unique(np.concatenate(pairs)), n_grams)
 
-    Returns None when text shares no n-gram with any entry. Ties are broken
-    by smaller edit distance, then shorter entry, then lexicographic order.
+
+def best_ngram_matches(texts, index: NgramIndex) -> list:
+    """Entry sharing the most n-gram mass with each text, as (entry_id,
+    jaccard), or None for a text that shares no n-gram with any entry.
+
+    Ties are broken by smaller edit distance to the lowercased entry, then
+    shorter entry, then lexicographic order, then smaller id. Every text is
+    scored in one numpy pass: each is lowercased on its own (a final sigma
+    lowercases by context), its (text, entry) posting pairs are counted by
+    one sort, and the best score of each text is one ``maximum.reduceat``.
+    The postings are expanded in passes of whole texts of at most
+    ``_POSTINGS`` postings each, or of one text that has more on its own.
     """
-    grams = index.gram_ids(text)
-    if not len(grams):
-        return None
-    low = text.lower()
-    size = len(char_ngrams(low, index.ngram_min, index.ngram_max))
-    # concatenated posting lists of the shared grams, one bincount over them
-    lo, hi = index.indptr[grams], index.indptr[grams + 1]
-    span = hi - lo
-    at = np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)
-    shared = np.bincount(index.post[at])
-    ids = np.flatnonzero(shared)
-    inter = shared[ids]
-    scores = inter / (size + index.count[ids] - inter)
-    best_score = float(scores.max())
-    best = min(
-        ids[scores == best_score].tolist(),
-        key=lambda i: (
-            distance.levenshtein(low, index.entries_lower[i]),
-            len(index.entries_lower[i]),
-            index.entries_lower[i],
-        ),
+    lows = [t.lower() for t in texts]
+    out = [None] * len(lows)
+    text, gram = _gram_pairs(lows, index)
+    if not len(text):
+        return out
+    size = np.array(
+        [len(char_ngrams(low, index.ngram_min, index.ngram_max)) for low in lows],
+        dtype=np.int64,
     )
-    return best, best_score
+    lo = index.indptr[gram]
+    span = index.indptr[gram + 1] - lo
+    # first pair of each text, and the postings before it
+    bounds = np.searchsorted(text, np.arange(len(lows) + 1))
+    before = np.concatenate(([0], np.cumsum(span)))[bounds]
+    t = 0
+    while t < len(lows):
+        # the whole texts from t whose postings fit in _POSTINGS, at least one
+        end = np.searchsorted(before, before[t] + _POSTINGS, "right") - 1
+        end = max(int(end), t + 1)
+        part = slice(bounds[t], bounds[end])
+        t = end
+        if part.start == part.stop:
+            continue
+        tid, entry, scores = _jaccard(text[part], lo[part], span[part], size, index)
+        seg = np.flatnonzero(_first(tid))
+        best = np.maximum.reduceat(scores, seg)
+        top = scores == np.repeat(best, np.diff(np.append(seg, len(tid))))
+        tied = np.split(entry[top], np.flatnonzero(_first(tid[top]))[1:])
+        for i, score, ids in zip(tid[seg].tolist(), best.tolist(), tied):
+            ids = ids.tolist()
+            out[i] = (ids[0] if len(ids) == 1 else _closest(lows[i], ids, index)), score
+    return out
+
+
+def _jaccard(text, lo, span, size, index: NgramIndex):
+    """Distinct (text, entry) pairs of the postings of the (text, gram) pairs
+    whose posting lists start at lo and hold span entries, sorted, and each
+    pair's Jaccard score: shared grams / (text's grams + entry's - shared)."""
+    at = np.arange(span.sum()) + np.repeat(lo - np.cumsum(span) + span, span)
+    n_entries = len(index.count)
+    key = np.sort(np.repeat(text, span) * n_entries + index.post[at])
+    runs = np.flatnonzero(_first(key))
+    inter = np.diff(np.append(runs, len(key)))
+    tid, entry = np.divmod(key[runs], n_entries)
+    return tid, entry, inter / (size[tid] + index.count[entry] - inter)
+
+
+def _closest(low: str, ids: list[int], index: NgramIndex) -> int:
+    """The id among ascending ids whose lowercased entry comes first by
+    (edit distance to low, length, entry); the smaller id on a tie."""
+    words = {i: index.entries[i].lower() for i in ids}
+    return min(
+        ids,
+        key=lambda i: (distance.levenshtein(low, words[i]), len(words[i]), words[i]),
+    )
 
 
 @dataclass
@@ -274,11 +336,12 @@ class OOVStrategy:
     """Configured OOV behaviour, bound lazily to a store; the package's only
     OOV resolver. ``levenshtein`` substitutes the vocabulary word nearest the
     lowercased token by edit distance (``distance.nearest``), ``ngram`` the
-    best n-gram match (``best_ngram_match``), or that word when none exists.
+    best n-gram match (``best_ngram_matches``), or that word when none exists.
 
     The per-token memo is filled by ``resolve_all``, which a run calls once
-    with all of its OOV tokens, so that the run's edit-distance scans are
-    one ``distance.nearest`` call; ``resolve`` returns the memo entry and
+    with all of its OOV tokens, so that the run's n-gram matching is one
+    ``best_ngram_matches`` call and its edit-distance scans one
+    ``distance.nearest`` call; ``resolve`` returns the memo entry and
     sends a token missing from it through ``resolve_all``. The strategy
     binds to a store only when some token needs resolving, so a run without
     OOV tokens builds no index. The n-gram index and the memo are set up
@@ -324,8 +387,9 @@ class OOVStrategy:
 
     def resolve_all(self, tokens, store: EmbeddingStore) -> None:
         """Resolve every OOV token of tokens not resolved yet into the memo:
-        those with an n-gram match one by one, the rest with one
-        ``distance.nearest`` call over their lowercased forms."""
+        under ``ngram`` all of them in one ``best_ngram_matches`` call, and
+        those without an n-gram match in one ``distance.nearest`` call over
+        their lowercased forms."""
         if self.variant == "zero":
             return
         memo = self._memo if store is self._store else {}
@@ -341,13 +405,14 @@ class OOVStrategy:
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )
-        scan, index = [], self._index
-        for token in todo:
-            match = None if index is None else best_ngram_match(token, index)
-            if match is None:
-                scan.append(token)
-            else:
-                self._memo[token] = store.vocab[match[0]]
+        scan = todo
+        if self._index is not None:
+            scan = []
+            for token, match in zip(todo, best_ngram_matches(todo, self._index)):
+                if match is None:
+                    scan.append(token)
+                else:
+                    self._memo[token] = store.vocab[match[0]]
         if not scan:
             return
         if self._vocab is None:

@@ -17,7 +17,7 @@ from finhyp.embeddings import EmbeddingStore, lookup
 from finhyp.oov import (
     NgramIndex,
     OOVStrategy,
-    best_ngram_match,
+    best_ngram_matches,
     char_ngrams,
 )
 
@@ -42,7 +42,8 @@ class SetNgramIndex:
 
 
 def set_best_ngram_match(text, index):
-    """best_ngram_match over a SetNgramIndex, as it was computed before."""
+    """The best n-gram match of text over a SetNgramIndex, computed one set at
+    a time."""
     query = char_ngrams(text.lower(), index.ngram_min, index.ngram_max)
     if not query:
         return None
@@ -154,24 +155,24 @@ class TestResolveLevenshtein:
 class TestNgramMatch:
     def test_shared_gram_selection(self):
         index = NgramIndex(["interest rate swap", "bond"])
-        got = best_ngram_match("interest rate swaps", index)
+        got = best_ngram_matches(["interest rate swaps"], index)[0]
         assert got is not None
         entry, score = got
         assert entry == 0
         assert 0 < score <= 1
 
     def test_no_shared_gram(self):
-        assert best_ngram_match("xyz-q", NgramIndex(["swap"])) is None
+        assert best_ngram_matches(["xyz-q"], NgramIndex(["swap"]))[0] is None
 
     def test_score_is_jaccard(self):
         index = NgramIndex(["abcd"], ngram_min=3, ngram_max=4)
-        got = best_ngram_match("abcx", index)
+        got = best_ngram_matches(["abcx"], index)[0]
         # query {abc, bcx, abcx} vs entry {abc, bcd, abcd}: share {abc} of 5
         assert got == (0, 1 / 5)
 
     def test_resolver_falls_back_to_levenshtein(self):
         store = make_store(["swap", "bond"])
-        assert best_ngram_match("xy", NgramIndex(store.vocab)) is None
+        assert best_ngram_matches(["xy"], NgramIndex(store.vocab))[0] is None
         got = OOVStrategy("ngram").resolve("xy", store)
         assert got == resolve_levenshtein("xy", store)
 
@@ -182,7 +183,7 @@ class TestNgramMatch:
     def test_tie_breaks_deterministic(self):
         # same Jaccard against both entries; levenshtein prefers "abcde"
         index = NgramIndex(["abcde", "abcdq"], ngram_min=3, ngram_max=3)
-        got = best_ngram_match("abcd", index)
+        got = best_ngram_matches(["abcd"], index)[0]
         assert got is not None and got[0] == 0
 
 
@@ -195,7 +196,7 @@ class TestNgramIndexMatchesSetOracle:
         lowered = distance.codes("".join(e.lower() for e in entries))
         np.testing.assert_array_equal(index.alphabet, np.unique(lowered))
         for text in queries:
-            assert best_ngram_match(text, index) == set_best_ngram_match(
+            assert best_ngram_matches([text], index)[0] == set_best_ngram_match(
                 text, oracle
             ), (entries, text, sizes)
 
@@ -228,6 +229,66 @@ class TestNgramIndexMatchesSetOracle:
         assert not hasattr(index, "entry_grams")
         for value in vars(index).values():
             assert not isinstance(value, (set, frozenset))
+
+
+# Entries draw on ENTRY_CHARS; texts add characters outside the index
+# alphabet. A capital sigma lowercases to a final sigma at the end of a word
+# and to a medial one elsewhere, so a batch lowercased as one string would
+# differ from its texts lowercased one by one.
+ENTRY_CHARS = "aAbBΣσςé"
+TEXT_CHARS = ENTRY_CHARS + "x中 \ud800"
+
+
+class TestBatchedMatches:
+    @staticmethod
+    def check(entries, texts, sizes):
+        index = NgramIndex(entries, *sizes)
+        oracle = SetNgramIndex(entries, *sizes)
+        got = best_ngram_matches(texts, index)
+        assert got == [set_best_ngram_match(t, oracle) for t in texts]
+        assert got == [best_ngram_matches([t], index)[0] for t in texts]
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(words(ENTRY_CHARS), max_size=12),
+        texts=st.lists(words(TEXT_CHARS), max_size=10).map(lambda ts: ts + ts[:2]),
+        sizes=gram_sizes(),
+    )
+    @example(entries=["bond"], texts=[], sizes=(3, 6))
+    @example(
+        entries=["bond", "swap"], texts=["xyz", "", "bond", "qq", "xyz"], sizes=(3, 6)
+    )
+    @example(
+        entries=["ΣΑΣ", "σας", "σασ"],
+        texts=["ΣΑΣ", "ΣΑΣΣΑΣ", "σασ", "ΣΑΣ"],
+        sizes=(2, 3),
+    )
+    @example(
+        entries=["abcde", "abcdq", "ABCDE"],
+        texts=["abcd", "ABCD", "abcdE"],
+        sizes=(3, 3),
+    )
+    def test_equals_oracle_per_text(self, entries, texts, sizes):
+        self.check(entries, texts, sizes)
+
+    def test_greek_final_sigma_lowercased_per_text(self):
+        # "ΑΣ" alone lowercases to "ας", but to "ασ" as the start of "ΑΣΑΣΑ".
+        got = self.check(["ας", "ασ"], ["ΑΣ", "ΑΣΑ"], (2, 2))
+        assert got == [(0, 1.0), (1, 0.5)]
+
+    @pytest.mark.parametrize("bound", [1, 7])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        entries=st.lists(words("abAB", 7), min_size=1, max_size=20),
+        texts=st.lists(words("abABx", 7), max_size=12),
+        sizes=gram_sizes(),
+    )
+    def test_pass_bound_does_not_change_answers(self, bound, entries, texts, sizes):
+        index = NgramIndex(entries, *sizes)
+        want = best_ngram_matches(texts, index)
+        with mock.patch.object(oov, "_POSTINGS", bound):
+            assert best_ngram_matches(texts, index) == want
 
 
 class TestOOVStrategy:
@@ -349,6 +410,22 @@ class TestOOVStrategy:
         assert batch._memo == single._memo
         assert len(scans) == 1
 
+    def test_resolve_all_matches_ngrams_in_one_call(self, monkeypatch):
+        calls = []
+        real = oov.best_ngram_matches
+
+        def counting(texts, index):
+            calls.append(list(texts))
+            return real(texts, index)
+
+        monkeypatch.setattr(oov, "best_ngram_matches", counting)
+        store = make_store(["Bond", "swap", "option"])
+        strat = OOVStrategy("ngram")
+        strat.resolve_all(["bonds", "Swaps", "qq", "bonds", "optin"], store)
+        assert calls == [["bonds", "Swaps", "qq", "optin"]]
+        assert strat._memo["bonds"] == "Bond"
+        assert strat._memo["optin"] == "option"
+
     def test_resolve_all_binds_only_for_a_token_to_resolve(self, monkeypatch):
         def refuse(store, strategy):
             raise AssertionError("the n-gram index was built")
@@ -376,7 +453,7 @@ class TestOOVStrategy:
         strat = OOVStrategy("ngram")
         sub = strat.resolve(token, store)
         assert sub in store.vocab
-        match = best_ngram_match(token, NgramIndex(store.vocab))
+        match = best_ngram_matches([token], NgramIndex(store.vocab))[0]
         if match is None:
             assert sub == resolve_levenshtein(token, store)
         else:
@@ -441,7 +518,10 @@ class TestNgramIndexCache:
         assert_same_index(warm, cold)
         assert_same_index(cold, NgramIndex(tokens, *sizes))
         for text in queries + tokens:
-            assert best_ngram_match(text, warm) == best_ngram_match(text, cold)
+            assert (
+                best_ngram_matches([text], warm)[0]
+                == best_ngram_matches([text], cold)[0]
+            )
 
     @pytest.mark.parametrize(
         "spoil",

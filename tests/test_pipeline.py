@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from finhyp import embeddings, oov
+from finhyp import distance, embeddings, oov
 from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
 from finhyp.model import save_model
@@ -943,3 +943,54 @@ class TestPinnedEditDistanceArtifacts:
         top3 = [json.loads(line)["top3"] for line in arts["predictions.jsonl"].splitlines()]
         top3_json = json.dumps(top3).encode("utf-8")
         assert hashlib.sha256(top3_json).hexdigest() == self.TOP3_DIGEST
+
+
+class TestPinnedNgramTieBreaks:
+    """BL.HF.OOVm.D2 OOV reports where two vocabulary words share the best
+    n-gram Jaccard score with a token, so the tie-break picks the substitute.
+    The reports were computed by the one-token-at-a-time matcher."""
+
+    CASES = {
+        # Jaccard 1/7 against both; "couxpbon" is one edit away and "coupoy"
+        # two, though "coupoy" has the smaller id, is shorter and sorts first.
+        "edit distance": (
+            ["coupoy", "couxpbon", "swap"],
+            ["coupbon swap"],
+            "oov_unique: 1\noov_occurrences: 1\ncoupbon -> couxpbon\n",
+            {"coupoy", "couxpbon"},
+        ),
+        # "bond" and "Bond" lowercase to the same word, so the earlier id
+        # wins, though "Bond" sorts first by its original case.
+        "earlier id": (
+            ["bond", "Bond", "swap"],
+            ["bonds swap", "BONDS"],
+            "oov_unique: 2\noov_occurrences: 2\nBONDS -> bond\nbonds -> bond\n",
+            {"bond"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_tie_break_substitute(self, tmp_path, case):
+        vocab, terms, report, compared = self.CASES[case]
+        store = EmbeddingStore(vocab, np.eye(len(vocab)))
+        save_embeddings(store, tmp_path / "emb.txt")
+        (tmp_path / "terms.csv").write_text(
+            "term\n" + "".join(t + "\n" for t in terms), encoding="utf-8"
+        )
+        cfg = apply_preset(
+            PipelineConfig(
+                embedding_path=str(tmp_path / "emb.txt"), out_dir=str(tmp_path / "out")
+            ),
+            "BL.HF.OOVm.D2",
+        )
+        seen = []
+        real = distance.levenshtein
+
+        def recording(a, b):
+            seen.append(b)
+            return real(a, b)
+
+        with mock.patch.object(distance, "levenshtein", recording):
+            run = run_inspect_oov(cfg, tmp_path / "terms.csv")
+        assert open(run.path, encoding="utf-8").read() == report
+        assert set(seen) == compared
