@@ -16,10 +16,12 @@ read-only directory, a full disk); the load succeeds regardless. A missing,
 stale or unreadable copy just means the text is parsed again, so deleting
 it is always safe.
 
-A store loaded from a regular file records that file's path, after
-symlinks, as ``EmbeddingStore.path``, so that caches derived from the store
-(the n-gram index of ``finhyp.oov``) can sit beside it; a store read from a
-pipe or built in memory has ``path`` None.
+A store loaded from a regular file, parsed or from the sidecar, records
+that file's path after symlinks as ``EmbeddingStore.path`` and the SHA-256
+of its bytes as ``EmbeddingStore.sha256``, so that caches derived from the
+store (the n-gram index of ``finhyp.oov``) sit beside it under the same
+key. Both are None for a pipe, a store built in memory, or a file that
+changed while it was parsed, whose digest may not be of what was parsed.
 """
 from __future__ import annotations
 
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_savez, atomic_write
+from .fileio import atomic_write, read_cache, write_cache
 
 IN_VOCAB = "in_vocab"
 REPLACED = "replaced"
@@ -80,7 +82,7 @@ class TermTokens:
 class EmbeddingStore:
     """Vocabulary of unique tokens, each with a dense vector of length dim."""
 
-    def __init__(self, tokens, vectors, path: str | None = None):
+    def __init__(self, tokens, vectors):
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
@@ -99,9 +101,10 @@ class EmbeddingStore:
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.dim: int = vectors.shape[1]
-        # The file the store was loaded from, symlinks resolved; None for a
-        # pipe or a store built in memory.
-        self.path = path
+        # The file the store was loaded from, symlinks resolved, and the
+        # SHA-256 of its bytes; None for a pipe or a store built in memory.
+        self.path: str | None = None
+        self.sha256: bytes | None = None
         self._vocab_lower: list[str] | None = None
 
     def __len__(self) -> int:
@@ -143,6 +146,7 @@ def load_embeddings(path) -> EmbeddingStore:
             if key is not None:
                 store = _read_sidecar(*key)
                 if store is not None:
+                    store.path, store.sha256 = key
                     return store
         else:
             data = fh.buffer.read()
@@ -162,11 +166,11 @@ def load_embeddings(path) -> EmbeddingStore:
         except UnicodeDecodeError as err:
             raise _not_utf8(fh, err) from None
         if key is not None:
-            store.path = key[0]
             now = os.fstat(fh.fileno())
             # The digest was taken before the parse; a file written to since
             # may not hold what was parsed.
             if (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns):
+                store.path, store.sha256 = key
                 _write_sidecar(*key, store)
         return store
 
@@ -191,43 +195,35 @@ def _store_key(path, fh, st) -> tuple[str, bytes] | None:
     return real, digest.digest()
 
 
+def _sidecar_records(digest: bytes) -> dict:
+    return {
+        "version": np.array([_SIDECAR_VERSION], dtype=np.int64),
+        "sha256": np.frombuffer(digest, dtype=np.uint8),
+    }
+
+
 def _read_sidecar(real: str, digest: bytes) -> EmbeddingStore | None:
     """The store the sidecar of the file at real holds if it records this
-    version and digest, else None. Pickled members are refused, never
-    loaded."""
+    version and digest, else None."""
+    records = _sidecar_records(digest)
+    arrays = read_cache(real + SIDECAR_SUFFIX, records, ["tokens", "vectors"])
+    if arrays is None or arrays["vectors"].dtype != np.float64:
+        return None
+    blob = arrays["tokens"].tobytes()
     try:
-        with np.load(real + SIDECAR_SUFFIX, allow_pickle=False) as archive:
-            if archive["version"].tolist() != [_SIDECAR_VERSION]:
-                return None
-            if archive["sha256"].tobytes() != digest:
-                return None
-            vectors = archive["vectors"]
-            blob = archive["tokens"].tobytes()
-        if vectors.dtype != np.float64:
-            return None
         tokens = blob.decode("utf-8").split("\n") if blob else []
         # The store's own shape, finiteness and duplicate checks.
-        return EmbeddingStore(tokens, vectors, real)
-    except Exception:
-        # np.load and zipfile raise many kinds of error on an absent,
-        # truncated or foreign file; each means the text is parsed instead.
+        return EmbeddingStore(tokens, arrays["vectors"])
+    except ValueError:
         return None
 
 
 def _write_sidecar(real: str, digest: bytes, store: EmbeddingStore) -> None:
-    """Write the sidecar, ignoring a failure: the load has succeeded. The
-    vectors are written from their own memory; a copy of them would be the
-    load's peak."""
-    arrays = {
-        "version": np.array([_SIDECAR_VERSION], dtype=np.int64),
-        "sha256": np.frombuffer(digest, dtype=np.uint8),
-        "tokens": np.frombuffer("\n".join(store.vocab).encode("utf-8"), dtype=np.uint8),
-        "vectors": store.vectors,
-    }
-    try:
-        atomic_savez(real + SIDECAR_SUFFIX, arrays)
-    except OSError:
-        pass
+    """Write the sidecar; the vectors are written from their own memory, as
+    a copy of them would be the load's peak."""
+    tokens = np.frombuffer("\n".join(store.vocab).encode("utf-8"), dtype=np.uint8)
+    arrays = {"tokens": tokens, "vectors": store.vectors}
+    write_cache(real + SIDECAR_SUFFIX, {**_sidecar_records(digest), **arrays})
 
 
 def _read_header(fh) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""Crash-safe file output shared by every writer in the package."""
+"""Crash-safe file output shared by every writer in the package, and the
+read/write pair of the caches kept beside an embedding store."""
 from __future__ import annotations
 
 import contextlib
@@ -49,19 +50,39 @@ def atomic_write(path, text: str) -> None:
         fh.write(text)
 
 
-def atomic_savez(path, arrays: dict) -> None:
+def read_cache(path, records: dict, names) -> dict | None:
+    """The members of the numpy archive at path that names lists, if each
+    member that records names equals the array it maps to; else None, as
+    for a file that is absent or unreadable. Pickled members are refused,
+    never loaded."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            if not all(np.array_equal(archive[k], v) for k, v in records.items()):
+                return None
+            return {name: archive[name] for name in names}
+    except Exception:
+        # np.load and zipfile raise many kinds of error on an absent,
+        # truncated or foreign file; each means the cache is rebuilt.
+        return None
+
+
+def write_cache(path, arrays: dict) -> None:
     """Write arrays to path through atomic_open in np.savez's layout, an
-    uncompressed zip of .npy members that np.load reads.
+    uncompressed zip of .npy members that np.load reads, ignoring a failed
+    write (a read-only directory, a full disk): a cache is only a copy.
 
     Each member is written from its array's own memory, where np.savez
     would copy it first. Members carry ZipInfo's fixed 1980 timestamp, so
     the file's bytes depend on the arrays alone.
     """
-    with atomic_open(path, binary=True) as fh:
-        with zipfile.ZipFile(fh, "w") as archive:
-            for name, arr in arrays.items():
-                info = zipfile.ZipInfo(name + ".npy")
-                with archive.open(info, "w", force_zip64=True) as member:
-                    header = np.lib.format.header_data_from_array_1_0(arr)
-                    np.lib.format.write_array_header_1_0(member, header)
-                    member.write(arr.reshape(-1).view(np.uint8))
+    try:
+        with atomic_open(path, binary=True) as fh:
+            with zipfile.ZipFile(fh, "w") as archive:
+                for name, arr in arrays.items():
+                    info = zipfile.ZipInfo(name + ".npy")
+                    with archive.open(info, "w", force_zip64=True) as member:
+                        header = np.lib.format.header_data_from_array_1_0(arr)
+                        np.lib.format.write_array_header_1_0(member, header)
+                        member.write(arr.reshape(-1).view(np.uint8))
+    except OSError:
+        pass

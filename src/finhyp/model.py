@@ -253,14 +253,13 @@ class GridRow:
 class GridSearchResult:
     best_c: float
     rows: list[GridRow]
-    model: LogRegModel
     folds: list[np.ndarray]
     # out-of-fold (N, min(3, K)) top-3 arrays per C, aligned with the input rows
     oof_predictions: dict[float, np.ndarray] = field(repr=False, default_factory=dict)
 
 
 def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
-    """Pick C by stratified k-fold CV, then refit on the full data.
+    """Pick C by stratified k-fold CV.
 
     Every C is scored on the same folds; mean rank decides, accuracy breaks
     ties, then the smaller C. Rows come back in grid order.
@@ -293,8 +292,7 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
             )
         )
     best = min(rows, key=lambda r: (r.mean_rank, -r.accuracy, r.c))
-    model = train(X, y, labels, best.c, cfg)
-    return GridSearchResult(best.c, rows, model, folds, oof)
+    return GridSearchResult(best.c, rows, folds, oof)
 
 
 def model_text(model: LogRegModel) -> str:

@@ -15,16 +15,17 @@ entries share. A run resolves all of its OOV tokens with one such call.
 The n-gram index of a store loaded from a file is cached beside that file,
 ``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of
 the index's arrays, a format version, the gram sizes, the entry count and
-the SHA-256 of the vocabulary (newline-joined, UTF-8). The index depends on
-the vocabulary alone, so a cache whose records all match, and whose arrays
-pass the structural checks of ``_read_index``, is used in place of a build;
-the index is the same arrays either way. Any other cache is rebuilt and
-rewritten. A failed write is ignored, so deleting the cache is always safe.
-A store read from a pipe or built in memory is indexed in memory only.
+the store file's SHA-256 (``EmbeddingStore.sha256``), the key the store's
+own sidecar uses. A cache whose records all match, and whose arrays pass
+the structural checks of ``_read_index``, is used in place of a build; the
+index is the same arrays either way. Any other cache is rebuilt and
+rewritten, so a rewrite of the store file that changes only its vectors
+rebuilds the index once. A failed write is ignored, so deleting the cache
+is always safe. A store without a digest (read from a pipe, built in
+memory, or changed while it was parsed) is indexed in memory only.
 """
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,13 +33,13 @@ import numpy as np
 from . import distance
 from .distance import _alphabet, _find, codes
 from .embeddings import EmbeddingStore
-from .fileio import atomic_savez
+from .fileio import read_cache, write_cache
 
 VARIANTS = ("zero", "levenshtein", "ngram")
 
 INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
 # Bump when the index's arrays, or the build that makes them, change.
-_INDEX_VERSION = 1
+_INDEX_VERSION = 2
 # Most postings one pass of ``best_ngram_matches`` expands; a text with more
 # has a pass of its own.
 _POSTINGS = 1 << 14
@@ -137,7 +138,7 @@ class NgramIndex:
     def _restore(cls, entries, ngram_min: int, ngram_max: int, arrays) -> "NgramIndex":
         """The index of entries whose build gave arrays: ``alphabet``,
         ``keys<n>`` for n >= 2, ``indptr``, ``post`` and ``count``, as
-        _write_index records them."""
+        build_ngram_index caches them."""
         index = cls.__new__(cls)
         index._set_entries(entries, ngram_min, ngram_max)
         index.alphabet = arrays["alphabet"]
@@ -157,41 +158,38 @@ class NgramIndex:
 def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
     """The n-gram index of the store's vocabulary, read from its cache beside
     the store file when that is valid, else built (and, for a store with a
-    path, cached); see the module docstring."""
+    digest, cached); see the module docstring."""
     sizes = (strategy.ngram_min, strategy.ngram_max)
-    if store.path is None:
+    if store.sha256 is None:
         return NgramIndex(store.vocab, *sizes)
     path = store.path + INDEX_SUFFIX.format(*sizes)
-    digest = hashlib.sha256("\n".join(store.vocab).encode("utf-8")).digest()
-    index = _read_index(path, digest, store.vocab, *sizes)
+    records = {
+        "version": np.array([_INDEX_VERSION], dtype=np.int64),
+        "ngrams": np.array(sizes, dtype=np.int64),
+        "entries": np.array([len(store)], dtype=np.int64),
+        "sha256": np.frombuffer(store.sha256, dtype=np.uint8),
+    }
+    index = _read_index(path, records, store.vocab, *sizes)
     if index is None:
         index = NgramIndex(store.vocab, *sizes)
-        _write_index(path, digest, index)
+        arrays = {
+            "alphabet": index.alphabet,
+            **{f"keys{n}": index.keys[n] for n in range(2, index.ngram_max + 1)},
+            "indptr": index.indptr,
+            "post": index.post,
+            "count": index.count,
+        }
+        write_cache(path, {**records, **arrays})
     return index
 
 
-def _read_index(path, digest: bytes, entries, ngram_min: int, ngram_max: int):
-    """The index cached at path if it records this version, gram sizes,
-    entry count and vocabulary digest and its arrays are consistent, else
-    None. Pickled members are refused, never loaded."""
+def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
+    """The index cached at path if its records match and its arrays are
+    consistent, else None."""
     names = ["alphabet", "indptr", "post", "count"]
     names += [f"keys{n}" for n in range(2, ngram_max + 1)]
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            if archive["version"].tolist() != [_INDEX_VERSION]:
-                return None
-            if archive["ngrams"].tolist() != [ngram_min, ngram_max]:
-                return None
-            if archive["entries"].tolist() != [len(entries)]:
-                return None
-            if archive["sha256"].tobytes() != digest:
-                return None
-            arrays = {name: archive[name] for name in names}
-    except Exception:
-        # np.load and zipfile raise many kinds of error on an absent,
-        # truncated or foreign file; each means the index is built instead.
-        return None
-    if any(a.ndim != 1 for a in arrays.values()):
+    arrays = read_cache(path, records, names)
+    if arrays is None or any(a.ndim != 1 for a in arrays.values()):
         return None
     if arrays["alphabet"].dtype != np.int32:
         return None
@@ -212,25 +210,6 @@ def _read_index(path, digest: bytes, entries, ngram_min: int, ngram_max: int):
     if not np.array_equal(index.count, np.bincount(post, minlength=len(entries))):
         return None
     return index
-
-
-def _write_index(path, digest: bytes, index: NgramIndex) -> None:
-    """Cache the index at path, ignoring a failure: the index is built."""
-    arrays = {
-        "version": np.array([_INDEX_VERSION], dtype=np.int64),
-        "ngrams": np.array([index.ngram_min, index.ngram_max], dtype=np.int64),
-        "entries": np.array([len(index.entries)], dtype=np.int64),
-        "sha256": np.frombuffer(digest, dtype=np.uint8),
-        "alphabet": index.alphabet,
-        **{f"keys{n}": index.keys[n] for n in range(2, index.ngram_max + 1)},
-        "indptr": index.indptr,
-        "post": index.post,
-        "count": index.count,
-    }
-    try:
-        atomic_savez(path, arrays)
-    except OSError:
-        pass
 
 
 def _gram_pairs(lows: list[str], index: NgramIndex):
@@ -347,10 +326,8 @@ class OOVStrategy:
     OOV tokens builds no index. The n-gram index and the memo are set up
     anew whenever the strategy binds to a different store; binding to an
     empty store raises ValueError, before any index is built. The index
-    comes from ``build_ngram_index``: for a store loaded from a file (``store.path``
-    set) it is read from the cache beside that file when valid, and built
-    and cached otherwise; a pipe or in-memory store is indexed in memory.
-    Only the n-gram variant reads or writes that cache. The packed
+    comes from ``build_ngram_index``, which caches it beside the store file;
+    only the n-gram variant reads or writes that cache. The packed
     vocabulary is built for the store on the first edit-distance scan,
     which the n-gram variant needs only for tokens that share no n-gram.
     Memo insertion is idempotent, so concurrent lookups of the same token

@@ -50,6 +50,7 @@ from .model import (
     model_text,
     predict_proba,
     rank_labels,
+    train,
 )
 from .oov import VARIANTS, OOVStrategy
 
@@ -398,8 +399,9 @@ def _write_out(cfg: PipelineConfig, name: str, content) -> str:
 
 
 def _fit(cfg: PipelineConfig, dataset_path, failure: str):
-    """Frontend, fitted scaler, class indices and grid-search result for a
-    labeled dataset; grid-search errors become "<failure> failed: ..."."""
+    """Frontend, fitted scaler, feature matrix, class indices, training
+    config and grid-search result for a labeled dataset; grid-search errors
+    become "<failure> failed: ..."."""
     terms, gold_labels = load_dataset(dataset_path)
     fe = prepare_frontend(cfg, terms, gold_labels)
     X, scaler = build_features(
@@ -411,7 +413,7 @@ def _fit(cfg: PipelineConfig, dataset_path, failure: str):
         result = grid_search(X, y, fe.label_set.labels, tcfg)
     except ValueError as err:
         raise DataError(f"{failure} failed: {err}") from None
-    return fe, scaler, y, result
+    return fe, scaler, X, y, tcfg, result
 
 
 @dataclass
@@ -425,7 +427,7 @@ class CvRun:
 def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     """Grid-searched cross-validation; writes report.txt, report.json,
     grid.json and folds.json under cfg.out_dir."""
-    fe, _, y, result = _fit(cfg, dataset_path, "cross-validation")
+    fe, _, _, y, _, result = _fit(cfg, dataset_path, "cross-validation")
     report = evaluate(result.oof_predictions[result.best_c], y, fe.label_set.labels)
     folds = {"folds": [[int(i) for i in fold] for fold in result.folds]}
     paths = {
@@ -448,17 +450,18 @@ class TrainRun:
 def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     """Grid-search then fit on the full dataset; writes model.txt plus the
     frontend.json needed to rebuild identical feature rows at predict time."""
-    fe, scaler, _, result = _fit(cfg, dataset_path, "training")
+    fe, scaler, X, y, tcfg, result = _fit(cfg, dataset_path, "training")
+    model = train(X, y, fe.label_set.labels, result.best_c, tcfg)
     frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
     frontend.update(
         labels=fe.label_set.labels, embedding_dim=fe.store.dim, scaler=scaler.state()
     )
     paths = {
-        "model": _write_out(cfg, "model.txt", model_text(result.model)),
+        "model": _write_out(cfg, "model.txt", model_text(model)),
         "frontend": _write_out(cfg, "frontend.json", frontend),
         "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
     }
-    return TrainRun(result.model, result.best_c, fe.coverage, paths)
+    return TrainRun(model, result.best_c, fe.coverage, paths)
 
 
 @dataclass

@@ -369,6 +369,7 @@ class TestSidecar:
         assert warm.vectors.tobytes() == cold.vectors.tobytes() == store.vectors.tobytes()
         assert warm.vectors.shape == cold.vectors.shape
         assert not warm.vectors.flags.writeable
+        assert warm.sha256 == cold.sha256 == hashlib.sha256(path.read_bytes()).digest()
 
     def test_same_size_rewrite_is_parsed_again(self, tmp_path):
         path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
@@ -449,8 +450,13 @@ class TestSidecar:
             return store
 
         monkeypatch.setattr(embeddings, "_parse_body_fast", parse_then_append)
-        assert load_embeddings(path).vocab == ["a", "b"]
-        assert not sidecar_of(path).exists()
+        store = load_embeddings(path)
+        assert store.vocab == ["a", "b"]
+        assert store.path is None and store.sha256 is None
+        # No cache may be keyed by a digest of bytes that were not parsed:
+        # the n-gram index of this store is built in memory.
+        assert OOVStrategy("ngram").resolve("aa", store) == "a"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
 
     @pytest.mark.parametrize(
         "body, message",

@@ -330,7 +330,7 @@ class TestGridSearch:
         cfg = TrainConfig(c_grid=(0.01, 1.0, 100.0), folds=3, seed=0)
         result = grid_search(X, y, ("a", "b"), cfg)
         assert result.best_c == 0.01
-        assert result.model.c == 0.01
+        assert train(X, y, ("a", "b"), result.best_c, cfg).c == 0.01
 
     def test_rows_in_grid_order_and_aligned_oof(self):
         rng = np.random.default_rng(21)
@@ -366,7 +366,9 @@ class TestGridSearch:
         r1 = grid_search(X, y, ("a", "b", "c"), cfg)
         r2 = grid_search(X, y, ("a", "b", "c"), cfg)
         assert r1.best_c == r2.best_c
-        assert np.array_equal(r1.model.weights, r2.model.weights)
+        m1 = train(X, y, ("a", "b", "c"), r1.best_c, cfg)
+        m2 = train(X, y, ("a", "b", "c"), r2.best_c, cfg)
+        assert np.array_equal(m1.weights, m2.weights)
 
 
 class TestTrainConfig:

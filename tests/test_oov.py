@@ -1,4 +1,5 @@
 """OOV resolution: nearest-word optimality, n-gram matching, determinism."""
+import hashlib
 import os
 import random
 import subprocess
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finhyp import distance, oov
+from finhyp import distance, embeddings, oov
 from finhyp.distance import levenshtein
-from finhyp.embeddings import EmbeddingStore, lookup
+from finhyp.embeddings import EmbeddingStore, load_embeddings, lookup, save_embeddings
 from finhyp.oov import (
     NgramIndex,
     OOVStrategy,
@@ -465,10 +466,12 @@ def index_file(store, sizes=(3, 6)):
 
 
 def filed_store(directory, tokens):
-    """A store that records a file path, as load_embeddings gives one; only
-    the cache beside that path is ever touched."""
+    """A store that records a file path and digest, as load_embeddings gives
+    one; only the cache beside that path is ever touched. A digest of the
+    token list stands in for the file's."""
     store = make_store(tokens)
     store.path = os.path.join(directory, "emb.txt")
+    store.sha256 = hashlib.sha256("\n".join(tokens).encode("utf-8")).digest()
     return store
 
 
@@ -634,6 +637,33 @@ class TestNgramIndexCache:
         assert_same_index(index, NgramIndex(store.vocab))
         with mock.patch.object(NgramIndex, "__init__", refuse_build):
             assert_same_index(oov.build_ngram_index(store, strat), index)
+
+    def test_warm_run_neither_parses_nor_builds(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        tokens = ["bond", "bonds", "swap", "Swaption"]
+        save_embeddings(make_store(tokens), path)
+        strat = OOVStrategy("ngram")
+        assert strat.resolve("swapz", load_embeddings(path)) == "swap"
+        with mock.patch.object(embeddings, "_read_header", side_effect=AssertionError):
+            store = load_embeddings(path)
+        with mock.patch.object(NgramIndex, "__init__", refuse_build):
+            warm = oov.build_ngram_index(store, strat)
+        assert_same_index(warm, NgramIndex(tokens))
+
+    def test_vectors_only_rewrite_rebuilds_once(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        tokens = ["bond", "bonds", "swap", "Swaption"]
+        save_embeddings(make_store(tokens, seed=0), path)
+        strat = OOVStrategy("ngram")
+        oov.build_ngram_index(load_embeddings(path), strat)
+        save_embeddings(make_store(tokens, seed=1), path)
+        store = load_embeddings(path)
+        index = oov.build_ngram_index(store, strat)
+        assert_same_index(index, NgramIndex(tokens))
+        with np.load(index_file(store)) as archive:
+            assert archive["sha256"].tobytes() == store.sha256
+        with mock.patch.object(NgramIndex, "__init__", refuse_build):
+            assert_same_index(oov.build_ngram_index(load_embeddings(path), strat), index)
 
     @pytest.mark.parametrize("variant", ["zero", "levenshtein"])
     def test_other_variants_touch_no_file(self, tmp_path, variant):
