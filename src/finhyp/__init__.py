@@ -47,7 +47,6 @@ from .features import (
     LabelSet,
     MinMaxScaler,
     assemble_features,
-    build_features,
     handcrafted,
 )
 from .model import (

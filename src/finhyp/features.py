@@ -210,16 +210,3 @@ def assemble_features(
         blocks.append(edit_features(texts, labels))
     return np.hstack(blocks)
 
-
-def build_features(
-    raw_terms,
-    texts,
-    store: EmbeddingStore,
-    resolver,
-    labels: LabelSet,
-    fcfg: FeatureConfig,
-):
-    """Scaled training matrix plus the fitted scaler (reuse it for test rows)."""
-    matrix = assemble_features(raw_terms, texts, store, resolver, labels, fcfg)
-    scaler = MinMaxScaler().fit(matrix)
-    return scaler.transform(matrix), scaler

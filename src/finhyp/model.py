@@ -31,11 +31,12 @@ MEMORY = 10  # L-BFGS curvature pairs kept
 STALL = 1e-15  # relative loss change below which a step cannot register
 MAX_ITER = 1000  # L-BFGS iterations before a fit stops, not converged
 MODEL_MAGIC = "finhyp-logreg v1"
+DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 @dataclass
 class TrainConfig:
-    c_grid: tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
+    c_grid: tuple[float, ...] = DEFAULT_C_GRID
     grad_tol: float = 1e-6
     folds: int = 5
     seed: int = 0

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 from .augment import (
@@ -23,13 +24,11 @@ from .augment import (
     fetch_definitions,
 )
 from .embeddings import (
-    IN_VOCAB,
     EmbeddingFormatError,
     EmbeddingStore,
     TermTokens,
     find,
     load_embeddings,
-    lookup,
 )
 from .evaluation import EvalReport, evaluate
 from .features import (
@@ -39,10 +38,10 @@ from .features import (
     LabelSet,
     MinMaxScaler,
     assemble_features,
-    build_features,
 )
 from .fileio import atomic_write
 from .model import (
+    DEFAULT_C_GRID,
     LogRegModel,
     TrainConfig,
     grid_search,
@@ -58,8 +57,6 @@ from .oov import VARIANTS, OOVStrategy
 class DataError(Exception):
     """Unreadable or inconsistent input files/artifacts (CLI exit code 2)."""
 
-
-DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 # Ablation ladder: each preset fixes the frontend; everything else
 # (embedding path, folds, seed, ...) comes from the surrounding config.
@@ -157,8 +154,28 @@ class PipelineConfig:
             raise ValueError("out_dir must not be empty")
 
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(PipelineConfig)}
-_TUPLE_FIELDS = ("indicators", "c_grid", "labels")
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a JSON value must be for each field annotation, and its description.
+_JSON_TYPES = {
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+        "a list of strings",
+    ),
+    "tuple[float, ...]": (
+        lambda v: isinstance(v, list) and all(map(_number, v)),
+        "a list of numbers",
+    ),
+}
+_CONFIG_TYPES = {
+    f.name: _JSON_TYPES[f.type] for f in dataclasses.fields(PipelineConfig)
+}
 
 # The fields that fix the feature rows. run_train records them in
 # frontend.json and run_predict replays them over its own config.
@@ -177,19 +194,21 @@ FRONTEND_FIELDS = (
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
-    unknown = sorted(set(data) - _CONFIG_FIELDS)
+    """PipelineConfig from JSON values: each must have its field's type (an
+    int is a number, a bool is not), and lists become tuples."""
+    unknown = sorted(set(data) - set(_CONFIG_TYPES))
     if unknown:
         raise DataError(f"unknown config keys: {', '.join(unknown)}")
-    kwargs = dict(data)
-    for key in _TUPLE_FIELDS:
-        if key in kwargs:
-            value = kwargs[key]
-            if not isinstance(value, (list, tuple)):
-                raise DataError(f"config key {key!r} must be a list")
-            kwargs[key] = tuple(value)
+    for key, value in data.items():
+        valid, what = _CONFIG_TYPES[key]
+        if not valid(value):
+            raise DataError(
+                f"config key {key!r} must be {what}, got {json.dumps(value)}"
+            )
+    kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
         return PipelineConfig(**kwargs)
-    except (TypeError, ValueError) as err:
+    except ValueError as err:
         raise DataError(f"bad config: {err}") from None
 
 
@@ -317,28 +336,24 @@ def _inputs(cfg: PipelineConfig, terms):
     return store, resolver, [a.text for a in augmented], coverage
 
 
-def _resolve_oov(store: EmbeddingStore, resolver: OOVStrategy, texts) -> None:
-    """Resolve the distinct OOV tokens of texts in one batch, so that their
+def _oov_counts(store: EmbeddingStore, resolver: OOVStrategy, texts) -> dict:
+    """Occurrences of each distinct OOV token of texts, in first-seen order,
+    after resolving them all in one ``resolve_all`` batch, so that their
     edit-distance scans share one ``distance.nearest`` call."""
-    tokens = dict.fromkeys(
-        t for text in texts for t in TermTokens.from_raw(text).tokens
-    )
-    resolver.resolve_all([t for t in tokens if find(store, t) is None], store)
+    counts = Counter(t for text in texts for t in TermTokens.from_raw(text).tokens)
+    oov = {t: n for t, n in counts.items() if find(store, t) is None}
+    resolver.resolve_all(list(oov), store)
+    return oov
 
 
-@dataclass
-class Frontend:
-    """Everything needed to turn raw terms into scaled feature rows."""
+def _features(cfg: PipelineConfig, terms, dataset_labels=None):
+    """The unscaled ``assemble_features`` matrix of terms under cfg's
+    frontend, with its label set, the store dimension and augmentation
+    coverage (None when augmentation is off).
 
-    store: EmbeddingStore
-    resolver: OOVStrategy
-    label_set: LabelSet
-    fcfg: FeatureConfig
-    texts: list[str]
-    coverage: float | None  # None when augmentation is off
-
-
-def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Frontend:
+    The label set is cfg.labels, else the dataset's labels in sorted order;
+    a dataset label outside it is a DataError. The OOV tokens of the texts
+    and the labels are resolved in one ``resolve_all`` batch."""
     store, resolver, texts, coverage = _inputs(cfg, terms)
     if cfg.labels:
         labels = cfg.labels
@@ -353,7 +368,7 @@ def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Fronten
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
-    _resolve_oov(store, resolver, [*texts, *labels])
+    _oov_counts(store, resolver, [*texts, *labels])
     try:
         label_set = LabelSet.build(labels, store, resolver)
     except ValueError as err:
@@ -365,7 +380,8 @@ def prepare_frontend(cfg: PipelineConfig, terms, dataset_labels=None) -> Fronten
     fcfg = FeatureConfig(
         handcrafted=hcfg, cosine=cfg.cosine_features, edit=cfg.edit_features
     )
-    return Frontend(store, resolver, label_set, fcfg, texts, coverage)
+    matrix = assemble_features(terms, texts, store, resolver, label_set, fcfg)
+    return matrix, label_set, store.dim, coverage
 
 
 def _grid_payload(result) -> dict:
@@ -399,21 +415,22 @@ def _write_out(cfg: PipelineConfig, name: str, content) -> str:
 
 
 def _fit(cfg: PipelineConfig, dataset_path, failure: str):
-    """Frontend, fitted scaler, feature matrix, class indices, training
-    config and grid-search result for a labeled dataset; grid-search errors
-    become "<failure> failed: ..."."""
+    """Grid search over a labeled dataset's ``_features`` matrix, scaled by
+    a ``MinMaxScaler`` fitted to all of its rows. Returns the label set, the
+    store dimension, the coverage, the fitted scaler, the scaled matrix X,
+    the class indices y, the training config and the grid-search result;
+    grid-search errors become "<failure> failed: ..."."""
     terms, gold_labels = load_dataset(dataset_path)
-    fe = prepare_frontend(cfg, terms, gold_labels)
-    X, scaler = build_features(
-        terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg
-    )
-    y = [fe.label_set.index(lab) for lab in gold_labels]
+    matrix, label_set, dim, coverage = _features(cfg, terms, gold_labels)
+    scaler = MinMaxScaler().fit(matrix)
+    X = scaler.transform(matrix)
+    y = [label_set.index(lab) for lab in gold_labels]
     tcfg = TrainConfig(c_grid=cfg.c_grid, folds=cfg.folds, seed=cfg.seed)
     try:
-        result = grid_search(X, y, fe.label_set.labels, tcfg)
+        result = grid_search(X, y, label_set.labels, tcfg)
     except ValueError as err:
         raise DataError(f"{failure} failed: {err}") from None
-    return fe, scaler, X, y, tcfg, result
+    return label_set.labels, dim, coverage, scaler, X, y, tcfg, result
 
 
 @dataclass
@@ -427,8 +444,10 @@ class CvRun:
 def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     """Grid-searched cross-validation; writes report.txt, report.json,
     grid.json and folds.json under cfg.out_dir."""
-    fe, _, _, y, _, result = _fit(cfg, dataset_path, "cross-validation")
-    report = evaluate(result.oof_predictions[result.best_c], y, fe.label_set.labels)
+    labels, _, coverage, _, _, y, _, result = _fit(
+        cfg, dataset_path, "cross-validation"
+    )
+    report = evaluate(result.oof_predictions[result.best_c], y, labels)
     folds = {"folds": [[int(i) for i in fold] for fold in result.folds]}
     paths = {
         "report_txt": _write_out(cfg, "report.txt", report.to_text()),
@@ -436,7 +455,7 @@ def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
         "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
         "folds_json": _write_out(cfg, "folds.json", folds),
     }
-    return CvRun(report, result.best_c, fe.coverage, paths)
+    return CvRun(report, result.best_c, coverage, paths)
 
 
 @dataclass
@@ -450,18 +469,18 @@ class TrainRun:
 def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     """Grid-search then fit on the full dataset; writes model.txt plus the
     frontend.json needed to rebuild identical feature rows at predict time."""
-    fe, scaler, X, y, tcfg, result = _fit(cfg, dataset_path, "training")
-    model = train(X, y, fe.label_set.labels, result.best_c, tcfg)
-    frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
-    frontend.update(
-        labels=fe.label_set.labels, embedding_dim=fe.store.dim, scaler=scaler.state()
+    labels, dim, coverage, scaler, X, y, tcfg, result = _fit(
+        cfg, dataset_path, "training"
     )
+    model = train(X, y, labels, result.best_c, tcfg)
+    frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
+    frontend.update(labels=labels, embedding_dim=dim, scaler=scaler.state())
     paths = {
         "model": _write_out(cfg, "model.txt", model_text(model)),
         "frontend": _write_out(cfg, "frontend.json", frontend),
         "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
     }
-    return TrainRun(model, result.best_c, fe.coverage, paths)
+    return TrainRun(model, result.best_c, coverage, paths)
 
 
 @dataclass
@@ -487,21 +506,20 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
         raise DataError(f"frontend.json missing keys: {', '.join(missing)}")
     if tuple(frontend["labels"]) != model.labels:
         raise DataError("label set mismatch between model.txt and frontend.json")
-    recorded = {key: frontend[key] for key in FRONTEND_FIELDS}
     try:
-        cfg = config_from_dict({**dataclasses.asdict(cfg), **recorded})
+        recorded = config_from_dict({key: frontend[key] for key in FRONTEND_FIELDS})
     except DataError as err:
         raise DataError(f"{frontend_path}: {err}") from None
+    cfg = dataclasses.replace(
+        cfg, **{key: getattr(recorded, key) for key in FRONTEND_FIELDS}
+    )
 
     terms, _ = load_terms(terms_path)
-    fe = prepare_frontend(cfg, terms)
-    if fe.store.dim != frontend["embedding_dim"]:
+    matrix, _, dim, _ = _features(cfg, terms)
+    if dim != frontend["embedding_dim"]:
         raise DataError(
-            f"embedding dim {fe.store.dim} != trained dim {frontend['embedding_dim']}"
+            f"embedding dim {dim} != trained dim {frontend['embedding_dim']}"
         )
-    matrix = assemble_features(
-        terms, fe.texts, fe.store, fe.resolver, fe.label_set, fe.fcfg
-    )
     try:
         scaler = MinMaxScaler.from_state(frontend["scaler"])
     except (KeyError, TypeError, ValueError) as err:
@@ -538,25 +556,19 @@ class OovRun:
 
 
 def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
-    """List every out-of-vocabulary token with its resolution; writes oov.txt."""
+    """List every out-of-vocabulary token with its resolution; writes oov.txt.
+    The counts and substitutes come from the run's one ``resolve_all`` pass."""
     terms, _ = load_terms(dataset_path)
     store, resolver, texts, _ = _inputs(cfg, terms)
-    _resolve_oov(store, resolver, texts)
-
-    occurrences = 0
-    seen: dict[str, str] = {}
-    for text in texts:
-        for token in TermTokens.from_raw(text).tokens:
-            _, res = lookup(store, token, resolver)
-            if res.kind == IN_VOCAB:
-                continue
-            occurrences += 1
-            if token not in seen:
-                seen[token] = res.substitute if res.substitute else "ZERO"
-    lines = [f"oov_unique: {len(seen)}", f"oov_occurrences: {occurrences}"]
-    lines.extend(f"{token} -> {seen[token]}" for token in sorted(seen))
+    counts = _oov_counts(store, resolver, texts)
+    occurrences = sum(counts.values())
+    lines = [f"oov_unique: {len(counts)}", f"oov_occurrences: {occurrences}"]
+    lines.extend(
+        f"{token} -> {resolver.resolve(token, store) or 'ZERO'}"
+        for token in sorted(counts)
+    )
     report = "\n".join(lines) + "\n"
-    return OovRun(report, _write_out(cfg, "oov.txt", report), len(seen), occurrences)
+    return OovRun(report, _write_out(cfg, "oov.txt", report), len(counts), occurrences)
 
 
 def run_augment_apply(cfg: PipelineConfig, dataset_path):

@@ -231,6 +231,58 @@ class TestDataErrors:
         assert capsys.readouterr().err == "error: bad config: out_dir must not be empty\n"
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize(
+        "config, preset",
+        [
+            ({"handcrafted": "no"}, None),
+            ({"folds": 2.5}, None),
+            ({"seed": True}, None),
+            ({"ngram_min": 2.5}, "BL.HF.OOVm.D2"),
+            ({"min_match_score": True}, None),
+            ({"snapshot_path": 1}, None),
+            ({"indicators": [1, 2, 3, 4, 5, 6, 7]}, "BL.HF"),
+            ({"labels": ["Swap", 1]}, None),
+            ({"c_grid": [True]}, None),
+        ],
+        ids=[
+            "bool",
+            "int",
+            "int-not-bool",
+            "int-ngram",
+            "float",
+            "str",
+            "indicators",
+            "labels",
+            "c_grid",
+        ],
+    )
+    def test_wrong_json_type_exits_2(
+        self, synth_dir, tmp_path, capsys, config, preset
+    ):
+        # the store is copied, so that nothing written beside it can hide
+        data = tmp_path / "data"
+        data.mkdir()
+        store = (synth_dir / "embeddings.txt").read_bytes()
+        (data / "embeddings.txt").write_bytes(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [
+            "cv",
+            str(synth_dir / "terms.csv"),
+            "--config",
+            str(cfg),
+            "--embeddings",
+            str(data / "embeddings.txt"),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+        code = main(argv + (["--preset", preset] if preset else []))
+        assert code == 2
+        (key,) = config
+        assert f"error: config key '{key}' must be " in capsys.readouterr().err
+        assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCvCommand:
     def test_happy_path(self, synth_dir, fast_cfg, tmp_path, capsys):

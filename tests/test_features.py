@@ -14,7 +14,6 @@ from finhyp.features import (
     LabelSet,
     MinMaxScaler,
     assemble_features,
-    build_features,
     cosine_features,
     edit_features,
     handcrafted,
@@ -309,8 +308,8 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble_features([], [], self.store, None, self.labels, ALL_ON)
 
-    def test_build_features_scales(self):
-        X, scaler = build_features(
+    def test_assembled_matrix_scales(self):
+        m = assemble_features(
             ["bond", "option Inc."],
             ["bond", "option"],
             self.store,
@@ -318,5 +317,7 @@ class TestAssembly:
             self.labels,
             ALL_ON,
         )
+        scaler = MinMaxScaler().fit(m)
+        X = scaler.transform(m)
         assert np.all(X >= -1.0) and np.all(X <= 1.0)
-        assert scaler.n_features == X.shape[1]
+        assert scaler.n_features == X.shape[1] == m.shape[1]

@@ -18,12 +18,13 @@ from finhyp.pipeline import (
     DataError,
     PRESETS,
     PipelineConfig,
+    _features,
+    _inputs,
     apply_preset,
     config_from_dict,
     load_config,
     load_dataset,
     load_terms,
-    prepare_frontend,
     run_augment_apply,
     run_augment_fetch,
     run_cv,
@@ -218,44 +219,47 @@ class TestLoadTerms:
 
 
 class TestPrepareFrontend:
+    """``_features``: the label set, the texts and the matrix of one run."""
+
     def test_labels_inferred_sorted(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path)
         terms, labels = load_dataset(synth_dir / "terms.csv")
-        fe = prepare_frontend(cfg, terms, labels)
-        assert fe.label_set.labels == tuple(sorted(set(labels)))
-        assert fe.coverage is None
-        assert fe.texts == terms
+        matrix, label_set, dim, coverage = _features(cfg, terms, labels)
+        assert label_set.labels == tuple(sorted(set(labels)))
+        assert coverage is None
+        assert matrix.shape == (len(terms), dim)
+        assert _inputs(cfg, terms)[2] == terms
 
     def test_configured_labels_win(self, synth_dir, tmp_path):
         terms, labels = load_dataset(synth_dir / "terms.csv")
         ordered = tuple(dict.fromkeys(labels))
         cfg = base_cfg(synth_dir, tmp_path, labels=ordered)
-        fe = prepare_frontend(cfg, terms, labels)
-        assert fe.label_set.labels == ordered
+        _, label_set, _, _ = _features(cfg, terms, labels)
+        assert label_set.labels == ordered
 
     def test_extra_dataset_label_rejected(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path, labels=("OnlyOne", "Another"))
         with pytest.raises(DataError, match="outside the configured label set"):
-            prepare_frontend(cfg, ["x"], ["Mystery"])
+            _features(cfg, ["x"], ["Mystery"])
 
     def test_no_labels_anywhere(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path)
         with pytest.raises(DataError, match="no label set"):
-            prepare_frontend(cfg, ["x"], None)
+            _features(cfg, ["x"], None)
 
     def test_augment_needs_snapshot(self, synth_dir, tmp_path):
         cfg = base_cfg(
             synth_dir, tmp_path, augment=True, snapshot_path=str(tmp_path / "no.json")
         )
         with pytest.raises(DataError, match="snapshot"):
-            prepare_frontend(cfg, ["x"], ["A"])
+            _features(cfg, ["x"], ["A"])
 
     def test_missing_embeddings(self, tmp_path):
         cfg = PipelineConfig(
             embedding_path=str(tmp_path / "missing.txt"), out_dir=str(tmp_path)
         )
         with pytest.raises(DataError, match="embedding"):
-            prepare_frontend(cfg, ["x"], ["A"])
+            _features(cfg, ["x"], ["A"])
 
 
 class TestRunCv:
@@ -487,6 +491,18 @@ class TestFrontendJson:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_wrong_recorded_type(self, synth_dir, tmp_path, trained):
+        cfg, out, _ = trained
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.update(ngram_min=2.5))
+        before = sorted(os.listdir(synth_dir))
+        with pytest.raises(DataError, match="frontend.json: config key 'ngram_min'"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        assert sorted(os.listdir(synth_dir)) == before
+
     def test_predict_config_frontend_fields_ignored(self, synth_dir, tmp_path, trained):
         cfg, out, _ = trained
         same = run_predict(
@@ -624,7 +640,12 @@ class TestInspectOov:
         emb = tmp_path / "emb.txt"
         save_embeddings(store, emb)
         csv_path = tmp_path / "terms.csv"
-        csv_path.write_text("term,label\nbonds option,A\nswap,B\nbonds,A\n")
+        # "opts" occurs twice in one term; "Swap" and "Bond" are in the store
+        # only in lowercase, so they are in vocabulary
+        csv_path.write_text(
+            "term,label\nbonds option,A\nswap,B\nbonds,A\n"
+            "opts swap opts,B\nSwap Bond,B\n"
+        )
         return emb, csv_path
 
     def test_zero_strategy_reports_zero(self, tmp_path):
@@ -633,9 +654,11 @@ class TestInspectOov:
             embedding_path=str(emb), out_dir=str(tmp_path), oov_strategy="zero"
         )
         run = run_inspect_oov(cfg, csv_path)
-        assert run.unique == 1
-        assert run.occurrences == 2
-        assert "bonds -> ZERO" in run.text
+        assert run.unique == 2
+        assert run.occurrences == 4
+        assert run.text == (
+            "oov_unique: 2\noov_occurrences: 4\nbonds -> ZERO\nopts -> ZERO\n"
+        )
         assert open(run.path).read() == run.text
 
     def test_levenshtein_substitutes(self, tmp_path):
@@ -646,7 +669,7 @@ class TestInspectOov:
             oov_strategy="levenshtein",
         )
         run = run_inspect_oov(cfg, csv_path)
-        assert "bonds -> bond" in run.text
+        assert run.text.splitlines()[2:] == ["bonds -> bond", "opts -> option"]
 
     def test_augmented_term_only_csv(self, tmp_path):
         emb, _ = self.make_inputs(tmp_path)
@@ -779,11 +802,12 @@ class TestAugmentedCv:
             base_cfg(synth_dir, tmp_path, snapshot_path=str(snap)),
             "BL.HF.OOVm.D2.+",
         )
-        fe = prepare_frontend(cfg, terms, gold)
-        matched = [t for t, text in zip(terms, fe.texts) if text != t]
+        _, _, texts, coverage = _inputs(cfg, terms)
+        matched = [t for t, text in zip(terms, texts) if text != t]
         assert matched
-        assert fe.coverage > 0
-        for t, text in zip(terms, fe.texts):
+        assert coverage > 0
+        assert _features(cfg, terms, gold)[3] == coverage
+        for t, text in zip(terms, texts):
             if text != t:
                 assert text == f"{t}. A synthetic token."
 
