@@ -11,13 +11,15 @@ It is minimized by deterministic full-batch L-BFGS (Liu & Nocedal 1989;
 Nocedal & Wright, Numerical Optimization, ch. 7): the two-loop recursion
 over the last MEMORY curvature pairs, keeping a pair only when s'y > 0.
 Each step is found by backtracking (halving, Armijo constant 1e-4) with
-trial points scored by ``loss_value`` alone; ``loss_and_grad`` runs only
-at accepted points. A fit also stops, as not converged, after MAX_ITER
-iterations or once backtracking shrinks the decrease a step promises below
-float64 resolution of the loss (STALL).
+each trial point scored by ``loss_and_grad``; the accepted trial's
+gradient starts the next iteration, so the objective is evaluated once per
+trial. A fit also stops, as not converged, after MAX_ITER iterations or
+once backtracking shrinks the decrease a step promises below float64
+resolution of the loss (STALL).
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -45,8 +47,8 @@ class TrainConfig:
         self.c_grid = tuple(float(c) for c in self.c_grid)
         if not self.c_grid:
             raise ValueError("empty C grid")
-        if any(c <= 0 for c in self.c_grid):
-            raise ValueError("C values must be positive")
+        for c in self.c_grid:
+            _check_c(c)
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if self.grad_tol <= 0:
@@ -75,12 +77,17 @@ class LogRegModel:
             raise ValueError("bias must have length K")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("non-finite model parameters")
-        if self.c <= 0:
-            raise ValueError("C must be positive")
+        _check_c(self.c)
 
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
+
+
+def _check_c(c) -> None:
+    # NaN fails every comparison, so "c <= 0" alone would let it through
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"C must be finite and positive, got {c!r}")
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -146,13 +153,15 @@ def _lbfgs_direction(g, memory) -> np.ndarray:
 
 def _backtrack(f, theta, p, loss: float, slope: float):
     """Armijo backtracking along p from a unit step, halving on failure.
-    Returns the accepted point, or None once the first-order decrease
+    f maps a point to its (loss, gradient). Returns the accepted point
+    with its loss and gradient, or None once the first-order decrease
     step * |slope| falls to STALL * |loss|."""
     step = 1.0
     while True:
         trial = theta + step * p
-        if f(trial) <= loss + ARMIJO * step * slope:
-            return trial
+        trial_loss, trial_g = f(trial)
+        if trial_loss <= loss + ARMIJO * step * slope:
+            return trial, trial_loss, trial_g
         step *= 0.5
         if step * -slope <= STALL * abs(loss):
             return None
@@ -166,22 +175,19 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
     model records iterations, grad_max and converged. Identical inputs
-    produce bitwise-identical parameters; the Armijo backtracking on
-    loss_value guarantees the objective never increases between iterations.
+    produce bitwise-identical parameters; the Armijo backtracking, which
+    scores each trial with loss_and_grad, guarantees the objective never
+    increases between iterations.
     """
     if cfg is None:
         cfg = TrainConfig()
     labels = tuple(labels)
-    if c <= 0:
-        raise ValueError("C must be positive")
+    _check_c(c)
     X, y = _check_xy(X, y, len(labels))
     k, d = len(labels), X.shape[1]
 
     def unpack(t):
         return t[: k * d].reshape(k, d), t[k * d :]
-
-    def value(t):
-        return loss_value(*unpack(t), X, y, c)
 
     def value_and_grad(t):
         loss, gw, gb = loss_and_grad(*unpack(t), X, y, c)
@@ -199,10 +205,10 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
             memory.clear()
             p = -g
             slope = -float(g @ g)
-        trial = _backtrack(value, theta, p, loss, slope)
-        if trial is None:
+        accepted = _backtrack(value_and_grad, theta, p, loss, slope)
+        if accepted is None:
             break  # stalled
-        loss, g_new = value_and_grad(trial)
+        trial, loss, g_new = accepted
         s, yv = trial - theta, g_new - g
         sy = float(s @ yv)
         if sy > 0:

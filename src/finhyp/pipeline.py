@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -142,8 +143,11 @@ class PipelineConfig:
                 f"oov_strategy must be one of {', '.join(VARIANTS)}, "
                 f"got {self.oov_strategy!r}"
             )
-        if not self.c_grid or any(c <= 0 for c in self.c_grid):
-            raise ValueError("c_grid must be non-empty and positive")
+        # NaN fails every comparison, so "c <= 0" alone would let it through
+        if not self.c_grid or not all(
+            math.isfinite(c) and c > 0 for c in self.c_grid
+        ):
+            raise ValueError("c_grid must be non-empty, finite and positive")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not 1 <= self.ngram_min <= self.ngram_max:

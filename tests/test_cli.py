@@ -283,6 +283,34 @@ class TestDataErrors:
         assert os.listdir(data) == ["embeddings.txt"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_c_exits_2(self, synth_dir, tmp_path, capsys, value):
+        # json.load reads NaN and Infinity, and NaN passes a "c <= 0" check
+        data = tmp_path / "data"
+        data.mkdir()
+        store = (synth_dir / "embeddings.txt").read_bytes()
+        (data / "embeddings.txt").write_bytes(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"c_grid": [1.0, %s], "folds": 3}' % value)
+        code = main(
+            [
+                "cv",
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(data / "embeddings.txt"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad config: c_grid must be non-empty, finite and positive\n"
+        )
+        assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCvCommand:
     def test_happy_path(self, synth_dir, fast_cfg, tmp_path, capsys):
@@ -374,6 +402,30 @@ class TestTrainPredictCommands:
         assert len(lines) == 36
         rec = json.loads(lines[0])
         assert set(rec) == {"term", "top3", "probs"}
+
+    def test_predict_rejects_non_finite_c(self, synth_dir, fast_cfg, tmp_path, capsys):
+        terms, store = str(synth_dir / "terms.csv"), str(synth_dir / "embeddings.txt")
+        model_dir = tmp_path / "model"
+        code = main(
+            ["train", terms, "--config", str(fast_cfg), "--embeddings", store,
+             "--out", str(model_dir)]
+        )
+        assert code == 0
+        model_txt = model_dir / "model.txt"
+        lines = model_txt.read_text().splitlines()
+        assert lines[1] == "C 1.0"
+        lines[1] = "C nan"
+        model_txt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["predict", terms, "--model", str(model_dir), "--embeddings", store,
+             "--out", str(tmp_path / "pred")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad model file: C must be finite and positive, got nan\n"
+        )
+        assert not (tmp_path / "pred").exists()
 
     def test_predict_missing_model_dir(self, synth_dir, tmp_path):
         code = main(

@@ -1,5 +1,6 @@
 """Logistic-regression core: gradients, convergence, ranking, persistence."""
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -42,6 +43,73 @@ def finite_diff(W, b, X, y, c, eps=1e-5):
 def rel_err(analytic, numeric):
     scale = np.maximum(1.0, np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def record_accepted_losses(monkeypatch):
+    """A list that train fills with the loss at its zero start, then the loss
+    of each point the line search accepts: one per iteration."""
+    losses = []
+    original = model_mod._backtrack
+
+    def recorder(f, theta, p, loss, slope):
+        if not losses:
+            losses.append(loss)
+        accepted = original(f, theta, p, loss, slope)
+        if accepted is not None:
+            losses.append(accepted[1])
+        return accepted
+
+    monkeypatch.setattr(model_mod, "_backtrack", recorder)
+    return losses
+
+
+def two_call_train(X, y, k, c, cfg):
+    """Reference fit that scores each trial with loss_value alone and calls
+    loss_and_grad again at the accepted point. Returns (W, b, iterations,
+    grad_max, converged, trials)."""
+    d = X.shape[1]
+
+    def unpack(t):
+        return t[: k * d].reshape(k, d), t[k * d :]
+
+    def value_and_grad(t):
+        loss, gw, gb = loss_and_grad(*unpack(t), X, y, c)
+        return loss, np.concatenate([gw.ravel(), gb])
+
+    theta = np.zeros(k * d + k)
+    loss, g = value_and_grad(theta)
+    memory = deque(maxlen=model_mod.MEMORY)
+    iterations = trials = 0
+    while iterations < model_mod.MAX_ITER and np.abs(g).max() > cfg.grad_tol:
+        p = model_mod._lbfgs_direction(g, memory)
+        slope = float(g @ p)
+        if slope >= 0:
+            memory.clear()
+            p = -g
+            slope = -float(g @ g)
+        step = 1.0
+        while True:
+            trial = theta + step * p
+            trials += 1
+            armijo = loss + model_mod.ARMIJO * step * slope
+            if loss_value(*unpack(trial), X, y, c) <= armijo:
+                break
+            step *= 0.5
+            if step * -slope <= model_mod.STALL * abs(loss):
+                trial = None
+                break
+        if trial is None:
+            break
+        loss, g_new = value_and_grad(trial)
+        s, yv = trial - theta, g_new - g
+        sy = float(s @ yv)
+        if sy > 0:
+            memory.append((s, yv, 1.0 / sy))
+        theta, g = trial, g_new
+        iterations += 1
+    W, b = unpack(theta)
+    grad_max = float(np.abs(g).max())
+    return W, b, iterations, grad_max, grad_max <= cfg.grad_tol, trials
 
 
 class TestGradient:
@@ -97,20 +165,12 @@ class TestTrain:
         assert predict_proba(m, X).argmax(axis=1).tolist() == [0, 0, 1, 1]
 
     def test_objective_monotone_decreasing(self, monkeypatch):
-        losses = []
-        original = loss_and_grad
-
-        def recorder(W, b, X, y, c):
-            out = original(W, b, X, y, c)
-            losses.append(out[0])
-            return out
-
-        monkeypatch.setattr(model_mod, "loss_and_grad", recorder)
+        losses = record_accepted_losses(monkeypatch)
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, size=30)
-        train(X, y, ("a", "b", "c"), c=1.0)
-        assert len(losses) > 2
+        m = train(X, y, ("a", "b", "c"), c=1.0)
+        assert len(losses) == m.iterations + 1 > 2
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-12)
 
@@ -129,15 +189,7 @@ class TestTrain:
     def test_stall_exit_on_tiny_c_large_loss(self, monkeypatch):
         # loss ~5500 and C=1e-5: near the optimum a step's first-order
         # decrease drops below float64 resolution long before grad_tol
-        losses = []
-        original = loss_and_grad
-
-        def recorder(W, b, X, y, c):
-            out = original(W, b, X, y, c)
-            losses.append(out[0])
-            return out
-
-        monkeypatch.setattr(model_mod, "loss_and_grad", recorder)
+        losses = record_accepted_losses(monkeypatch)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4000, 8))
         y = rng.integers(0, 4, size=4000)
@@ -148,6 +200,40 @@ class TestTrain:
         assert cfg.grad_tol < m.grad_max < 1e-3
         assert len(losses) == m.iterations + 1
         assert np.all(np.diff(losses) <= 0)
+
+    @pytest.mark.parametrize("c", [1e-5, 0.001, 1.0, 100.0])
+    def test_one_evaluation_per_trial_matches_two_call_loop(self, monkeypatch, c):
+        # 1e-5 is the stall case above; on the 6-class problem 0.001 stalls
+        # too and 1 and 100 converge, and every fit rejects some trials.
+        # Scoring a trial with loss_and_grad instead of loss_value changes no
+        # Armijo decision, so no bit of the fit moves.
+        rng = np.random.default_rng(1 if c == 1e-5 else 4)
+        n, d, k = (4000, 8, 4) if c == 1e-5 else (300, 20, 6)
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, k, size=n)
+        cfg = TrainConfig()
+        W, b, iterations, grad_max, converged, trials = two_call_train(X, y, k, c, cfg)
+        calls = {"loss_value": 0, "loss_and_grad": 0}
+
+        def counted(name):
+            original = getattr(model_mod, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(model_mod, name, counted(name))
+        m = train(X, y, tuple("abcdef"[:k]), c, cfg)
+        assert m.weights.tobytes() == W.tobytes()
+        assert m.bias.tobytes() == b.tobytes()
+        assert m.iterations == iterations
+        assert m.grad_max == grad_max
+        assert m.converged == converged
+        assert calls == {"loss_value": 0, "loss_and_grad": trials + 1}
+        assert trials > iterations
 
     def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
         # a direction with g'p >= 0 must never be searched along
@@ -296,6 +382,18 @@ class TestPersistence:
             load_model(p)
 
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_c_line_rejected(self, tmp_path, token):
+        m, _ = self.train_small()
+        p = tmp_path / "m.txt"
+        save_model(m, p)
+        lines = p.read_text().splitlines()
+        assert lines[1] == "C 0.1"
+        lines[1] = f"C {token}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            load_model(p)
+
     @pytest.mark.parametrize("token", ["corrupt", "broken"])
     def test_bad_weight_is_corrupt_whatever_its_text(self, tmp_path, token):
         m, _ = self.train_small()
@@ -381,6 +479,16 @@ class TestTrainConfig:
             TrainConfig(folds=1)
         with pytest.raises(ValueError):
             TrainConfig(grad_tol=0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_c_rejected(self, c):
+        # NaN passes a "c <= 0" check; every way a C enters must refuse it
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            TrainConfig(c_grid=(1.0, c))
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            train(np.zeros((2, 1)), np.array([0, 1]), ("a", "b"), c)
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            LogRegModel(np.zeros((2, 1)), np.zeros(2), c, ("a", "b"))
 
     def test_default_grid(self):
         assert TrainConfig().c_grid == (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)

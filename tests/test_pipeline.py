@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -130,6 +131,13 @@ class TestConfig:
             PipelineConfig(min_match_score=1.5)
         with pytest.raises(ValueError, match="out_dir must not be empty"):
             PipelineConfig(out_dir="")
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_c_rejected(self, c):
+        with pytest.raises(ValueError, match="c_grid must be non-empty, finite"):
+            PipelineConfig(c_grid=(0.1, c))
+        with pytest.raises(DataError, match="c_grid must be non-empty, finite"):
+            config_from_dict({"c_grid": [c]})
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(DataError, match="unknown config keys: typo"):
