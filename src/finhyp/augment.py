@@ -139,7 +139,6 @@ def augment_dataset(terms, ddict: DefinitionDict, min_score: float = DEFAULT_MIN
 class FetcherConfig:
     base_url: str
     timeout: float = 10.0
-    rate_limit: float = 1.0  # requests per second; 0 disables throttling
     user_agent: str = "finhyp/0.1"
 
 
@@ -173,8 +172,9 @@ class HttpFetcher:
 def fetch_definitions(terms, fetcher, snapshot_out, rate_limit: float = 0.0):
     """Query every term, write the collected snapshot, return (dict, failures).
 
-    The fetcher is any callable term -> (headword, definition) or None.
-    A fetcher exception skips the term with a warning; duplicate headwords
+    The fetcher is any callable term -> (headword, definition) or None,
+    called at most rate_limit times per second (0: no limit). A fetcher
+    exception skips the term with a warning; duplicate headwords
     keep the last definition fetched. The snapshot write is atomic.
     """
     entries: dict[str, str] = {}

@@ -51,8 +51,11 @@ class TrainConfig:
             _check_c(c)
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        # NaN fails every comparison, and infinity "converges" at the start
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(
+                f"grad_tol must be finite and positive, got {self.grad_tol!r}"
+            )
 
 
 @dataclass

@@ -5,24 +5,28 @@ minimal edit distance, or substitute the best character-n-gram Jaccard match
 (with an edit-distance fallback when no n-gram is shared). All string
 comparison is lowercase-normalized; resolution is pure and memoized per run.
 
-``best_ngram_matches`` scores a batch of texts against an ``NgramIndex``
-in one numpy pass: the texts' grams by one prefix extension over their
-concatenated symbols, their shared postings by one sort of (text, entry)
-keys, and each text's best Jaccard score by one ``maximum.reduceat``. The
-edit-distance tie-break runs only for a text whose best score two or more
-entries share. A run resolves all of its OOV tokens with one such call.
+One walk, ``_walk``, lists n-grams for every use: a prefix extension over
+the concatenated symbols of some texts, which ranks each level's gram keys
+to build an ``NgramIndex`` and looks them up in one to query it.
+``best_ngram_matches`` scores a batch of texts in one numpy pass: a query
+walk finds their indexed grams, a build walk over the texts alone counts
+each one's distinct grams, one sort of (text, entry) keys counts the shared
+postings, and one ``maximum.reduceat`` takes each text's best Jaccard
+score. The edit-distance tie-break runs only for a text whose best score
+two or more entries share. A run resolves all of its OOV tokens in one call.
 
 The n-gram index of a store loaded from a file is cached beside that file,
-``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of
-the index's arrays, a format version, the gram sizes, the entry count and
-the store file's SHA-256 (``EmbeddingStore.sha256``), the key the store's
-own sidecar uses. A cache whose records all match, and whose arrays pass
-the structural checks of ``_read_index``, is used in place of a build; the
-index is the same arrays either way. Any other cache is rebuilt and
-rewritten, so a rewrite of the store file that changes only its vectors
-rebuilds the index once. A failed write is ignored, so deleting the cache
-is always safe. A store without a digest (read from a pipe, built in
-memory, or changed while it was parsed) is indexed in memory only.
+``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of a
+format version, the gram sizes, the entry count and the store file's
+SHA-256 (``EmbeddingStore.sha256``, the key of the store's own sidecar),
+then the index's arrays, ``_members(ngram_max)``. A cache whose records all
+match, and whose arrays pass the structural checks of ``_read_index``, is
+used in place of a build; the index is the same arrays either way. Any
+other cache is rebuilt and rewritten, so a rewrite of the store file that
+changes only its vectors rebuilds the index once. A failed write is
+ignored, so deleting the cache is always safe. A store without a digest
+(read from a pipe, built in memory, or changed while it was parsed) is
+indexed in memory only.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distance
-from .distance import _alphabet, _find, codes
+from .distance import _find, codes
 from .embeddings import EmbeddingStore
 from .fileio import read_cache, write_cache
 
@@ -78,81 +82,109 @@ def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], rank
 
 
+def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
+    """Alphabet and keys, then the gram and text arrays of the distinct
+    (gram, text) pairs of the texts lows, sorted by gram, then text.
+
+    A character's symbol is its index in alphabet (sorted code points), and
+    a 1-gram's id is its symbol. An n-gram's key is ``prefix_id * A +
+    last_symbol``, A = len(alphabet), and its id is the key's index in
+    ``keys[n]``, the level's sorted distinct keys. Without an index the
+    walk builds: alphabet is the texts' own, and it ranks every level's
+    keys into a new dict. With one it queries: it takes the index's
+    alphabet and keys and looks each key up, and a gram that is absent
+    leaves the walk with every gram that extends it; a character outside
+    alphabet ends every gram that reaches it. Grams of length
+    ngram_min..ngram_max are paired by global id: their id plus
+    ``len(keys[m])`` for each level m from ngram_min below theirs.
+    """
+    build = index is None
+    points = codes("".join(lows))
+    alphabet = _sorted_unique(points) if build else index.alphabet
+    keys = {1: np.arange(len(alphabet))} if build else index.keys
+    lens = np.array([len(low) for low in lows], dtype=np.int64)
+    sym = _find(alphabet, points)
+    text = np.repeat(np.arange(len(lows)), lens)
+    # where the grams from each position must stop: the end of its text or
+    # its text's next character outside alphabet
+    ends = np.sort(np.concatenate((np.cumsum(lens), np.flatnonzero(sym < 0))))
+    left = np.repeat(ends, np.diff(ends, prepend=0)) - np.arange(len(sym))
+    width = len(alphabet)
+    starts = np.flatnonzero(sym >= 0)
+    ids, grams, texts, n_grams = sym[starts], [], [], 0
+    for n in range(1, ngram_max + 1):
+        if n > 1:
+            keep = left[starts] >= n
+            starts = starts[keep]
+            key = ids[keep] * width + sym[starts + n - 1]
+            if build:
+                keys[n], ids = _rank(key)
+            else:
+                ids = _find(keys[n], key)
+                starts, ids = starts[ids >= 0], ids[ids >= 0]
+        if n >= ngram_min:
+            grams.append(n_grams + ids)
+            texts.append(text[starts])
+            n_grams += len(keys[n])
+    stride = max(len(lows), 1)
+    pairs = _sorted_unique(np.concatenate(grams) * stride + np.concatenate(texts))
+    return (alphabet, keys, *np.divmod(pairs, stride))
+
+
+def _members(ngram_max: int) -> list[str]:
+    """Names of the arrays an index is made of, in the order of its cache."""
+    levels = [f"keys{n}" for n in range(2, ngram_max + 1)]
+    return ["alphabet", *levels, "indptr", "post", "count"]
+
+
 class NgramIndex:
     """Inverted index from character n-grams to entry ids, as flat arrays.
 
-    Entries are lowercased for the build and mapped to a dense alphabet of
-    ``A`` symbols; the index keeps only the entries as given.
-    Every n-gram gets an exact integer id by prefix extension: its key is
-    ``prefix_id * A + last_symbol``, where ``prefix_id`` is the id of its
-    (n-1)-prefix, and its id is the key's rank among the level's sorted
-    distinct keys (``keys[n]``; a 1-gram's id is its symbol). Keys stay
-    below (distinct (n-1)-grams) * A, so they never overflow int64. Grams of
-    length ngram_min..ngram_max get global ids ``offset[n] + id``; entry ids
+    A build walk (``_walk``) over the lowercased entries gives ``alphabet``
+    and each level's keys ``keys[n]``, which stay below (distinct
+    (n-1)-grams) * len(alphabet), so never overflow int64. Grams of length
+    n in ngram_min..ngram_max get global ids ``offset[n] + id``; entry ids
     of gram g are ``post[indptr[g]:indptr[g + 1]]``, ascending, and
-    ``count[i]`` is the number of distinct grams of entry i. Immutable after
-    build.
+    ``count[i]`` is the number of distinct grams of entry i. The index keeps
+    the entries as given. ``_assign`` alone sets these attributes, from the
+    arrays that ``_members`` names, for a build and a cache alike.
+    Immutable after build.
     """
 
     def __init__(self, entries, ngram_min: int = 3, ngram_max: int = 6):
-        self._set_entries(entries, ngram_min, ngram_max)
-        lower = [e.lower() for e in self.entries]
-        n_entries = len(lower)
-        stride = max(n_entries, 1)
-        lens = np.array([len(e) for e in lower], dtype=np.int64)
-        joined = "".join(lower)
-        self.alphabet, table = _alphabet(joined)
-        sym = table[codes(joined)].astype(np.int64)
-        width = len(self.alphabet)
-        entry = np.repeat(np.arange(n_entries), lens)
-        # characters left in the entry from each position, itself included
-        left = np.repeat(np.cumsum(lens), lens) - np.arange(len(sym))
-        self.keys = {1: np.arange(width)}
-        self.offset: dict[int, int] = {}
-        pairs, n_grams = [], 0
-        starts, ids = np.arange(len(sym)), sym
-        for n in range(1, ngram_max + 1):
-            if n > 1:
-                keep = left[starts] >= n
-                starts = starts[keep]
-                key = ids[keep] * width + sym[starts + n - 1]
-                self.keys[n], ids = _rank(key)
-            if n >= ngram_min:
-                self.offset[n] = n_grams
-                pairs.append((n_grams + ids) * stride + entry[starts])
-                n_grams += len(self.keys[n])
-        pairs = _sorted_unique(np.concatenate(pairs))
-        gram, self.post = np.divmod(pairs, stride)
-        self.indptr = np.zeros(n_grams + 1, dtype=np.int64)
-        np.cumsum(np.bincount(gram, minlength=n_grams), out=self.indptr[1:])
-        self.count = np.bincount(self.post, minlength=n_entries)
-
-    def _set_entries(self, entries, ngram_min: int, ngram_max: int) -> None:
         if not (1 <= ngram_min <= ngram_max):
             raise ValueError("require 1 <= ngram_min <= ngram_max")
-        self.entries = list(entries)
+        entries = list(entries)
+        lower = [e.lower() for e in entries]
+        alphabet, keys, gram, post = _walk(lower, ngram_min, ngram_max)
+        n_grams = sum(len(keys[n]) for n in range(ngram_min, ngram_max + 1))
+        indptr = np.zeros(n_grams + 1, dtype=np.int64)
+        np.cumsum(np.bincount(gram, minlength=n_grams), out=indptr[1:])
+        count = np.bincount(post, minlength=len(entries))
+        arrays = {f"keys{n}": keys[n] for n in range(2, ngram_max + 1)}
+        arrays.update(alphabet=alphabet, indptr=indptr, post=post, count=count)
+        self._assign(entries, ngram_min, ngram_max, arrays)
+
+    def _assign(self, entries: list, ngram_min: int, ngram_max: int, arrays):
+        """Make this the index of entries whose arrays, by ``_members``
+        name, are arrays."""
+        self.entries = entries
         self.ngram_min = ngram_min
         self.ngram_max = ngram_max
-
-    @classmethod
-    def _restore(cls, entries, ngram_min: int, ngram_max: int, arrays) -> "NgramIndex":
-        """The index of entries whose build gave arrays: ``alphabet``,
-        ``keys<n>`` for n >= 2, ``indptr``, ``post`` and ``count``, as
-        build_ngram_index caches them."""
-        index = cls.__new__(cls)
-        index._set_entries(entries, ngram_min, ngram_max)
-        index.alphabet = arrays["alphabet"]
-        index.keys = {1: np.arange(len(index.alphabet))}
-        for n in range(2, ngram_max + 1):
-            index.keys[n] = arrays[f"keys{n}"]
-        index.offset, n_grams = {}, 0
+        self.alphabet = arrays["alphabet"]
+        self.keys = {1: np.arange(len(self.alphabet))}
+        self.keys.update({n: arrays[f"keys{n}"] for n in range(2, ngram_max + 1)})
+        self.offset, n_grams = {}, 0
         for n in range(ngram_min, ngram_max + 1):
-            index.offset[n] = n_grams
-            n_grams += len(index.keys[n])
-        index.indptr = arrays["indptr"]
-        index.post = arrays["post"]
-        index.count = arrays["count"]
-        return index
+            self.offset[n] = n_grams
+            n_grams += len(self.keys[n])
+        self.indptr = arrays["indptr"]
+        self.post = arrays["post"]
+        self.count = arrays["count"]
+
+    def _array(self, name: str) -> np.ndarray:
+        """The array that ``_members`` names name; ``_assign`` inverted."""
+        return self.keys[int(name[4:])] if name[:4] == "keys" else getattr(self, name)
 
 
 def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
@@ -172,22 +204,15 @@ def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIn
     index = _read_index(path, records, store.vocab, *sizes)
     if index is None:
         index = NgramIndex(store.vocab, *sizes)
-        arrays = {
-            "alphabet": index.alphabet,
-            **{f"keys{n}": index.keys[n] for n in range(2, index.ngram_max + 1)},
-            "indptr": index.indptr,
-            "post": index.post,
-            "count": index.count,
-        }
-        write_cache(path, {**records, **arrays})
+        names = _members(index.ngram_max)
+        write_cache(path, {**records, **{n: index._array(n) for n in names}})
     return index
 
 
 def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
     """The index cached at path if its records match and its arrays are
     consistent, else None."""
-    names = ["alphabet", "indptr", "post", "count"]
-    names += [f"keys{n}" for n in range(2, ngram_max + 1)]
+    names = _members(ngram_max)
     arrays = read_cache(path, records, names)
     if arrays is None or any(a.ndim != 1 for a in arrays.values()):
         return None
@@ -195,7 +220,8 @@ def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
         return None
     if any(arrays[name].dtype != np.int64 for name in names[1:]):
         return None
-    index = NgramIndex._restore(entries, ngram_min, ngram_max, arrays)
+    index = NgramIndex.__new__(NgramIndex)
+    index._assign(list(entries), ngram_min, ngram_max, arrays)
     indptr, post = index.indptr, index.post
     n_grams = index.offset[ngram_max] + len(index.keys[ngram_max])
     # Every gram id that best_ngram_matches can look up indexes indptr,
@@ -212,35 +238,6 @@ def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
     return index
 
 
-def _gram_pairs(lows: list[str], index: NgramIndex):
-    """Text and global gram id of each distinct (text, indexed n-gram) pair
-    of the lowercased texts, sorted by text, then gram: one prefix-extension
-    pass, as the build makes, over the texts' concatenated symbols. A character outside the index alphabet
-    ends every gram that contains it, and a gram whose prefix is absent from
-    the index is absent too, so a position leaves the pass at its first
-    unindexed gram."""
-    n_grams = max(len(index.indptr) - 1, 1)
-    lens = np.array([len(low) for low in lows], dtype=np.int64)
-    sym = _find(index.alphabet, codes("".join(lows)))
-    text = np.repeat(np.arange(len(lows)), lens)
-    # characters left in the text from each position, itself included
-    left = np.repeat(np.cumsum(lens), lens) - np.arange(len(sym))
-    width = len(index.alphabet)
-    starts = np.flatnonzero(sym >= 0)
-    ids, pairs = sym[starts], []
-    for n in range(1, index.ngram_max + 1):
-        if n > 1:
-            keep = left[starts] >= n
-            starts, ids = starts[keep], ids[keep]
-            last = sym[starts + n - 1]
-            ids = np.where(last >= 0, _find(index.keys[n], ids * width + last), -1)
-            keep = ids >= 0
-            starts, ids = starts[keep], ids[keep]
-        if n >= index.ngram_min:
-            pairs.append(text[starts] * n_grams + index.offset[n] + ids)
-    return np.divmod(_sorted_unique(np.concatenate(pairs)), n_grams)
-
-
 def best_ngram_matches(texts, index: NgramIndex) -> list:
     """Entry sharing the most n-gram mass with each text, as (entry_id,
     jaccard), or None for a text that shares no n-gram with any entry.
@@ -255,13 +252,15 @@ def best_ngram_matches(texts, index: NgramIndex) -> list:
     """
     lows = [t.lower() for t in texts]
     out = [None] * len(lows)
-    text, gram = _gram_pairs(lows, index)
+    sizes = (index.ngram_min, index.ngram_max)
+    _, _, gram, text = _walk(lows, *sizes, index)
     if not len(text):
         return out
-    size = np.array(
-        [len(char_ngrams(low, index.ngram_min, index.ngram_max)) for low in lows],
-        dtype=np.int64,
-    )
+    order = np.argsort(text, kind="stable")
+    text, gram = text[order], gram[order]
+    # each text's distinct grams, indexed or not
+    own = _walk(lows, *sizes)[3]
+    size = np.bincount(own, minlength=len(lows))
     lo = index.indptr[gram]
     span = index.indptr[gram + 1] - lo
     # first pair of each text, and the postings before it

@@ -154,6 +154,13 @@ class PipelineConfig:
             raise ValueError("require 1 <= ngram_min <= ngram_max")
         if not 0 <= self.min_match_score <= 1:
             raise ValueError("min_match_score must be in [0, 1]")
+        # a negative or NaN timeout fails every fetch, and a NaN or negative
+        # rate turns throttling off
+        timeout, rate = self.fetcher_timeout, self.fetcher_rate_limit
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError("fetcher_timeout must be finite and positive")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError("fetcher_rate_limit must be finite and >= 0")
         if not self.out_dir:
             raise ValueError("out_dir must not be empty")
 
@@ -604,7 +611,6 @@ def run_augment_fetch(cfg: PipelineConfig, terms_path):
         FetcherConfig(
             base_url=cfg.fetcher_base_url,
             timeout=cfg.fetcher_timeout,
-            rate_limit=cfg.fetcher_rate_limit,
             user_agent=cfg.fetcher_user_agent,
         )
     )

@@ -1,4 +1,5 @@
 """Definition matching and text augmentation."""
+import dataclasses
 import json
 
 import pytest
@@ -214,6 +215,16 @@ class TestFetch:
         assert failures == 0
         assert len(ddict) == 0
 
+    def test_rate_limit_spaces_requests(self, tmp_path, monkeypatch):
+        # the rate is fetch_definitions' own argument: at 2 requests per
+        # second a request waits out what is left of 0.5 s since the last one
+        clock = iter([10.0, 10.1, 10.5, 11.25, 11.25])
+        slept = []
+        monkeypatch.setattr("finhyp.augment.time.monotonic", lambda: next(clock))
+        monkeypatch.setattr("finhyp.augment.time.sleep", slept.append)
+        fetch_definitions(["a", "b", "c"], lambda t: None, tmp_path / "s.json", 2.0)
+        assert slept == pytest.approx([0.4])
+
     def test_no_leftover_temp_files(self, tmp_path):
         fetch_definitions(
             ["swap"], lambda t: ("swap", "def."), tmp_path / "s.json"
@@ -253,6 +264,11 @@ class TestHttpFetcher:
         assert captured["url"] == "http://x.test/defs?term=interest%20rate%20swap"
         assert captured["timeout"] == 3.0
         assert captured["ua"] == "finhyp/0.1"
+
+    def test_config_holds_no_rate(self):
+        # HttpFetcher makes one request per call; fetch_definitions paces them
+        names = [f.name for f in dataclasses.fields(FetcherConfig)]
+        assert names == ["base_url", "timeout", "user_agent"]
 
     def test_404_is_no_definition(self, monkeypatch):
         import urllib.error

@@ -606,6 +606,37 @@ class TestAugmentCommands:
             assert main(argv) == 0
             assert seen.pop() == expected
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"fetcher_timeout": NaN}',
+            '{"fetcher_timeout": -1}',
+            '{"fetcher_timeout": 0}',
+            '{"fetcher_rate_limit": NaN}',
+            '{"fetcher_rate_limit": -1}',
+            '{"fetcher_rate_limit": Infinity}',
+        ],
+    )
+    def test_bad_fetcher_setting_exits_2(self, tmp_path, monkeypatch, capsys, config):
+        # a NaN or negative timeout would fail every fetch, and a NaN or
+        # negative rate would turn throttling off, each without a word
+        def refuse(*args, **kwargs):
+            raise AssertionError("a request was made")
+
+        monkeypatch.setattr("urllib.request.urlopen", refuse)
+        monkeypatch.delenv(FETCHER_URL_ENV, raising=False)
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("term\nswap\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        out = tmp_path / "out"
+        argv = ["augment-fetch", str(csv_path), "--config", str(cfg)]
+        argv += ["--base-url", "http://flag.test/defs", "--out", str(out)]
+        assert main(argv) == 2
+        (key,) = json.loads(config)
+        assert capsys.readouterr().err.startswith(f"error: bad config: {key} must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "d.csv"]
+
 
 class TestModuleEntry:
     def test_python_dash_m(self, tmp_path):

@@ -490,5 +490,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="C must be finite and positive"):
             LogRegModel(np.zeros((2, 1)), np.zeros(2), c, ("a", "b"))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_grad_tol_must_be_finite_and_positive(self, tol):
+        # NaN would return the all-zero start after 0 iterations, and
+        # infinity would report convergence there
+        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+            TrainConfig(grad_tol=tol)
+
     def test_default_grid(self):
         assert TrainConfig().c_grid == (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)

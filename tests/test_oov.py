@@ -615,6 +615,19 @@ class TestNgramIndexCache:
         assert_same_index(index, cold)
         assert path.read_bytes() == valid
 
+    def test_file_bytes_pinned(self, tmp_path):
+        # A cache written by an earlier release loads without a rebuild only
+        # while a build writes the same bytes: a change to the arrays, their
+        # order or their dtypes must bump _INDEX_VERSION and this digest.
+        tokens = ["bond", "bonds", "swap", "Swaption", "yield", "ΣΑΣ", "中é-"]
+        store = filed_store(tmp_path, tokens)
+        oov.build_ngram_index(store, OOVStrategy("ngram"))
+        with open(index_file(store), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "b512eb9a2ce966d27dae339c41067747bc7e3d3e7085039c998ae4b9e0585321"
+        )
+
     def test_gram_sizes_get_separate_files(self, tmp_path):
         store = filed_store(tmp_path, ["bond", "bonds", "swap"])
         indexes = {}

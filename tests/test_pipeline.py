@@ -132,6 +132,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="out_dir must not be empty"):
             PipelineConfig(out_dir="")
 
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, 0.0, -1.0])
+    def test_fetcher_timeout_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="fetcher_timeout must be finite and positive"):
+            PipelineConfig(fetcher_timeout=timeout)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+    def test_fetcher_rate_limit_finite_and_not_negative(self, rate):
+        with pytest.raises(ValueError, match="fetcher_rate_limit must be finite and >= 0"):
+            PipelineConfig(fetcher_rate_limit=rate)
+        # 0 turns throttling off
+        assert PipelineConfig(fetcher_rate_limit=0.0).fetcher_rate_limit == 0.0
+
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(ValueError, match="c_grid must be non-empty, finite"):
