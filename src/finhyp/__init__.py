@@ -59,7 +59,7 @@ from .model import (
     save_model,
     train,
 )
-from .oov import NgramIndex, OOVStrategy, best_ngram_matches, char_ngrams
+from .oov import NgramIndex, OOVStrategy, best_ngram_matches
 from .pipeline import (
     PRESETS,
     DataError,

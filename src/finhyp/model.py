@@ -5,22 +5,27 @@ The objective is
     L(W, b) = ||W||^2 / (2C) + sum_i -log softmax(W x_i + b)[y_i]
 
 with the bias unpenalized, so C keeps its conventional meaning: larger C,
-weaker regularization. Logits are max-shifted before exponentiation.
+weaker regularization. It is computed class-major: the logits are the
+(K, N) matrix W X' + b, max-shifted per column before exponentiation, so
+every reduction over the classes runs along axis 0.
 
 It is minimized by deterministic full-batch L-BFGS (Liu & Nocedal 1989;
-Nocedal & Wright, Numerical Optimization, ch. 7): the two-loop recursion
-over the last MEMORY curvature pairs, keeping a pair only when s'y > 0.
-Each step is found by backtracking (halving, Armijo constant 1e-4) with
-each trial point scored by ``loss_and_grad``; the accepted trial's
-gradient starts the next iteration, so the objective is evaluated once per
-trial. A fit also stops, as not converged, after MAX_ITER iterations or
-once backtracking shrinks the decrease a step promises below float64
-resolution of the loss (STALL).
+Nocedal & Wright, Numerical Optimization, ch. 7) over the last MEMORY
+curvature pairs, keeping a pair only when s'y > 0. The direction -H g is
+taken in the compact form of Byrd, Nocedal & Schnabel (1994), which gives
+the two-loop recursion's H from small Gram matrices of the pairs (see
+``_CurvaturePairs``): one product of the block of pairs with g, products
+with m x m matrices, and one product back. Each step is found by
+backtracking (halving, Armijo constant 1e-4) with each trial point scored
+by ``loss_and_grad``; the accepted trial's gradient starts the next
+iteration, so the objective is evaluated once per trial. A fit also
+stops, as not converged, after MAX_ITER iterations or once backtracking
+shrinks the decrease a step promises below float64 resolution of the
+loss (STALL).
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,44 +119,106 @@ def _check_xy(X, y, n_classes):
     return X, y
 
 
+def _data_term(W, b, X, y):
+    """The data term of the loss, with the exponentials of the class-major
+    (K, N) logits shifted by their column maxima, the column sums of those
+    exponentials, and the flat positions y * N + arange(N) of the gold
+    logits."""
+    n = len(y)
+    z = W @ X.T
+    z += b[:, None]
+    gold = y * n
+    gold += np.arange(n)
+    zmax = z.max(axis=0)
+    zgold = z.take(gold)
+    z -= zmax
+    np.exp(z, out=z)
+    s = z.sum(axis=0)
+    return float((np.log(s) + zmax - zgold).sum()), z, s, gold
+
+
+def _penalty(W, c) -> float:
+    w = W.ravel()
+    return 0.5 / c * float(w @ w)
+
+
 def loss_value(W, b, X, y, c) -> float:
-    z = X @ W.T + b
-    zmax = z.max(axis=1)
-    logsum = np.log(np.exp(z - zmax[:, None]).sum(axis=1)) + zmax
-    data = float(np.sum(logsum - z[np.arange(len(y)), y]))
-    return data + 0.5 / c * float(np.sum(W * W))
+    """The loss of loss_and_grad, bit for bit, without the gradient."""
+    return _data_term(W, b, X, y)[0] + _penalty(W, c)
 
 
 def loss_and_grad(W, b, X, y, c):
     """Objective value with its analytic gradient (see module docstring)."""
-    z = X @ W.T + b
-    zmax = z.max(axis=1)
-    e = np.exp(z - zmax[:, None])
-    s = e.sum(axis=1)
-    loss = float(np.sum(np.log(s) + zmax - z[np.arange(len(y)), y]))
-    loss += 0.5 / c * float(np.sum(W * W))
-    g = e / s[:, None]
-    g[np.arange(len(y)), y] -= 1.0
-    grad_w = g.T @ X + W / c
-    grad_b = g.sum(axis=0)
-    return loss, grad_w, grad_b
+    data, e, s, gold = _data_term(W, b, X, y)
+    e /= s  # the (K, N) softmax
+    e.ravel()[gold] -= 1.0  # e is contiguous, so ravel is a view
+    grad_w = e @ X
+    grad_w += W / c
+    return data + _penalty(W, c), grad_w, e.sum(axis=1)
 
 
-def _lbfgs_direction(g, memory) -> np.ndarray:
-    """-H g by the two-loop recursion, H the inverse-Hessian estimate from
-    the (s, y, 1 / s'y) pairs in memory, scaled by s'y / y'y of the newest."""
-    q = g.copy()
-    alphas = []
-    for s, yv, rho in reversed(memory):
-        a = rho * float(s @ q)
-        q -= a * yv
-        alphas.append(a)
-    if memory:
-        s, yv, rho = memory[-1]
-        q *= 1.0 / (rho * float(yv @ yv))
-    for (s, yv, rho), a in zip(memory, reversed(alphas)):
-        q += (a - rho * float(yv @ q)) * s
-    return -q
+class _CurvaturePairs:
+    """The last MEMORY curvature pairs (s, y), each with s'y > 0, and the
+    inverse-Hessian estimate H they define, in the compact form of Byrd,
+    Nocedal & Schnabel (1994):
+
+        H = gamma I + [S Y] [[R^-T (D + gamma Y'Y) R^-1, -gamma R^-T],
+                             [-gamma R^-1, 0]] [S Y]'
+
+    with R = triu(S'Y) over the pairs oldest first, D its diagonal and
+    gamma = s'y / y'y of the newest pair. This H equals the two-loop
+    recursion's. The pairs are rows of one block, s in slot i at row i and
+    y at row MEMORY + i, filled as a ring. Y'Y, diag(S'Y) and R^-1 are kept
+    in slot order: a matrix-vector product commutes with the permutation,
+    so nothing is reordered, and a free slot's rows and columns of R^-1
+    are zero, which zeroes its coefficients."""
+
+    def __init__(self, n: int):
+        self.block = np.zeros((2 * MEMORY, n))
+        self.sy = np.zeros(MEMORY)
+        self.yy = np.zeros((MEMORY, MEMORY))
+        self.rinv = np.zeros((MEMORY, MEMORY))
+        self.slots: list[int] = []  # slots in use, oldest pair first
+
+    def clear(self) -> None:
+        self.rinv[:] = 0.0
+        self.slots.clear()
+
+    def add(self, s, yv, sy: float) -> None:
+        """Keep (s, yv), whose s'y = sy > 0, dropping the oldest pair when
+        MEMORY are kept."""
+        if len(self.slots) == MEMORY:
+            slot = self.slots.pop(0)
+            # R^-1 of R without its first row and column is the trailing
+            # block of R^-1
+            self.rinv[slot] = 0.0
+            self.rinv[:, slot] = 0.0
+        else:
+            slot = len(self.slots)
+        self.block[slot] = s
+        self.block[MEMORY + slot] = yv
+        products = self.block @ yv  # S'y and Y'y
+        self.sy[slot] = sy
+        self.yy[slot] = self.yy[:, slot] = products[MEMORY:]
+        # [[R, c], [0, sy]]^-1 = [[R^-1, -R^-1 c / sy], [0, 1 / sy]]; the
+        # zero columns of R^-1 drop c's entries of free slots and this one
+        self.rinv[:, slot] = self.rinv @ products[:MEMORY] / -sy
+        self.rinv[slot, slot] = 1.0 / sy
+        self.slots.append(slot)
+
+    def direction(self, g) -> np.ndarray:
+        """-H g: -g with no pairs kept."""
+        if not self.slots:
+            return -g
+        newest = self.slots[-1]
+        gamma = self.sy[newest] / self.yy[newest, newest]
+        products = self.block @ g  # S'g and Y'g
+        t = self.rinv @ products[:MEMORY]
+        u = self.sy * t + gamma * (self.yy @ t - products[MEMORY:])
+        coef_s = u @ self.rinv  # R^-T u
+        p = np.concatenate([-coef_s, gamma * t]) @ self.block
+        p -= gamma * g
+        return p
 
 
 def _backtrack(f, theta, p, loss: float, slope: float):
@@ -198,14 +265,16 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
 
     theta = np.zeros(k * d + k)
     loss, g = value_and_grad(theta)
-    memory: deque = deque(maxlen=MEMORY)
+    pairs = _CurvaturePairs(theta.size)
     iterations = 0
     while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
-        p = _lbfgs_direction(g, memory)
+        p = pairs.direction(g)
         slope = float(g @ p)
-        if slope >= 0:
-            # rounding broke the descent property: restart from steepest descent
-            memory.clear()
+        # rounding broke the descent property, or the slope is NaN or
+        # infinite, along which backtracking would halve the step forever
+        # (NaN fails both comparisons): restart from steepest descent
+        if not -math.inf < slope < 0:
+            pairs.clear()
             p = -g
             slope = -float(g @ g)
         accepted = _backtrack(value_and_grad, theta, p, loss, slope)
@@ -215,7 +284,7 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
         s, yv = trial - theta, g_new - g
         sy = float(s @ yv)
         if sy > 0:
-            memory.append((s, yv, 1.0 / sy))
+            pairs.add(s, yv, sy)
         theta, g = trial, g_new
         iterations += 1
     W, b = unpack(theta)

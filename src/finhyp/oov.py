@@ -49,15 +49,6 @@ _INDEX_VERSION = 2
 _POSTINGS = 1 << 14
 
 
-def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
-    """All contiguous substrings of text with length in [n_min, n_max]."""
-    out = set()
-    for n in range(n_min, n_max + 1):
-        for i in range(len(text) - n + 1):
-            out.add(text[i : i + n])
-    return frozenset(out)
-
-
 def _first(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of sorted a that differ from their predecessor."""
     first = np.ones(len(a), dtype=bool)

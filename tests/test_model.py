@@ -63,6 +63,38 @@ def record_accepted_losses(monkeypatch):
     return losses
 
 
+def row_major_loss_and_grad(W, b, X, y, c):
+    """The objective on (N, K) logits X @ W.T + b, the layout loss_and_grad
+    used before it went class-major: the reference it is checked against."""
+    z = X @ W.T + b
+    zmax = z.max(axis=1)
+    e = np.exp(z - zmax[:, None])
+    s = e.sum(axis=1)
+    loss = float(np.sum(np.log(s) + zmax - z[np.arange(len(y)), y]))
+    loss += 0.5 / c * float(np.sum(W * W))
+    g = e / s[:, None]
+    g[np.arange(len(y)), y] -= 1.0
+    return loss, g.T @ X + W / c, g.sum(axis=0)
+
+
+def two_loop_direction(g, memory):
+    """-H g by the two-loop recursion over the (s, y, 1 / s'y) pairs of a
+    deque, oldest first, scaled by s'y / y'y of the newest: the reference
+    for _CurvaturePairs.direction."""
+    q = g.copy()
+    alphas = []
+    for s, yv, rho in reversed(memory):
+        a = rho * float(s @ q)
+        q -= a * yv
+        alphas.append(a)
+    if memory:
+        s, yv, rho = memory[-1]
+        q *= 1.0 / (rho * float(yv @ yv))
+    for (s, yv, rho), a in zip(memory, reversed(alphas)):
+        q += (a - rho * float(yv @ q)) * s
+    return -q
+
+
 def two_call_train(X, y, k, c, cfg):
     """Reference fit that scores each trial with loss_value alone and calls
     loss_and_grad again at the accepted point. Returns (W, b, iterations,
@@ -78,13 +110,13 @@ def two_call_train(X, y, k, c, cfg):
 
     theta = np.zeros(k * d + k)
     loss, g = value_and_grad(theta)
-    memory = deque(maxlen=model_mod.MEMORY)
+    pairs = model_mod._CurvaturePairs(theta.size)
     iterations = trials = 0
     while iterations < model_mod.MAX_ITER and np.abs(g).max() > cfg.grad_tol:
-        p = model_mod._lbfgs_direction(g, memory)
+        p = pairs.direction(g)
         slope = float(g @ p)
-        if slope >= 0:
-            memory.clear()
+        if not -math.inf < slope < 0:
+            pairs.clear()
             p = -g
             slope = -float(g @ g)
         step = 1.0
@@ -104,7 +136,7 @@ def two_call_train(X, y, k, c, cfg):
         s, yv = trial - theta, g_new - g
         sy = float(s @ yv)
         if sy > 0:
-            memory.append((s, yv, 1.0 / sy))
+            pairs.add(s, yv, sy)
         theta, g = trial, g_new
         iterations += 1
     W, b = unpack(theta)
@@ -123,10 +155,28 @@ class TestGradient:
             b = rng.normal(scale=0.5, size=k)
             c = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
             loss, gw, gb = loss_and_grad(W, b, X, y, c)
-            assert loss == pytest.approx(loss_value(W, b, X, y, c))
+            # the two-call reference in TestTrain relies on equal bits
+            assert loss == loss_value(W, b, X, y, c)
             fw, fb = finite_diff(W, b, X, y, c)
             assert rel_err(gw, fw) <= 1e-5
             assert rel_err(gb, fb) <= 1e-5
+
+    def test_matches_row_major_objective(self):
+        rng = np.random.default_rng(7)
+        for n, d, k in [(1, 1, 2), (3, 5, 2), (233, 76, 17), (40, 3, 6), (7, 20, 9)]:
+            X = rng.normal(size=(n, d))
+            y = rng.integers(0, k, size=n)
+            for scale in (0.0, 0.5, 5.0):
+                W = rng.normal(scale=scale, size=(k, d))
+                b = rng.normal(scale=scale, size=k)
+                c = float(rng.choice([0.001, 1.0, 100.0]))
+                loss, gw, gb = loss_and_grad(W, b, X, y, c)
+                ref_loss, ref_gw, ref_gb = row_major_loss_and_grad(W, b, X, y, c)
+                assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+                for got, ref in ((gw, ref_gw), (gb, ref_gb)):
+                    assert got.shape == ref.shape
+                    scale = max(np.abs(ref).max(), 1.0)
+                    assert np.abs(got - ref).max() <= 1e-12 * scale
 
     def test_bias_not_penalized(self):
         X = np.zeros((2, 1))
@@ -137,6 +187,37 @@ class TestGradient:
         base = loss_value(W, b, X, y, 1.0)
         assert loss_value(W, b + 1.0, X, y, 1.0) == pytest.approx(base)
         assert loss_value(W + 1.0, b, X, y, 1.0) > base
+
+
+class TestCurvaturePairs:
+    def test_direction_matches_two_loop(self):
+        # pairs y = A s of one SPD matrix A, at scales over four decades, as
+        # the ring fills and wraps, and again after a clear; with no pairs
+        # the direction is -g
+        rng = np.random.default_rng(12)
+        n = 50
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        a = (q * np.logspace(-2, 2, n)) @ q.T
+        pairs = model_mod._CurvaturePairs(n)
+        memory = deque(maxlen=model_mod.MEMORY)
+        for step in range(4 * model_mod.MEMORY):
+            if step == 3 * model_mod.MEMORY - 4:
+                pairs.clear()
+                memory.clear()
+            if not memory:
+                g = rng.normal(size=n)
+                assert pairs.direction(g).tobytes() == (-g).tobytes()
+            s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
+            yv = a @ s
+            sy = float(s @ yv)
+            pairs.add(s, yv, sy)
+            memory.append((s, yv, 1.0 / sy))
+            assert len(pairs.slots) == len(memory)
+            for _ in range(3):
+                g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0)
+                ref = two_loop_direction(g, memory)
+                got = pairs.direction(g)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestTrain:
@@ -236,13 +317,35 @@ class TestTrain:
         assert trials > iterations
 
     def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
-        # a direction with g'p >= 0 must never be searched along
-        monkeypatch.setattr(model_mod, "_lbfgs_direction", lambda g, memory: g.copy())
+        # a direction whose slope g'p is not finite and negative must never
+        # be searched along: along a NaN or -inf slope backtracking would
+        # halve the step forever, so a call counter makes that fail
+        calls = []
+        original = model_mod.loss_and_grad
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > 1000:
+                raise AssertionError("the line search did not end")
+            return original(*args)
+
+        monkeypatch.setattr(model_mod, "loss_and_grad", counted)
         X = np.zeros((3, 1))
         y = np.array([0, 0, 1])
-        m = train(X, y, ("a", "b"), c=1.0)
-        assert m.converged
-        assert predict_proba(m, np.zeros(1)) == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+        for direction in (
+            lambda g: g.copy(),
+            lambda g: np.full_like(g, np.nan),
+            # g'p = -inf: infinities against g's nonzero entries only
+            lambda g: np.where(g > 0, -np.inf, np.where(g < 0, np.inf, 0.0)),
+        ):
+            monkeypatch.setattr(
+                model_mod._CurvaturePairs, "direction", lambda self, g: direction(g)
+            )
+            calls.clear()
+            m = train(X, y, ("a", "b"), c=1.0)
+            assert m.converged
+            probs = predict_proba(m, np.zeros(1))
+            assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
 
     def test_weight_norm_grows_with_c(self):
         rng = np.random.default_rng(8)

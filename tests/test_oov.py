@@ -15,14 +15,19 @@ from hypothesis import strategies as st
 from finhyp import distance, embeddings, oov
 from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore, load_embeddings, lookup, save_embeddings
-from finhyp.oov import (
-    NgramIndex,
-    OOVStrategy,
-    best_ngram_matches,
-    char_ngrams,
-)
+from finhyp.oov import NgramIndex, OOVStrategy, best_ngram_matches
 
 from conftest import Tripwire, make_store, rewrite_archive
+
+
+def char_ngrams(text: str, n_min: int, n_max: int) -> frozenset[str]:
+    """All contiguous substrings of text with length in [n_min, n_max]: the
+    gram sets of the oracles below."""
+    out = set()
+    for n in range(n_min, n_max + 1):
+        for i in range(len(text) - n + 1):
+            out.add(text[i : i + n])
+    return frozenset(out)
 
 
 class SetNgramIndex:
@@ -518,13 +523,14 @@ class TestNgramIndexCache:
             assert os.path.exists(index_file(store, sizes))
             with mock.patch.object(NgramIndex, "__init__", refuse_build):
                 warm = oov.build_ngram_index(store, strat)
+                # a query must not build an index through the constructor
+                for text in queries + tokens:
+                    assert (
+                        best_ngram_matches([text], warm)[0]
+                        == best_ngram_matches([text], cold)[0]
+                    )
         assert_same_index(warm, cold)
         assert_same_index(cold, NgramIndex(tokens, *sizes))
-        for text in queries + tokens:
-            assert (
-                best_ngram_matches([text], warm)[0]
-                == best_ngram_matches([text], cold)[0]
-            )
 
     @pytest.mark.parametrize(
         "spoil",
