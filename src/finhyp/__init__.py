@@ -19,16 +19,11 @@ from .augment import (
 )
 from .distance import BACKEND, levenshtein, nearest
 from .embeddings import (
-    IN_VOCAB,
-    REPLACED,
-    ZERO,
     EmbeddingFormatError,
     EmbeddingStore,
-    Resolution,
-    TermTokens,
+    TokenTable,
     embed_term,
     load_embeddings,
-    lookup,
     save_embeddings,
 )
 from .evaluation import (
@@ -56,7 +51,6 @@ from .model import (
     load_model,
     predict_proba,
     rank_labels,
-    save_model,
     train,
 )
 from .oov import NgramIndex, OOVStrategy, best_ngram_matches

@@ -238,10 +238,10 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     """Index and distance of the word of ``candidates`` closest to each query.
 
     Ties go to the shorter word, then the lexicographically smaller one,
-    then the earlier position. Raises ValueError on an empty list, and
-    TypeError when ``queries`` is one ``str`` rather than a sequence of
-    them. A list is packed once, as ``PackedWords``, and the pack kept for
-    every scan.
+    then the earlier position. Raises ValueError when ``candidates`` holds
+    no word, and TypeError when ``queries`` is one ``str`` rather than a
+    sequence of them. Pack a word list into ``PackedWords`` once and pass
+    the pack to every scan of it.
 
     The queries are scanned together, in rings r = 0, 1, 2, ... of
     |length - len(query)|, which bounds a length group's distances from

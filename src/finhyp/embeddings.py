@@ -1,7 +1,9 @@
 """Word2vec text-format embedding store with OOV-aware term embedding.
 
 A store is immutable after load; lookups are read-only and safe to run from
-multiple workers. Multi-word terms embed as the sum of their token vectors.
+multiple workers. Multi-word terms embed as the sum of their token vectors,
+read from a ``TokenTable``: one per run, mapping each distinct token of the
+run's texts to a store row, a substitute's row or the zero vector.
 
 Loading a regular file keeps a binary copy of the parsed store beside it,
 ``<store>.finhyp-cache.npz`` (next to the file the path resolves to, after
@@ -33,15 +35,11 @@ import os
 import re
 import stat
 import string
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
 from .fileio import atomic_write, read_cache, write_cache
-
-IN_VOCAB = "in_vocab"
-REPLACED = "replaced"
-ZERO = "zero"
 
 # Body lines per np.loadtxt call: small enough that a chunk's strings and
 # block add little to peak memory, large enough to amortise the call.
@@ -56,27 +54,6 @@ _HASH_BLOCK = 1 << 20
 
 class EmbeddingFormatError(ValueError):
     """Raised when an embedding file violates the text format."""
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """How a single token was mapped to a vector."""
-
-    kind: str  # IN_VOCAB, REPLACED or ZERO
-    token: str
-    substitute: str | None = None
-
-
-@dataclass(frozen=True)
-class TermTokens:
-    """A term split on whitespace; punctuation stays attached to tokens."""
-
-    raw: str
-    tokens: tuple[str, ...]
-
-    @classmethod
-    def from_raw(cls, raw: str) -> "TermTokens":
-        return cls(raw, tuple(raw.split()))
 
 
 class EmbeddingStore:
@@ -376,35 +353,54 @@ def find(store: EmbeddingStore, token: str) -> int | None:
     return None
 
 
-def lookup(store: EmbeddingStore, token: str, resolver=None):
-    """Vector for one token plus a record of how it was resolved.
+class TokenTable:
+    """Each distinct whitespace token of a run's texts mapped once to a row
+    of ``vectors``: row 0 is the zero vector, and the others are the store
+    rows the tokens use, copied and nothing more.
 
-    An in-vocabulary token is found as ``find`` finds it. OOV tokens go,
-    unstripped, to the resolver (an object with .resolve(token, store) ->
-    vocab token or None). A None resolver or a None resolution yields the
-    zero vector.
+    A token takes the row ``find`` gives it. Otherwise it is OOV: ``oov``
+    counts its occurrences, in first-seen order, and ``substitutes`` holds
+    what the resolver (an object with ``.resolve_all(tokens, store)`` ->
+    one vocabulary token or None per token) gives the unstripped token, all
+    OOV tokens in one call. A token takes its substitute's row, or the zero
+    row when there is none. Punctuation stays attached to a token.
     """
-    i = find(store, token)
-    if i is not None:
-        return store.vectors[i], Resolution(IN_VOCAB, token)
-    substitute = resolver.resolve(token, store) if resolver is not None else None
-    if substitute is None:
-        return np.zeros(store.dim), Resolution(ZERO, token)
-    return store.vectors[store._index[substitute]], Resolution(
-        REPLACED, token, substitute
-    )
+
+    def __init__(self, store: EmbeddingStore, texts, resolver):
+        counts = Counter(t for text in texts for t in text.split())
+        found = {t: find(store, t) for t in counts}
+        self.oov = {t: n for t, n in counts.items() if found[t] is None}
+        self.substitutes = dict(zip(self.oov, resolver.resolve_all(self.oov, store)))
+        for token, sub in self.substitutes.items():
+            found[token] = None if sub is None else store._index[sub]
+        used = list(dict.fromkeys(i for i in found.values() if i is not None))
+        place = {i: n for n, i in enumerate(used, start=1)}
+        self.rows = {t: place.get(i, 0) for t, i in found.items()}
+        self.vectors = np.zeros((len(used) + 1, store.dim))
+        self.vectors[1:] = store.vectors[used]
+        self.vectors.setflags(write=False)
 
 
-def embed_term(store: EmbeddingStore, term: TermTokens, resolver=None) -> np.ndarray:
-    """Sum of the per-token vectors (sum, not centroid).
+def embed_term(table: TokenTable, texts) -> np.ndarray:
+    """(N, dim) sums of each text's token vectors (sum, not centroid), one
+    row per text; every token of texts must be in the table.
 
-    Tokens are summed in sorted order so the result is bitwise identical
-    under any token permutation.
+    Each text's tokens are added in sorted order onto a zero row, so the
+    result is bitwise identical under any token permutation: position j of
+    every text is one gather of table rows, a text with fewer tokens adding
+    the zero row, which leaves its sum's bits as they are. Raises
+    ValueError for a text without a token.
     """
-    if not term.tokens:
-        raise ValueError(f"empty term {term.raw!r}")
-    total = np.zeros(store.dim)
-    for tok in sorted(term.tokens):
-        vec, _ = lookup(store, tok, resolver)
-        total += vec
+    tokens = [sorted(text.split()) for text in texts]
+    for text, toks in zip(texts, tokens):
+        if not toks:
+            raise ValueError(f"empty term {text!r}")
+    lens = np.array([len(toks) for toks in tokens], dtype=np.intp)
+    ids = np.zeros((len(tokens), max(lens, default=0)), dtype=np.intp)
+    ids[np.arange(ids.shape[1]) < lens[:, None]] = [
+        table.rows[t] for toks in tokens for t in toks
+    ]
+    total = np.zeros((len(tokens), table.vectors.shape[1]))
+    for column in ids.T:
+        total += table.vectors[column]
     return total

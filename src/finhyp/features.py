@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distance
-from .embeddings import EmbeddingStore, TermTokens, embed_term
+from .embeddings import TokenTable, embed_term
 
 DEFAULT_INDICATORS = ("Inc.", "Corp", "Ltd", "Bank", "Index", "Rate", "%")
 HANDCRAFTED_WIDTH = 10
@@ -75,11 +75,9 @@ class LabelSet:
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     @classmethod
-    def build(cls, labels, store: EmbeddingStore, resolver=None) -> "LabelSet":
-        vecs = [
-            embed_term(store, TermTokens.from_raw(lab), resolver) for lab in labels
-        ]
-        return cls(labels, np.vstack(vecs))
+    def build(cls, labels, table: TokenTable) -> "LabelSet":
+        """Labels embedded from a table that holds their tokens."""
+        return cls(labels, embed_term(table, list(labels)))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -180,26 +178,19 @@ class FeatureConfig:
 
 
 def assemble_features(
-    raw_terms,
-    texts,
-    store: EmbeddingStore,
-    resolver,
-    labels: LabelSet,
-    fcfg: FeatureConfig,
+    raw_terms, texts, table: TokenTable, labels: LabelSet, fcfg: FeatureConfig
 ) -> np.ndarray:
     """Unscaled feature matrix, one row per term.
 
-    raw_terms carry the casing/length signals; texts are what gets embedded
-    and measured against the labels (identical to raw_terms when no
-    augmentation ran).
+    raw_terms carry the casing/length signals; texts are what gets embedded,
+    from a table that holds their tokens, and measured against the labels
+    (identical to raw_terms when no augmentation ran).
     """
     if len(raw_terms) != len(texts):
         raise ValueError("raw_terms and texts must align")
     if len(raw_terms) == 0:
         raise ValueError("empty dataset")
-    vecs = np.vstack(
-        [embed_term(store, TermTokens.from_raw(text), resolver) for text in texts]
-    )
+    vecs = embed_term(table, texts)
     blocks = [vecs]
     if fcfg.handcrafted is not None:
         hcfg = fcfg.handcrafted

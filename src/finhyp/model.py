@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import accuracy, mean_rank, stratified_kfold
-from .fileio import atomic_write
 
 ARMIJO = 1e-4
 MEMORY = 10  # L-BFGS curvature pairs kept
@@ -391,22 +390,21 @@ def model_text(model: LogRegModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_model(model: LogRegModel, path) -> None:
-    """Write model_text(model) to path atomically."""
-    atomic_write(path, model_text(model))
-
-
 def load_model(path) -> LogRegModel:
     """The model that model_text wrote to path; ValueError on any other file."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != MODEL_MAGIC:
         raise ValueError(f"not a model file (expected header {MODEL_MAGIC!r})")
+    header = [line.split(" ", 1) for line in lines[1:4]]
+    if len(header) < 3:
+        raise ValueError("model file corrupt: truncated")
+    for lineno, (key, parts) in enumerate(zip(("C", "dim", "classes"), header), 2):
+        if parts[0] != key or len(parts) != 2:
+            raise ValueError(f"model file corrupt at line {lineno}")
     try:
-        c = float(lines[1].split(" ", 1)[1])
-        dim = int(lines[2].split(" ", 1)[1])
-        k = int(lines[3].split(" ", 1)[1])
-    except (IndexError, ValueError) as exc:
+        c, dim, k = float(header[0][1]), int(header[1][1]), int(header[2][1])
+    except ValueError as exc:
         raise ValueError(f"model file corrupt: {exc}") from exc
     # k label lines, "W", k weight rows, "b", the bias row
     if len(lines) < 2 * k + 7:

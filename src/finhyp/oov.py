@@ -310,18 +310,17 @@ class OOVStrategy:
     The per-token memo is filled by ``resolve_all``, which a run calls once
     with all of its OOV tokens, so that the run's n-gram matching is one
     ``best_ngram_matches`` call and its edit-distance scans one
-    ``distance.nearest`` call; ``resolve`` returns the memo entry and
-    sends a token missing from it through ``resolve_all``. The strategy
-    binds to a store only when some token needs resolving, so a run without
-    OOV tokens builds no index. The n-gram index and the memo are set up
-    anew whenever the strategy binds to a different store; binding to an
-    empty store raises ValueError, before any index is built. The index
-    comes from ``build_ngram_index``, which caches it beside the store file;
-    only the n-gram variant reads or writes that cache. The packed
-    vocabulary is built for the store on the first edit-distance scan,
-    which the n-gram variant needs only for tokens that share no n-gram.
-    Memo insertion is idempotent, so concurrent lookups of the same token
-    are safe.
+    ``distance.nearest`` call; ``resolve`` is ``resolve_all`` of one token.
+    The strategy binds to a store only when some token needs resolving, so
+    a run without OOV tokens builds no index. The n-gram index and the memo
+    are set up anew whenever the strategy binds to a different store;
+    binding to an empty store raises ValueError, before any index is built.
+    The index comes from ``build_ngram_index``, which caches it beside the
+    store file; only the n-gram variant reads or writes that cache. The
+    packed vocabulary is built for the store on the first edit-distance
+    scan, which the n-gram variant needs only for tokens that share no
+    n-gram. Memo insertion is idempotent, so concurrent lookups of the same
+    token are safe.
     """
 
     variant: str = "zero"
@@ -346,24 +345,18 @@ class OOVStrategy:
 
     def resolve(self, token: str, store: EmbeddingStore) -> str | None:
         """Vocabulary substitute for an OOV token, or None for zero-vector."""
-        if self.variant == "zero":
-            return None
-        if store is not self._store or token not in self._memo:
-            self.resolve_all([token], store)
-        return self._memo[token]
+        return self.resolve_all([token], store)[0]
 
-    def resolve_all(self, tokens, store: EmbeddingStore) -> None:
-        """Resolve every OOV token of tokens not resolved yet into the memo:
-        under ``ngram`` all of them in one ``best_ngram_matches`` call, and
-        those without an n-gram match in one ``distance.nearest`` call over
-        their lowercased forms."""
+    def resolve_all(self, tokens, store: EmbeddingStore) -> list:
+        """The substitute of each OOV token of tokens, None under ``zero``.
+        Those not in the memo yet are resolved into it: under ``ngram`` all
+        of them in one ``best_ngram_matches`` call, and those without an
+        n-gram match in one ``distance.nearest`` call over their lowercased
+        forms."""
+        tokens = list(tokens)
         if self.variant == "zero":
-            return
-        memo = self._memo if store is self._store else {}
-        todo = [t for t in dict.fromkeys(tokens) if t not in memo]
-        if not todo:
-            return
-        if store is not self._store:
+            return [None] * len(tokens)
+        if tokens and store is not self._store:
             if len(store) == 0:
                 raise ValueError("empty vocabulary")
             self._store = store
@@ -372,18 +365,16 @@ class OOVStrategy:
             self._index = (
                 build_ngram_index(store, self) if self.variant == "ngram" else None
             )
-        scan = todo
-        if self._index is not None:
-            scan = []
-            for token, match in zip(todo, best_ngram_matches(todo, self._index)):
-                if match is None:
-                    scan.append(token)
-                else:
+        scan = [t for t in dict.fromkeys(tokens) if t not in self._memo]
+        if self._index is not None and scan:
+            for token, match in zip(scan, best_ngram_matches(scan, self._index)):
+                if match is not None:
                     self._memo[token] = store.vocab[match[0]]
-        if not scan:
-            return
-        if self._vocab is None:
-            self._vocab = distance.PackedWords(store.vocab_lower)
-        found = distance.nearest([t.lower() for t in scan], self._vocab)
-        for token, (i, _) in zip(scan, found):
-            self._memo[token] = store.vocab[i]
+            scan = [t for t in scan if t not in self._memo]
+        if scan:
+            if self._vocab is None:
+                self._vocab = distance.PackedWords(store.vocab_lower)
+            found = distance.nearest([t.lower() for t in scan], self._vocab)
+            for token, (i, _) in zip(scan, found):
+                self._memo[token] = store.vocab[i]
+        return [self._memo[t] for t in tokens]

@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 from .augment import (
@@ -27,8 +26,7 @@ from .augment import (
 from .embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
-    TermTokens,
-    find,
+    TokenTable,
     load_embeddings,
 )
 from .evaluation import EvalReport, evaluate
@@ -347,24 +345,14 @@ def _inputs(cfg: PipelineConfig, terms):
     return store, resolver, [a.text for a in augmented], coverage
 
 
-def _oov_counts(store: EmbeddingStore, resolver: OOVStrategy, texts) -> dict:
-    """Occurrences of each distinct OOV token of texts, in first-seen order,
-    after resolving them all in one ``resolve_all`` batch, so that their
-    edit-distance scans share one ``distance.nearest`` call."""
-    counts = Counter(t for text in texts for t in TermTokens.from_raw(text).tokens)
-    oov = {t: n for t, n in counts.items() if find(store, t) is None}
-    resolver.resolve_all(list(oov), store)
-    return oov
-
-
 def _features(cfg: PipelineConfig, terms, dataset_labels=None):
     """The unscaled ``assemble_features`` matrix of terms under cfg's
     frontend, with its label set, the store dimension and augmentation
     coverage (None when augmentation is off).
 
     The label set is cfg.labels, else the dataset's labels in sorted order;
-    a dataset label outside it is a DataError. The OOV tokens of the texts
-    and the labels are resolved in one ``resolve_all`` batch."""
+    a dataset label outside it is a DataError. The texts and the labels are
+    embedded from one ``TokenTable``."""
     store, resolver, texts, coverage = _inputs(cfg, terms)
     if cfg.labels:
         labels = cfg.labels
@@ -379,9 +367,9 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
-    _oov_counts(store, resolver, [*texts, *labels])
+    table = TokenTable(store, [*texts, *labels], resolver)
     try:
-        label_set = LabelSet.build(labels, store, resolver)
+        label_set = LabelSet.build(labels, table)
     except ValueError as err:
         raise DataError(f"bad label set: {err}") from None
     try:
@@ -391,7 +379,7 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
     fcfg = FeatureConfig(
         handcrafted=hcfg, cosine=cfg.cosine_features, edit=cfg.edit_features
     )
-    matrix = assemble_features(terms, texts, store, resolver, label_set, fcfg)
+    matrix = assemble_features(terms, texts, table, label_set, fcfg)
     return matrix, label_set, store.dim, coverage
 
 
@@ -568,18 +556,20 @@ class OovRun:
 
 def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     """List every out-of-vocabulary token with its resolution; writes oov.txt.
-    The counts and substitutes come from the run's one ``resolve_all`` pass."""
+    The counts and substitutes are those of the texts' ``TokenTable``."""
     terms, _ = load_terms(dataset_path)
     store, resolver, texts, _ = _inputs(cfg, terms)
-    counts = _oov_counts(store, resolver, texts)
-    occurrences = sum(counts.values())
-    lines = [f"oov_unique: {len(counts)}", f"oov_occurrences: {occurrences}"]
+    table = TokenTable(store, texts, resolver)
+    occurrences = sum(table.oov.values())
+    lines = [f"oov_unique: {len(table.oov)}", f"oov_occurrences: {occurrences}"]
     lines.extend(
-        f"{token} -> {resolver.resolve(token, store) or 'ZERO'}"
-        for token in sorted(counts)
+        f"{token} -> {table.substitutes[token] or 'ZERO'}"
+        for token in sorted(table.oov)
     )
     report = "\n".join(lines) + "\n"
-    return OovRun(report, _write_out(cfg, "oov.txt", report), len(counts), occurrences)
+    return OovRun(
+        report, _write_out(cfg, "oov.txt", report), len(table.oov), occurrences
+    )
 
 
 def run_augment_apply(cfg: PipelineConfig, dataset_path):

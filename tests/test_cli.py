@@ -338,6 +338,23 @@ class TestCvCommand:
         assert (tmp_path / "grid.json").exists()
         assert (tmp_path / "folds.json").exists()
 
+    @pytest.mark.parametrize("blank", ["", " "])
+    def test_label_without_token_exits_2(self, synth_dir, tmp_path, capsys, blank):
+        rows = (synth_dir / "terms.csv").read_text().splitlines()[1:]
+        labels = sorted({row.rsplit(",", 1)[1] for row in rows}) + [blank]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c_grid": [1.0], "folds": 3, "labels": labels}))
+        code = main(
+            ["cv", str(synth_dir / "terms.csv"), "--config", str(cfg),
+             "--embeddings", str(synth_dir / "embeddings.txt"),
+             "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad label set: empty term {blank!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_changes_folds(self, synth_dir, fast_cfg, tmp_path):
         outs = []
         for seed in ("1", "2"):
@@ -424,6 +441,31 @@ class TestTrainPredictCommands:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: bad model file: C must be finite and positive, got nan\n"
+        )
+        assert not (tmp_path / "pred").exists()
+
+    def test_predict_rejects_unknown_header_key(
+        self, synth_dir, fast_cfg, tmp_path, capsys
+    ):
+        terms, store = str(synth_dir / "terms.csv"), str(synth_dir / "embeddings.txt")
+        model_dir = tmp_path / "model"
+        code = main(
+            ["train", terms, "--config", str(fast_cfg), "--embeddings", store,
+             "--out", str(model_dir)]
+        )
+        assert code == 0
+        model_txt = model_dir / "model.txt"
+        lines = model_txt.read_text().splitlines()
+        lines[1] = "gamma 7.0"
+        model_txt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(
+            ["predict", terms, "--model", str(model_dir), "--embeddings", store,
+             "--out", str(tmp_path / "pred")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad model file: model file corrupt at line 2\n"
         )
         assert not (tmp_path / "pred").exists()
 

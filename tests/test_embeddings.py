@@ -1,4 +1,4 @@
-"""Embedding store: parsing, persistence, lookup and term summation."""
+"""Embedding store: parsing, persistence, the token table and term summation."""
 import errno
 import hashlib
 import math
@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import zipfile
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -18,16 +20,12 @@ from hypothesis import strategies as st
 
 from finhyp import embeddings
 from finhyp.embeddings import (
-    IN_VOCAB,
-    REPLACED,
-    ZERO,
     EmbeddingFormatError,
     EmbeddingStore,
-    Resolution,
-    TermTokens,
+    TokenTable,
     embed_term,
+    find,
     load_embeddings,
-    lookup,
     save_embeddings,
 )
 from finhyp.fileio import atomic_open, atomic_write
@@ -575,86 +573,188 @@ class TestStore:
             toy_store.vectors[0, 0] = 9.0
 
     def test_every_vocab_token_resolves(self, toy_store):
+        table = TokenTable(toy_store, toy_store.vocab, OOVStrategy("zero"))
+        assert table.oov == {}
         for tok in toy_store.vocab:
-            vec, res = lookup(toy_store, tok)
-            assert res.kind == IN_VOCAB
-            assert np.array_equal(vec, toy_store.vector(tok))
+            assert np.array_equal(table.vectors[table.rows[tok]], toy_store.vector(tok))
+
+
+def embed(store, texts, variant="zero"):
+    """Each text's embedding through the table of texts."""
+    return embed_term(TokenTable(store, texts, OOVStrategy(variant)), texts)
+
+
+def reference_embedding(store, text, resolver) -> np.ndarray:
+    """The per-term loop the table replaces: each token in sorted order
+    takes its ``find`` row, else the row of the resolver's substitute for
+    the unstripped token, else zeros, added onto a zero vector."""
+    tokens = text.split()
+    if not tokens:
+        raise ValueError(f"empty term {text!r}")
+    total = np.zeros(store.dim)
+    for tok in sorted(tokens):
+        i = find(store, tok)
+        if i is None:
+            sub = resolver.resolve(tok, store)
+            vec = np.zeros(store.dim) if sub is None else store.vector(sub)
+        else:
+            vec = store.vectors[i]
+        total += vec
+    return total
+
+
+class Recorder:
+    """A resolver that records the tokens it is asked for and substitutes
+    one word (None: no substitute) for each."""
+
+    def __init__(self, word):
+        self.word = word
+        self.seen = []
+
+    def resolve_all(self, tokens, store):
+        tokens = list(tokens)
+        self.seen.extend(tokens)
+        return [self.word] * len(tokens)
 
 
 class TestLookup:
     def test_lowercase_fallback(self, toy_store):
-        vec, res = lookup(toy_store, "BOND")
-        assert res.kind == IN_VOCAB
-        assert np.array_equal(vec, toy_store.vector("bond"))
+        table = TokenTable(toy_store, ["BOND"], OOVStrategy("zero"))
+        assert table.oov == {}
+        assert np.array_equal(embed_term(table, ["BOND"])[0], toy_store.vector("bond"))
 
     def test_zero_without_resolver(self, toy_store):
-        vec, res = lookup(toy_store, "xyz")
-        assert res.kind == ZERO
-        assert not vec.any()
+        # a resolver that finds no substitute leaves the zero vector
+        table = TokenTable(toy_store, ["xyz"], Recorder(None))
+        assert table.oov == {"xyz": 1}
+        assert table.rows["xyz"] == 0
+        assert not embed_term(table, ["xyz"]).any()
 
     def test_zero_strategy(self, toy_store):
-        vec, res = lookup(toy_store, "xyz", OOVStrategy("zero"))
-        assert res.kind == ZERO
-        assert res.substitute is None
+        table = TokenTable(toy_store, ["xyz"], OOVStrategy("zero"))
+        assert table.substitutes == {"xyz": None}
+        assert not embed_term(table, ["xyz"]).any()
 
     def test_edge_punctuation_stripped(self, toy_store):
         # "term. sentence" from augmentation, or a comma-joined word
         for tok, word in (("swap.", "swap"), ("Swap,", "swap"), ("(index)", "index")):
-            vec, res = lookup(toy_store, tok)
-            assert res == Resolution(IN_VOCAB, tok)
-            assert np.array_equal(vec, toy_store.vector(word))
+            table = TokenTable(toy_store, [tok], Recorder(None))
+            assert table.oov == {}
+            assert np.array_equal(embed_term(table, [tok])[0], toy_store.vector(word))
 
     def test_stripped_oov_resolves_original_token(self, toy_store):
-        seen = []
-
-        class Recorder:
-            def resolve(self, token, store):
-                seen.append(token)
-                return "bond"
-
-        _, res = lookup(toy_store, "bonds.", Recorder())
-        assert seen == ["bonds."]
-        assert res == Resolution(REPLACED, "bonds.", "bond")
-        _, res = lookup(toy_store, "...", Recorder())
-        assert seen == ["bonds.", "..."]
+        resolver = Recorder("bond")
+        table = TokenTable(toy_store, ["bonds. ...", "bonds."], resolver)
+        assert resolver.seen == ["bonds.", "..."]
+        assert table.oov == {"bonds.": 2, "...": 1}
+        assert table.substitutes == {"bonds.": "bond", "...": "bond"}
 
     def test_replacement_recorded(self, toy_store):
-        vec, res = lookup(toy_store, "bonds", OOVStrategy("levenshtein"))
-        assert res.kind == REPLACED
-        assert res.substitute == "bond"
-        assert np.array_equal(vec, toy_store.vector("bond"))
+        table = TokenTable(toy_store, ["bonds"], OOVStrategy("levenshtein"))
+        assert table.substitutes == {"bonds": "bond"}
+        assert np.array_equal(embed_term(table, ["bonds"])[0], toy_store.vector("bond"))
+
+
+ORACLE_VOCAB = ["bond", "option", "swap", "corporate", "index", "Rate", "t-bill"]
+ORACLE_STORE = EmbeddingStore(
+    ORACLE_VOCAB,
+    # magnitudes far apart, so that a sum in another order rounds apart
+    np.random.default_rng(23).normal(size=(len(ORACLE_VOCAB), 5))
+    * 10.0 ** np.arange(-3, 2)[None, :],
+)
+ORACLE_TOKENS = [
+    # in vocabulary as written, by lowercase, or with edge punctuation off
+    *ORACLE_VOCAB, "BOND", "Swap", "rate", "bond.", "(index)", "Option,", "T-BILL.",
+    # OOV: replaced under levenshtein and ngram, zero under zero
+    "bonds", "optoin", "swapp", "Bonds.", "indx", "zzq", "...", "%",
+]
+
+
+class TestTokenTable:
+    @pytest.mark.parametrize("variant", ["zero", "levenshtein", "ngram"])
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(ORACLE_TOKENS), min_size=1, max_size=8),
+                st.sampled_from([" ", "  ", "\t"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_matches_per_term_reference(self, variant, rows):
+        texts = [sep.join(tokens) for tokens, sep in rows]
+        got = embed(ORACLE_STORE, texts, variant)
+        resolver = OOVStrategy(variant)
+        want = [reference_embedding(ORACLE_STORE, t, resolver) for t in texts]
+        assert got.tobytes() == np.vstack(want).tobytes()
+
+    def test_find_once_per_distinct_token(self, toy_store, monkeypatch):
+        calls = []
+
+        def counted(store, token):
+            calls.append(token)
+            return find(store, token)
+
+        monkeypatch.setattr(embeddings, "find", counted)
+        TokenTable(toy_store, ["bond bonds", "bonds bond swap", "bond"], Recorder(None))
+        assert sorted(calls) == ["bond", "bonds", "swap"]
+
+    def test_holds_only_the_rows_it_uses(self, toy_store):
+        table = TokenTable(toy_store, ["bond Bond", "xyz swap"], OOVStrategy("zero"))
+        assert table.vectors.shape == (3, toy_store.dim)
+        assert not table.vectors[0].any()
+        with pytest.raises(ValueError):
+            table.vectors[0, 0] = 1.0
+
+    def test_embedding_keeps_memory_below_a_store_copy(self):
+        rng = np.random.default_rng(5)
+        store = EmbeddingStore(
+            [f"w{i}" for i in range(40_000)], rng.normal(size=(40_000, 64))
+        )
+        texts = ["w1 w2 w3", "W17 w39999 w1", "unknown w9.", "w5"]
+        tracemalloc.start()
+        try:
+            out = embed(store, texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out[3], store.vector("w5"))
+        assert peak < store.vectors.nbytes / 10
 
 
 class TestTermTokens:
-    def test_whitespace_split_keeps_punctuation(self):
-        term = TermTokens.from_raw("Interest rate swaps")
-        assert term.tokens == ("Interest", "rate", "swaps")
-        assert TermTokens.from_raw("t-bill").tokens == ("t-bill",)
+    def test_whitespace_split_keeps_punctuation(self, toy_store):
+        table = TokenTable(toy_store, ["Interest rate swaps", "t-bill"], Recorder(None))
+        assert list(table.rows) == ["Interest", "rate", "swaps", "t-bill"]
 
     @given(st.lists(st.text(alphabet="abXé", min_size=1, max_size=5), min_size=1, max_size=5))
     def test_rejoin_reproduces_raw(self, tokens):
-        raw = " ".join(tokens)
-        assert TermTokens.from_raw(raw).tokens == tuple(tokens)
+        table = TokenTable(ORACLE_STORE, [" ".join(tokens)], Recorder(None))
+        assert list(table.rows) == list(dict.fromkeys(tokens))
+        assert table.oov == Counter(tokens)
 
 
 class TestEmbedTerm:
     def test_sum_not_mean(self, tmp_path):
         store = load_embeddings(write(tmp_path, "2 2\nbond 1 0\noption 0 1\n"))
-        out = embed_term(store, TermTokens.from_raw("bond option"))
-        assert np.array_equal(out, [1.0, 1.0])
+        out = embed(store, ["bond option"])
+        assert np.array_equal(out, [[1.0, 1.0]])
 
     def test_single_token_identity(self, toy_store):
-        out = embed_term(toy_store, TermTokens.from_raw("swap"))
-        assert np.array_equal(out, toy_store.vector("swap"))
+        out = embed(toy_store, ["swap"])
+        assert np.array_equal(out, [toy_store.vector("swap")])
 
     def test_empty_term_rejected(self, toy_store):
-        with pytest.raises(ValueError):
-            embed_term(toy_store, TermTokens("", []))
+        for blank in ("", " ", "\t "):
+            with pytest.raises(ValueError, match=re.escape(f"empty term {blank!r}")):
+                embed(toy_store, ["bond", blank])
 
     def test_repeated_token_counts_twice(self, tmp_path):
         store = load_embeddings(write(tmp_path, "1 2\nbond 1 2\n"))
-        out = embed_term(store, TermTokens.from_raw("bond bond"))
-        assert np.array_equal(out, [2.0, 4.0])
+        out = embed(store, ["bond bond"])
+        assert np.array_equal(out, [[2.0, 4.0]])
 
     @given(st.permutations(["bond", "option", "swap", "corporate", "index"]))
     def test_permutation_invariance_bitwise(self, order):
@@ -663,6 +763,7 @@ class TestEmbedTerm:
             ["bond", "option", "swap", "corporate", "index"],
             rng.normal(size=(5, 6)),
         )
-        base = embed_term(store, TermTokens.from_raw("bond option swap corporate index"))
-        perm = embed_term(store, TermTokens.from_raw(" ".join(order)))
-        assert np.array_equal(base, perm)
+        base, perm = embed(
+            store, ["bond option swap corporate index", " ".join(order)]
+        )
+        assert base.tobytes() == perm.tobytes()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from finhyp.distance import levenshtein
-from finhyp.embeddings import EmbeddingStore
+from finhyp.embeddings import EmbeddingStore, TokenTable
 from finhyp.features import (
     DEFAULT_INDICATORS,
     FeatureConfig,
@@ -18,6 +18,16 @@ from finhyp.features import (
     edit_features,
     handcrafted,
 )
+from finhyp.oov import OOVStrategy
+
+
+def table(store, texts):
+    """The zero-strategy token table of texts."""
+    return TokenTable(store, texts, OOVStrategy("zero"))
+
+
+def build_labels(words, store):
+    return LabelSet.build(words, table(store, words))
 
 
 class TestHandcrafted:
@@ -173,7 +183,7 @@ class TestLabelSet:
         store = EmbeddingStore(
             ["equity", "index"], np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        ls = LabelSet.build(["Equity Index", "equity"], store)
+        ls = build_labels(["Equity Index", "equity"], store)
         assert np.array_equal(ls.vectors[0], [1.0, 1.0])
         assert np.array_equal(ls.vectors[1], [1.0, 0.0])
 
@@ -246,16 +256,16 @@ class TestAssembly:
         self.store = EmbeddingStore(
             ["bond", "option"], np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        self.labels = LabelSet.build(["bond", "option"], self.store)
+        self.labels = build_labels(["bond", "option"], self.store)
 
     def test_feature_width_accounting(self):
         words = ["bond", "swap", "option", "future", "index"]
         store = EmbeddingStore(words, np.random.default_rng(0).normal(size=(5, 32)))
-        labels = LabelSet.build(words, store)
+        labels = build_labels(words, store)
 
         def width(fcfg):
             return assemble_features(
-                ["Bond Inc."], ["bond"], store, None, labels, fcfg
+                ["Bond Inc."], ["bond"], table(store, ["bond"]), labels, fcfg
             ).shape[1]
 
         assert width(ALL_ON) == 32 + 10 + 5 + 5
@@ -264,7 +274,7 @@ class TestAssembly:
 
     def test_block_layout(self):
         X = assemble_features(
-            ["bond Inc."], ["bond"], self.store, None, self.labels, ALL_ON
+            ["bond Inc."], ["bond"], table(self.store, ["bond"]), self.labels, ALL_ON
         )
         assert X.shape == (1, 2 + 10 + 2 + 2)
         row = X[0]
@@ -276,7 +286,7 @@ class TestAssembly:
     def test_raw_vs_text_split(self):
         # casing features come from raw; the embedding comes from text
         X = assemble_features(
-            ["BOND"], ["option"], self.store, None, self.labels, ALL_ON
+            ["BOND"], ["option"], table(self.store, ["option"]), self.labels, ALL_ON
         )
         row = X[0]
         assert row[:2].tolist() == [0.0, 1.0]
@@ -285,7 +295,7 @@ class TestAssembly:
     def test_rows_equal_single_row_assembly(self):
         rng = np.random.default_rng(3)
         store = EmbeddingStore(["bond", "option", "swap"], rng.normal(size=(3, 5)))
-        labels = LabelSet.build(["bond", "option", "swap"], store)
+        labels = build_labels(["bond", "option", "swap"], store)
         raw = ["bond Inc.", "Option bond", "SWAP", "unknown"]
         texts = ["bond", "option bond", "swap. a bond", "unknown"]
         for fcfg in (
@@ -294,26 +304,27 @@ class TestAssembly:
             FeatureConfig(HandcraftedConfig(), True, False),
             FeatureConfig(None, False, True),
         ):
-            X = assemble_features(raw, texts, store, None, labels, fcfg)
+            X = assemble_features(raw, texts, table(store, texts), labels, fcfg)
             hand = 10 if fcfg.handcrafted is not None else 0
             width = 5 + hand + 3 * (fcfg.cosine + fcfg.edit)
             assert X.shape == (4, width)
             for i in range(4):
-                one = assemble_features([raw[i]], [texts[i]], store, None, labels, fcfg)
+                one = assemble_features(
+                    [raw[i]], [texts[i]], table(store, [texts[i]]), labels, fcfg
+                )
                 assert X[i].tobytes() == one[0].tobytes()
 
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            assemble_features(["a"], [], self.store, None, self.labels, ALL_ON)
+            assemble_features(["a"], [], table(self.store, []), self.labels, ALL_ON)
         with pytest.raises(ValueError):
-            assemble_features([], [], self.store, None, self.labels, ALL_ON)
+            assemble_features([], [], table(self.store, []), self.labels, ALL_ON)
 
     def test_assembled_matrix_scales(self):
         m = assemble_features(
             ["bond", "option Inc."],
             ["bond", "option"],
-            self.store,
-            None,
+            table(self.store, ["bond", "option"]),
             self.labels,
             ALL_ON,
         )

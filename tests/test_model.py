@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import finhyp.model as model_mod
+from finhyp.fileio import atomic_write
 from finhyp.model import (
     LogRegModel,
     TrainConfig,
@@ -16,9 +17,9 @@ from finhyp.model import (
     load_model,
     loss_and_grad,
     loss_value,
+    model_text,
     predict_proba,
     rank_labels,
-    save_model,
     train,
 )
 
@@ -461,7 +462,7 @@ class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
         m, X = self.train_small()
         path = tmp_path / "model.txt"
-        save_model(m, path)
+        atomic_write(path, model_text(m))
         again = load_model(path)
         assert again.labels == m.labels
         assert again.c == m.c
@@ -478,7 +479,7 @@ class TestPersistence:
     def test_truncated(self, tmp_path):
         m, _ = self.train_small()
         p = tmp_path / "m.txt"
-        save_model(m, p)
+        atomic_write(p, model_text(m))
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines[:5]) + "\n")
         with pytest.raises(ValueError):
@@ -489,7 +490,7 @@ class TestPersistence:
     def test_non_finite_c_line_rejected(self, tmp_path, token):
         m, _ = self.train_small()
         p = tmp_path / "m.txt"
-        save_model(m, p)
+        atomic_write(p, model_text(m))
         lines = p.read_text().splitlines()
         assert lines[1] == "C 0.1"
         lines[1] = f"C {token}"
@@ -501,7 +502,7 @@ class TestPersistence:
     def test_bad_weight_is_corrupt_whatever_its_text(self, tmp_path, token):
         m, _ = self.train_small()
         p = tmp_path / "m.txt"
-        save_model(m, p)
+        atomic_write(p, model_text(m))
         lines = p.read_text().splitlines()
         w = lines.index("W")
         lines[w + 1] = lines[w + 1].split(" ", 1)[0] + " " + token
@@ -512,7 +513,7 @@ class TestPersistence:
     def test_structural_errors_are_not_wrapped(self, tmp_path):
         m, _ = self.train_small()
         p = tmp_path / "m.txt"
-        save_model(m, p)
+        atomic_write(p, model_text(m))
         lines = p.read_text().splitlines()
         p.write_text("\n".join(lines).replace("\nW\n", "\nX\n") + "\n")
         with pytest.raises(ValueError, match="^model file corrupt: missing W section$"):
@@ -520,6 +521,21 @@ class TestPersistence:
         lines[4] = "name alpha"
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="^model file corrupt at line 5$"):
+            load_model(p)
+
+    @pytest.mark.parametrize(
+        "index, line", [(1, "gamma 7.0"), (2, "width 3"), (3, "labels 3"), (1, "C")]
+    )
+    def test_header_keys_checked(self, tmp_path, index, line):
+        # a header line is read only under its own key: "gamma 7.0" in
+        # place of "C 0.1" must not load as C = 7.0
+        m, _ = self.train_small()
+        p = tmp_path / "m.txt"
+        lines = model_text(m).splitlines()
+        assert lines[1:4] == ["C 0.1", "dim 3", "classes 3"]
+        lines[index] = line
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"^model file corrupt at line {index + 1}$"):
             load_model(p)
 
 

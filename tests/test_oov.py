@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from finhyp import distance, embeddings, oov
 from finhyp.distance import levenshtein
-from finhyp.embeddings import EmbeddingStore, load_embeddings, lookup, save_embeddings
+from finhyp.embeddings import (
+    EmbeddingStore,
+    TokenTable,
+    load_embeddings,
+    save_embeddings,
+)
 from finhyp.oov import NgramIndex, OOVStrategy, best_ngram_matches
 
 from conftest import Tripwire, make_store, rewrite_archive
@@ -306,6 +311,7 @@ class TestOOVStrategy:
 
     def test_zero_returns_none(self, toy_store):
         assert OOVStrategy("zero").resolve("anything", toy_store) is None
+        assert OOVStrategy("zero").resolve_all(["a", "b", "a"], toy_store) == [None] * 3
 
     def test_empty_store_raises_before_indexing(self, monkeypatch):
         def refuse(store, strategy):
@@ -322,10 +328,12 @@ class TestOOVStrategy:
 
     def test_in_vocab_token_resolves_to_itself(self, toy_store):
         for variant in ("zero", "levenshtein", "ngram"):
+            table = TokenTable(toy_store, toy_store.vocab, OOVStrategy(variant))
+            assert table.oov == {}
             for tok in toy_store.vocab:
-                _, res = lookup(toy_store, tok, OOVStrategy(variant))
-                assert res.kind == "in_vocab"
-                assert res.token == tok
+                assert np.array_equal(
+                    table.vectors[table.rows[tok]], toy_store.vector(tok)
+                )
 
     def test_memo_reused_per_store(self, toy_store):
         strat = OOVStrategy("levenshtein")
@@ -408,7 +416,7 @@ class TestOOVStrategy:
 
         monkeypatch.setattr(distance, "nearest", counting)
         batch = OOVStrategy(variant)
-        batch.resolve_all(tokens, store)
+        assert batch.resolve_all(tokens, store) == [single._memo[t] for t in tokens]
         assert len(scans) == 1
         assert [batch.resolve(t, store) for t in tokens] == [
             single._memo[t] for t in tokens

@@ -14,7 +14,7 @@ import pytest
 from finhyp import distance, embeddings, oov
 from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
-from finhyp.model import save_model
+from finhyp.model import model_text
 from finhyp.pipeline import (
     DataError,
     PRESETS,
@@ -364,7 +364,7 @@ def trained(synth_dir, tmp_path_factory):
 
 
 class TestTrainPredict:
-    def test_artifacts(self, trained, tmp_path):
+    def test_artifacts(self, trained):
         _, out, run = trained
         assert os.path.exists(run.paths["model"])
         assert os.path.exists(run.paths["frontend"])
@@ -374,10 +374,9 @@ class TestTrainPredict:
         assert fe["embedding_dim"] == 8
         assert fe["labels"] == list(run.model.labels)
         assert len(fe["scaler"]["mins"]) == len(fe["scaler"]["maxs"])
-        # model.txt holds exactly what save_model writes, and no temp file stays
-        save_model(run.model, tmp_path / "model.txt")
-        with open(run.paths["model"], "rb") as fh:
-            assert fh.read() == (tmp_path / "model.txt").read_bytes()
+        # model.txt holds exactly model_text of the model, and no temp file stays
+        with open(run.paths["model"], encoding="utf-8", newline="") as fh:
+            assert fh.read() == model_text(run.model)
         assert sorted(os.listdir(out)) == ["frontend.json", "grid.json", "model.txt"]
 
     def test_predict_round_trip(self, synth_dir, tmp_path, trained):
