@@ -9,19 +9,18 @@ weaker regularization. It is computed class-major: the logits are the
 (K, N) matrix W X' + b, max-shifted per column before exponentiation, so
 every reduction over the classes runs along axis 0.
 
-It is minimized by deterministic full-batch L-BFGS (Liu & Nocedal 1989;
-Nocedal & Wright, Numerical Optimization, ch. 7) over the last MEMORY
-curvature pairs, keeping a pair only when s'y > 0. The direction -H g is
-taken in the compact form of Byrd, Nocedal & Schnabel (1994), which gives
-the two-loop recursion's H from small Gram matrices of the pairs (see
-``_CurvaturePairs``): one product of the block of pairs with g, products
-with m x m matrices, and one product back. Each step is found by
-backtracking (halving, Armijo constant 1e-4) with each trial point scored
-by ``loss_and_grad``; the accepted trial's gradient starts the next
-iteration, so the objective is evaluated once per trial. A fit also
-stops, as not converged, after MAX_ITER iterations or once backtracking
-shrinks the decrease a step promises below float64 resolution of the
-loss (STALL).
+It is minimized by a line-search truncated Newton method (Nocedal &
+Wright, Numerical Optimization, sec. 7.1; the trust-region form is Lin,
+Weng & Keerthi 2008, the solver of LIBLINEAR). Each Newton step solves
+H p = -g approximately by conjugate gradients, with Hessian-vector
+products taken from the softmax at the current point (see
+``_hessian_product``), so the Hessian is never formed. The step is found
+by backtracking (halving, Armijo constant 1e-4) with each trial point
+scored by ``loss_and_grad``; the accepted trial's gradient starts the
+next step, so the objective is evaluated once per trial. A fit also
+stops, as not converged, after MAX_ITER Newton steps or once
+backtracking shrinks the decrease a step promises below float64
+resolution of the loss (STALL).
 """
 from __future__ import annotations
 
@@ -33,9 +32,8 @@ import numpy as np
 from .evaluation import accuracy, mean_rank, stratified_kfold
 
 ARMIJO = 1e-4
-MEMORY = 10  # L-BFGS curvature pairs kept
 STALL = 1e-15  # relative loss change below which a step cannot register
-MAX_ITER = 1000  # L-BFGS iterations before a fit stops, not converged
+MAX_ITER = 100  # Newton steps before a fit stops, not converged
 MODEL_MAGIC = "finhyp-logreg v1"
 DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -97,11 +95,11 @@ def _check_c(c) -> None:
         raise ValueError(f"C must be finite and positive, got {c!r}")
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
+def _softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
+    z = logits - logits.max(axis=axis, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-    return p / p.sum(axis=-1, keepdims=True)
+    p = e / e.sum(axis=axis, keepdims=True)
+    return p / p.sum(axis=axis, keepdims=True)
 
 
 def _check_xy(X, y, n_classes):
@@ -156,68 +154,55 @@ def loss_and_grad(W, b, X, y, c):
     return data + _penalty(W, c), grad_w, e.sum(axis=1)
 
 
-class _CurvaturePairs:
-    """The last MEMORY curvature pairs (s, y), each with s'y > 0, and the
-    inverse-Hessian estimate H they define, in the compact form of Byrd,
-    Nocedal & Schnabel (1994):
+def _hessian_product(W, b, X, Xt, c):
+    """v -> Hv for the Hessian H of the loss at (W, b), with v and Hv flat
+    like theta and Xt the contiguous X'. With P the (K, N) softmax at
+    (W, b), computed here once, and v = (V, v_b):
 
-        H = gamma I + [S Y] [[R^-T (D + gamma Y'Y) R^-1, -gamma R^-T],
-                             [-gamma R^-1, 0]] [S Y]'
+        dz = V X' + v_b,  r = P * (dz - 1 1'(P * dz)),  Hv = (r X + V / C, r 1)
 
-    with R = triu(S'Y) over the pairs oldest first, D its diagonal and
-    gamma = s'y / y'y of the newest pair. This H equals the two-loop
-    recursion's. The pairs are rows of one block, s in slot i at row i and
-    y at row MEMORY + i, filled as a ring. Y'Y, diag(S'Y) and R^-1 are kept
-    in slot order: a matrix-vector product commutes with the permutation,
-    so nothing is reordered, and a free slot's rows and columns of R^-1
-    are zero, which zeroes its coefficients."""
+    so a product costs two (K, N)-sized matrix products."""
+    p = _softmax(W @ Xt + b[:, None], axis=0)
 
-    def __init__(self, n: int):
-        self.block = np.zeros((2 * MEMORY, n))
-        self.sy = np.zeros(MEMORY)
-        self.yy = np.zeros((MEMORY, MEMORY))
-        self.rinv = np.zeros((MEMORY, MEMORY))
-        self.slots: list[int] = []  # slots in use, oldest pair first
+    def product(v):
+        V = v[: W.size].reshape(W.shape)
+        r = V @ Xt
+        r += v[W.size :, None]
+        r -= (p * r).sum(axis=0)
+        r *= p
+        return np.concatenate([(r @ X + V / c).ravel(), r.sum(axis=1)])
 
-    def clear(self) -> None:
-        self.rinv[:] = 0.0
-        self.slots.clear()
+    return product
 
-    def add(self, s, yv, sy: float) -> None:
-        """Keep (s, yv), whose s'y = sy > 0, dropping the oldest pair when
-        MEMORY are kept."""
-        if len(self.slots) == MEMORY:
-            slot = self.slots.pop(0)
-            # R^-1 of R without its first row and column is the trailing
-            # block of R^-1
-            self.rinv[slot] = 0.0
-            self.rinv[:, slot] = 0.0
-        else:
-            slot = len(self.slots)
-        self.block[slot] = s
-        self.block[MEMORY + slot] = yv
-        products = self.block @ yv  # S'y and Y'y
-        self.sy[slot] = sy
-        self.yy[slot] = self.yy[:, slot] = products[MEMORY:]
-        # [[R, c], [0, sy]]^-1 = [[R^-1, -R^-1 c / sy], [0, 1 / sy]]; the
-        # zero columns of R^-1 drop c's entries of free slots and this one
-        self.rinv[:, slot] = self.rinv @ products[:MEMORY] / -sy
-        self.rinv[slot, slot] = 1.0 / sy
-        self.slots.append(slot)
 
-    def direction(self, g) -> np.ndarray:
-        """-H g: -g with no pairs kept."""
-        if not self.slots:
-            return -g
-        newest = self.slots[-1]
-        gamma = self.sy[newest] / self.yy[newest, newest]
-        products = self.block @ g  # S'g and Y'g
-        t = self.rinv @ products[:MEMORY]
-        u = self.sy * t + gamma * (self.yy @ t - products[MEMORY:])
-        coef_s = u @ self.rinv  # R^-T u
-        p = np.concatenate([-coef_s, gamma * t]) @ self.block
-        p -= gamma * g
-        return p
+def _newton_direction(g, hessian_product):
+    """An approximate solution of H p = -g by conjugate gradients from p = 0
+    (Nocedal & Wright, Algorithm 7.1). Stops once the residual norm drops
+    to min(0.5, sqrt(||g||)) ||g||, after g.size steps, CG's bound in exact
+    arithmetic, or on a curvature d'Hd that is not positive and finite,
+    where it returns the iterate so far, or -g on the first step. H is only
+    positive semi-definite: the unpenalized bias leaves the direction
+    (0, 1_K) flat, but g, and with it every CG direction, is orthogonal to
+    it."""
+    gnorm = math.sqrt(float(g @ g))
+    tol = min(0.5, math.sqrt(gnorm)) * gnorm
+    p = np.zeros_like(g)
+    d = r = -g
+    rr = gnorm * gnorm
+    for step in range(g.size):
+        q = hessian_product(d)
+        curvature = float(d @ q)
+        if not 0 < curvature < math.inf:
+            return p if step else -g
+        alpha = rr / curvature
+        p += alpha * d
+        r = r - alpha * q
+        rr_new = float(r @ r)
+        if math.sqrt(rr_new) <= tol:
+            break
+        d = r + (rr_new / rr) * d
+        rr = rr_new
+    return p
 
 
 def _backtrack(f, theta, p, loss: float, slope: float):
@@ -237,16 +222,17 @@ def _backtrack(f, theta, p, loss: float, slope: float):
 
 
 def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel:
-    """Minimize the regularized log-loss by L-BFGS from a zero start.
+    """Minimize the regularized log-loss by truncated Newton-CG from a zero
+    start.
 
     Stops, converged, when the gradient infinity-norm drops to
-    cfg.grad_tol. Stops, not converged, after MAX_ITER iterations, or
+    cfg.grad_tol. Stops, not converged, after MAX_ITER Newton steps, or
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
-    model records iterations, grad_max and converged. Identical inputs
-    produce bitwise-identical parameters; the Armijo backtracking, which
-    scores each trial with loss_and_grad, guarantees the objective never
-    increases between iterations.
+    model records iterations (Newton steps), grad_max and converged.
+    Identical inputs produce bitwise-identical parameters; the Armijo
+    backtracking, which scores each trial with loss_and_grad, guarantees
+    the objective never increases between steps.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -254,6 +240,7 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
     _check_c(c)
     X, y = _check_xy(X, y, len(labels))
     k, d = len(labels), X.shape[1]
+    Xt = np.ascontiguousarray(X.T)
 
     def unpack(t):
         return t[: k * d].reshape(k, d), t[k * d :]
@@ -264,27 +251,20 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
 
     theta = np.zeros(k * d + k)
     loss, g = value_and_grad(theta)
-    pairs = _CurvaturePairs(theta.size)
     iterations = 0
     while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
-        p = pairs.direction(g)
+        p = _newton_direction(g, _hessian_product(*unpack(theta), X, Xt, c))
         slope = float(g @ p)
         # rounding broke the descent property, or the slope is NaN or
         # infinite, along which backtracking would halve the step forever
-        # (NaN fails both comparisons): restart from steepest descent
+        # (NaN fails both comparisons): fall back to steepest descent
         if not -math.inf < slope < 0:
-            pairs.clear()
             p = -g
             slope = -float(g @ g)
         accepted = _backtrack(value_and_grad, theta, p, loss, slope)
         if accepted is None:
             break  # stalled
-        trial, loss, g_new = accepted
-        s, yv = trial - theta, g_new - g
-        sy = float(s @ yv)
-        if sy > 0:
-            pairs.add(s, yv, sy)
-        theta, g = trial, g_new
+        theta, loss, g = accepted
         iterations += 1
     W, b = unpack(theta)
     grad_max = float(np.abs(g).max())

@@ -3,6 +3,7 @@ end-to-end behavior on synthetic data. Each test prints one PASS/FAIL line
 on the terminal regardless of capture settings."""
 import json
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore
 from finhyp.evaluation import accuracy, macro_f1, mean_rank, stratified_kfold
 from finhyp.features import MinMaxScaler
+import finhyp.model as model_mod
 from finhyp.model import loss_and_grad, loss_value, train
 from finhyp.oov import OOVStrategy
 from finhyp.pipeline import PipelineConfig, apply_preset, run_cv
@@ -317,9 +319,25 @@ def desk_run(tmp_path_factory):
         )
         return run_cv(cfg, data_dir / "terms.csv")
 
-    first = cv("out1")
+    # the first run's fits, through a wrapper over the grid search's train
+    fits = []
+    original = model_mod.train
+
+    def recorded_train(*args, **kwargs):
+        fits.append(original(*args, **kwargs))
+        return fits[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model_mod, "train", recorded_train)
+        first = cv("out1")
     elapsed = time.perf_counter() - start
-    return {"data_dir": data_dir, "cv": cv, "first": first, "elapsed": elapsed}
+    return {
+        "data_dir": data_dir,
+        "cv": cv,
+        "first": first,
+        "fits": fits,
+        "elapsed": elapsed,
+    }
 
 
 def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
@@ -327,17 +345,43 @@ def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
     try:
         report = desk_run["first"].report
         elapsed = desk_run["elapsed"]
-        ok = report.accuracy >= 0.95 and report.mean_rank <= 1.15 and elapsed < 60.0
+        # 6 C values x 5 folds, each fit stopped because it converged
+        fits = desk_run["fits"]
+        converged = len(fits) == 30 and all(m.converged for m in fits)
+        ok = (
+            report.accuracy >= 0.95
+            and report.mean_rank <= 1.15
+            and elapsed < 60.0
+            and converged
+        )
     finally:
         _report(
             capsys,
             8,
-            "synth 17x1050 CV accuracy >= 0.95, mean rank <= 1.15, under 60 s",
+            "synth 17x1050 CV accuracy >= 0.95, mean rank <= 1.15, under 60 s, "
+            "all 30 fits converged",
             ok,
         )
     assert report.accuracy >= 0.95
     assert report.mean_rank <= 1.15
     assert elapsed < 60.0
+    assert len(fits) == 30
+    assert [m.c for m in fits if not m.converged] == []
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
+def test_criterion_08_fit_without_a_class_converges(c):
+    # a training fold can lack a class; the unpenalized bias of that class
+    # then heads for -inf, and the fit must still reach grad_tol without
+    # an overflow or a division that warns
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(120, 10))
+    y = rng.integers(0, 4, size=120)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        model = train(X, y, ("a", "b", "c", "d", "e"), c)
+    assert model.converged
+    assert model.bias[4] < model.bias[:4].min() - 10
 
 
 def test_criterion_09_handcrafted_features_exploit_planted_signal(capsys, tmp_path):

@@ -1,6 +1,6 @@
 """Logistic-regression core: gradients, convergence, ranking, persistence."""
 import math
-from collections import deque
+import warnings
 
 import numpy as np
 import pytest
@@ -78,71 +78,26 @@ def row_major_loss_and_grad(W, b, X, y, c):
     return loss, g.T @ X + W / c, g.sum(axis=0)
 
 
-def two_loop_direction(g, memory):
-    """-H g by the two-loop recursion over the (s, y, 1 / s'y) pairs of a
-    deque, oldest first, scaled by s'y / y'y of the newest: the reference
-    for _CurvaturePairs.direction."""
-    q = g.copy()
-    alphas = []
-    for s, yv, rho in reversed(memory):
-        a = rho * float(s @ q)
-        q -= a * yv
-        alphas.append(a)
-    if memory:
-        s, yv, rho = memory[-1]
-        q *= 1.0 / (rho * float(yv @ yv))
-    for (s, yv, rho), a in zip(memory, reversed(alphas)):
-        q += (a - rho * float(yv @ q)) * s
-    return -q
-
-
-def two_call_train(X, y, k, c, cfg):
-    """Reference fit that scores each trial with loss_value alone and calls
-    loss_and_grad again at the accepted point. Returns (W, b, iterations,
-    grad_max, converged, trials)."""
+def flat_grad(theta, X, y, k, c):
+    """loss_and_grad's gradient at the flat point theta = (W, b), flat."""
     d = X.shape[1]
+    _, gw, gb = loss_and_grad(theta[: k * d].reshape(k, d), theta[k * d :], X, y, c)
+    return np.concatenate([gw.ravel(), gb])
 
-    def unpack(t):
-        return t[: k * d].reshape(k, d), t[k * d :]
 
-    def value_and_grad(t):
-        loss, gw, gb = loss_and_grad(*unpack(t), X, y, c)
-        return loss, np.concatenate([gw.ravel(), gb])
+def count_calls(monkeypatch, names):
+    """A dict of call counts, one per module-level function of finhyp.model
+    named in names, that the wrapped functions fill."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(model_mod, name)
 
-    theta = np.zeros(k * d + k)
-    loss, g = value_and_grad(theta)
-    pairs = model_mod._CurvaturePairs(theta.size)
-    iterations = trials = 0
-    while iterations < model_mod.MAX_ITER and np.abs(g).max() > cfg.grad_tol:
-        p = pairs.direction(g)
-        slope = float(g @ p)
-        if not -math.inf < slope < 0:
-            pairs.clear()
-            p = -g
-            slope = -float(g @ g)
-        step = 1.0
-        while True:
-            trial = theta + step * p
-            trials += 1
-            armijo = loss + model_mod.ARMIJO * step * slope
-            if loss_value(*unpack(trial), X, y, c) <= armijo:
-                break
-            step *= 0.5
-            if step * -slope <= model_mod.STALL * abs(loss):
-                trial = None
-                break
-        if trial is None:
-            break
-        loss, g_new = value_and_grad(trial)
-        s, yv = trial - theta, g_new - g
-        sy = float(s @ yv)
-        if sy > 0:
-            pairs.add(s, yv, sy)
-        theta, g = trial, g_new
-        iterations += 1
-    W, b = unpack(theta)
-    grad_max = float(np.abs(g).max())
-    return W, b, iterations, grad_max, grad_max <= cfg.grad_tol, trials
+        def wrapper(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(model_mod, name, wrapper)
+    return calls
 
 
 class TestGradient:
@@ -156,7 +111,6 @@ class TestGradient:
             b = rng.normal(scale=0.5, size=k)
             c = float(rng.choice([0.01, 0.1, 1.0, 10.0]))
             loss, gw, gb = loss_and_grad(W, b, X, y, c)
-            # the two-call reference in TestTrain relies on equal bits
             assert loss == loss_value(W, b, X, y, c)
             fw, fb = finite_diff(W, b, X, y, c)
             assert rel_err(gw, fw) <= 1e-5
@@ -190,35 +144,89 @@ class TestGradient:
         assert loss_value(W + 1.0, b, X, y, 1.0) > base
 
 
-class TestCurvaturePairs:
-    def test_direction_matches_two_loop(self):
-        # pairs y = A s of one SPD matrix A, at scales over four decades, as
-        # the ring fills and wraps, and again after a clear; with no pairs
-        # the direction is -g
-        rng = np.random.default_rng(12)
-        n = 50
-        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
-        a = (q * np.logspace(-2, 2, n)) @ q.T
-        pairs = model_mod._CurvaturePairs(n)
-        memory = deque(maxlen=model_mod.MEMORY)
-        for step in range(4 * model_mod.MEMORY):
-            if step == 3 * model_mod.MEMORY - 4:
-                pairs.clear()
-                memory.clear()
-            if not memory:
-                g = rng.normal(size=n)
-                assert pairs.direction(g).tobytes() == (-g).tobytes()
-            s = rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2)
-            yv = a @ s
-            sy = float(s @ yv)
-            pairs.add(s, yv, sy)
-            memory.append((s, yv, 1.0 / sy))
-            assert len(pairs.slots) == len(memory)
+class TestNewtonStep:
+    def hessian_setup(self, rng, n, d, k, c):
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, k, size=n)
+        W = rng.normal(scale=0.5, size=(k, d))
+        b = rng.normal(scale=0.5, size=k)
+        theta = np.concatenate([W.ravel(), b])
+        hv = model_mod._hessian_product(W, b, X, np.ascontiguousarray(X.T), c)
+        return X, y, theta, hv
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
+    def test_hessian_product_matches_finite_differences(self, c):
+        # central differences of loss_and_grad's gradient along v, which
+        # covers the bias block and the penalty's V / C
+        rng = np.random.default_rng(31)
+        for n, d, k in [(40, 5, 3), (25, 3, 6), (60, 8, 4)]:
+            X, y, theta, hv = self.hessian_setup(rng, n, d, k, c)
             for _ in range(3):
-                g = rng.normal(size=n) * 10.0 ** rng.uniform(-6, 0)
-                ref = two_loop_direction(g, memory)
-                got = pairs.direction(g)
-                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                v = rng.normal(size=theta.size)
+                v /= np.linalg.norm(v)
+                eps = 1e-5
+                numeric = (
+                    flat_grad(theta + eps * v, X, y, k, c)
+                    - flat_grad(theta - eps * v, X, y, k, c)
+                ) / (2 * eps)
+                assert rel_err(hv(v), numeric) <= 1e-6
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
+    def test_bias_shift_is_the_only_flat_direction(self, c):
+        # adding the same constant to every bias leaves the softmax as it
+        # is, so H (0, 1_K) = 0; every direction orthogonal to it curves up
+        rng = np.random.default_rng(32)
+        n, d, k = 50, 6, 5
+        X, y, theta, hv = self.hessian_setup(rng, n, d, k, c)
+        flat = np.concatenate([np.zeros(k * d), np.ones(k)])
+        assert np.abs(hv(flat)).max() <= 1e-12 * n
+        unit = flat / np.linalg.norm(flat)
+        for _ in range(20):
+            v = rng.normal(size=theta.size)
+            v -= (v @ unit) * unit
+            assert v @ hv(v) > 0
+
+    def test_direction_meets_forcing_term_or_step_cap(self):
+        # on a symmetric positive definite H, CG stops once the residual is
+        # within min(0.5, sqrt(||g||)) ||g||, which asks for more steps as g
+        # shrinks; at a tiny g rounding holds it back, and it stops after
+        # g.size products
+        rng = np.random.default_rng(33)
+        n = 30
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        a = (q * np.logspace(-1, 1, n)) @ q.T
+        for scale in (1e3, 1.0, 1e-4, 1e-12):
+            g = rng.normal(size=n) * scale
+            products = []
+            p = model_mod._newton_direction(g, lambda v: products.append(v) or a @ v)
+            gnorm = np.linalg.norm(g)
+            if scale > 1e-12:
+                assert len(products) < n
+                assert np.linalg.norm(a @ p + g) <= min(0.5, math.sqrt(gnorm)) * gnorm
+            else:
+                assert len(products) == n
+            assert g @ p < 0
+
+    def test_direction_ends_on_curvature_that_is_not_positive(self):
+        # on the first CG step that leaves -g, later the iterate so far, and
+        # no division by the curvature warns
+        g = np.array([1e-4, 1e-4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bad in (0.0, -1.0, np.nan, np.inf):
+                p = model_mod._newton_direction(g, lambda v: bad * v)
+                assert p.tolist() == (-g).tolist()
+                # H = diag(1, 2) for the first product, bad I after it: one
+                # CG step along -g, of length g'g / g'Hg = 2/3, and no more
+                products = []
+
+                def product(v):
+                    products.append(v)
+                    return v * [1.0, 2.0] if len(products) == 1 else bad * v
+
+                p = model_mod._newton_direction(g, product)
+                assert len(products) == 2
+                assert p == pytest.approx(-2 / 3 * g, rel=1e-15)
 
 
 class TestTrain:
@@ -268,54 +276,76 @@ class TestTrain:
         assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
         assert m.grad_max <= cfg.grad_tol
 
-    def test_stall_exit_on_tiny_c_large_loss(self, monkeypatch):
-        # loss ~5500 and C=1e-5: near the optimum a step's first-order
-        # decrease drops below float64 resolution long before grad_tol
+    def test_converges_on_tiny_c_large_loss(self, monkeypatch):
+        # loss ~5500 and C=1e-5: a step's first-order decrease near the
+        # optimum is below float64 resolution of the loss, so gradient steps
+        # stall before grad_tol; Newton steps converge first
         losses = record_accepted_losses(monkeypatch)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4000, 8))
         y = rng.integers(0, 4, size=4000)
         cfg = TrainConfig()
         m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
-        assert not m.converged
-        assert m.iterations < model_mod.MAX_ITER // 10
-        assert cfg.grad_tol < m.grad_max < 1e-3
+        assert m.converged
+        assert m.grad_max <= cfg.grad_tol
+        assert 0 < m.iterations < model_mod.MAX_ITER // 10
         assert len(losses) == m.iterations + 1
         assert np.all(np.diff(losses) <= 0)
 
+    def test_stall_exit_on_tiny_c_large_loss(self, monkeypatch):
+        # the same fit, but after two Newton steps the direction gains a
+        # component orthogonal to g, 1e8 times its length: the slope stays
+        # -g'g, but the curvature along it allows only a step whose
+        # first-order decrease is below float64 resolution of the loss
+        losses = record_accepted_losses(monkeypatch)
+        calls = count_calls(monkeypatch, ["loss_and_grad"])
+        original = model_mod._newton_direction
+        directions = []
+
+        def skewed(g, hessian_product):
+            directions.append(g)
+            p = original(g, hessian_product)
+            if len(directions) <= 2:
+                return p
+            u = np.roll(g, 1)
+            u -= (u @ g) / (g @ g) * g
+            return -g + 1e8 * np.linalg.norm(g) / np.linalg.norm(u) * u
+
+        monkeypatch.setattr(model_mod, "_newton_direction", skewed)
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(4000, 8))
+        y = rng.integers(0, 4, size=4000)
+        cfg = TrainConfig()
+        m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
+        assert not m.converged
+        assert m.iterations == 2
+        assert len(directions) == 3
+        assert m.grad_max > cfg.grad_tol
+        assert len(losses) == m.iterations + 1
+        assert np.all(np.diff(losses) <= 0)
+        # backtracking halved until step * |slope| <= STALL * |loss|
+        assert 3 + 20 < calls["loss_and_grad"] < 3 + 100
+
     @pytest.mark.parametrize("c", [1e-5, 0.001, 1.0, 100.0])
-    def test_one_evaluation_per_trial_matches_two_call_loop(self, monkeypatch, c):
-        # 1e-5 is the stall case above; on the 6-class problem 0.001 stalls
-        # too and 1 and 100 converge, and every fit rejects some trials.
-        # Scoring a trial with loss_and_grad instead of loss_value changes no
-        # Armijo decision, so no bit of the fit moves.
+    def test_one_evaluation_per_trial(self, monkeypatch, c):
+        # every objective evaluation is one loss_and_grad call: one at the
+        # start and one per line-search trial, whose gradient is kept
+        trials = []
+        original = model_mod._backtrack
+
+        def counted_backtrack(f, theta, p, loss, slope):
+            return original(lambda t: trials.append(t) or f(t), theta, p, loss, slope)
+
         rng = np.random.default_rng(1 if c == 1e-5 else 4)
         n, d, k = (4000, 8, 4) if c == 1e-5 else (300, 20, 6)
         X = rng.normal(size=(n, d))
         y = rng.integers(0, k, size=n)
-        cfg = TrainConfig()
-        W, b, iterations, grad_max, converged, trials = two_call_train(X, y, k, c, cfg)
-        calls = {"loss_value": 0, "loss_and_grad": 0}
-
-        def counted(name):
-            original = getattr(model_mod, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(model_mod, name, counted(name))
-        m = train(X, y, tuple("abcdef"[:k]), c, cfg)
-        assert m.weights.tobytes() == W.tobytes()
-        assert m.bias.tobytes() == b.tobytes()
-        assert m.iterations == iterations
-        assert m.grad_max == grad_max
-        assert m.converged == converged
-        assert calls == {"loss_value": 0, "loss_and_grad": trials + 1}
-        assert trials > iterations
+        calls = count_calls(monkeypatch, ["loss_value", "loss_and_grad"])
+        monkeypatch.setattr(model_mod, "_backtrack", counted_backtrack)
+        m = train(X, y, tuple("abcdef"[:k]), c)
+        assert m.converged
+        assert calls == {"loss_value": 0, "loss_and_grad": len(trials) + 1}
+        assert len(trials) >= m.iterations > 0
 
     def test_ascent_direction_falls_back_to_steepest_descent(self, monkeypatch):
         # a direction whose slope g'p is not finite and negative must never
@@ -340,7 +370,7 @@ class TestTrain:
             lambda g: np.where(g > 0, -np.inf, np.where(g < 0, np.inf, 0.0)),
         ):
             monkeypatch.setattr(
-                model_mod._CurvaturePairs, "direction", lambda self, g: direction(g)
+                model_mod, "_newton_direction", lambda g, hv: direction(g)
             )
             calls.clear()
             m = train(X, y, ("a", "b"), c=1.0)
