@@ -11,16 +11,29 @@ every reduction over the classes runs along axis 0.
 
 It is minimized by a line-search truncated Newton method (Nocedal &
 Wright, Numerical Optimization, sec. 7.1; the trust-region form is Lin,
-Weng & Keerthi 2008, the solver of LIBLINEAR). Each Newton step solves
-H p = -g approximately by conjugate gradients, with Hessian-vector
-products taken from the softmax at the current point (see
-``_hessian_product``), so the Hessian is never formed. The step is found
-by backtracking (halving, Armijo constant 1e-4) with each trial point
-scored by ``loss_and_grad``; the accepted trial's gradient starts the
-next step, so the objective is evaluated once per trial. A fit also
-stops, as not converged, after MAX_ITER Newton steps or once
-backtracking shrinks the decrease a step promises below float64
+Weng & Keerthi 2008, the solver of LIBLINEAR). The parameters are one
+(K, D+1) matrix [W | b], which the solver works on against Xa = [X | 1]
+and its contiguous transpose, both made once per fit; loss_and_grad is
+handed the W and b views of it. Each Newton step solves H p = -g
+approximately by conjugate gradients, with Hessian-vector products taken
+from the softmax at the current point (see ``_hessian_product``), so the
+Hessian is never formed. CG is preconditioned by I_K (x) A, where
+A = Xa' diag(s) Xa + diag(pen) is the input factor of a Kronecker-factored
+curvature (Martens & Grosse 2015), built from the step's softmax with
+s_i = mean_k p_ik (1 - p_ik), and pen is 1/C on the W columns and 0 on the
+bias column; where A is singular or not finite the step runs plain CG.
+The step is found by backtracking (halving, Armijo constant 1e-4) with
+each trial point scored by ``loss_and_grad``; the accepted trial's
+gradient starts the next step, so the objective is evaluated once per
+trial. A fit also stops, as not converged, after MAX_ITER Newton steps or
+once backtracking shrinks the decrease a step promises below float64
 resolution of the loss (STALL).
+
+A fit starts from zero, or from the parameters of another model
+(``start``). ``grid_search`` uses that for a warm start along the
+regularization path (Chu, Ho, Tsai, Lin & Lin 2015): each fold fits the
+C grid in ascending order, each fit starting from the fold's fit at the
+next smaller C.
 """
 from __future__ import annotations
 
@@ -34,6 +47,8 @@ from .evaluation import accuracy, mean_rank, stratified_kfold
 ARMIJO = 1e-4
 STALL = 1e-15  # relative loss change below which a step cannot register
 MAX_ITER = 100  # Newton steps before a fit stops, not converged
+EPS = np.finfo(np.float64).eps
+TRI_BLOCK = 32  # rows of the triangular blocks that _lower_inverse inverts whole
 MODEL_MAGIC = "finhyp-logreg v1"
 DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
@@ -51,6 +66,8 @@ class TrainConfig:
             raise ValueError("empty C grid")
         for c in self.c_grid:
             _check_c(c)
+        if len(set(self.c_grid)) < len(self.c_grid):
+            raise ValueError(f"C grid repeats a value: {self.c_grid}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         # NaN fails every comparison, and infinity "converges" at the start
@@ -68,6 +85,7 @@ class LogRegModel:
     labels: tuple[str, ...]
     # optimizer diagnostics set by train; a loaded model keeps the defaults
     iterations: int = 0
+    hessian_products: int = 0  # CG steps over all Newton steps
     grad_max: float = float("nan")  # final gradient infinity-norm
     converged: bool = False  # grad_max reached TrainConfig.grad_tol
 
@@ -154,55 +172,116 @@ def loss_and_grad(W, b, X, y, c):
     return data + _penalty(W, c), grad_w, e.sum(axis=1)
 
 
-def _hessian_product(W, b, X, Xt, c):
-    """v -> Hv for the Hessian H of the loss at (W, b), with v and Hv flat
-    like theta and Xt the contiguous X'. With P the (K, N) softmax at
-    (W, b), computed here once, and v = (V, v_b):
+def _hessian_product(P, Xa, Xat, pen):
+    """V -> HV for the Hessian H of the loss at the point whose (K, N)
+    softmax is P, with V and HV (K, D+1) matrices laid out like the
+    parameters [W | b], Xa = [X | 1] and Xat its contiguous transpose, and
+    pen the penalty's diagonal: 1/C on the W columns and 0 on the bias
+    column. With dz = V Xa':
 
-        dz = V X' + v_b,  r = P * (dz - 1 1'(P * dz)),  Hv = (r X + V / C, r 1)
+        r = P * (dz - 1 1'(P * dz)),  HV = r Xa + V * pen
 
     so a product costs two (K, N)-sized matrix products."""
-    p = _softmax(W @ Xt + b[:, None], axis=0)
 
-    def product(v):
-        V = v[: W.size].reshape(W.shape)
-        r = V @ Xt
-        r += v[W.size :, None]
-        r -= (p * r).sum(axis=0)
-        r *= p
-        return np.concatenate([(r @ X + V / c).ravel(), r.sum(axis=1)])
+    def product(V):
+        r = V @ Xat
+        r -= (P * r).sum(axis=0)
+        r *= P
+        hv = r @ Xa
+        hv += V * pen
+        return hv
 
     return product
 
 
-def _newton_direction(g, hessian_product):
-    """An approximate solution of H p = -g by conjugate gradients from p = 0
-    (Nocedal & Wright, Algorithm 7.1). Stops once the residual norm drops
-    to min(0.5, sqrt(||g||)) ||g||, after g.size steps, CG's bound in exact
-    arithmetic, or on a curvature d'Hd that is not positive and finite,
-    where it returns the iterate so far, or -g on the first step. H is only
-    positive semi-definite: the unpenalized bias leaves the direction
-    (0, 1_K) flat, but g, and with it every CG direction, is orthogonal to
-    it."""
-    gnorm = math.sqrt(float(g @ g))
+def _input_gram(P, Xa, pen):
+    """The (D+1, D+1) matrix A = Xa' diag(s) Xa + diag(pen), with
+    s_i = mean_k p_ik (1 - p_ik) from the (K, N) softmax P: the input
+    factor of the Kronecker-factored Hessian approximation I_K (x) A
+    (Martens & Grosse 2015) that preconditions a Newton step's CG. It is
+    formed as B'B with B = diag(sqrt(s)) Xa, so it is exactly symmetric."""
+    s = (P * (1.0 - P)).mean(axis=0)
+    B = Xa * np.sqrt(s)[:, None]
+    A = B.T @ B
+    A.flat[:: A.shape[0] + 1] += pen
+    return A
+
+
+def _lower_inverse(L):
+    """L^-1 of a lower-triangular L, from the block form
+
+        [L11, 0; L21, L22]^-1 = [L11^-1, 0; -L22^-1 L21 L11^-1, L22^-1]
+
+    down to blocks of at most TRI_BLOCK rows, which np.linalg.inv inverts.
+    numpy has no triangular inverse, and np.linalg.inv of a whole
+    77 x 77 or 109 x 109 matrix (one BLAS thread, Xeon) takes about twice
+    as long as this and the product L^-T L^-1 together."""
+    n = len(L)
+    if n <= TRI_BLOCK:
+        return np.linalg.inv(L)
+    h = n // 2
+    inverse = np.zeros_like(L)
+    top = inverse[:h, :h] = _lower_inverse(L[:h, :h])
+    bottom = inverse[h:, h:] = _lower_inverse(L[h:, h:])
+    inverse[h:, :h] = -(bottom @ L[h:, :h]) @ top
+    return inverse
+
+
+def _inverse(A):
+    """A^-1 of a symmetric A, or None when A is not finite, not positive
+    definite in float64 (its Cholesky factorisation fails) or singular in
+    float64: a squared Cholesky pivot at or below machine epsilon times the
+    largest, so that A's condition number is at least 1/epsilon. With
+    A = LL', A^-1 = L^-T L^-1, which is exactly symmetric."""
+    if not np.isfinite(A).all():
+        return None
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = L.diagonal() ** 2
+    if pivots.min() <= EPS * pivots.max():
+        return None
+    inverse = _lower_inverse(L)
+    return inverse.T @ inverse
+
+
+def _newton_direction(g, hessian_product, inverse=None):
+    """An approximate solution of H p = -g by conjugate gradients from p = 0,
+    preconditioned by M = I_K (x) A, applied as R -> R A^-1 with
+    inverse = A^-1, or plain CG when inverse is None (Nocedal & Wright,
+    Algorithm 7.1 with the preconditioning of Algorithm 5.3). Returns the
+    direction and the number of Hessian-vector products it took. Stops once
+    the residual norm drops to min(0.5, sqrt(||g||)) ||g||, after g.size
+    steps, CG's bound in exact arithmetic, or on a curvature d'Hd that is
+    not positive and finite, or so small that the step length overflows,
+    where it returns the iterate so far, or -g on the first step.
+    H is only positive semi-definite: the unpenalized bias leaves the
+    direction n = (0, 1_K) flat. g is orthogonal to n, and so is every
+    residual, as Hn = 0; a component along n, which a preconditioned
+    direction can pick up, changes neither a curvature nor the loss."""
+    gnorm = math.sqrt(float(np.vdot(g, g)))
     tol = min(0.5, math.sqrt(gnorm)) * gnorm
     p = np.zeros_like(g)
-    d = r = -g
-    rr = gnorm * gnorm
+    r = -g
+    z = r if inverse is None else r @ inverse
+    d = z
+    rz = float(np.vdot(r, z))
     for step in range(g.size):
         q = hessian_product(d)
-        curvature = float(d @ q)
-        if not 0 < curvature < math.inf:
-            return p if step else -g
-        alpha = rr / curvature
+        curvature = float(np.vdot(d, q))
+        alpha = rz / curvature if 0 < curvature < math.inf else math.inf
+        if not alpha < math.inf:
+            return (p if step else -g), step + 1
         p += alpha * d
         r = r - alpha * q
-        rr_new = float(r @ r)
-        if math.sqrt(rr_new) <= tol:
+        if math.sqrt(float(np.vdot(r, r))) <= tol:
             break
-        d = r + (rr_new / rr) * d
-        rr = rr_new
-    return p
+        z = r if inverse is None else r @ inverse
+        rz_new = float(np.vdot(r, z))
+        d = z + (rz_new / rz) * d
+        rz = rz_new
+    return p, step + 1
 
 
 def _backtrack(f, theta, p, loss: float, slope: float):
@@ -221,18 +300,26 @@ def _backtrack(f, theta, p, loss: float, slope: float):
             return None
 
 
-def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel:
-    """Minimize the regularized log-loss by truncated Newton-CG from a zero
-    start.
+def train(
+    X,
+    y,
+    labels,
+    c: float,
+    cfg: TrainConfig | None = None,
+    start: LogRegModel | None = None,
+) -> LogRegModel:
+    """Minimize the regularized log-loss by preconditioned truncated
+    Newton-CG from zero parameters, or from those of start, a model with
+    the same labels and feature dimension.
 
     Stops, converged, when the gradient infinity-norm drops to
     cfg.grad_tol. Stops, not converged, after MAX_ITER Newton steps, or
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
-    model records iterations (Newton steps), grad_max and converged.
-    Identical inputs produce bitwise-identical parameters; the Armijo
-    backtracking, which scores each trial with loss_and_grad, guarantees
-    the objective never increases between steps.
+    model records iterations (Newton steps), hessian_products (CG steps),
+    grad_max and converged. Identical inputs produce bitwise-identical
+    parameters; the Armijo backtracking, which scores each trial with
+    loss_and_grad, guarantees the objective never increases between steps.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -240,40 +327,51 @@ def train(X, y, labels, c: float, cfg: TrainConfig | None = None) -> LogRegModel
     _check_c(c)
     X, y = _check_xy(X, y, len(labels))
     k, d = len(labels), X.shape[1]
-    Xt = np.ascontiguousarray(X.T)
-
-    def unpack(t):
-        return t[: k * d].reshape(k, d), t[k * d :]
+    Xa = np.column_stack([X, np.ones(len(y))])
+    Xat = np.ascontiguousarray(Xa.T)
+    pen = np.full(d + 1, 1.0 / c)
+    pen[d] = 0.0
+    if start is None:
+        theta = np.zeros((k, d + 1))
+    elif start.labels == labels and start.dim == d:
+        theta = np.column_stack([start.weights, start.bias])
+    else:
+        raise ValueError("start model has other labels or another feature width")
 
     def value_and_grad(t):
-        loss, gw, gb = loss_and_grad(*unpack(t), X, y, c)
-        return loss, np.concatenate([gw.ravel(), gb])
+        loss, gw, gb = loss_and_grad(t[:, :d], t[:, d], X, y, c)
+        return loss, np.column_stack([gw, gb])
 
-    theta = np.zeros(k * d + k)
     loss, g = value_and_grad(theta)
-    iterations = 0
+    iterations = products = 0
     while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
-        p = _newton_direction(g, _hessian_product(*unpack(theta), X, Xt, c))
-        slope = float(g @ p)
+        P = _softmax(theta @ Xat, axis=0)
+        p, used = _newton_direction(
+            g,
+            _hessian_product(P, Xa, Xat, pen),
+            _inverse(_input_gram(P, Xa, pen)),
+        )
+        products += used
+        slope = float(np.vdot(g, p))
         # rounding broke the descent property, or the slope is NaN or
         # infinite, along which backtracking would halve the step forever
         # (NaN fails both comparisons): fall back to steepest descent
         if not -math.inf < slope < 0:
             p = -g
-            slope = -float(g @ g)
+            slope = -float(np.vdot(g, g))
         accepted = _backtrack(value_and_grad, theta, p, loss, slope)
         if accepted is None:
             break  # stalled
         theta, loss, g = accepted
         iterations += 1
-    W, b = unpack(theta)
     grad_max = float(np.abs(g).max())
     return LogRegModel(
-        W,
-        b,
+        theta[:, :d].copy(),
+        theta[:, d].copy(),
         c,
         labels,
         iterations=iterations,
+        hessian_products=products,
         grad_max=grad_max,
         converged=grad_max <= cfg.grad_tol,
     )
@@ -320,35 +418,41 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
     """Pick C by stratified k-fold CV.
 
     Every C is scored on the same folds; mean rank decides, accuracy breaks
-    ties, then the smaller C. Rows come back in grid order.
+    ties, then the smaller C. Each fold fits the grid in ascending C, each
+    fit starting from the fold's fit at the next smaller C (a warm start
+    along the regularization path), so a fit's parameters depend on the
+    other C values only within cfg.grad_tol. Rows come back in grid order.
     """
     labels = tuple(labels)
     X, y = _check_xy(X, y, len(labels))
     folds = stratified_kfold(y.tolist(), cfg.folds, cfg.seed)
     all_idx = np.arange(len(y))
-    rows: list[GridRow] = []
-    oof: dict[float, np.ndarray] = {}
-    for c in cfg.c_grid:
-        preds = oof[c] = np.empty((len(y), min(3, len(labels))), dtype=np.int64)
-        fold_mrs = []
-        fold_accs = []
-        for test_idx in folds:
-            train_mask = np.ones(len(y), dtype=bool)
-            train_mask[test_idx] = False
-            train_idx = all_idx[train_mask]
-            m = train(X[train_idx], y[train_idx], labels, c, cfg)
-            preds[test_idx] = rank_labels(predict_proba(m, X[test_idx]))
-            fold_mrs.append(mean_rank(preds[test_idx], y[test_idx]))
-            fold_accs.append(accuracy(preds[test_idx], y[test_idx]))
-        rows.append(
-            GridRow(
-                c=c,
-                mean_rank=float(np.mean(fold_mrs)),
-                accuracy=float(np.mean(fold_accs)),
-                fold_mean_ranks=tuple(fold_mrs),
-                fold_accuracies=tuple(fold_accs),
-            )
+    oof = {
+        c: np.empty((len(y), min(3, len(labels))), dtype=np.int64)
+        for c in cfg.c_grid
+    }
+    fold_mrs: dict[float, list[float]] = {c: [] for c in cfg.c_grid}
+    fold_accs: dict[float, list[float]] = {c: [] for c in cfg.c_grid}
+    for test_idx in folds:
+        train_mask = np.ones(len(y), dtype=bool)
+        train_mask[test_idx] = False
+        train_idx = all_idx[train_mask]
+        m = None
+        for c in sorted(cfg.c_grid):
+            m = train(X[train_idx], y[train_idx], labels, c, cfg, start=m)
+            preds = oof[c][test_idx] = rank_labels(predict_proba(m, X[test_idx]))
+            fold_mrs[c].append(mean_rank(preds, y[test_idx]))
+            fold_accs[c].append(accuracy(preds, y[test_idx]))
+    rows = [
+        GridRow(
+            c=c,
+            mean_rank=float(np.mean(fold_mrs[c])),
+            accuracy=float(np.mean(fold_accs[c])),
+            fold_mean_ranks=tuple(fold_mrs[c]),
+            fold_accuracies=tuple(fold_accs[c]),
         )
+        for c in cfg.c_grid
+    ]
     best = min(rows, key=lambda r: (r.mean_rank, -r.accuracy, r.c))
     return GridSearchResult(best.c, rows, folds, oof)
 

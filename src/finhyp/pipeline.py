@@ -146,6 +146,8 @@ class PipelineConfig:
             math.isfinite(c) and c > 0 for c in self.c_grid
         ):
             raise ValueError("c_grid must be non-empty, finite and positive")
+        if len(set(self.c_grid)) < len(self.c_grid):
+            raise ValueError(f"c_grid repeats a value: {list(self.c_grid)}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
         if not 1 <= self.ngram_min <= self.ngram_max:

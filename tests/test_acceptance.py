@@ -345,21 +345,24 @@ def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
     try:
         report = desk_run["first"].report
         elapsed = desk_run["elapsed"]
-        # 6 C values x 5 folds, each fit stopped because it converged
+        # 6 C values x 5 folds, each fit stopped because it converged, and
+        # all of them in at most 2000 Hessian-vector products
         fits = desk_run["fits"]
         converged = len(fits) == 30 and all(m.converged for m in fits)
+        products = sum(m.hessian_products for m in fits)
         ok = (
             report.accuracy >= 0.95
             and report.mean_rank <= 1.15
             and elapsed < 60.0
             and converged
+            and products <= 2000
         )
     finally:
         _report(
             capsys,
             8,
             "synth 17x1050 CV accuracy >= 0.95, mean rank <= 1.15, under 60 s, "
-            "all 30 fits converged",
+            "all 30 fits converged in <= 2000 Hessian-vector products",
             ok,
         )
     assert report.accuracy >= 0.95
@@ -367,6 +370,7 @@ def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
     assert elapsed < 60.0
     assert len(fits) == 30
     assert [m.c for m in fits if not m.converged] == []
+    assert products <= 2000
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])

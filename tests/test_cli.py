@@ -311,6 +311,33 @@ class TestDataErrors:
         assert os.listdir(data) == ["embeddings.txt"]
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_c_exits_2(self, synth_dir, tmp_path, capsys):
+        # a repeated C would write two grid rows from one set of fits
+        data = tmp_path / "data"
+        data.mkdir()
+        store = (synth_dir / "embeddings.txt").read_bytes()
+        (data / "embeddings.txt").write_bytes(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"c_grid": [1.0, 1.0], "folds": 3}')
+        code = main(
+            [
+                "cv",
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(data / "embeddings.txt"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad config: c_grid repeats a value: [1.0, 1.0]\n"
+        )
+        assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
 
 class TestCvCommand:
     def test_happy_path(self, synth_dir, fast_cfg, tmp_path, capsys):

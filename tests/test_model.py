@@ -78,11 +78,27 @@ def row_major_loss_and_grad(W, b, X, y, c):
     return loss, g.T @ X + W / c, g.sum(axis=0)
 
 
-def flat_grad(theta, X, y, k, c):
-    """loss_and_grad's gradient at the flat point theta = (W, b), flat."""
+def matrix_grad(theta, X, y, c):
+    """loss_and_grad's gradient at theta = [W | b], as one (K, D+1) matrix."""
     d = X.shape[1]
-    _, gw, gb = loss_and_grad(theta[: k * d].reshape(k, d), theta[k * d :], X, y, c)
-    return np.concatenate([gw.ravel(), gb])
+    _, gw, gb = loss_and_grad(theta[:, :d], theta[:, d], X, y, c)
+    return np.column_stack([gw, gb])
+
+
+def step_operators(theta, X, c):
+    """The Hessian-vector product at theta = [W | b] and the preconditioner
+    matrix A there, built as a Newton step of train builds them: from
+    Xa = [X | 1], its contiguous transpose and the penalty's diagonal (1/C
+    on the W columns, 0 on the bias column)."""
+    Xa = np.column_stack([X, np.ones(len(X))])
+    Xat = np.ascontiguousarray(Xa.T)
+    pen = np.full(Xa.shape[1], 1.0 / c)
+    pen[-1] = 0.0
+    P = model_mod._softmax(theta @ Xat, axis=0)
+    return (
+        model_mod._hessian_product(P, Xa, Xat, pen),
+        model_mod._input_gram(P, Xa, pen),
+    )
 
 
 def count_calls(monkeypatch, names):
@@ -148,26 +164,24 @@ class TestNewtonStep:
     def hessian_setup(self, rng, n, d, k, c):
         X = rng.normal(size=(n, d))
         y = rng.integers(0, k, size=n)
-        W = rng.normal(scale=0.5, size=(k, d))
-        b = rng.normal(scale=0.5, size=k)
-        theta = np.concatenate([W.ravel(), b])
-        hv = model_mod._hessian_product(W, b, X, np.ascontiguousarray(X.T), c)
+        theta = rng.normal(scale=0.5, size=(k, d + 1))
+        hv, _ = step_operators(theta, X, c)
         return X, y, theta, hv
 
     @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])
     def test_hessian_product_matches_finite_differences(self, c):
-        # central differences of loss_and_grad's gradient along v, which
-        # covers the bias block and the penalty's V / C
+        # central differences of loss_and_grad's gradient along V, which
+        # covers the bias column and the penalty's V / C
         rng = np.random.default_rng(31)
         for n, d, k in [(40, 5, 3), (25, 3, 6), (60, 8, 4)]:
             X, y, theta, hv = self.hessian_setup(rng, n, d, k, c)
             for _ in range(3):
-                v = rng.normal(size=theta.size)
+                v = rng.normal(size=theta.shape)
                 v /= np.linalg.norm(v)
                 eps = 1e-5
                 numeric = (
-                    flat_grad(theta + eps * v, X, y, k, c)
-                    - flat_grad(theta - eps * v, X, y, k, c)
+                    matrix_grad(theta + eps * v, X, y, c)
+                    - matrix_grad(theta - eps * v, X, y, c)
                 ) / (2 * eps)
                 assert rel_err(hv(v), numeric) <= 1e-6
 
@@ -178,13 +192,14 @@ class TestNewtonStep:
         rng = np.random.default_rng(32)
         n, d, k = 50, 6, 5
         X, y, theta, hv = self.hessian_setup(rng, n, d, k, c)
-        flat = np.concatenate([np.zeros(k * d), np.ones(k)])
+        flat = np.zeros_like(theta)
+        flat[:, d] = 1.0
         assert np.abs(hv(flat)).max() <= 1e-12 * n
         unit = flat / np.linalg.norm(flat)
         for _ in range(20):
-            v = rng.normal(size=theta.size)
-            v -= (v @ unit) * unit
-            assert v @ hv(v) > 0
+            v = rng.normal(size=theta.shape)
+            v -= np.vdot(v, unit) * unit
+            assert np.vdot(v, hv(v)) > 0
 
     def test_direction_meets_forcing_term_or_step_cap(self):
         # on a symmetric positive definite H, CG stops once the residual is
@@ -198,7 +213,10 @@ class TestNewtonStep:
         for scale in (1e3, 1.0, 1e-4, 1e-12):
             g = rng.normal(size=n) * scale
             products = []
-            p = model_mod._newton_direction(g, lambda v: products.append(v) or a @ v)
+            p, used = model_mod._newton_direction(
+                g, lambda v: products.append(v) or a @ v
+            )
+            assert used == len(products)
             gnorm = np.linalg.norm(g)
             if scale > 1e-12:
                 assert len(products) < n
@@ -207,6 +225,19 @@ class TestNewtonStep:
                 assert len(products) == n
             assert g @ p < 0
 
+    def test_exact_preconditioner_solves_in_one_product(self):
+        # with M = H, the first preconditioned direction is the Newton step
+        rng = np.random.default_rng(34)
+        n = 30
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        a = (q * np.logspace(-2, 2, n)) @ q.T
+        g = rng.normal(size=n)
+        p, used = model_mod._newton_direction(g, lambda v: a @ v, np.linalg.inv(a))
+        assert used == 1
+        assert p == pytest.approx(np.linalg.solve(a, -g), rel=1e-9)
+        _, plain = model_mod._newton_direction(g, lambda v: a @ v)
+        assert plain > 1
+
     def test_direction_ends_on_curvature_that_is_not_positive(self):
         # on the first CG step that leaves -g, later the iterate so far, and
         # no division by the curvature warns
@@ -214,8 +245,9 @@ class TestNewtonStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for bad in (0.0, -1.0, np.nan, np.inf):
-                p = model_mod._newton_direction(g, lambda v: bad * v)
+                p, used = model_mod._newton_direction(g, lambda v: bad * v)
                 assert p.tolist() == (-g).tolist()
+                assert used == 1
                 # H = diag(1, 2) for the first product, bad I after it: one
                 # CG step along -g, of length g'g / g'Hg = 2/3, and no more
                 products = []
@@ -224,9 +256,112 @@ class TestNewtonStep:
                     products.append(v)
                     return v * [1.0, 2.0] if len(products) == 1 else bad * v
 
-                p = model_mod._newton_direction(g, product)
-                assert len(products) == 2
+                p, used = model_mod._newton_direction(g, product)
+                assert len(products) == used == 2
                 assert p == pytest.approx(-2 / 3 * g, rel=1e-15)
+
+    def test_direction_ends_on_curvature_whose_step_overflows(self):
+        # a positive subnormal curvature: g'g / g'Hg is beyond float64, and
+        # a step of that length would make inf * 0 = NaN in the direction
+        g = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p, used = model_mod._newton_direction(g, lambda v: 1e-310 * v)
+        assert p.tolist() == (-g).tolist()
+        assert used == 1
+
+
+class TestPreconditioner:
+    def test_input_gram_is_symmetric_positive_definite(self):
+        # 17 classes and the desk feature width, at a point with spread-out
+        # and with nearly saturated probabilities
+        rng = np.random.default_rng(35)
+        X = rng.uniform(-1, 1, size=(233, 76))
+        for scale in (0.1, 5.0):
+            theta = rng.normal(scale=scale, size=(17, 77))
+            for c in (1e-3, 1.0, 100.0):
+                _, A = step_operators(theta, X, c)
+                assert A.shape == (77, 77)
+                assert np.array_equal(A, A.T)
+                assert np.linalg.eigvalsh(A).min() > 0
+                inverse = model_mod._inverse(A)
+                assert np.abs(A @ inverse - np.eye(77)).max() <= 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 77, 109])
+    def test_blocked_triangular_inverse(self, n):
+        # the blocks split at n // 2 down to TRI_BLOCK rows; A^-1 from the
+        # inverse Cholesky factor matches the general inverse and is
+        # exactly symmetric
+        rng = np.random.default_rng(n)
+        B = rng.normal(size=(2 * n, n))
+        A = B.T @ B + np.eye(n)
+        L = np.linalg.cholesky(A)
+        inverse = model_mod._lower_inverse(L)
+        assert np.abs(inverse @ L - np.eye(n)).max() <= 1e-12
+        a_inverse = model_mod._inverse(A)
+        assert np.array_equal(a_inverse, a_inverse.T)
+        assert np.abs(a_inverse - np.linalg.inv(A)).max() <= 1e-12
+
+    def test_input_gram_matches_its_definition(self):
+        rng = np.random.default_rng(36)
+        X = rng.normal(size=(40, 5))
+        theta = rng.normal(size=(4, 6))
+        _, A = step_operators(theta, X, 0.5)
+        Xa = np.column_stack([X, np.ones(40)])
+        p = model_mod._softmax(theta @ Xa.T, axis=0)
+        s = (p * (1 - p)).mean(axis=0)
+        expected = Xa.T @ np.diag(s) @ Xa + np.diag([2.0] * 5 + [0.0])
+        assert np.abs(A - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_singular_or_non_finite_gram_falls_back_to_plain_cg(self):
+        # saturated probabilities (exactly 0 and 1) on an all-zero feature
+        # matrix: every s_i is 0, so A's bias entry is 0 and A is singular;
+        # A with an infinite or NaN entry has no usable inverse either
+        X = np.zeros((3, 1))
+        theta = np.array([[0.0, 400.0], [0.0, -400.0]])
+        hv, A = step_operators(theta, X, 1.0)
+        assert A.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert model_mod._inverse(A) is None
+            for bad in (np.inf, np.nan):
+                broken = np.eye(2)
+                broken[0, 1] = broken[1, 0] = bad
+                assert model_mod._inverse(broken) is None
+            # nearly saturated: s_i = 4e-18 leaves A positive definite, but
+            # with a pivot below epsilon times the largest
+            near = np.array([[0.0, 20.0], [0.0, -20.0]])
+            assert model_mod._inverse(step_operators(near, X, 1.0)[1]) is None
+            # the plain-CG step: the bias gradient (1, -1) meets zero
+            # curvature, so the direction is -g
+            g = matrix_grad(theta, X, np.array([0, 0, 1]), 1.0)
+            p, used = model_mod._newton_direction(g, hv, None)
+        assert p.tolist() == (-g).tolist()
+        assert used == 1
+
+    def test_fit_through_a_singular_gram_converges(self, monkeypatch):
+        # a start with nearly saturated probabilities on an all-zero X: the
+        # first Newton step's A is singular in float64, so it takes plain
+        # CG; the later steps are preconditioned, and the fit reaches the
+        # bias-only optimum (2/3, 1/3) without a RuntimeWarning
+        original = model_mod._inverse
+        fallbacks = []
+
+        def recorded(A):
+            inverse = original(A)
+            fallbacks.append(inverse is None)
+            return inverse
+
+        monkeypatch.setattr(model_mod, "_inverse", recorded)
+        start = LogRegModel(np.zeros((2, 1)), np.array([20.0, -20.0]), 1.0, "ab")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = train(np.zeros((3, 1)), np.array([0, 0, 1]), "ab", 1.0, start=start)
+        assert m.converged
+        assert fallbacks[0] and not all(fallbacks)
+        assert len(fallbacks) == m.iterations
+        probs = predict_proba(m, np.zeros(1))
+        assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
 
 
 class TestTrain:
@@ -272,6 +407,8 @@ class TestTrain:
         m = train(X, y, tuple(f"k{i}" for i in range(17)), 10.0, cfg)
         assert m.converged
         assert 0 < m.iterations < model_mod.MAX_ITER
+        # at least one CG product per Newton step, at most K (D+1)
+        assert m.iterations <= m.hessian_products <= m.iterations * 17 * 77
         _, gw, gb = loss_and_grad(m.weights, m.bias, X, y, 10.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
         assert m.grad_max <= cfg.grad_tol
@@ -302,14 +439,14 @@ class TestTrain:
         original = model_mod._newton_direction
         directions = []
 
-        def skewed(g, hessian_product):
+        def skewed(g, hessian_product, inverse):
             directions.append(g)
-            p = original(g, hessian_product)
+            p, used = original(g, hessian_product, inverse)
             if len(directions) <= 2:
-                return p
+                return p, used
             u = np.roll(g, 1)
-            u -= (u @ g) / (g @ g) * g
-            return -g + 1e8 * np.linalg.norm(g) / np.linalg.norm(u) * u
+            u -= np.vdot(u, g) / np.vdot(g, g) * g
+            return -g + 1e8 * np.linalg.norm(g) / np.linalg.norm(u) * u, used
 
         monkeypatch.setattr(model_mod, "_newton_direction", skewed)
         rng = np.random.default_rng(1)
@@ -370,13 +507,41 @@ class TestTrain:
             lambda g: np.where(g > 0, -np.inf, np.where(g < 0, np.inf, 0.0)),
         ):
             monkeypatch.setattr(
-                model_mod, "_newton_direction", lambda g, hv: direction(g)
+                model_mod, "_newton_direction", lambda g, hv, inv: (direction(g), 1)
             )
             calls.clear()
             m = train(X, y, ("a", "b"), c=1.0)
             assert m.converged
             probs = predict_proba(m, np.zeros(1))
             assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+
+    @pytest.mark.parametrize("c_start", [0.01, 100.0])
+    def test_warm_start_reaches_the_cold_optimum(self, c_start):
+        # the objective is strictly convex in W and convex in b, so a fit
+        # started at another C's optimum ends where the zero start does
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(300, 20))
+        y = rng.integers(0, 6, size=300)
+        labels = tuple("abcdef")
+        cold = train(X, y, labels, 1.0)
+        start = train(X, y, labels, c_start)
+        warm = train(X, y, labels, 1.0, start=start)
+        assert cold.converged and warm.converged
+        assert warm.iterations < cold.iterations
+        assert np.array_equal(
+            rank_labels(predict_proba(warm, X)), rank_labels(predict_proba(cold, X))
+        )
+        cold_loss = loss_value(cold.weights, cold.bias, X, y, 1.0)
+        warm_loss = loss_value(warm.weights, warm.bias, X, y, 1.0)
+        assert abs(warm_loss - cold_loss) <= 1e-9 * cold_loss
+
+    def test_start_must_match_labels_and_width(self):
+        start = LogRegModel(np.zeros((2, 3)), np.zeros(2), 1.0, "ab")
+        y = np.array([0, 1, 0, 1])
+        for X, labels in ((np.zeros((4, 2)), "ab"), (np.zeros((4, 3)), "ba")):
+            with pytest.raises(ValueError, match="start model has other labels"):
+                train(X, y, labels, 1.0, start=start)
+        assert train(np.zeros((4, 3)), y, "ab", 1.0, start=start).converged
 
     def test_weight_norm_grows_with_c(self):
         rng = np.random.default_rng(8)
@@ -594,6 +759,29 @@ class TestGridSearch:
             np.sort(np.concatenate(result.folds)), np.arange(30)
         )
 
+    def test_each_fold_walks_the_grid_in_ascending_c(self, monkeypatch):
+        # every fold fits each C once, smallest first, each fit starting
+        # from the fold's previous one; the first fit of a fold starts cold
+        calls = []
+        original = model_mod.train
+
+        def recorded(X, y, labels, c, cfg=None, start=None):
+            calls.append((len(y), c, start))
+            calls[-1] += (original(X, y, labels, c, cfg, start=start),)
+            return calls[-1][-1]
+
+        monkeypatch.setattr(model_mod, "train", recorded)
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(30, 3))
+        y = rng.integers(0, 3, size=30)
+        cfg = TrainConfig(c_grid=(1.0, 0.001, 100.0), folds=3, seed=4)
+        result = grid_search(X, y, ("a", "b", "c"), cfg)
+        assert [c for _, c, _, _ in calls] == [0.001, 1.0, 100.0] * 3
+        for i, (n, _, start, _) in enumerate(calls):
+            assert start is (None if i % 3 == 0 else calls[i - 1][3])
+            assert n == 30 - len(result.folds[i // 3])
+        assert [r.c for r in result.rows] == [1.0, 0.001, 100.0]
+
     def test_fold_metrics_have_fold_arity(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(20, 2))
@@ -628,6 +816,13 @@ class TestTrainConfig:
             TrainConfig(folds=1)
         with pytest.raises(ValueError):
             TrainConfig(grad_tol=0.0)
+
+    @pytest.mark.parametrize("grid", [(1.0, 1.0), (0.1, 10.0, 0.1), (1, 1.0)])
+    def test_repeated_c_rejected(self, grid):
+        # a repeated C would be fitted twice and write two grid rows that
+        # share one set of out-of-fold predictions
+        with pytest.raises(ValueError, match="C grid repeats a value"):
+            TrainConfig(c_grid=grid)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_c_rejected(self, c):

@@ -151,6 +151,13 @@ class TestConfig:
         with pytest.raises(DataError, match="c_grid must be non-empty, finite"):
             config_from_dict({"c_grid": [c]})
 
+    def test_repeated_c_rejected(self):
+        # each C is fitted once per fold and writes one grid row
+        with pytest.raises(ValueError, match=r"c_grid repeats a value: \[1.0, 1.0\]"):
+            PipelineConfig(c_grid=(1.0, 1.0))
+        with pytest.raises(DataError, match="bad config: c_grid repeats a value"):
+            config_from_dict({"c_grid": [0.1, 1, 1.0]})
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(DataError, match="unknown config keys: typo"):
             config_from_dict({"typo": 1})
