@@ -19,9 +19,14 @@ approximately by conjugate gradients, with Hessian-vector products taken
 from the softmax at the current point (see ``_hessian_product``), so the
 Hessian is never formed. CG is preconditioned by I_K (x) A, where
 A = Xa' diag(s) Xa + diag(pen) is the input factor of a Kronecker-factored
-curvature (Martens & Grosse 2015), built from the step's softmax with
+curvature (Martens & Grosse 2015), built from a step's softmax with
 s_i = mean_k p_ik (1 - p_ik), and pen is 1/C on the W columns and 0 on the
 bias column; where A is singular or not finite the step runs plain CG.
+Like K-FAC, which refreshes its factor inverses only every few iterations
+(ibid., sec. 8), a fit keeps A^-1 from step to step and builds it again,
+from the current softmax, only at the step after one whose A^-1 was
+unusable or whose CG solve took more Hessian-vector products than the
+first solve under that A^-1 did.
 The step is found by backtracking (halving, Armijo constant 1e-4) with
 each trial point scored by ``loss_and_grad``; the accepted trial's
 gradient starts the next step, so the objective is evaluated once per
@@ -86,6 +91,7 @@ class LogRegModel:
     # optimizer diagnostics set by train; a loaded model keeps the defaults
     iterations: int = 0
     hessian_products: int = 0  # CG steps over all Newton steps
+    preconditioners: int = 0  # A^-1 builds (calls of _inverse)
     grad_max: float = float("nan")  # final gradient infinity-norm
     converged: bool = False  # grad_max reached TrainConfig.grad_tol
 
@@ -286,13 +292,17 @@ def _newton_direction(g, hessian_product, inverse=None):
 
 def _backtrack(f, theta, p, loss: float, slope: float):
     """Armijo backtracking along p from a unit step, halving on failure.
-    f maps a point to its (loss, gradient). Returns the accepted point
-    with its loss and gradient, or None once the first-order decrease
-    step * |slope| falls to STALL * |loss|."""
+    f maps a point to its (loss, gradient). A trial whose loss is not
+    finite fails, and its overflow raises no warning. Returns the accepted
+    point with its loss and gradient, or None once the first-order
+    decrease step * |slope| falls to STALL * |loss|."""
     step = 1.0
     while True:
-        trial = theta + step * p
-        trial_loss, trial_g = f(trial)
+        # far along a long first step, from a saturated start, the loss
+        # overflows to inf (or NaN); the comparison below rejects both
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = theta + step * p
+            trial_loss, trial_g = f(trial)
         if trial_loss <= loss + ARMIJO * step * slope:
             return trial, trial_loss, trial_g
         step *= 0.5
@@ -312,14 +322,21 @@ def train(
     Newton-CG from zero parameters, or from those of start, a model with
     the same labels and feature dimension.
 
+    The preconditioner's A^-1 is built at the first step and kept until CG
+    slows down: it is built again at the step after one whose A^-1 came
+    back None (that step ran plain CG), or whose solve took more
+    Hessian-vector products than the first solve under the current A^-1.
+
     Stops, converged, when the gradient infinity-norm drops to
     cfg.grad_tol. Stops, not converged, after MAX_ITER Newton steps, or
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
     model records iterations (Newton steps), hessian_products (CG steps),
-    grad_max and converged. Identical inputs produce bitwise-identical
-    parameters; the Armijo backtracking, which scores each trial with
-    loss_and_grad, guarantees the objective never increases between steps.
+    preconditioners (A^-1 builds), grad_max and converged. Identical
+    inputs produce bitwise-identical parameters; the Armijo backtracking,
+    which scores each trial with loss_and_grad, guarantees the objective
+    never increases between steps. A trial whose loss overflows fails like
+    any other, without a warning.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -343,15 +360,19 @@ def train(
         return loss, np.column_stack([gw, gb])
 
     loss, g = value_and_grad(theta)
-    iterations = products = 0
+    iterations = products = builds = 0
+    rebuild = True
     while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
         P = _softmax(theta @ Xat, axis=0)
-        p, used = _newton_direction(
-            g,
-            _hessian_product(P, Xa, Xat, pen),
-            _inverse(_input_gram(P, Xa, pen)),
-        )
+        if rebuild:
+            inverse = _inverse(_input_gram(P, Xa, pen))
+            builds += 1
+        p, used = _newton_direction(g, _hessian_product(P, Xa, Xat, pen), inverse)
         products += used
+        if rebuild:
+            first = used
+        # keep A^-1 while CG needs no more products than its first solve did
+        rebuild = inverse is None or used > first
         slope = float(np.vdot(g, p))
         # rounding broke the descent property, or the slope is NaN or
         # infinite, along which backtracking would halve the step forever
@@ -372,6 +393,7 @@ def train(
         labels,
         iterations=iterations,
         hessian_products=products,
+        preconditioners=builds,
         grad_max=grad_max,
         converged=grad_max <= cfg.grad_tol,
     )

@@ -346,23 +346,28 @@ def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
         report = desk_run["first"].report
         elapsed = desk_run["elapsed"]
         # 6 C values x 5 folds, each fit stopped because it converged, and
-        # all of them in at most 2000 Hessian-vector products
+        # all of them in at most 2000 Hessian-vector products, with a
+        # preconditioner built at no more than half of the Newton steps
         fits = desk_run["fits"]
         converged = len(fits) == 30 and all(m.converged for m in fits)
         products = sum(m.hessian_products for m in fits)
+        steps = sum(m.iterations for m in fits)
+        builds = sum(m.preconditioners for m in fits)
         ok = (
             report.accuracy >= 0.95
             and report.mean_rank <= 1.15
             and elapsed < 60.0
             and converged
             and products <= 2000
+            and 2 * builds <= steps
         )
     finally:
         _report(
             capsys,
             8,
             "synth 17x1050 CV accuracy >= 0.95, mean rank <= 1.15, under 60 s, "
-            "all 30 fits converged in <= 2000 Hessian-vector products",
+            "all 30 fits converged in <= 2000 Hessian-vector products, "
+            "preconditioners built at <= half the Newton steps",
             ok,
         )
     assert report.accuracy >= 0.95
@@ -371,6 +376,7 @@ def test_criterion_08_synthetic_end_to_end(capsys, desk_run):
     assert len(fits) == 30
     assert [m.c for m in fits if not m.converged] == []
     assert products <= 2000
+    assert 2 * builds <= steps
 
 
 @pytest.mark.parametrize("c", [1e-3, 1.0, 100.0])

@@ -116,6 +116,28 @@ def count_calls(monkeypatch, names):
     return calls
 
 
+def record_builds(monkeypatch):
+    """Record each preconditioner build of train as (the number of Newton
+    steps before it, the A^-1 it returned, None for plain CG)."""
+    inverse_of = model_mod._inverse
+    direction = model_mod._newton_direction
+    solves = []
+    built_at = []
+
+    def recorded(A):
+        inverse = inverse_of(A)
+        built_at.append((len(solves), inverse))
+        return inverse
+
+    def counted(*args):
+        solves.append(None)
+        return direction(*args)
+
+    monkeypatch.setattr(model_mod, "_inverse", recorded)
+    monkeypatch.setattr(model_mod, "_newton_direction", counted)
+    return built_at
+
+
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2024)
@@ -342,26 +364,66 @@ class TestPreconditioner:
     def test_fit_through_a_singular_gram_converges(self, monkeypatch):
         # a start with nearly saturated probabilities on an all-zero X: the
         # first Newton step's A is singular in float64, so it takes plain
-        # CG; the later steps are preconditioned, and the fit reaches the
-        # bias-only optimum (2/3, 1/3) without a RuntimeWarning
-        original = model_mod._inverse
-        fallbacks = []
-
-        def recorded(A):
-            inverse = original(A)
-            fallbacks.append(inverse is None)
-            return inverse
-
-        monkeypatch.setattr(model_mod, "_inverse", recorded)
+        # CG and the next step builds A^-1 again; the later steps are
+        # preconditioned, and the fit reaches the bias-only optimum
+        # (2/3, 1/3) without a RuntimeWarning
+        built_at = record_builds(monkeypatch)
         start = LogRegModel(np.zeros((2, 1)), np.array([20.0, -20.0]), 1.0, "ab")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             m = train(np.zeros((3, 1)), np.array([0, 0, 1]), "ab", 1.0, start=start)
         assert m.converged
+        fallbacks = [inverse is None for _, inverse in built_at]
         assert fallbacks[0] and not all(fallbacks)
-        assert len(fallbacks) == m.iterations
+        assert [step for step, _ in built_at[:2]] == [0, 1]
+        assert m.preconditioners == len(fallbacks) <= m.iterations
         probs = predict_proba(m, np.zeros(1))
         assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
+
+    def test_rising_product_counts_rebuild_after_every_reuse(self, monkeypatch):
+        # every solve reports one product more than the one before, so the
+        # second solve under each A^-1 needs more than its first did, and
+        # the next step builds again: each A^-1 serves two steps, the
+        # fewest that a usable A^-1 can serve
+        built_at = record_builds(monkeypatch)
+        original = model_mod._newton_direction
+        solves = []
+
+        def rising(g, hessian_product, inverse):
+            p, _ = original(g, hessian_product, inverse)
+            solves.append(inverse)
+            return p, len(solves)
+
+        monkeypatch.setattr(model_mod, "_newton_direction", rising)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, size=30)
+        m = train(X, y, ("a", "b", "c"), c=1.0)
+        assert m.converged and m.iterations > 3
+        assert [step for step, _ in built_at] == list(range(0, m.iterations, 2))
+        assert m.preconditioners == len(built_at)
+        # each solve ran under the A^-1 of the latest build
+        for step, inverse in built_at:
+            assert solves[step] is inverse
+            if step + 1 < len(solves):
+                assert solves[step + 1] is inverse
+
+    def test_fallback_at_every_step_rebuilds_at_every_step(self, monkeypatch):
+        # the worst case: when no A^-1 is usable, every step builds again
+        # and runs plain CG
+        builds = []
+
+        def unusable(A):
+            builds.append(A)
+            return None
+
+        monkeypatch.setattr(model_mod, "_inverse", unusable)
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 4))
+        y = rng.integers(0, 3, size=30)
+        m = train(X, y, ("a", "b", "c"), c=1.0)
+        assert m.converged
+        assert m.preconditioners == len(builds) == m.iterations > 1
 
 
 class TestTrain:
@@ -409,6 +471,8 @@ class TestTrain:
         assert 0 < m.iterations < model_mod.MAX_ITER
         # at least one CG product per Newton step, at most K (D+1)
         assert m.iterations <= m.hessian_products <= m.iterations * 17 * 77
+        # A^-1 is kept across steps while CG does not slow down
+        assert 0 < m.preconditioners < m.iterations
         _, gw, gb = loss_and_grad(m.weights, m.bias, X, y, 10.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
         assert m.grad_max <= cfg.grad_tol
@@ -534,6 +598,18 @@ class TestTrain:
         cold_loss = loss_value(cold.weights, cold.bias, X, y, 1.0)
         warm_loss = loss_value(warm.weights, warm.bias, X, y, 1.0)
         assert abs(warm_loss - cold_loss) <= 1e-9 * cold_loss
+
+    def test_saturated_start_converges(self):
+        # biases +-373 make the first Newton step so long that trials along
+        # it overflow the loss; such a trial fails like any other, without
+        # a RuntimeWarning, and the fit still reaches (2/3, 1/3)
+        start = LogRegModel(np.zeros((2, 1)), np.array([373.0, -373.0]), 1.0, "ab")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            m = train(np.zeros((3, 1)), np.array([0, 0, 1]), "ab", 1.0, start=start)
+        assert m.converged
+        probs = predict_proba(m, np.zeros(1))
+        assert probs == pytest.approx([2 / 3, 1 / 3], abs=1e-6)
 
     def test_start_must_match_labels_and_width(self):
         start = LogRegModel(np.zeros((2, 3)), np.zeros(2), 1.0, "ab")
