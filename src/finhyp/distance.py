@@ -7,14 +7,14 @@ few word operations. A text's distance is its length plus the deltas summed
 down the last column.
 
 ``levenshtein_matrix`` (the edit-feature block) and ``nearest`` (the OOV
-scans of a vocabulary packed once per store) run it in numpy: each pattern
-of at most 64 characters is one uint64 word, the texts are the lanes of the
-vector axis, the patterns a second axis, and the loop runs over text
-positions. Texts are mapped to a dense alphabet of small unsigned symbols;
-a pattern character outside it matches nothing. A pattern longer than 64
-characters runs a numpy DP over the same symbols instead. The scalar
-``levenshtein``, for the n-gram tie-breaks, runs the algorithm on Python
-ints, which have no width limit.
+scans of a vocabulary packed once per store, ``PackedWords``) run it in
+numpy: each pattern of at most 64 characters is one uint64 word, the texts
+are the lanes of the vector axis, the patterns a second axis, and the loop
+runs over text positions. Texts are mapped to a dense alphabet of small
+unsigned symbols; a pattern character outside it matches nothing. A
+pattern longer than 64 characters runs a numpy DP over the same symbols
+instead. The scalar ``levenshtein``, for the n-gram tie-breaks, runs the
+algorithm on Python ints, which have no width limit.
 
 ``nearest`` takes all of a run's queries at once. It scans the packed
 vocabulary's length groups in rings r = 0, 1, 2, ... of |length - len(query)|,
@@ -78,12 +78,26 @@ def _find(keys: np.ndarray, key: np.ndarray) -> np.ndarray:
     return np.where(hit, at, -1)
 
 
-def _alphabet(text: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct code points of text, and a table from each code point
-    up to the largest to its symbol, its index among them. The table has the
-    smallest unsigned dtype that also holds their count, the DP's symbol for
-    a character outside them."""
-    alphabet = codes("".join(sorted(set(text))))
+def _first(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted a that differ from their predecessor."""
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return first
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """Distinct values of a, ascending: one sort and an adjacent-difference
+    mask (numpy 2's hash-based ``np.unique`` is several times slower here)."""
+    a = np.sort(a)
+    return a[_first(a)]
+
+
+def _alphabet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct code points of points, and a table from each code
+    point up to the largest to its symbol, its index among them. The table
+    has the smallest unsigned dtype that also holds their count, the DP's
+    symbol for a character outside them."""
+    alphabet = _sorted_unique(points)
     size = int(alphabet[-1]) + 1 if len(alphabet) else 0
     table = np.zeros(size, dtype=np.min_scalar_type(len(alphabet)))
     table[alphabet] = np.arange(len(alphabet))
@@ -188,10 +202,10 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
     order = np.argsort(-lens, kind="stable")
     lens = lens[order]
     width = int(lens[0]) if len(texts) else 0
-    joined = "".join(texts[i] for i in order.tolist())
-    alphabet, table = _alphabet(joined)
+    points = codes("".join(texts[i] for i in order.tolist()))
+    alphabet, table = _alphabet(points)
     sym_t = np.zeros((width, len(texts)), dtype=table.dtype)
-    sym_t.T[np.arange(width) < lens[:, None]] = table[codes(joined)]
+    sym_t.T[np.arange(width) < lens[:, None]] = table[points]
     # lanes still inside their text at each position
     active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
@@ -211,25 +225,57 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
 class PackedWords:
     """A word list packed once for repeated ``nearest`` scans.
 
-    The words are mapped to a dense alphabet and grouped by length; each
-    group is the words' positions in the list, ascending, and an
-    (length, n) matrix of their symbols, one word per column.
+    Four flat arrays hold the pack: ``alphabet``, the words' sorted distinct
+    code points (int32); ``order``, the words' positions in the list sorted
+    by length, ascending within a length (int64); ``sizes``, the number of
+    words of each length (int64, indexed by length); and ``symbols``, each
+    character's index in alphabet, in the smallest unsigned dtype that also
+    holds len(alphabet). ``buckets`` maps each length with words to a view
+    of its ids, a slice of order, and of its (length, n) symbol matrix, one
+    word per column, a slice of symbols. ``_assign`` alone sets these
+    attributes, for a build and a cache alike.
     """
 
     def __init__(self, words):
-        self.words = list(words)
-        lens = np.array([len(w) for w in self.words], dtype=np.intp)
-        order = np.argsort(lens, kind="stable")
-        joined = "".join(self.words[i] for i in order.tolist())
-        self.alphabet, table = _alphabet(joined)
-        sym = table[codes(joined)]
-        sizes = np.bincount(lens)
-        self.buckets = {}
+        words = list(words)
+        lens = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        points = codes("".join(words))
+        alphabet, table = _alphabet(points)
+        sym = table[points]
+        # numpy's stable argsort is a radix sort on keys of 16 bits or less
+        key = lens.astype(np.min_scalar_type(lens.max(initial=0)))
+        order = np.argsort(key, kind="stable")
+        sizes = np.bincount(lens).astype(np.int64, copy=False)
+        starts = np.cumsum(lens) - lens
+        symbols = np.empty_like(sym)
         start = at = 0
         for length in np.flatnonzero(sizes).tolist():
             size = int(sizes[length])
-            block = sym[at : at + size * length].reshape(size, length)
-            self.buckets[length] = (order[start : start + size], block.T.copy())
+            ids = order[start : start + size]
+            # word ids' characters, position-major: one column per word
+            block = sym[starts[ids] + np.arange(length)[:, None]]
+            symbols[at : at + size * length] = block.reshape(-1)
+            start += size
+            at += size * length
+        self._assign(
+            words,
+            {"alphabet": alphabet, "order": order, "sizes": sizes, "symbols": symbols},
+        )
+
+    def _assign(self, words: list, arrays) -> None:
+        """Make this the pack of words whose four arrays, by name, are
+        arrays."""
+        self.words = words
+        self.alphabet = arrays["alphabet"]
+        self.order = arrays["order"]
+        self.sizes = arrays["sizes"]
+        self.symbols = arrays["symbols"]
+        self.buckets = {}
+        start = at = 0
+        for length in np.flatnonzero(self.sizes).tolist():
+            size = int(self.sizes[length])
+            block = self.symbols[at : at + size * length].reshape(length, size)
+            self.buckets[length] = (self.order[start : start + size], block)
             start += size
             at += size * length
 

@@ -70,11 +70,13 @@ class EmbeddingStore:
         if not np.all(np.isfinite(vectors)):
             raise ValueError("vectors contain non-finite values")
         self.vocab: list[str] = list(tokens)
-        self._index: dict[str, int] = {}
-        for i, tok in enumerate(self.vocab):
-            if tok in self._index:
-                raise ValueError(f"duplicate token {tok!r}")
-            self._index[tok] = i
+        self._index: dict[str, int] = dict(zip(self.vocab, range(len(self.vocab))))
+        if len(self._index) != len(self.vocab):
+            seen: set[str] = set()
+            for tok in self.vocab:
+                if tok in seen:
+                    raise ValueError(f"duplicate token {tok!r}")
+                seen.add(tok)
         self.vectors = vectors
         self.vectors.setflags(write=False)
         self.dim: int = vectors.shape[1]

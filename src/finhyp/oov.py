@@ -15,27 +15,34 @@ postings, and one ``maximum.reduceat`` takes each text's best Jaccard
 score. The edit-distance tie-break runs only for a text whose best score
 two or more entries share. A run resolves all of its OOV tokens in one call.
 
-The n-gram index of a store loaded from a file is cached beside that file,
-``<store>.finhyp-ngram-<min>-<max>.npz``: an uncompressed numpy archive of a
-format version, the gram sizes, the entry count and the store file's
-SHA-256 (``EmbeddingStore.sha256``, the key of the store's own sidecar),
-then the index's arrays, ``_members(ngram_max)``. A cache whose records all
-match, and whose arrays pass the structural checks of ``_read_index``, is
-used in place of a build; the index is the same arrays either way. Any
-other cache is rebuilt and rewritten, so a rewrite of the store file that
-changes only its vectors rebuilds the index once. A failed write is
-ignored, so deleting the cache is always safe. A store without a digest
-(read from a pipe, built in memory, or changed while it was parsed) is
-indexed in memory only.
+Two caches of a store loaded from a file sit beside that file: its n-gram
+index, ``<store>.finhyp-ngram-<min>-<max>.npz``, and its lowercased
+vocabulary packed for ``distance.nearest``, ``<store>.finhyp-pack.npz``.
+Each is an uncompressed numpy archive of records (``_records``: a format
+version, for the index the gram sizes, the entry count, the store file's
+SHA-256, ``EmbeddingStore.sha256``, which also keys the store's own sidecar,
+and the interpreter's Unicode version, as ``str.lower()`` depends on it),
+then the arrays: ``_members(ngram_max)`` for the index, ``_PACK_MEMBERS``
+for the pack. A cache whose records all match, and whose arrays pass the
+structural checks of ``_read_index`` or ``_read_pack``, is used in place
+of a build; the index or pack is the same arrays either way. Any other
+cache is rebuilt and rewritten, so a rewrite of the store file that changes
+only its vectors rebuilds each once. The index is read or written only by
+``build_ngram_index`` and the pack only by ``pack_vocabulary``, so a run
+touches a cache only when it needs what it holds. A failed write is
+ignored, so deleting a cache is always safe. A store without a digest (read
+from a pipe, built in memory, or changed while it was parsed) is indexed
+and packed in memory only.
 """
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import distance
-from .distance import _find, codes
+from .distance import _find, _first, _sorted_unique, codes
 from .embeddings import EmbeddingStore
 from .fileio import read_cache, write_cache
 
@@ -43,24 +50,14 @@ VARIANTS = ("zero", "levenshtein", "ngram")
 
 INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
 # Bump when the index's arrays, or the build that makes them, change.
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
+PACK_SUFFIX = ".finhyp-pack.npz"
+# Bump when the pack's arrays, or the build that makes them, change.
+_PACK_VERSION = 1
+_PACK_MEMBERS = ["alphabet", "order", "sizes", "symbols"]
 # Most postings one pass of ``best_ngram_matches`` expands; a text with more
 # has a pass of its own.
 _POSTINGS = 1 << 14
-
-
-def _first(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of sorted a that differ from their predecessor."""
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = a[1:] != a[:-1]
-    return first
-
-
-def _sorted_unique(a: np.ndarray) -> np.ndarray:
-    """Distinct values of a, ascending: one sort and an adjacent-difference
-    mask (numpy 2's hash-based ``np.unique`` is several times slower here)."""
-    a = np.sort(a)
-    return a[_first(a)]
 
 
 def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,18 +183,27 @@ def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIn
     if store.sha256 is None:
         return NgramIndex(store.vocab, *sizes)
     path = store.path + INDEX_SUFFIX.format(*sizes)
-    records = {
-        "version": np.array([_INDEX_VERSION], dtype=np.int64),
-        "ngrams": np.array(sizes, dtype=np.int64),
-        "entries": np.array([len(store)], dtype=np.int64),
-        "sha256": np.frombuffer(store.sha256, dtype=np.uint8),
-    }
+    records = _records(store, _INDEX_VERSION, ngrams=np.array(sizes, dtype=np.int64))
     index = _read_index(path, records, store.vocab, *sizes)
     if index is None:
         index = NgramIndex(store.vocab, *sizes)
         names = _members(index.ngram_max)
         write_cache(path, {**records, **{n: index._array(n) for n in names}})
     return index
+
+
+def _records(store: EmbeddingStore, version: int, **extra) -> dict:
+    """The records a cache of data derived from the store's vocabulary must
+    match: its format version, any extra records, the entry count, the store
+    file's SHA-256, and the Unicode version of the interpreter, whose
+    ``str.lower()`` the data depend on; each as a 1-D array."""
+    return {
+        "version": np.array([version], dtype=np.int64),
+        **extra,
+        "entries": np.array([len(store)], dtype=np.int64),
+        "sha256": np.frombuffer(store.sha256, dtype=np.uint8),
+        "unicode": np.frombuffer(unicodedata.unidata_version.encode(), np.uint8),
+    }
 
 
 def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
@@ -227,6 +233,57 @@ def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
     if not np.array_equal(index.count, np.bincount(post, minlength=len(entries))):
         return None
     return index
+
+
+def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
+    """The store's lowercased vocabulary packed for ``distance.nearest``,
+    read from its cache beside the store file when that is valid, else
+    packed (and, for a store with a digest, cached); see the module
+    docstring."""
+    if store.sha256 is None:
+        return distance.PackedWords(store.vocab_lower)
+    path = store.path + PACK_SUFFIX
+    records = _records(store, _PACK_VERSION)
+    packed = _read_pack(path, records, store.vocab_lower)
+    if packed is None:
+        packed = distance.PackedWords(store.vocab_lower)
+        write_cache(path, {**records, **{n: getattr(packed, n) for n in _PACK_MEMBERS}})
+    return packed
+
+
+def _read_pack(path, records: dict, words: list):
+    """The pack of words cached at path if its records match and its arrays
+    are consistent, else None."""
+    arrays = read_cache(path, records, _PACK_MEMBERS)
+    if arrays is None or any(a.ndim != 1 for a in arrays.values()):
+        return None
+    alphabet, order = arrays["alphabet"], arrays["order"]
+    sizes, symbols = arrays["sizes"], arrays["symbols"]
+    if alphabet.dtype != np.int32 or np.any(alphabet[1:] <= alphabet[:-1]):
+        return None
+    if order.dtype != np.int64 or sizes.dtype != np.int64:
+        return None
+    if symbols.dtype != np.min_scalar_type(len(alphabet)):
+        return None
+    if np.any((sizes < 0) | (sizes > len(words))) or sizes.sum() != len(words):
+        return None
+    # order lists every word once, by length, then ascending, as nearest's
+    # tie-break needs; each bucket's symbols fill its (length, n) matrix;
+    # and every symbol indexes the alphabet.
+    if len(order) != len(words) or np.any(order < 0):
+        return None
+    if not np.all(np.bincount(order, minlength=len(words)) == 1):
+        return None
+    length = np.repeat(np.arange(len(sizes)), sizes)
+    if np.any(np.diff(length * len(words) + order) <= 0):
+        return None
+    if len(symbols) != np.arange(len(sizes)) @ sizes:
+        return None
+    if len(symbols) and symbols.max() >= len(alphabet):
+        return None
+    packed = distance.PackedWords.__new__(distance.PackedWords)
+    packed._assign(words, arrays)
+    return packed
 
 
 def best_ngram_matches(texts, index: NgramIndex) -> list:
@@ -317,10 +374,12 @@ class OOVStrategy:
     binding to an empty store raises ValueError, before any index is built.
     The index comes from ``build_ngram_index``, which caches it beside the
     store file; only the n-gram variant reads or writes that cache. The
-    packed vocabulary is built for the store on the first edit-distance
-    scan, which the n-gram variant needs only for tokens that share no
-    n-gram. Memo insertion is idempotent, so concurrent lookups of the same
-    token are safe.
+    packed vocabulary comes from ``pack_vocabulary``, which caches it beside
+    the store file too, on the first edit-distance scan for the store; the
+    n-gram variant needs one only for tokens that share no n-gram, so the
+    zero variant, and an n-gram run whose tokens all share one, never read
+    or write that cache. Memo insertion is idempotent, so concurrent lookups
+    of the same token are safe.
     """
 
     variant: str = "zero"
@@ -373,7 +432,7 @@ class OOVStrategy:
             scan = [t for t in scan if t not in self._memo]
         if scan:
             if self._vocab is None:
-                self._vocab = distance.PackedWords(store.vocab_lower)
+                self._vocab = pack_vocabulary(store)
             found = distance.nearest([t.lower() for t in scan], self._vocab)
             for token, (i, _) in zip(scan, found):
                 self._memo[token] = store.vocab[i]

@@ -11,7 +11,7 @@ import pytest
 import finhyp
 from finhyp.cli import FETCHER_URL_ENV, main
 from finhyp.embeddings import SIDECAR_SUFFIX
-from finhyp.oov import INDEX_SUFFIX
+from finhyp.oov import INDEX_SUFFIX, PACK_SUFFIX
 from finhyp.pipeline import PRESETS
 
 
@@ -736,9 +736,10 @@ SRC_DIR = os.path.dirname(os.path.dirname(finhyp.__file__))
 
 # Writes one of every kind of file finhyp makes into the directory argv[1].
 WRITE_EVERY_ARTIFACT = """
+import dataclasses
 import sys
 from finhyp.augment import DefinitionDict
-from finhyp.pipeline import PipelineConfig, run_cv, run_train
+from finhyp.pipeline import PipelineConfig, run_cv, run_inspect_oov, run_train
 from finhyp.synth import generate, write_dataset
 
 out = sys.argv[1]
@@ -748,6 +749,7 @@ cfg = PipelineConfig(
 )
 run_cv(cfg, csv_path)
 run_train(cfg, csv_path)
+run_inspect_oov(dataclasses.replace(cfg, oov_strategy="levenshtein"), csv_path)
 DefinitionDict({"swap": "A swap."}).to_snapshot(out + "/snapshot.json")
 """
 
@@ -773,6 +775,8 @@ class TestFreshProcess:
             "embeddings.txt",
             "embeddings.txt" + SIDECAR_SUFFIX,
             "embeddings.txt" + INDEX_SUFFIX.format(3, 6),
+            "embeddings.txt" + PACK_SUFFIX,
+            "oov.txt",
             "report.txt",
             "report.json",
             "grid.json",

@@ -208,6 +208,27 @@ class TestNumpyKernels:
         with pytest.raises(ValueError):
             nearest(["x"], PackedWords([]))
 
+    @given(words=st.lists(EDGE_WORDS, max_size=20))
+    def test_pack_layout(self, words):
+        # per length: the words' positions, ascending, and a (length, n)
+        # matrix of their characters' indices in the sorted alphabet, one
+        # word per column; every bucket a view of the pack's flat arrays
+        packed = PackedWords(words)
+        alphabet = sorted(set("".join(words)))
+        assert packed.alphabet.dtype == np.int32
+        assert packed.alphabet.tolist() == [ord(c) for c in alphabet]
+        groups = {}
+        for i, w in enumerate(words):
+            groups.setdefault(len(w), []).append(i)
+        assert sorted(packed.buckets) == sorted(groups)
+        for length, (ids, sym) in packed.buckets.items():
+            assert ids.dtype == np.int64 and ids.tolist() == groups[length]
+            assert sym.dtype == np.min_scalar_type(len(alphabet))
+            assert sym.tolist() == [
+                [alphabet.index(words[i][j]) for i in ids] for j in range(length)
+            ]
+            assert ids.base is packed.order and sym.base is packed.symbols
+
     @given(
         queries=st.lists(EDGE_WORDS, min_size=1, max_size=4),
         cands=st.lists(EDGE_WORDS, min_size=1, max_size=20),

@@ -28,7 +28,7 @@ from finhyp.embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from finhyp.fileio import atomic_open, atomic_write
+from finhyp.fileio import atomic_open, atomic_write, read_cache
 from finhyp.oov import OOVStrategy
 
 from conftest import Tripwire, rewrite_archive
@@ -559,10 +559,33 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
+class TestReadCache:
+    @pytest.mark.parametrize("spoil", ["record", "missing", "pickled", "crc"])
+    def test_refused(self, tmp_path, spoil):
+        path = tmp_path / "c.npz"
+        arrays = {"v": np.array([1], dtype=np.int64), "a": np.arange(64)}
+        if spoil == "pickled":
+            arrays["a"] = np.array([Tripwire()], dtype=object)
+        np.savez(path, **arrays)
+        if spoil == "crc":
+            data = bytearray(path.read_bytes())
+            data[data.rindex(np.arange(64).tobytes()) + 8] ^= 1
+            path.write_bytes(bytes(data))
+        records = {"v": np.array([2 if spoil == "record" else 1], dtype=np.int64)}
+        names = ["a", "b"] if spoil == "missing" else ["a"]
+        Tripwire.unpickled.clear()
+        assert read_cache(path, records, names) is None
+        assert Tripwire.unpickled == []
+
+
 class TestStore:
     def test_duplicate_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingStore(["a", "a"], np.zeros((2, 2)))
+
+    def test_duplicate_named_at_its_first_repeat(self):
+        with pytest.raises(ValueError, match="^duplicate token 'b'$"):
+            EmbeddingStore(["a", "b", "c", "b", "a"], np.zeros((5, 2)))
 
     def test_dim_positive(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import unicodedata
 from unittest import mock
 
 import numpy as np
@@ -510,6 +511,16 @@ def refuse_build(*args, **kwargs):
     raise AssertionError("the n-gram index was built")
 
 
+def refuse_pack(*args, **kwargs):
+    raise AssertionError("a vocabulary was packed from words")
+
+
+# the Unicode version record of an interpreter other than this one
+OTHER_UNICODE = np.frombuffer(
+    b"13.0.0" if unicodedata.unidata_version != "13.0.0" else b"14.0.0", np.uint8
+)
+
+
 # Store tokens: no whitespace, and UTF-8 encodable, as a loaded store's are.
 STORE_WORDS = st.lists(
     st.text(alphabet="aAbBcé中-", min_size=1, max_size=8), min_size=1, max_size=12
@@ -550,6 +561,7 @@ class TestNgramIndexCache:
             "pair",
             "digest",
             "entries",
+            "unicode",
             "indptr start",
             "indptr end",
             "decreasing indptr",
@@ -587,6 +599,8 @@ class TestNgramIndexCache:
             rewrite_archive(path, sha256=np.zeros(32, dtype=np.uint8))
         elif spoil == "entries":
             rewrite_archive(path, entries=np.array([4], dtype=np.int64))
+        elif spoil == "unicode":
+            rewrite_archive(path, unicode=OTHER_UNICODE)
         elif spoil == "indptr start":
             indptr[0] = 1
             rewrite_archive(path, indptr=indptr)
@@ -633,13 +647,17 @@ class TestNgramIndexCache:
         # A cache written by an earlier release loads without a rebuild only
         # while a build writes the same bytes: a change to the arrays, their
         # order or their dtypes must bump _INDEX_VERSION and this digest.
+        # The file records the interpreter's Unicode version, fixed here so
+        # that the digest is the same on every interpreter; these tokens
+        # lowercase alike under every version.
         tokens = ["bond", "bonds", "swap", "Swaption", "yield", "ΣΑΣ", "中é-"]
         store = filed_store(tmp_path, tokens)
-        oov.build_ngram_index(store, OOVStrategy("ngram"))
+        with mock.patch.object(unicodedata, "unidata_version", "14.0.0"):
+            oov.build_ngram_index(store, OOVStrategy("ngram"))
         with open(index_file(store), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == (
-            "b512eb9a2ce966d27dae339c41067747bc7e3d3e7085039c998ae4b9e0585321"
+            "5714fdc805abbe1d0a275d74503d73724c8dbe2784171eb03a56a63e00e2b1ad"
         )
 
     def test_gram_sizes_get_separate_files(self, tmp_path):
@@ -693,12 +711,16 @@ class TestNgramIndexCache:
             assert_same_index(oov.build_ngram_index(load_embeddings(path), strat), index)
 
     @pytest.mark.parametrize("variant", ["zero", "levenshtein"])
-    def test_other_variants_touch_no_file(self, tmp_path, variant):
+    def test_other_variants_write_no_index(self, tmp_path, variant):
+        # levenshtein writes the vocabulary pack and nothing else; zero
+        # writes nothing
         store = filed_store(tmp_path, ["bond", "swap"])
         strat = OOVStrategy(variant)
         for token in ["bonds", "swaps", "qq"]:
             strat.resolve(token, store)
-        assert list(tmp_path.iterdir()) == []
+        assert not list(tmp_path.glob("*.finhyp-ngram-*"))
+        written = ["emb.txt" + oov.PACK_SUFFIX] if variant == "levenshtein" else []
+        assert [p.name for p in tmp_path.iterdir()] == written
 
     def test_store_without_path_is_indexed_in_memory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -740,3 +762,205 @@ class TestNgramIndexCache:
         else:
             assert proc.stdout == f"{os.path.realpath(path)} bond\n".encode()
             assert (tmp_path / cached).exists()
+
+
+def pack_file(store):
+    return store.path + oov.PACK_SUFFIX
+
+
+def assert_same_pack(warm, cold):
+    """The same words, alphabet and buckets, arrays with their dtypes."""
+    assert warm.words == cold.words
+    assert warm.alphabet.dtype == cold.alphabet.dtype
+    np.testing.assert_array_equal(warm.alphabet, cold.alphabet)
+    assert warm.buckets.keys() == cold.buckets.keys()
+    for length, (ids, sym) in cold.buckets.items():
+        got_ids, got_sym = warm.buckets[length]
+        assert got_ids.dtype == ids.dtype and got_sym.dtype == sym.dtype
+        np.testing.assert_array_equal(got_ids, ids)
+        np.testing.assert_array_equal(got_sym, sym)
+
+
+# Store tokens of mixed lengths: non-ASCII letters, "İ" (whose lowercase is
+# two code points) and sigmas (a capital one lowercases to a final sigma at
+# the end of a token).
+PACK_WORDS = st.lists(
+    st.text(alphabet="aAbé中-İΣσς", min_size=1, max_size=10), min_size=1, max_size=14
+).map(lambda ws: list(dict.fromkeys(ws)))
+
+PACK_TOKENS = ["bond", "swap", "Bonds", "yield", "İx", "ΣΑΣ"]
+
+
+class TestVocabularyPackCache:
+    @settings(max_examples=60, deadline=None)
+    @given(tokens=PACK_WORDS, queries=st.lists(words(MIXED), min_size=1, max_size=5))
+    @example(tokens=["İİ", "ΑΣ", "σς", "x" * 70, "a"], queries=["ας", "i̇", "x" * 66])
+    def test_warm_pack_equals_cold(self, tokens, queries):
+        with tempfile.TemporaryDirectory() as directory:
+            store = filed_store(directory, tokens)
+            cold = oov.pack_vocabulary(store)
+            assert os.path.exists(pack_file(store))
+            with mock.patch.object(distance.PackedWords, "__init__", refuse_pack):
+                warm = oov.pack_vocabulary(store)
+        assert_same_pack(warm, cold)
+        assert distance.nearest(queries, warm) == distance.nearest(queries, cold)
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            "truncated",
+            "foreign zip",
+            "pickled",
+            "version",
+            "digest",
+            "entries",
+            "unicode",
+            "2-D symbols",
+            "int64 alphabet",
+            "alphabet not ascending",
+            "int32 order",
+            "int32 sizes",
+            "uint16 symbols",
+            "order below zero",
+            "order repeats",
+            "order descends in a bucket",
+            "negative size",
+            "sizes sum",
+            "symbols length",
+            "symbol above range",
+        ],
+    )
+    def test_spoiled_file_is_rebuilt_and_rewritten(self, tmp_path, spoil):
+        store = filed_store(tmp_path, PACK_TOKENS)
+        cold = oov.pack_vocabulary(store)
+        path = tmp_path / os.path.basename(pack_file(store))
+        valid = path.read_bytes()
+        with np.load(path) as archive:
+            alphabet, order = archive["alphabet"], archive["order"]
+            sizes, symbols = archive["sizes"], archive["symbols"]
+        # lowercased lengths 4, 4, 5, 5, 3, 3: ids 4, 5 | 0, 1 | 2, 3
+        assert order.tolist() == [4, 5, 0, 1, 2, 3]
+        if spoil == "truncated":
+            path.write_bytes(valid[: len(valid) // 2])
+        elif spoil == "foreign zip":
+            path.unlink()
+            np.savez(path, order=order)
+        elif spoil == "pickled":
+            rewrite_archive(path, order=np.array([Tripwire()], dtype=object))
+        elif spoil == "version":
+            rewrite_archive(path, version=np.array([999], dtype=np.int64))
+        elif spoil == "digest":
+            rewrite_archive(path, sha256=np.zeros(32, dtype=np.uint8))
+        elif spoil == "entries":
+            rewrite_archive(path, entries=np.array([5], dtype=np.int64))
+        elif spoil == "unicode":
+            rewrite_archive(path, unicode=OTHER_UNICODE)
+        elif spoil == "2-D symbols":
+            rewrite_archive(path, symbols=symbols.reshape(-1, 1))
+        elif spoil == "int64 alphabet":
+            rewrite_archive(path, alphabet=alphabet.astype(np.int64))
+        elif spoil == "alphabet not ascending":
+            rewrite_archive(path, alphabet=alphabet[::-1].copy())
+        elif spoil == "int32 order":
+            rewrite_archive(path, order=order.astype(np.int32))
+        elif spoil == "int32 sizes":
+            rewrite_archive(path, sizes=sizes.astype(np.int32))
+        elif spoil == "uint16 symbols":
+            rewrite_archive(path, symbols=symbols.astype(np.uint16))
+        elif spoil == "order below zero":
+            order[0] = -1
+            rewrite_archive(path, order=order)
+        elif spoil == "order repeats":
+            # still ascending within each bucket
+            order[0] = order[2]
+            rewrite_archive(path, order=order)
+        elif spoil == "order descends in a bucket":
+            order[2], order[3] = order[3], order[2]
+            rewrite_archive(path, order=order)
+        elif spoil == "negative size":
+            sizes[3] -= 3
+            sizes[4] += 3
+            rewrite_archive(path, sizes=sizes)
+        elif spoil == "sizes sum":
+            sizes[4] += 1
+            rewrite_archive(path, sizes=sizes)
+        elif spoil == "symbols length":
+            rewrite_archive(path, symbols=symbols[:-1].copy())
+        elif spoil == "symbol above range":
+            symbols[0] = len(alphabet)
+            rewrite_archive(path, symbols=symbols)
+        assert path.read_bytes() != valid
+        Tripwire.unpickled.clear()
+        built = []
+        real_init = distance.PackedWords.__init__
+
+        def counting_init(self, words):
+            built.append(words)
+            real_init(self, words)
+
+        with mock.patch.object(distance.PackedWords, "__init__", counting_init):
+            packed = oov.pack_vocabulary(store)
+        assert Tripwire.unpickled == []
+        assert built == [store.vocab_lower]
+        assert_same_pack(packed, cold)
+        assert path.read_bytes() == valid
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # As for the n-gram index: a change to the pack's arrays, their
+        # order or their dtypes must bump _PACK_VERSION and this digest.
+        store = filed_store(tmp_path, PACK_TOKENS + ["中é-"])
+        with mock.patch.object(unicodedata, "unidata_version", "14.0.0"):
+            oov.pack_vocabulary(store)
+        with open(pack_file(store), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "285c12cb7e572e316d0f1a820d0409a81541b1daa0cf8e0bcfa54c6baa79be97"
+        )
+
+    def test_warm_levenshtein_run_packs_nothing(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        tokens = ["bond", "bonds", "swap", "Swaption"]
+        save_embeddings(make_store(tokens), path)
+        strat = OOVStrategy("levenshtein")
+        assert strat.resolve("swapz", load_embeddings(path)) == "swap"
+        store = load_embeddings(path)
+        # a new store binds the strategy anew, so it must read the pack
+        with mock.patch.object(distance.PackedWords, "__init__", refuse_pack):
+            assert strat.resolve_all(["swapz", "BONDZ", "qq"], store) == [
+                "swap",
+                "bond",
+                "bond",
+            ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "emb.txt",
+            "emb.txt" + embeddings.SIDECAR_SUFFIX,
+            "emb.txt" + oov.PACK_SUFFIX,
+        ]
+
+    def test_ngram_run_of_shared_grams_writes_no_pack(self, tmp_path):
+        store = filed_store(tmp_path, ["bond", "swap", "option"])
+        strat = OOVStrategy("ngram")
+        assert strat.resolve_all(["bonds", "swaps", "optin"], store) == [
+            "bond",
+            "swap",
+            "option",
+        ]
+        index_name = os.path.basename(index_file(store))
+        assert [p.name for p in tmp_path.iterdir()] == [index_name]
+        # a token that shares no n-gram is scanned, and packs the vocabulary
+        assert strat.resolve("qq", store) == "bond"
+        assert (tmp_path / os.path.basename(pack_file(store))).exists()
+
+    def test_new_vocabulary_is_packed_again(self, tmp_path):
+        oov.pack_vocabulary(filed_store(tmp_path, ["bond", "swap"]))
+        store = filed_store(tmp_path, ["bond", "swaps"])
+        packed = oov.pack_vocabulary(store)
+        assert_same_pack(packed, distance.PackedWords(["bond", "swaps"]))
+        with mock.patch.object(distance.PackedWords, "__init__", refuse_pack):
+            assert_same_pack(oov.pack_vocabulary(store), packed)
+
+    def test_store_without_path_is_packed_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = make_store(["bond", "swap"])
+        assert OOVStrategy("levenshtein").resolve("bonds", store) == "bond"
+        assert list(tmp_path.iterdir()) == []

@@ -590,6 +590,7 @@ class TestStoreSidecar:
 
 
 INDEX_3_6 = "embeddings.txt" + oov.INDEX_SUFFIX.format(3, 6)
+PACK = "embeddings.txt" + oov.PACK_SUFFIX
 
 
 class TestNgramIndexCache:
@@ -598,11 +599,13 @@ class TestNgramIndexCache:
         write_dataset(generate(3, 36, seed=7, dim=8, typo_rate=0.3), data_dir)
         terms = data_dir / "terms.csv"
         run_cv(apply_preset(base_cfg(data_dir, tmp_path / "zero"), "BL"), terms)
+        assert not (data_dir / PACK).exists()
         lev = apply_preset(base_cfg(data_dir, tmp_path / "lev"), "BL.HF.OOVl.D2")
         run_cv(lev, terms)
         run_inspect_oov(lev, terms)
         assert "->" in (tmp_path / "lev" / "oov.txt").read_text()
         assert not (data_dir / INDEX_3_6).exists()
+        assert (data_dir / PACK).exists()
         run_inspect_oov(apply_preset(base_cfg(data_dir, tmp_path / "m"), "BL.HF.OOVm.D2"), terms)
         assert (data_dir / INDEX_3_6).exists()
 
