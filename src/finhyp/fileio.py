@@ -71,14 +71,16 @@ def write_cache(path, arrays: dict) -> None:
     uncompressed zip of .npy members that np.load reads, ignoring a failed
     write (a read-only directory, a full disk): a cache is only a copy.
 
-    Each member is written from its array's own memory, where np.savez
-    would copy it first. Members carry ZipInfo's fixed 1980 timestamp, so
-    the file's bytes depend on the arrays alone.
+    A C-ordered member is written from its array's own memory, where
+    np.savez would copy it first; any other is copied to C order first, so
+    its header never claims Fortran order. Members carry ZipInfo's fixed
+    1980 timestamp, so the file's bytes depend on the arrays alone.
     """
     try:
         with atomic_open(path, binary=True) as fh:
             with zipfile.ZipFile(fh, "w") as archive:
                 for name, arr in arrays.items():
+                    arr = np.ascontiguousarray(arr)
                     info = zipfile.ZipInfo(name + ".npy")
                     with archive.open(info, "w", force_zip64=True) as member:
                         header = np.lib.format.header_data_from_array_1_0(arr)

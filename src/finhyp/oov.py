@@ -3,7 +3,8 @@
 Three strategies: keep the zero vector, substitute the vocabulary word at
 minimal edit distance, or substitute the best character-n-gram Jaccard match
 (with an edit-distance fallback when no n-gram is shared). All string
-comparison is lowercase-normalized; resolution is pure and memoized per run.
+comparison is lowercase-normalized, and resolution is a pure function of
+the tokens and the store.
 
 One walk, ``_walk``, lists n-grams for every use: a prefix extension over
 the concatenated symbols of some texts, which ranks each level's gram keys
@@ -37,7 +38,7 @@ and packed in memory only.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,6 +218,9 @@ def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
         return None
     if any(arrays[name].dtype != np.int64 for name in names[1:]):
         return None
+    # _find looks symbols and keys up by searchsorted
+    if any(np.any(arrays[n][1:] <= arrays[n][:-1]) for n in names[:ngram_max]):
+        return None
     index = NgramIndex.__new__(NgramIndex)
     index._assign(list(entries), ngram_min, ngram_max, arrays)
     indptr, post = index.indptr, index.post
@@ -357,48 +361,38 @@ def _closest(low: str, ids: list[int], index: NgramIndex) -> int:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OOVStrategy:
-    """Configured OOV behaviour, bound lazily to a store; the package's only
-    OOV resolver. ``levenshtein`` substitutes the vocabulary word nearest the
-    lowercased token by edit distance (``distance.nearest``), ``ngram`` the
-    best n-gram match (``best_ngram_matches``), or that word when none exists.
+    """Configured OOV behaviour; the package's only OOV resolver.
+    ``levenshtein`` substitutes the vocabulary word nearest the lowercased
+    token by edit distance (``distance.nearest``), ``ngram`` the best n-gram
+    match (``best_ngram_matches``), or that word when none exists.
 
-    The per-token memo is filled by ``resolve_all``, which a run calls once
-    with all of its OOV tokens, so that the run's n-gram matching is one
-    ``best_ngram_matches`` call and its edit-distance scans one
-    ``distance.nearest`` call; ``resolve`` is ``resolve_all`` of one token.
-    The strategy binds to a store only when some token needs resolving, so
-    a run without OOV tokens builds no index. The n-gram index and the memo
-    are set up anew whenever the strategy binds to a different store;
-    binding to an empty store raises ValueError, before any index is built.
-    The index comes from ``build_ngram_index``, which caches it beside the
-    store file; only the n-gram variant reads or writes that cache. The
-    packed vocabulary comes from ``pack_vocabulary``, which caches it beside
-    the store file too, on the first edit-distance scan for the store; the
-    n-gram variant needs one only for tokens that share no n-gram, so the
-    zero variant, and an n-gram run whose tokens all share one, never read
-    or write that cache. Memo insertion is idempotent, so concurrent lookups
-    of the same token are safe.
+    A strategy holds its settings only, so ``resolve_all`` is a function of
+    its arguments. A run calls it once with all of its OOV tokens, so that
+    the run's n-gram matching is one ``best_ngram_matches`` call and its
+    edit-distance scan one ``distance.nearest`` call; ``resolve`` is
+    ``resolve_all`` of one token. A call with no token to resolve never
+    touches the store, so a run without OOV tokens builds no index; on an
+    empty store a call raises ValueError, before any index is built. The
+    index comes from ``build_ngram_index``, which caches it beside the store
+    file; only the n-gram variant reads or writes that cache. The packed
+    vocabulary comes from ``pack_vocabulary``, which caches it beside the
+    store file too, and is needed only for tokens that get an edit-distance
+    scan: the zero variant, and an n-gram call whose tokens all share an
+    n-gram with some entry, never read or write that cache.
     """
 
     variant: str = "zero"
     ngram_min: int = 3
     ngram_max: int = 6
-    _store: EmbeddingStore | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-    _index: NgramIndex | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-    _vocab: distance.PackedWords | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-    _memo: dict = field(default_factory=dict, repr=False, compare=False, init=False)
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown OOV variant {self.variant!r}")
+            raise ValueError(
+                f"OOV variant must be one of {', '.join(VARIANTS)}, "
+                f"got {self.variant!r}"
+            )
         if not (1 <= self.ngram_min <= self.ngram_max):
             raise ValueError("require 1 <= ngram_min <= ngram_max")
 
@@ -408,32 +402,25 @@ class OOVStrategy:
 
     def resolve_all(self, tokens, store: EmbeddingStore) -> list:
         """The substitute of each OOV token of tokens, None under ``zero``.
-        Those not in the memo yet are resolved into it: under ``ngram`` all
-        of them in one ``best_ngram_matches`` call, and those without an
-        n-gram match in one ``distance.nearest`` call over their lowercased
+        Under ``ngram`` the distinct tokens are matched in one
+        ``best_ngram_matches`` call, and those without an n-gram match are
+        scanned in one ``distance.nearest`` call over their lowercased
         forms."""
         tokens = list(tokens)
-        if self.variant == "zero":
+        if self.variant == "zero" or not tokens:
             return [None] * len(tokens)
-        if tokens and store is not self._store:
-            if len(store) == 0:
-                raise ValueError("empty vocabulary")
-            self._store = store
-            self._memo = {}
-            self._vocab = None
-            self._index = (
-                build_ngram_index(store, self) if self.variant == "ngram" else None
-            )
-        scan = [t for t in dict.fromkeys(tokens) if t not in self._memo]
-        if self._index is not None and scan:
-            for token, match in zip(scan, best_ngram_matches(scan, self._index)):
+        if len(store) == 0:
+            raise ValueError("empty vocabulary")
+        found = dict.fromkeys(tokens)
+        scan = list(found)
+        if self.variant == "ngram":
+            index = build_ngram_index(store, self)
+            for token, match in zip(scan, best_ngram_matches(scan, index)):
                 if match is not None:
-                    self._memo[token] = store.vocab[match[0]]
-            scan = [t for t in scan if t not in self._memo]
+                    found[token] = store.vocab[match[0]]
+            scan = [t for t in scan if found[t] is None]
         if scan:
-            if self._vocab is None:
-                self._vocab = pack_vocabulary(store)
-            found = distance.nearest([t.lower() for t in scan], self._vocab)
-            for token, (i, _) in zip(scan, found):
-                self._memo[token] = store.vocab[i]
-        return [self._memo[t] for t in tokens]
+            near = distance.nearest([t.lower() for t in scan], pack_vocabulary(store))
+            for token, (i, _) in zip(scan, near):
+                found[token] = store.vocab[i]
+        return [found[t] for t in tokens]

@@ -50,7 +50,7 @@ from .model import (
     rank_labels,
     train,
 )
-from .oov import VARIANTS, OOVStrategy
+from .oov import OOVStrategy
 
 
 class DataError(Exception):
@@ -136,22 +136,9 @@ class PipelineConfig:
     fetcher_user_agent: str = "finhyp/0.1"
 
     def __post_init__(self):
-        if self.oov_strategy not in VARIANTS:
-            raise ValueError(
-                f"oov_strategy must be one of {', '.join(VARIANTS)}, "
-                f"got {self.oov_strategy!r}"
-            )
-        # NaN fails every comparison, so "c <= 0" alone would let it through
-        if not self.c_grid or not all(
-            math.isfinite(c) and c > 0 for c in self.c_grid
-        ):
-            raise ValueError("c_grid must be non-empty, finite and positive")
-        if len(set(self.c_grid)) < len(self.c_grid):
-            raise ValueError(f"c_grid repeats a value: {list(self.c_grid)}")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
-        if not 1 <= self.ngram_min <= self.ngram_max:
-            raise ValueError("require 1 <= ngram_min <= ngram_max")
+        # the OOV and training settings are checked where they are used
+        OOVStrategy(self.oov_strategy, self.ngram_min, self.ngram_max)
+        TrainConfig(c_grid=self.c_grid, folds=self.folds, seed=self.seed)
         if not 0 <= self.min_match_score <= 1:
             raise ValueError("min_match_score must be in [0, 1]")
         # a negative or NaN timeout fails every fetch, and a NaN or negative

@@ -473,3 +473,73 @@ def test_criterion_11_reruns_are_byte_identical(capsys, desk_run):
     finally:
         _report(capsys, 11, "two identical-seed runs write byte-identical reports", ok)
     assert identical
+
+
+# --------------------------------------------------------- 12: ablation ladder
+
+LADDER = (
+    "BL",
+    "BL.HF",
+    "BL.HF.OOVl",
+    "BL.HF.OOVl.D",
+    "BL.HF.OOVl.D2",
+    "BL.HF.OOVm.D2",
+)
+# Out-of-fold rank-1 hits and rank sum (a miss of the top 3 ranks 4), out of
+# 1050 terms, per sigma, in LADDER order. A change that moves one on purpose
+# says so, with the old and the new counts.
+LADDER_PINS = {
+    0.3: ((868, 1454), (883, 1404), (1016, 1111), (1018, 1103), (1024, 1090),
+          (1031, 1081)),
+    0.6: ((788, 1650), (798, 1588), (928, 1264), (930, 1269), (979, 1186),
+          (970, 1191)),
+}
+# Steps (lower, higher) that held on accuracy and on mean rank under each of
+# ten fold seeds at sigma 0.6. OOVl.D over OOVl and OOVm.D2 over OOVl.D2
+# flip under other fold seeds, so they are not asserted.
+LADDER_STEPS = (
+    ("BL", "BL.HF"),
+    ("BL.HF", "BL.HF.OOVl"),
+    ("BL.HF.OOVl.D", "BL.HF.OOVl.D2"),
+)
+
+
+def test_criterion_12_ablation_ladder_is_pinned(capsys, tmp_path):
+    ok = False
+    try:
+        counts = {}
+        for sigma in LADDER_PINS:
+            data_dir = tmp_path / f"sigma{sigma}"
+            write_dataset(
+                generate(17, 1050, seed=42, sigma=sigma, typo_rate=0.3), data_dir
+            )
+            for preset in LADDER:
+                cfg = apply_preset(
+                    PipelineConfig(
+                        embedding_path=str(data_dir / "embeddings.txt"),
+                        out_dir=str(data_dir / preset),
+                        c_grid=(1.0,),
+                        folds=5,
+                        seed=0,
+                    ),
+                    preset,
+                )
+                report = run_cv(cfg, data_dir / "terms.csv").report
+                hits = int(np.trace(np.array(report.confusion)))
+                counts[sigma, preset] = (hits, round(report.mean_rank * report.n))
+        pinned = {
+            (sigma, preset): pin
+            for sigma, pins in LADDER_PINS.items()
+            for preset, pin in zip(LADDER, pins)
+        }
+        steps = all(
+            counts[sigma, high][0] > counts[sigma, low][0]
+            and counts[sigma, high][1] < counts[sigma, low][1]
+            for sigma in LADDER_PINS
+            for low, high in LADDER_STEPS
+        )
+        ok = counts == pinned and steps
+    finally:
+        _report(capsys, 12, "ablation ladder counts pinned, its steps in order", ok)
+    assert counts == pinned
+    assert steps

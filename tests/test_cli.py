@@ -306,7 +306,7 @@ class TestDataErrors:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: bad config: c_grid must be non-empty, finite and positive\n"
+            f"error: bad config: C must be finite and positive, got {float(value)!r}\n"
         )
         assert os.listdir(data) == ["embeddings.txt"]
         assert not (tmp_path / "out").exists()
@@ -333,7 +333,7 @@ class TestDataErrors:
         )
         assert code == 2
         assert capsys.readouterr().err == (
-            "error: bad config: c_grid repeats a value: [1.0, 1.0]\n"
+            "error: bad config: C grid repeats a value: (1.0, 1.0)\n"
         )
         assert os.listdir(data) == ["embeddings.txt"]
         assert not (tmp_path / "out").exists()

@@ -28,7 +28,7 @@ from finhyp.embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from finhyp.fileio import atomic_open, atomic_write, read_cache
+from finhyp.fileio import atomic_open, atomic_write, read_cache, write_cache
 from finhyp.oov import OOVStrategy
 
 from conftest import Tripwire, rewrite_archive
@@ -576,6 +576,13 @@ class TestReadCache:
         Tripwire.unpickled.clear()
         assert read_cache(path, records, names) is None
         assert Tripwire.unpickled == []
+
+    def test_fortran_ordered_member_round_trips(self, tmp_path):
+        path = tmp_path / "c.npz"
+        a = np.asfortranarray(np.arange(6).reshape(2, 3))
+        write_cache(path, {"v": np.array([1], dtype=np.int64), "a": a})
+        arrays = read_cache(path, {"v": np.array([1], dtype=np.int64)}, ["a"])
+        assert np.array_equal(arrays["a"], a)
 
 
 class TestStore:

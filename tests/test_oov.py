@@ -1,4 +1,5 @@
 """OOV resolution: nearest-word optimality, n-gram matching, determinism."""
+import dataclasses
 import hashlib
 import os
 import random
@@ -305,10 +306,18 @@ class TestBatchedMatches:
 
 class TestOOVStrategy:
     def test_variants_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be one of zero, levenshtein, ngram"):
             OOVStrategy("magnitude")
         with pytest.raises(ValueError):
             OOVStrategy("ngram", ngram_min=4, ngram_max=3)
+
+    def test_holds_settings_only(self):
+        strat = OOVStrategy("ngram", 2, 4)
+        names = [f.name for f in dataclasses.fields(strat)]
+        assert names == ["variant", "ngram_min", "ngram_max"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            strat.variant = "zero"
+        assert strat == OOVStrategy("ngram", 2, 4)
 
     def test_zero_returns_none(self, toy_store):
         assert OOVStrategy("zero").resolve("anything", toy_store) is None
@@ -323,6 +332,7 @@ class TestOOVStrategy:
         assert OOVStrategy("zero").resolve("x", empty) is None
         for variant in ("levenshtein", "ngram"):
             strat = OOVStrategy(variant)
+            assert strat.resolve_all([], empty) == []
             for _ in range(2):
                 with pytest.raises(ValueError, match="empty vocabulary"):
                     strat.resolve("x", empty)
@@ -336,12 +346,6 @@ class TestOOVStrategy:
                     table.vectors[table.rows[tok]], toy_store.vector(tok)
                 )
 
-    def test_memo_reused_per_store(self, toy_store):
-        strat = OOVStrategy("levenshtein")
-        first = strat.resolve("bonds", toy_store)
-        assert strat.resolve("bonds", toy_store) == first
-        assert strat._memo["bonds"] == first
-
     def test_rebinds_on_new_store(self):
         strat = OOVStrategy("levenshtein")
         assert strat.resolve("bonds", make_store(["bond"])) == "bond"
@@ -349,6 +353,7 @@ class TestOOVStrategy:
 
     @pytest.mark.parametrize("variant", ["levenshtein", "ngram"])
     def test_packs_vocabulary_once_per_store(self, monkeypatch, variant):
+        # once per resolve_all call: a strategy keeps no pack between calls
         packed = []
 
         class CountingPack(distance.PackedWords):
@@ -359,14 +364,16 @@ class TestOOVStrategy:
         monkeypatch.setattr(distance, "PackedWords", CountingPack)
         strat = OOVStrategy(variant)
         store = make_store(["bond", "swap", "option"])
-        for token in ["bonds", "swaps", "optin", "xq", "zz", "bonds"]:
-            assert strat.resolve(token, store) in store.vocab
+        tokens = ["bonds", "swaps", "optin", "xq", "zz", "bonds"]
+        assert all(sub in store.vocab for sub in strat.resolve_all(tokens, store))
         assert packed == [store.vocab_lower]
         other = make_store(["Bands", "yield"])
-        assert strat.resolve("bandz", other) == "Bands"
-        assert strat.resolve("yields", other) == "yield"
-        # shares no n-gram, so the n-gram variant scans the vocabulary too
-        assert strat.resolve("qq", other) == "Bands"
+        # "qq" shares no n-gram, so the n-gram variant scans the vocabulary too
+        assert strat.resolve_all(["bandz", "yields", "qq"], other) == [
+            "Bands",
+            "yield",
+            "Bands",
+        ]
         assert packed == [store.vocab_lower, other.vocab_lower]
 
     def test_ngram_packs_no_vocabulary_when_every_token_shares_grams(
@@ -382,6 +389,7 @@ class TestOOVStrategy:
             assert strat.resolve(token, store) in store.vocab
 
     def test_builds_ngram_index_once_per_store(self, monkeypatch):
+        # once per resolve_all call: a strategy keeps no index between calls
         built = []
 
         def counting_build(store, strategy):
@@ -392,12 +400,11 @@ class TestOOVStrategy:
         monkeypatch.setattr(oov, "build_ngram_index", counting_build)
         strat = OOVStrategy("ngram")
         store = make_store(["bond", "swap", "option"])
-        for token in ["bonds", "swaps", "optin", "xq", "zz", "bonds", "opt"]:
-            assert strat.resolve(token, store) in store.vocab
+        tokens = ["bonds", "swaps", "optin", "xq", "zz", "bonds", "opt"]
+        assert all(sub in store.vocab for sub in strat.resolve_all(tokens, store))
         assert built == [store]
         other = make_store(["Bands", "yield"])
-        assert strat.resolve("bandz", other) == "Bands"
-        assert strat.resolve("yields", other) == "yield"
+        assert strat.resolve_all(["bandz", "yields"], other) == ["Bands", "yield"]
         assert built == [store, other]
 
     @pytest.mark.parametrize("variant", ["levenshtein", "ngram"])
@@ -405,9 +412,9 @@ class TestOOVStrategy:
         store = make_store(["Bond", "swap", "option", "corporate", "ab", "x" * 70])
         tokens = ["bonds", "Swaps", "optin", "xq", "zz", "bonds", "CORPORATES"]
         tokens += ["", "x" * 66, "ABC"]
-        single = OOVStrategy(variant)
-        for token in tokens:
-            single.resolve(token, store)
+        strat = OOVStrategy(variant)
+        single = [strat.resolve(token, store) for token in tokens]
+        assert all(sub in store.vocab for sub in single)
         scans = []
         real = distance.nearest
 
@@ -416,14 +423,10 @@ class TestOOVStrategy:
             return real(queries, packed)
 
         monkeypatch.setattr(distance, "nearest", counting)
-        batch = OOVStrategy(variant)
-        assert batch.resolve_all(tokens, store) == [single._memo[t] for t in tokens]
+        assert strat.resolve_all(tokens, store) == single
         assert len(scans) == 1
-        assert [batch.resolve(t, store) for t in tokens] == [
-            single._memo[t] for t in tokens
-        ]
-        assert batch._memo == single._memo
-        assert len(scans) == 1
+        # the distinct tokens are scanned once each
+        assert len(scans[0]) == len(set(scans[0]))
 
     def test_resolve_all_matches_ngrams_in_one_call(self, monkeypatch):
         calls = []
@@ -436,25 +439,22 @@ class TestOOVStrategy:
         monkeypatch.setattr(oov, "best_ngram_matches", counting)
         store = make_store(["Bond", "swap", "option"])
         strat = OOVStrategy("ngram")
-        strat.resolve_all(["bonds", "Swaps", "qq", "bonds", "optin"], store)
+        subs = strat.resolve_all(["bonds", "Swaps", "qq", "bonds", "optin"], store)
         assert calls == [["bonds", "Swaps", "qq", "optin"]]
-        assert strat._memo["bonds"] == "Bond"
-        assert strat._memo["optin"] == "option"
+        assert subs[0] == subs[3] == "Bond"
+        assert subs[4] == "option"
 
     def test_resolve_all_binds_only_for_a_token_to_resolve(self, monkeypatch):
-        def refuse(store, strategy):
-            raise AssertionError("the n-gram index was built")
+        def refuse(*args):
+            raise AssertionError("the store was indexed or packed")
 
         store = make_store(["bond", "swap"])
         strat = OOVStrategy("ngram")
         with monkeypatch.context() as patched:
             patched.setattr(oov, "build_ngram_index", refuse)
-            strat.resolve_all([], store)
-            assert strat._store is None
-        strat.resolve_all(["bonds"], store)
-        monkeypatch.setattr(oov, "build_ngram_index", refuse)
-        strat.resolve_all(["bonds", "bonds"], store)
-        assert strat._memo == {"bonds": "bond"}
+            patched.setattr(oov, "pack_vocabulary", refuse)
+            assert strat.resolve_all([], store) == []
+        assert strat.resolve_all(["bonds", "bonds"], store) == ["bond", "bond"]
 
     def test_lowercase_duplicates_resolve_to_first(self):
         store = make_store(["Bond", "bond", "swap"])
@@ -572,6 +572,8 @@ class TestNgramIndexCache:
             "2-D post",
             "int64 alphabet",
             "keys length",
+            "alphabet not ascending",
+            "keys not ascending",
         ],
     )
     def test_spoiled_file_is_rebuilt_and_rewritten(self, tmp_path, spoil):
@@ -627,6 +629,13 @@ class TestNgramIndexCache:
             rewrite_archive(path, alphabet=alphabet.astype(np.int64))
         elif spoil == "keys length":
             rewrite_archive(path, keys6=np.zeros(0, dtype=np.int64))
+        elif spoil == "alphabet not ascending":
+            # _find's searchsorted would then miss most symbols
+            rewrite_archive(path, alphabet=alphabet[::-1].copy())
+        elif spoil == "keys not ascending":
+            with np.load(path) as archive:
+                keys = archive["keys4"]
+            rewrite_archive(path, keys4=keys[::-1].copy())
         assert path.read_bytes() != valid
         Tripwire.unpickled.clear()
         built = []

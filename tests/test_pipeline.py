@@ -117,7 +117,7 @@ class TestConfig:
         assert len(cfg.indicators) == 7
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one of zero, levenshtein, ngram, got 'nope'"):
             PipelineConfig(oov_strategy="nope")
         with pytest.raises(ValueError):
             PipelineConfig(c_grid=())
@@ -146,16 +146,16 @@ class TestConfig:
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_c_rejected(self, c):
-        with pytest.raises(ValueError, match="c_grid must be non-empty, finite"):
+        with pytest.raises(ValueError, match="C must be finite and positive, got"):
             PipelineConfig(c_grid=(0.1, c))
-        with pytest.raises(DataError, match="c_grid must be non-empty, finite"):
+        with pytest.raises(DataError, match="bad config: C must be finite and positive"):
             config_from_dict({"c_grid": [c]})
 
     def test_repeated_c_rejected(self):
         # each C is fitted once per fold and writes one grid row
-        with pytest.raises(ValueError, match=r"c_grid repeats a value: \[1.0, 1.0\]"):
+        with pytest.raises(ValueError, match=r"C grid repeats a value: \(1.0, 1.0\)"):
             PipelineConfig(c_grid=(1.0, 1.0))
-        with pytest.raises(DataError, match="bad config: c_grid repeats a value"):
+        with pytest.raises(DataError, match="bad config: C grid repeats a value"):
             config_from_dict({"c_grid": [0.1, 1, 1.0]})
 
     def test_from_dict_unknown_key(self):
