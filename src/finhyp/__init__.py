@@ -8,7 +8,6 @@ cross-validation. See the CLI (`finhyp --help`) for the runnable flows.
 from .augment import (
     AugmentedTerm,
     DefinitionDict,
-    FetcherConfig,
     HttpFetcher,
     augment_dataset,
     augment_one,
@@ -36,9 +35,7 @@ from .evaluation import (
     stratified_kfold,
 )
 from .features import (
-    DEFAULT_INDICATORS,
-    FeatureConfig,
-    HandcraftedConfig,
+    INDICATORS,
     LabelSet,
     MinMaxScaler,
     assemble_features,

@@ -18,7 +18,8 @@ from .oov import NgramIndex, best_ngram_matches
 
 log = logging.getLogger(__name__)
 
-DEFAULT_MIN_SCORE = 0.2
+# The lowest n-gram Jaccard score that matches a term to a headword.
+MIN_MATCH_SCORE = 0.2
 
 
 def normalize(text: str) -> str:
@@ -89,11 +90,9 @@ class DefinitionDict:
         )
 
 
-def match_term(
-    term: str, ddict: DefinitionDict, min_score: float = DEFAULT_MIN_SCORE
-) -> str | None:
+def match_term(term: str, ddict: DefinitionDict) -> str | None:
     """Headword for a term: exact after normalization, else the best n-gram
-    match scoring at least min_score, else None."""
+    match scoring at least MIN_MATCH_SCORE, else None."""
     if len(ddict) == 0:
         return None
     norm = normalize(term)
@@ -103,7 +102,7 @@ def match_term(
     if found is None:
         return None
     entry_id, score = found
-    if score < min_score:
+    if score < MIN_MATCH_SCORE:
         return None
     return ddict.headwords[entry_id]
 
@@ -116,38 +115,31 @@ class AugmentedTerm:
     text: str
 
 
-def augment_one(
-    raw: str, ddict: DefinitionDict, min_score: float = DEFAULT_MIN_SCORE
-) -> AugmentedTerm:
+def augment_one(raw: str, ddict: DefinitionDict) -> AugmentedTerm:
     """Augment a raw term string."""
-    head = match_term(raw, ddict, min_score)
+    head = match_term(raw, ddict)
     if head is None:
         return AugmentedTerm(raw, None, None, raw)
     sentence = first_sentence(ddict.definition(head))
     return AugmentedTerm(raw, head, sentence, f"{raw}. {sentence}")
 
 
-def augment_dataset(terms, ddict: DefinitionDict, min_score: float = DEFAULT_MIN_SCORE):
+def augment_dataset(terms, ddict: DefinitionDict):
     """Augment every term; returns (augmented list, matched/total coverage)."""
-    out = [augment_one(t, ddict, min_score) for t in terms]
+    out = [augment_one(t, ddict) for t in terms]
     matched = sum(1 for a in out if a.matched_headword is not None)
     coverage = matched / len(out) if out else 0.0
     return out, coverage
-
-
-@dataclass(frozen=True)
-class FetcherConfig:
-    base_url: str
-    timeout: float = 10.0
-    user_agent: str = "finhyp/0.1"
 
 
 class HttpFetcher:
     """GETs {base_url}?term=<quoted term> and expects a JSON object with
     "headword" and "definition" fields; a 404 means no definition."""
 
-    def __init__(self, cfg: FetcherConfig):
-        self.cfg = cfg
+    def __init__(self, base_url: str, timeout: float, user_agent: str):
+        self.base_url = base_url
+        self.timeout = timeout
+        self.user_agent = user_agent
 
     def __call__(self, term: str):
         # urllib.request is slow to import and only fetching needs it.
@@ -155,12 +147,10 @@ class HttpFetcher:
         import urllib.parse
         import urllib.request
 
-        url = f"{self.cfg.base_url}?term={urllib.parse.quote(term)}"
-        req = urllib.request.Request(
-            url, headers={"User-Agent": self.cfg.user_agent}
-        )
+        url = f"{self.base_url}?term={urllib.parse.quote(term)}"
+        req = urllib.request.Request(url, headers={"User-Agent": self.user_agent})
         try:
-            with urllib.request.urlopen(req, timeout=self.cfg.timeout) as resp:
+            with urllib.request.urlopen(req, timeout=self.timeout) as resp:
                 payload = json.loads(resp.read().decode("utf-8"))
         except urllib.error.HTTPError as err:
             if err.code == 404:
@@ -174,8 +164,9 @@ def fetch_definitions(terms, fetcher, snapshot_out, rate_limit: float = 0.0):
 
     The fetcher is any callable term -> (headword, definition) or None,
     called at most rate_limit times per second (0: no limit). A fetcher
-    exception skips the term with a warning; duplicate headwords
-    keep the last definition fetched. The snapshot write is atomic.
+    exception, or an answer whose headword or definition is not a string,
+    skips the term with a warning and counts as a failure; duplicate
+    headwords keep the last definition fetched. The snapshot write is atomic.
     """
     entries: dict[str, str] = {}
     failures = 0
@@ -189,13 +180,15 @@ def fetch_definitions(terms, fetcher, snapshot_out, rate_limit: float = 0.0):
             last = time.monotonic()
         try:
             found = fetcher(term)
+            if found is None:
+                continue
+            head, definition = found
+            if not (isinstance(head, str) and isinstance(definition, str)):
+                raise ValueError(f"headword and definition must be strings: {found!r}")
         except Exception as err:  # noqa: BLE001 - remote sources fail in many ways
             failures += 1
             log.warning("fetch failed for %r: %s", term, err)
             continue
-        if found is None:
-            continue
-        head, definition = found
         entries[normalize(head)] = definition
     ddict = DefinitionDict(entries)
     ddict.to_snapshot(snapshot_out)

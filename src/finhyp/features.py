@@ -7,42 +7,25 @@ distance blocks read the (possibly definition-augmented) text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import distance
 from .embeddings import TokenTable, embed_term
 
-DEFAULT_INDICATORS = ("Inc.", "Corp", "Ltd", "Bank", "Index", "Rate", "%")
+INDICATORS = ("Inc.", "Corp", "Ltd", "Bank", "Index", "Rate", "%")
 HANDCRAFTED_WIDTH = 10
 
 
-@dataclass(frozen=True)
-class HandcraftedConfig:
-    """Seven indicator substrings plus the three casing/length counters."""
-
-    indicator_substrings: tuple[str, ...] = DEFAULT_INDICATORS
-
-    def __post_init__(self):
-        if len(self.indicator_substrings) != 7:
-            raise ValueError(
-                f"exactly 7 indicator substrings required, "
-                f"got {len(self.indicator_substrings)}"
-            )
-
-
-def handcrafted(term_raw: str, cfg: HandcraftedConfig | None = None) -> np.ndarray:
+def handcrafted(term_raw: str) -> np.ndarray:
     """The 10 hand-crafted features of the original term string.
 
-    Positions 0-6: indicator substring present (case-sensitive). 7: character
-    count. 8: upper-case letter count. 9: upper/lower ratio with the
-    denominator floored at 1 (all-caps terms would otherwise divide by zero).
+    Positions 0-6: substring INDICATORS[i] present (case-sensitive). 7:
+    character count. 8: upper-case letter count. 9: upper/lower ratio with
+    the denominator floored at 1 (all-caps terms would otherwise divide by
+    zero).
     """
-    if cfg is None:
-        cfg = HandcraftedConfig()
     out = np.zeros(HANDCRAFTED_WIDTH)
-    for i, sub in enumerate(cfg.indicator_substrings):
+    for i, sub in enumerate(INDICATORS):
         if sub in term_raw:
             out[i] = 1.0
     upper = sum(1 for ch in term_raw if ch.isupper())
@@ -168,19 +151,18 @@ class MinMaxScaler:
         return scaler
 
 
-@dataclass(frozen=True)
-class FeatureConfig:
-    """Which optional blocks to stack next to the embedding."""
-
-    handcrafted: HandcraftedConfig | None = None
-    cosine: bool = False
-    edit: bool = False
-
-
 def assemble_features(
-    raw_terms, texts, table: TokenTable, labels: LabelSet, fcfg: FeatureConfig
+    raw_terms,
+    texts,
+    table: TokenTable,
+    labels: LabelSet,
+    *,
+    hand: bool = False,
+    cosine: bool = False,
+    edit: bool = False,
 ) -> np.ndarray:
-    """Unscaled feature matrix, one row per term.
+    """Unscaled feature matrix, one row per term: the embedding, then each
+    optional block that is switched on (hand-crafted, cosine, edit).
 
     raw_terms carry the casing/length signals; texts are what gets embedded,
     from a table that holds their tokens, and measured against the labels
@@ -192,12 +174,11 @@ def assemble_features(
         raise ValueError("empty dataset")
     vecs = embed_term(table, texts)
     blocks = [vecs]
-    if fcfg.handcrafted is not None:
-        hcfg = fcfg.handcrafted
-        blocks.append(np.vstack([handcrafted(raw, hcfg) for raw in raw_terms]))
-    if fcfg.cosine:
+    if hand:
+        blocks.append(np.vstack([handcrafted(raw) for raw in raw_terms]))
+    if cosine:
         blocks.append(cosine_features(vecs, labels))
-    if fcfg.edit:
+    if edit:
         blocks.append(edit_features(texts, labels))
     return np.hstack(blocks)
 

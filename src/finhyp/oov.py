@@ -4,7 +4,8 @@ Three strategies: keep the zero vector, substitute the vocabulary word at
 minimal edit distance, or substitute the best character-n-gram Jaccard match
 (with an edit-distance fallback when no n-gram is shared). All string
 comparison is lowercase-normalized, and resolution is a pure function of
-the tokens and the store.
+the tokens and the store. Grams run from ``NGRAM_MIN`` to ``NGRAM_MAX``
+characters, 3 to 6, fastText's subword range; every index uses that range.
 
 One walk, ``_walk``, lists n-grams for every use: a prefix extension over
 the concatenated symbols of some texts, which ranks each level's gram keys
@@ -17,13 +18,13 @@ score. The edit-distance tie-break runs only for a text whose best score
 two or more entries share. A run resolves all of its OOV tokens in one call.
 
 Two caches of a store loaded from a file sit beside that file: its n-gram
-index, ``<store>.finhyp-ngram-<min>-<max>.npz``, and its lowercased
+index, ``<store>.finhyp-ngram-3-6.npz``, and its lowercased
 vocabulary packed for ``distance.nearest``, ``<store>.finhyp-pack.npz``.
 Each is an uncompressed numpy archive of records (``_records``: a format
-version, for the index the gram sizes, the entry count, the store file's
+version, for the index the gram range, the entry count, the store file's
 SHA-256, ``EmbeddingStore.sha256``, which also keys the store's own sidecar,
 and the interpreter's Unicode version, as ``str.lower()`` depends on it),
-then the arrays: ``_members(ngram_max)`` for the index, ``_PACK_MEMBERS``
+then the arrays: ``_MEMBERS`` for the index, ``_PACK_MEMBERS``
 for the pack. A cache whose records all match, and whose arrays pass the
 structural checks of ``_read_index`` or ``_read_pack``, is used in place
 of a build; the index or pack is the same arrays either way. Any other
@@ -49,9 +50,20 @@ from .fileio import read_cache, write_cache
 
 VARIANTS = ("zero", "levenshtein", "ngram")
 
-INDEX_SUFFIX = ".finhyp-ngram-{}-{}.npz"
+# The lengths of the grams that are indexed and matched.
+NGRAM_MIN, NGRAM_MAX = 3, 6
+
+INDEX_SUFFIX = f".finhyp-ngram-{NGRAM_MIN}-{NGRAM_MAX}.npz"
 # Bump when the index's arrays, or the build that makes them, change.
 _INDEX_VERSION = 3
+# Names of the arrays an index is made of, in the order of its cache.
+_MEMBERS = [
+    "alphabet",
+    *(f"keys{n}" for n in range(2, NGRAM_MAX + 1)),
+    "indptr",
+    "post",
+    "count",
+]
 PACK_SUFFIX = ".finhyp-pack.npz"
 # Bump when the pack's arrays, or the build that makes them, change.
 _PACK_VERSION = 1
@@ -71,7 +83,7 @@ def _rank(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[first], rank
 
 
-def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
+def _walk(lows: list[str], index=None):
     """Alphabet and keys, then the gram and text arrays of the distinct
     (gram, text) pairs of the texts lows, sorted by gram, then text.
 
@@ -84,8 +96,8 @@ def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
     alphabet and keys and looks each key up, and a gram that is absent
     leaves the walk with every gram that extends it; a character outside
     alphabet ends every gram that reaches it. Grams of length
-    ngram_min..ngram_max are paired by global id: their id plus
-    ``len(keys[m])`` for each level m from ngram_min below theirs.
+    NGRAM_MIN..NGRAM_MAX are paired by global id: their id plus
+    ``len(keys[m])`` for each level m from NGRAM_MIN below theirs.
     """
     build = index is None
     points = codes("".join(lows))
@@ -101,7 +113,7 @@ def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
     width = len(alphabet)
     starts = np.flatnonzero(sym >= 0)
     ids, grams, texts, n_grams = sym[starts], [], [], 0
-    for n in range(1, ngram_max + 1):
+    for n in range(1, NGRAM_MAX + 1):
         if n > 1:
             keep = left[starts] >= n
             starts = starts[keep]
@@ -111,7 +123,7 @@ def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
             else:
                 ids = _find(keys[n], key)
                 starts, ids = starts[ids >= 0], ids[ids >= 0]
-        if n >= ngram_min:
+        if n >= NGRAM_MIN:
             grams.append(n_grams + ids)
             texts.append(text[starts])
             n_grams += len(keys[n])
@@ -120,76 +132,62 @@ def _walk(lows: list[str], ngram_min: int, ngram_max: int, index=None):
     return (alphabet, keys, *np.divmod(pairs, stride))
 
 
-def _members(ngram_max: int) -> list[str]:
-    """Names of the arrays an index is made of, in the order of its cache."""
-    levels = [f"keys{n}" for n in range(2, ngram_max + 1)]
-    return ["alphabet", *levels, "indptr", "post", "count"]
-
-
 class NgramIndex:
     """Inverted index from character n-grams to entry ids, as flat arrays.
 
     A build walk (``_walk``) over the lowercased entries gives ``alphabet``
     and each level's keys ``keys[n]``, which stay below (distinct
     (n-1)-grams) * len(alphabet), so never overflow int64. Grams of length
-    n in ngram_min..ngram_max get global ids ``offset[n] + id``; entry ids
-    of gram g are ``post[indptr[g]:indptr[g + 1]]``, ascending, and
+    n in NGRAM_MIN..NGRAM_MAX get global ids: their id plus ``len(keys[m])``
+    for each level m from NGRAM_MIN below n. Entry ids of gram g are
+    ``post[indptr[g]:indptr[g + 1]]``, ascending, and
     ``count[i]`` is the number of distinct grams of entry i. The index keeps
     the entries as given. ``_assign`` alone sets these attributes, from the
-    arrays that ``_members`` names, for a build and a cache alike.
+    arrays that ``_MEMBERS`` names, for a build and a cache alike.
     Immutable after build.
     """
 
-    def __init__(self, entries, ngram_min: int = 3, ngram_max: int = 6):
-        if not (1 <= ngram_min <= ngram_max):
-            raise ValueError("require 1 <= ngram_min <= ngram_max")
+    def __init__(self, entries):
         entries = list(entries)
         lower = [e.lower() for e in entries]
-        alphabet, keys, gram, post = _walk(lower, ngram_min, ngram_max)
-        n_grams = sum(len(keys[n]) for n in range(ngram_min, ngram_max + 1))
+        alphabet, keys, gram, post = _walk(lower)
+        n_grams = sum(len(keys[n]) for n in range(NGRAM_MIN, NGRAM_MAX + 1))
         indptr = np.zeros(n_grams + 1, dtype=np.int64)
         np.cumsum(np.bincount(gram, minlength=n_grams), out=indptr[1:])
         count = np.bincount(post, minlength=len(entries))
-        arrays = {f"keys{n}": keys[n] for n in range(2, ngram_max + 1)}
+        arrays = {f"keys{n}": keys[n] for n in range(2, NGRAM_MAX + 1)}
         arrays.update(alphabet=alphabet, indptr=indptr, post=post, count=count)
-        self._assign(entries, ngram_min, ngram_max, arrays)
+        self._assign(entries, arrays)
 
-    def _assign(self, entries: list, ngram_min: int, ngram_max: int, arrays):
-        """Make this the index of entries whose arrays, by ``_members``
+    def _assign(self, entries: list, arrays):
+        """Make this the index of entries whose arrays, by ``_MEMBERS``
         name, are arrays."""
         self.entries = entries
-        self.ngram_min = ngram_min
-        self.ngram_max = ngram_max
         self.alphabet = arrays["alphabet"]
         self.keys = {1: np.arange(len(self.alphabet))}
-        self.keys.update({n: arrays[f"keys{n}"] for n in range(2, ngram_max + 1)})
-        self.offset, n_grams = {}, 0
-        for n in range(ngram_min, ngram_max + 1):
-            self.offset[n] = n_grams
-            n_grams += len(self.keys[n])
+        self.keys.update({n: arrays[f"keys{n}"] for n in range(2, NGRAM_MAX + 1)})
         self.indptr = arrays["indptr"]
         self.post = arrays["post"]
         self.count = arrays["count"]
 
     def _array(self, name: str) -> np.ndarray:
-        """The array that ``_members`` names name; ``_assign`` inverted."""
+        """The array that ``_MEMBERS`` names name; ``_assign`` inverted."""
         return self.keys[int(name[4:])] if name[:4] == "keys" else getattr(self, name)
 
 
-def build_ngram_index(store: EmbeddingStore, strategy: "OOVStrategy") -> NgramIndex:
+def build_ngram_index(store: EmbeddingStore) -> NgramIndex:
     """The n-gram index of the store's vocabulary, read from its cache beside
     the store file when that is valid, else built (and, for a store with a
     digest, cached); see the module docstring."""
-    sizes = (strategy.ngram_min, strategy.ngram_max)
     if store.sha256 is None:
-        return NgramIndex(store.vocab, *sizes)
-    path = store.path + INDEX_SUFFIX.format(*sizes)
-    records = _records(store, _INDEX_VERSION, ngrams=np.array(sizes, dtype=np.int64))
-    index = _read_index(path, records, store.vocab, *sizes)
+        return NgramIndex(store.vocab)
+    path = store.path + INDEX_SUFFIX
+    ngrams = np.array([NGRAM_MIN, NGRAM_MAX], dtype=np.int64)
+    records = _records(store, _INDEX_VERSION, ngrams=ngrams)
+    index = _read_index(path, records, store.vocab)
     if index is None:
-        index = NgramIndex(store.vocab, *sizes)
-        names = _members(index.ngram_max)
-        write_cache(path, {**records, **{n: index._array(n) for n in names}})
+        index = NgramIndex(store.vocab)
+        write_cache(path, {**records, **{n: index._array(n) for n in _MEMBERS}})
     return index
 
 
@@ -207,24 +205,23 @@ def _records(store: EmbeddingStore, version: int, **extra) -> dict:
     }
 
 
-def _read_index(path, records: dict, entries, ngram_min: int, ngram_max: int):
+def _read_index(path, records: dict, entries):
     """The index cached at path if its records match and its arrays are
     consistent, else None."""
-    names = _members(ngram_max)
-    arrays = read_cache(path, records, names)
+    arrays = read_cache(path, records, _MEMBERS)
     if arrays is None or any(a.ndim != 1 for a in arrays.values()):
         return None
     if arrays["alphabet"].dtype != np.int32:
         return None
-    if any(arrays[name].dtype != np.int64 for name in names[1:]):
+    if any(arrays[name].dtype != np.int64 for name in _MEMBERS[1:]):
         return None
     # _find looks symbols and keys up by searchsorted
-    if any(np.any(arrays[n][1:] <= arrays[n][:-1]) for n in names[:ngram_max]):
+    if any(np.any(arrays[n][1:] <= arrays[n][:-1]) for n in _MEMBERS[:NGRAM_MAX]):
         return None
     index = NgramIndex.__new__(NgramIndex)
-    index._assign(list(entries), ngram_min, ngram_max, arrays)
+    index._assign(list(entries), arrays)
     indptr, post = index.indptr, index.post
-    n_grams = index.offset[ngram_max] + len(index.keys[ngram_max])
+    n_grams = sum(len(index.keys[n]) for n in range(NGRAM_MIN, NGRAM_MAX + 1))
     # Every gram id that best_ngram_matches can look up indexes indptr,
     # every posting indexes the entries, and count is what the build would
     # have made.
@@ -304,14 +301,13 @@ def best_ngram_matches(texts, index: NgramIndex) -> list:
     """
     lows = [t.lower() for t in texts]
     out = [None] * len(lows)
-    sizes = (index.ngram_min, index.ngram_max)
-    _, _, gram, text = _walk(lows, *sizes, index)
+    _, _, gram, text = _walk(lows, index)
     if not len(text):
         return out
     order = np.argsort(text, kind="stable")
     text, gram = text[order], gram[order]
     # each text's distinct grams, indexed or not
-    own = _walk(lows, *sizes)[3]
+    own = _walk(lows)[3]
     size = np.bincount(own, minlength=len(lows))
     lo = index.indptr[gram]
     span = index.indptr[gram + 1] - lo
@@ -384,8 +380,6 @@ class OOVStrategy:
     """
 
     variant: str = "zero"
-    ngram_min: int = 3
-    ngram_max: int = 6
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -393,8 +387,6 @@ class OOVStrategy:
                 f"OOV variant must be one of {', '.join(VARIANTS)}, "
                 f"got {self.variant!r}"
             )
-        if not (1 <= self.ngram_min <= self.ngram_max):
-            raise ValueError("require 1 <= ngram_min <= ngram_max")
 
     def resolve(self, token: str, store: EmbeddingStore) -> str | None:
         """Vocabulary substitute for an OOV token, or None for zero-vector."""
@@ -414,7 +406,7 @@ class OOVStrategy:
         found = dict.fromkeys(tokens)
         scan = list(found)
         if self.variant == "ngram":
-            index = build_ngram_index(store, self)
+            index = build_ngram_index(store)
             for token, match in zip(scan, best_ngram_matches(scan, index)):
                 if match is not None:
                     found[token] = store.vocab[match[0]]

@@ -16,9 +16,8 @@ import os
 from dataclasses import dataclass
 
 from .augment import (
-    DEFAULT_MIN_SCORE,
+    MIN_MATCH_SCORE,
     DefinitionDict,
-    FetcherConfig,
     HttpFetcher,
     augment_dataset,
     fetch_definitions,
@@ -30,14 +29,7 @@ from .embeddings import (
     load_embeddings,
 )
 from .evaluation import EvalReport, evaluate
-from .features import (
-    DEFAULT_INDICATORS,
-    FeatureConfig,
-    HandcraftedConfig,
-    LabelSet,
-    MinMaxScaler,
-    assemble_features,
-)
+from .features import INDICATORS, LabelSet, MinMaxScaler, assemble_features
 from .fileio import atomic_write
 from .model import (
     DEFAULT_C_GRID,
@@ -50,7 +42,7 @@ from .model import (
     rank_labels,
     train,
 )
-from .oov import OOVStrategy
+from .oov import NGRAM_MAX, NGRAM_MIN, OOVStrategy
 
 
 class DataError(Exception):
@@ -116,15 +108,11 @@ PRESETS: dict[str, dict] = {
 class PipelineConfig:
     embedding_path: str = ""
     oov_strategy: str = "zero"
-    ngram_min: int = 3
-    ngram_max: int = 6
     handcrafted: bool = False
-    indicators: tuple[str, ...] = DEFAULT_INDICATORS
     cosine_features: bool = False
     edit_features: bool = False
     augment: bool = False
     snapshot_path: str = ""
-    min_match_score: float = DEFAULT_MIN_SCORE
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
     folds: int = 5
     seed: int = 0
@@ -137,10 +125,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         # the OOV and training settings are checked where they are used
-        OOVStrategy(self.oov_strategy, self.ngram_min, self.ngram_max)
+        OOVStrategy(self.oov_strategy)
         TrainConfig(c_grid=self.c_grid, folds=self.folds, seed=self.seed)
-        if not 0 <= self.min_match_score <= 1:
-            raise ValueError("min_match_score must be in [0, 1]")
         # a negative or NaN timeout fails every fetch, and a NaN or negative
         # rate turns throttling off
         timeout, rate = self.fetcher_timeout, self.fetcher_rate_limit
@@ -182,13 +168,17 @@ FRONTEND_FIELDS = (
     "cosine_features",
     "edit_features",
     "handcrafted",
-    "indicators",
     "labels",
-    "min_match_score",
-    "ngram_max",
-    "ngram_min",
     "oov_strategy",
 )
+# Frontend settings that a frontend.json written by an earlier release
+# records, and the one value each can now have.
+_RETIRED_FIELDS = {
+    "indicators": list(INDICATORS),
+    "min_match_score": MIN_MATCH_SCORE,
+    "ngram_max": NGRAM_MAX,
+    "ngram_min": NGRAM_MIN,
+}
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -317,7 +307,7 @@ def _augment(cfg: PipelineConfig, terms):
         raise DataError(f"cannot read snapshot: {err}") from None
     except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as err:
         raise DataError(f"{path}: bad snapshot: {err}") from None
-    return augment_dataset(terms, ddict, cfg.min_match_score)
+    return augment_dataset(terms, ddict)
 
 
 def _inputs(cfg: PipelineConfig, terms):
@@ -327,7 +317,7 @@ def _inputs(cfg: PipelineConfig, terms):
     if len(store) == 0 and cfg.oov_strategy != "zero":
         msg = f"empty store; OOV strategy {cfg.oov_strategy!r} needs a vocabulary"
         raise DataError(f"{cfg.embedding_path}: {msg}")
-    resolver = OOVStrategy(cfg.oov_strategy, cfg.ngram_min, cfg.ngram_max)
+    resolver = OOVStrategy(cfg.oov_strategy)
     if not cfg.augment:
         return store, resolver, list(terms), None
     augmented, coverage = _augment(cfg, terms)
@@ -361,14 +351,15 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
         label_set = LabelSet.build(labels, table)
     except ValueError as err:
         raise DataError(f"bad label set: {err}") from None
-    try:
-        hcfg = HandcraftedConfig(cfg.indicators) if cfg.handcrafted else None
-    except ValueError as err:
-        raise DataError(str(err)) from None
-    fcfg = FeatureConfig(
-        handcrafted=hcfg, cosine=cfg.cosine_features, edit=cfg.edit_features
+    matrix = assemble_features(
+        terms,
+        texts,
+        table,
+        label_set,
+        hand=cfg.handcrafted,
+        cosine=cfg.cosine_features,
+        edit=cfg.edit_features,
     )
-    matrix = assemble_features(terms, texts, table, label_set, fcfg)
     return matrix, label_set, store.dim, coverage
 
 
@@ -480,7 +471,9 @@ class PredictRun:
 def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
     """Score terms with a trained model directory (model.txt + frontend.json);
     writes predictions.jsonl under cfg.out_dir. The frontend fields recorded
-    in frontend.json replace cfg's own values for them."""
+    in frontend.json replace cfg's own values for them. A retired setting
+    that an earlier release recorded must hold the value it is now fixed at,
+    or the model's feature rows cannot be rebuilt."""
     try:
         model = load_model(os.path.join(model_dir, "model.txt"))
     except OSError as err:
@@ -492,12 +485,18 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
     missing = sorted(set(FRONTEND_FIELDS + ("embedding_dim", "scaler")) - set(frontend))
     if missing:
         raise DataError(f"frontend.json missing keys: {', '.join(missing)}")
-    if tuple(frontend["labels"]) != model.labels:
-        raise DataError("label set mismatch between model.txt and frontend.json")
+    for key, fixed in _RETIRED_FIELDS.items():
+        if key in frontend and frontend[key] != fixed:
+            raise DataError(
+                f"{frontend_path}: {key} {json.dumps(frontend[key])} cannot be "
+                f"replayed: it is fixed at {json.dumps(fixed)}"
+            )
     try:
         recorded = config_from_dict({key: frontend[key] for key in FRONTEND_FIELDS})
     except DataError as err:
         raise DataError(f"{frontend_path}: {err}") from None
+    if recorded.labels != model.labels:
+        raise DataError("label set mismatch between model.txt and frontend.json")
     cfg = dataclasses.replace(
         cfg, **{key: getattr(recorded, key) for key in FRONTEND_FIELDS}
     )
@@ -587,11 +586,7 @@ def run_augment_fetch(cfg: PipelineConfig, terms_path):
     if not cfg.fetcher_base_url:
         raise DataError("no fetcher base URL configured")
     fetcher = HttpFetcher(
-        FetcherConfig(
-            base_url=cfg.fetcher_base_url,
-            timeout=cfg.fetcher_timeout,
-            user_agent=cfg.fetcher_user_agent,
-        )
+        cfg.fetcher_base_url, cfg.fetcher_timeout, cfg.fetcher_user_agent
     )
     snapshot_out = cfg.snapshot_path or os.path.join(cfg.out_dir, "snapshot.json")
     directory = os.path.dirname(os.fspath(snapshot_out))

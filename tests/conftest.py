@@ -3,6 +3,15 @@ import pytest
 
 from finhyp.embeddings import EmbeddingStore
 
+# The frontend settings that are no longer configurable, each at the value
+# it is fixed at, as frontend.json of an earlier release recorded them.
+RETIRED_SETTINGS = {
+    "indicators": ["Inc.", "Corp", "Ltd", "Bank", "Index", "Rate", "%"],
+    "min_match_score": 0.2,
+    "ngram_max": 6,
+    "ngram_min": 3,
+}
+
 
 @pytest.fixture
 def toy_store() -> EmbeddingStore:

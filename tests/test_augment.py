@@ -1,13 +1,12 @@
 """Definition matching and text augmentation."""
-import dataclasses
 import json
+import logging
 
 import pytest
 
 from finhyp.augment import (
     AugmentedTerm,
     DefinitionDict,
-    FetcherConfig,
     HttpFetcher,
     augment_dataset,
     augment_one,
@@ -114,11 +113,14 @@ class TestMatchTerm:
 
     def test_below_threshold_rejected(self, defs):
         # shares a few grams with "swap" but far under 0.2 similarity
-        assert match_term("swahili dictionary volume", defs, min_score=0.9) is None
+        assert match_term("swahili dictionary volume", defs) is None
 
-    def test_threshold_inclusive(self, defs):
-        head = match_term("interest rate swaps", defs, min_score=0.0)
-        assert head == "interest rate swap"
+    def test_threshold_inclusive(self):
+        # {abc, bcx, abcx} vs {abc, bcd, abcd}: Jaccard 1/5, the threshold
+        # itself; "abcxy" has 6 grams and scores 1/8
+        ddict = DefinitionDict({"abcd": "A test entry."})
+        assert match_term("abcx", ddict) == "abcd"
+        assert match_term("abcxy", ddict) is None
 
     def test_empty_dict(self):
         assert match_term("swap", DefinitionDict({})) is None
@@ -208,6 +210,28 @@ class TestFetch:
         assert len(ddict) == 1
         assert ddict.definition("swap") == "second definition."
 
+    @pytest.mark.parametrize(
+        "answer", [("Bond", None), (None, "A debt."), (7, "x")], ids=repr
+    )
+    def test_non_string_answer_is_a_failure(self, tmp_path, caplog, answer):
+        # the definitions fetched before and after it are kept
+        book = {"swap": ("Swap", "A swap trades cash flows."), "odd": answer}
+        snap = tmp_path / "snap.json"
+        with caplog.at_level(logging.WARNING, logger="finhyp.augment"):
+            ddict, failures = fetch_definitions(
+                ["swap", "odd", "bond"],
+                lambda t: book.get(t, ("Bond", "A bond is debt.")),
+                snap,
+            )
+        assert failures == 1
+        assert ddict.headwords == ["bond", "swap"]
+        assert json.loads(snap.read_text()) == {
+            "bond": "A bond is debt.",
+            "swap": "A swap trades cash flows.",
+        }
+        [record] = caplog.records
+        assert record.getMessage().startswith("fetch failed for 'odd': ")
+
     def test_none_result_skipped_silently(self, tmp_path):
         ddict, failures = fetch_definitions(
             ["x"], lambda t: None, tmp_path / "s.json"
@@ -256,9 +280,7 @@ class TestHttpFetcher:
             return FakeResponse()
 
         monkeypatch.setattr("urllib.request.urlopen", fake_urlopen)
-        fetcher = HttpFetcher(
-            FetcherConfig(base_url="http://x.test/defs", timeout=3.0)
-        )
+        fetcher = HttpFetcher("http://x.test/defs", 3.0, "finhyp/0.1")
         out = fetcher("interest rate swap")
         assert out == ("swap", "A swap.")
         assert captured["url"] == "http://x.test/defs?term=interest%20rate%20swap"
@@ -267,8 +289,12 @@ class TestHttpFetcher:
 
     def test_config_holds_no_rate(self):
         # HttpFetcher makes one request per call; fetch_definitions paces them
-        names = [f.name for f in dataclasses.fields(FetcherConfig)]
-        assert names == ["base_url", "timeout", "user_agent"]
+        fetcher = HttpFetcher("http://x.test/defs", 10.0, "finhyp/0.1")
+        assert vars(fetcher) == {
+            "base_url": "http://x.test/defs",
+            "timeout": 10.0,
+            "user_agent": "finhyp/0.1",
+        }
 
     def test_404_is_no_definition(self, monkeypatch):
         import urllib.error
@@ -277,7 +303,7 @@ class TestHttpFetcher:
             raise urllib.error.HTTPError("u", 404, "nf", {}, None)
 
         monkeypatch.setattr("urllib.request.urlopen", raise_404)
-        fetcher = HttpFetcher(FetcherConfig(base_url="http://x.test/defs"))
+        fetcher = HttpFetcher("http://x.test/defs", 10.0, "finhyp/0.1")
         assert fetcher("whatever") is None
 
     def test_other_http_errors_propagate(self, monkeypatch):
@@ -287,7 +313,7 @@ class TestHttpFetcher:
             raise urllib.error.HTTPError("u", 500, "boom", {}, None)
 
         monkeypatch.setattr("urllib.request.urlopen", raise_500)
-        fetcher = HttpFetcher(FetcherConfig(base_url="http://x.test/defs"))
+        fetcher = HttpFetcher("http://x.test/defs", 10.0, "finhyp/0.1")
         with pytest.raises(urllib.error.HTTPError):
             fetcher("whatever")
 

@@ -14,6 +14,8 @@ from finhyp.embeddings import SIDECAR_SUFFIX
 from finhyp.oov import INDEX_SUFFIX, PACK_SUFFIX
 from finhyp.pipeline import PRESETS
 
+from conftest import RETIRED_SETTINGS
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -237,10 +239,10 @@ class TestDataErrors:
             ({"handcrafted": "no"}, None),
             ({"folds": 2.5}, None),
             ({"seed": True}, None),
-            ({"ngram_min": 2.5}, "BL.HF.OOVm.D2"),
-            ({"min_match_score": True}, None),
+            ({"folds": 3.0}, "BL.HF.OOVm.D2"),
+            ({"fetcher_timeout": True}, None),
             ({"snapshot_path": 1}, None),
-            ({"indicators": [1, 2, 3, 4, 5, 6, 7]}, "BL.HF"),
+            ({"oov_strategy": ["ngram"]}, "BL.HF"),
             ({"labels": ["Swap", 1]}, None),
             ({"c_grid": [True]}, None),
         ],
@@ -251,7 +253,7 @@ class TestDataErrors:
             "int-ngram",
             "float",
             "str",
-            "indicators",
+            "str-list",
             "labels",
             "c_grid",
         ],
@@ -281,6 +283,27 @@ class TestDataErrors:
         (key,) = config
         assert f"error: config key '{key}' must be " in capsys.readouterr().err
         assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SETTINGS))
+    def test_retired_key_exits_2(self, synth_dir, tmp_path, capsys, key):
+        # the n-gram range, the indicators and the match threshold are fixed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: RETIRED_SETTINGS[key]}))
+        code = main(
+            [
+                "cv",
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(synth_dir / "embeddings.txt"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
@@ -590,8 +613,8 @@ class TestAugmentCommands:
         seen = {}
 
         class StubFetcher:
-            def __init__(self, cfg):
-                seen["url"] = cfg.base_url
+            def __init__(self, base_url, timeout, user_agent):
+                seen["url"] = base_url
 
             def __call__(self, term):
                 return term, "A definition."
@@ -618,8 +641,8 @@ class TestAugmentCommands:
         seen = {}
 
         class StubFetcher:
-            def __init__(self, cfg):
-                seen["url"] = cfg.base_url
+            def __init__(self, base_url, timeout, user_agent):
+                seen["url"] = base_url
 
             def __call__(self, term):
                 return None
@@ -648,8 +671,8 @@ class TestAugmentCommands:
         seen = []
 
         class StubFetcher:
-            def __init__(self, cfg):
-                seen.append(cfg.base_url)
+            def __init__(self, base_url, timeout, user_agent):
+                seen.append(base_url)
 
             def __call__(self, term):
                 return None
@@ -774,7 +797,7 @@ class TestFreshProcess:
             "terms.csv",
             "embeddings.txt",
             "embeddings.txt" + SIDECAR_SUFFIX,
-            "embeddings.txt" + INDEX_SUFFIX.format(3, 6),
+            "embeddings.txt" + INDEX_SUFFIX,
             "embeddings.txt" + PACK_SUFFIX,
             "oov.txt",
             "report.txt",

@@ -8,9 +8,7 @@ from hypothesis.extra import numpy as hnp
 from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore, TokenTable
 from finhyp.features import (
-    DEFAULT_INDICATORS,
-    FeatureConfig,
-    HandcraftedConfig,
+    INDICATORS,
     LabelSet,
     MinMaxScaler,
     assemble_features,
@@ -32,8 +30,8 @@ def build_labels(words, store):
 
 class TestHandcrafted:
     def test_default_indicator_count(self):
-        assert len(DEFAULT_INDICATORS) == 7
-        assert "Inc." in DEFAULT_INDICATORS
+        assert len(INDICATORS) == 7
+        assert "Inc." in INDICATORS
 
     def test_apple_inc(self):
         row = handcrafted("Apple Inc.")
@@ -52,14 +50,6 @@ class TestHandcrafted:
 
     def test_width_is_ten(self):
         assert handcrafted("x").shape == (10,)
-
-    def test_custom_indicators_require_seven(self):
-        with pytest.raises(ValueError):
-            HandcraftedConfig(("Inc.",))
-
-    def test_custom_indicators(self):
-        cfg = HandcraftedConfig(("aa", "bb", "cc", "dd", "ee", "ff", "gg"))
-        assert handcrafted("xxbbxx", cfg)[:7].tolist() == [0, 1, 0, 0, 0, 0, 0]
 
 
 def cosine_distance(u, v) -> float:
@@ -248,7 +238,7 @@ class TestMinMaxScaler:
         assert np.all(scaled >= -1.0) and np.all(scaled <= 1.0)
 
 
-ALL_ON = FeatureConfig(handcrafted=HandcraftedConfig(), cosine=True, edit=True)
+ALL_ON = dict(hand=True, cosine=True, edit=True)
 
 
 class TestAssembly:
@@ -263,18 +253,19 @@ class TestAssembly:
         store = EmbeddingStore(words, np.random.default_rng(0).normal(size=(5, 32)))
         labels = build_labels(words, store)
 
-        def width(fcfg):
+        def width(**blocks):
             return assemble_features(
-                ["Bond Inc."], ["bond"], table(store, ["bond"]), labels, fcfg
+                ["Bond Inc."], ["bond"], table(store, ["bond"]), labels, **blocks
             ).shape[1]
 
-        assert width(ALL_ON) == 32 + 10 + 5 + 5
-        assert width(FeatureConfig(handcrafted=None, cosine=False, edit=False)) == 32
-        assert width(FeatureConfig(HandcraftedConfig(), False, True)) == 47
+        assert width(**ALL_ON) == 32 + 10 + 5 + 5
+        assert width(hand=False, cosine=False, edit=False) == 32
+        assert width() == 32
+        assert width(hand=True, edit=True) == 47
 
     def test_block_layout(self):
         X = assemble_features(
-            ["bond Inc."], ["bond"], table(self.store, ["bond"]), self.labels, ALL_ON
+            ["bond Inc."], ["bond"], table(self.store, ["bond"]), self.labels, **ALL_ON
         )
         assert X.shape == (1, 2 + 10 + 2 + 2)
         row = X[0]
@@ -286,7 +277,7 @@ class TestAssembly:
     def test_raw_vs_text_split(self):
         # casing features come from raw; the embedding comes from text
         X = assemble_features(
-            ["BOND"], ["option"], table(self.store, ["option"]), self.labels, ALL_ON
+            ["BOND"], ["option"], table(self.store, ["option"]), self.labels, **ALL_ON
         )
         row = X[0]
         assert row[:2].tolist() == [0.0, 1.0]
@@ -298,27 +289,27 @@ class TestAssembly:
         labels = build_labels(["bond", "option", "swap"], store)
         raw = ["bond Inc.", "Option bond", "SWAP", "unknown"]
         texts = ["bond", "option bond", "swap. a bond", "unknown"]
-        for fcfg in (
+        for blocks in (
             ALL_ON,
-            FeatureConfig(),
-            FeatureConfig(HandcraftedConfig(), True, False),
-            FeatureConfig(None, False, True),
+            dict(hand=False, cosine=False, edit=False),
+            dict(hand=True, cosine=True, edit=False),
+            dict(hand=False, cosine=False, edit=True),
         ):
-            X = assemble_features(raw, texts, table(store, texts), labels, fcfg)
-            hand = 10 if fcfg.handcrafted is not None else 0
-            width = 5 + hand + 3 * (fcfg.cosine + fcfg.edit)
+            X = assemble_features(raw, texts, table(store, texts), labels, **blocks)
+            hand = 10 if blocks["hand"] else 0
+            width = 5 + hand + 3 * (blocks["cosine"] + blocks["edit"])
             assert X.shape == (4, width)
             for i in range(4):
                 one = assemble_features(
-                    [raw[i]], [texts[i]], table(store, [texts[i]]), labels, fcfg
+                    [raw[i]], [texts[i]], table(store, [texts[i]]), labels, **blocks
                 )
                 assert X[i].tobytes() == one[0].tobytes()
 
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            assemble_features(["a"], [], table(self.store, []), self.labels, ALL_ON)
+            assemble_features(["a"], [], table(self.store, []), self.labels, **ALL_ON)
         with pytest.raises(ValueError):
-            assemble_features([], [], table(self.store, []), self.labels, ALL_ON)
+            assemble_features([], [], table(self.store, []), self.labels, **ALL_ON)
 
     def test_assembled_matrix_scales(self):
         m = assemble_features(
@@ -326,7 +317,7 @@ class TestAssembly:
             ["bond", "option"],
             table(self.store, ["bond", "option"]),
             self.labels,
-            ALL_ON,
+            **ALL_ON,
         )
         scaler = MinMaxScaler().fit(m)
         X = scaler.transform(m)

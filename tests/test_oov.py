@@ -22,7 +22,13 @@ from finhyp.embeddings import (
     load_embeddings,
     save_embeddings,
 )
-from finhyp.oov import NgramIndex, OOVStrategy, best_ngram_matches
+from finhyp.oov import (
+    NGRAM_MAX,
+    NGRAM_MIN,
+    NgramIndex,
+    OOVStrategy,
+    best_ngram_matches,
+)
 
 from conftest import Tripwire, make_store, rewrite_archive
 
@@ -41,14 +47,12 @@ class SetNgramIndex:
     """Reference oracle: the dict-of-sets inverted index that NgramIndex's
     flat arrays replaced."""
 
-    def __init__(self, entries, ngram_min=3, ngram_max=6):
+    def __init__(self, entries):
         self.entries_lower = [e.lower() for e in entries]
-        self.ngram_min = ngram_min
-        self.ngram_max = ngram_max
         self.entry_grams = []
         self.grams = {}
         for i, low in enumerate(self.entries_lower):
-            gs = char_ngrams(low, ngram_min, ngram_max)
+            gs = char_ngrams(low, NGRAM_MIN, NGRAM_MAX)
             self.entry_grams.append(gs)
             for g in gs:
                 self.grams.setdefault(g, set()).add(i)
@@ -57,7 +61,7 @@ class SetNgramIndex:
 def set_best_ngram_match(text, index):
     """The best n-gram match of text over a SetNgramIndex, computed one set at
     a time."""
-    query = char_ngrams(text.lower(), index.ngram_min, index.ngram_max)
+    query = char_ngrams(text.lower(), NGRAM_MIN, NGRAM_MAX)
     if not query:
         return None
     ids = set()
@@ -88,12 +92,6 @@ MIXED = "aAbBcé中 \ud800"
 
 def words(alphabet, max_size=8):
     return st.lists(st.sampled_from(alphabet), max_size=max_size).map("".join)
-
-
-@st.composite
-def gram_sizes(draw):
-    ngram_min = draw(st.integers(1, 6))
-    return ngram_min, draw(st.integers(ngram_min, 6))
 
 
 class TestCharNgrams:
@@ -178,7 +176,7 @@ class TestNgramMatch:
         assert best_ngram_matches(["xyz-q"], NgramIndex(["swap"]))[0] is None
 
     def test_score_is_jaccard(self):
-        index = NgramIndex(["abcd"], ngram_min=3, ngram_max=4)
+        index = NgramIndex(["abcd"])
         got = best_ngram_matches(["abcx"], index)[0]
         # query {abc, bcx, abcx} vs entry {abc, bcd, abcd}: share {abc} of 5
         assert got == (0, 1 / 5)
@@ -195,46 +193,44 @@ class TestNgramMatch:
 
     def test_tie_breaks_deterministic(self):
         # same Jaccard against both entries; levenshtein prefers "abcde"
-        index = NgramIndex(["abcde", "abcdq"], ngram_min=3, ngram_max=3)
+        index = NgramIndex(["abcde", "abcdq"])
         got = best_ngram_matches(["abcd"], index)[0]
         assert got is not None and got[0] == 0
 
 
 class TestNgramIndexMatchesSetOracle:
     @staticmethod
-    def check(entries, queries, sizes):
-        index = NgramIndex(entries, *sizes)
-        oracle = SetNgramIndex(entries, *sizes)
+    def check(entries, queries):
+        index = NgramIndex(entries)
+        oracle = SetNgramIndex(entries)
         # the alphabet is the sorted distinct code points of the entries
         lowered = distance.codes("".join(e.lower() for e in entries))
         np.testing.assert_array_equal(index.alphabet, np.unique(lowered))
         for text in queries:
             assert best_ngram_matches([text], index)[0] == set_best_ngram_match(
                 text, oracle
-            ), (entries, text, sizes)
+            ), (entries, text)
 
     @settings(max_examples=300, deadline=None)
     @given(
         entries=st.lists(words(MIXED), max_size=12),
         queries=st.lists(words(MIXED), min_size=1, max_size=6),
-        sizes=gram_sizes(),
     )
-    @example(entries=["Bond", "bond", "BONDS"], queries=["bond", "Bonds"], sizes=(3, 6))
-    @example(entries=[], queries=["bond", ""], sizes=(1, 6))
-    @example(entries=["", "ab"], queries=["ab", "a", ""], sizes=(1, 2))
-    @example(entries=["abcdef"], queries=["ab", "abc"], sizes=(4, 6))
-    @example(entries=["中é \ud800x", "É"], queries=["\ud800", "é"], sizes=(1, 3))
-    def test_mixed_alphabet(self, entries, queries, sizes):
-        self.check(entries, queries, sizes)
+    @example(entries=["Bond", "bond", "BONDS"], queries=["bond", "Bonds"])
+    @example(entries=[], queries=["bond", ""])
+    @example(entries=["", "ab"], queries=["ab", "a", ""])
+    @example(entries=["abcdef"], queries=["ab", "abc"])
+    @example(entries=["中é \ud800x", "É"], queries=["\ud800", "é"])
+    def test_mixed_alphabet(self, entries, queries):
+        self.check(entries, queries)
 
     @settings(max_examples=200, deadline=None)
     @given(
         entries=st.lists(words("ab", 7), min_size=1, max_size=20),
         queries=st.lists(words("ab", 7), min_size=1, max_size=6),
-        sizes=gram_sizes(),
     )
-    def test_two_letter_alphabet_ties(self, entries, queries, sizes):
-        self.check(entries, queries, sizes)
+    def test_two_letter_alphabet_ties(self, entries, queries):
+        self.check(entries, queries)
 
     def test_keeps_no_per_gram_containers(self):
         index = NgramIndex(["bond", "swap", "Bond"])
@@ -254,9 +250,9 @@ TEXT_CHARS = ENTRY_CHARS + "x中 \ud800"
 
 class TestBatchedMatches:
     @staticmethod
-    def check(entries, texts, sizes):
-        index = NgramIndex(entries, *sizes)
-        oracle = SetNgramIndex(entries, *sizes)
+    def check(entries, texts):
+        index = NgramIndex(entries)
+        oracle = SetNgramIndex(entries)
         got = best_ngram_matches(texts, index)
         assert got == [set_best_ngram_match(t, oracle) for t in texts]
         assert got == [best_ngram_matches([t], index)[0] for t in texts]
@@ -266,39 +262,28 @@ class TestBatchedMatches:
     @given(
         entries=st.lists(words(ENTRY_CHARS), max_size=12),
         texts=st.lists(words(TEXT_CHARS), max_size=10).map(lambda ts: ts + ts[:2]),
-        sizes=gram_sizes(),
     )
-    @example(entries=["bond"], texts=[], sizes=(3, 6))
-    @example(
-        entries=["bond", "swap"], texts=["xyz", "", "bond", "qq", "xyz"], sizes=(3, 6)
-    )
-    @example(
-        entries=["ΣΑΣ", "σας", "σασ"],
-        texts=["ΣΑΣ", "ΣΑΣΣΑΣ", "σασ", "ΣΑΣ"],
-        sizes=(2, 3),
-    )
-    @example(
-        entries=["abcde", "abcdq", "ABCDE"],
-        texts=["abcd", "ABCD", "abcdE"],
-        sizes=(3, 3),
-    )
-    def test_equals_oracle_per_text(self, entries, texts, sizes):
-        self.check(entries, texts, sizes)
+    @example(entries=["bond"], texts=[])
+    @example(entries=["bond", "swap"], texts=["xyz", "", "bond", "qq", "xyz"])
+    @example(entries=["ΣΑΣ", "σας", "σασ"], texts=["ΣΑΣ", "ΣΑΣΣΑΣ", "σασ", "ΣΑΣ"])
+    @example(entries=["abcde", "abcdq", "ABCDE"], texts=["abcd", "ABCD", "abcdE"])
+    def test_equals_oracle_per_text(self, entries, texts):
+        self.check(entries, texts)
 
     def test_greek_final_sigma_lowercased_per_text(self):
-        # "ΑΣ" alone lowercases to "ας", but to "ασ" as the start of "ΑΣΑΣΑ".
-        got = self.check(["ας", "ασ"], ["ΑΣ", "ΑΣΑ"], (2, 2))
-        assert got == [(0, 1.0), (1, 0.5)]
+        # "ΑΑΣ" alone lowercases to "αας", but to "αασ" as the start of
+        # "ΑΑΣΑ" or of the two texts joined.
+        got = self.check(["αας", "αασ"], ["ΑΑΣ", "ΑΑΣΑ"])
+        assert got == [(0, 1.0), (1, 1 / 3)]
 
     @pytest.mark.parametrize("bound", [1, 7])
     @settings(max_examples=100, deadline=None)
     @given(
         entries=st.lists(words("abAB", 7), min_size=1, max_size=20),
         texts=st.lists(words("abABx", 7), max_size=12),
-        sizes=gram_sizes(),
     )
-    def test_pass_bound_does_not_change_answers(self, bound, entries, texts, sizes):
-        index = NgramIndex(entries, *sizes)
+    def test_pass_bound_does_not_change_answers(self, bound, entries, texts):
+        index = NgramIndex(entries)
         want = best_ngram_matches(texts, index)
         with mock.patch.object(oov, "_POSTINGS", bound):
             assert best_ngram_matches(texts, index) == want
@@ -308,23 +293,21 @@ class TestOOVStrategy:
     def test_variants_validated(self):
         with pytest.raises(ValueError, match="must be one of zero, levenshtein, ngram"):
             OOVStrategy("magnitude")
-        with pytest.raises(ValueError):
-            OOVStrategy("ngram", ngram_min=4, ngram_max=3)
 
     def test_holds_settings_only(self):
-        strat = OOVStrategy("ngram", 2, 4)
+        strat = OOVStrategy("ngram")
         names = [f.name for f in dataclasses.fields(strat)]
-        assert names == ["variant", "ngram_min", "ngram_max"]
+        assert names == ["variant"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             strat.variant = "zero"
-        assert strat == OOVStrategy("ngram", 2, 4)
+        assert strat == OOVStrategy("ngram")
 
     def test_zero_returns_none(self, toy_store):
         assert OOVStrategy("zero").resolve("anything", toy_store) is None
         assert OOVStrategy("zero").resolve_all(["a", "b", "a"], toy_store) == [None] * 3
 
     def test_empty_store_raises_before_indexing(self, monkeypatch):
-        def refuse(store, strategy):
+        def refuse(store):
             raise AssertionError("index built for an empty store")
 
         monkeypatch.setattr(oov, "build_ngram_index", refuse)
@@ -392,9 +375,9 @@ class TestOOVStrategy:
         # once per resolve_all call: a strategy keeps no index between calls
         built = []
 
-        def counting_build(store, strategy):
+        def counting_build(store):
             built.append(store)
-            return real_build(store, strategy)
+            return real_build(store)
 
         real_build = oov.build_ngram_index
         monkeypatch.setattr(oov, "build_ngram_index", counting_build)
@@ -475,8 +458,8 @@ class TestOOVStrategy:
             assert sub == store.vocab[match[0]]
 
 
-def index_file(store, sizes=(3, 6)):
-    return store.path + oov.INDEX_SUFFIX.format(*sizes)
+def index_file(store):
+    return store.path + oov.INDEX_SUFFIX
 
 
 def filed_store(directory, tokens):
@@ -532,16 +515,14 @@ class TestNgramIndexCache:
     @given(
         tokens=STORE_WORDS,
         queries=st.lists(words(MIXED), min_size=1, max_size=6),
-        sizes=gram_sizes(),
     )
-    def test_warm_index_equals_cold(self, tokens, queries, sizes):
-        strat = OOVStrategy("ngram", *sizes)
+    def test_warm_index_equals_cold(self, tokens, queries):
         with tempfile.TemporaryDirectory() as directory:
             store = filed_store(directory, tokens)
-            cold = oov.build_ngram_index(store, strat)
-            assert os.path.exists(index_file(store, sizes))
+            cold = oov.build_ngram_index(store)
+            assert os.path.exists(index_file(store))
             with mock.patch.object(NgramIndex, "__init__", refuse_build):
-                warm = oov.build_ngram_index(store, strat)
+                warm = oov.build_ngram_index(store)
                 # a query must not build an index through the constructor
                 for text in queries + tokens:
                     assert (
@@ -549,7 +530,7 @@ class TestNgramIndexCache:
                         == best_ngram_matches([text], cold)[0]
                     )
         assert_same_index(warm, cold)
-        assert_same_index(cold, NgramIndex(tokens, *sizes))
+        assert_same_index(cold, NgramIndex(tokens))
 
     @pytest.mark.parametrize(
         "spoil",
@@ -579,8 +560,7 @@ class TestNgramIndexCache:
     def test_spoiled_file_is_rebuilt_and_rewritten(self, tmp_path, spoil):
         tokens = ["bond", "bonds", "swap", "Swaption", "yield"]
         store = filed_store(tmp_path, tokens)
-        strat = OOVStrategy("ngram")
-        cold = oov.build_ngram_index(store, strat)
+        cold = oov.build_ngram_index(store)
         path = tmp_path / os.path.basename(index_file(store))
         valid = path.read_bytes()
         with np.load(path) as archive:
@@ -646,7 +626,7 @@ class TestNgramIndexCache:
             real_init(self, *args)
 
         with mock.patch.object(NgramIndex, "__init__", counting_init):
-            index = oov.build_ngram_index(store, strat)
+            index = oov.build_ngram_index(store)
         assert Tripwire.unpickled == []
         assert len(built) == 1
         assert_same_index(index, cold)
@@ -662,35 +642,20 @@ class TestNgramIndexCache:
         tokens = ["bond", "bonds", "swap", "Swaption", "yield", "ΣΑΣ", "中é-"]
         store = filed_store(tmp_path, tokens)
         with mock.patch.object(unicodedata, "unidata_version", "14.0.0"):
-            oov.build_ngram_index(store, OOVStrategy("ngram"))
+            oov.build_ngram_index(store)
         with open(index_file(store), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == (
             "5714fdc805abbe1d0a275d74503d73724c8dbe2784171eb03a56a63e00e2b1ad"
         )
 
-    def test_gram_sizes_get_separate_files(self, tmp_path):
-        store = filed_store(tmp_path, ["bond", "bonds", "swap"])
-        indexes = {}
-        for sizes in [(3, 6), (2, 4)]:
-            indexes[sizes] = oov.build_ngram_index(store, OOVStrategy("ngram", *sizes))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "emb.txt" + oov.INDEX_SUFFIX.format(2, 4),
-            "emb.txt" + oov.INDEX_SUFFIX.format(3, 6),
-        ]
-        with mock.patch.object(NgramIndex, "__init__", refuse_build):
-            for sizes, cold in indexes.items():
-                warm = oov.build_ngram_index(store, OOVStrategy("ngram", *sizes))
-                assert_same_index(warm, cold)
-
     def test_new_vocabulary_is_indexed_again(self, tmp_path):
-        strat = OOVStrategy("ngram")
-        oov.build_ngram_index(filed_store(tmp_path, ["bond", "swap"]), strat)
+        oov.build_ngram_index(filed_store(tmp_path, ["bond", "swap"]))
         store = filed_store(tmp_path, ["bond", "swaps"])
-        index = oov.build_ngram_index(store, strat)
+        index = oov.build_ngram_index(store)
         assert_same_index(index, NgramIndex(store.vocab))
         with mock.patch.object(NgramIndex, "__init__", refuse_build):
-            assert_same_index(oov.build_ngram_index(store, strat), index)
+            assert_same_index(oov.build_ngram_index(store), index)
 
     def test_warm_run_neither_parses_nor_builds(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -701,23 +666,22 @@ class TestNgramIndexCache:
         with mock.patch.object(embeddings, "_read_header", side_effect=AssertionError):
             store = load_embeddings(path)
         with mock.patch.object(NgramIndex, "__init__", refuse_build):
-            warm = oov.build_ngram_index(store, strat)
+            warm = oov.build_ngram_index(store)
         assert_same_index(warm, NgramIndex(tokens))
 
     def test_vectors_only_rewrite_rebuilds_once(self, tmp_path):
         path = tmp_path / "emb.txt"
         tokens = ["bond", "bonds", "swap", "Swaption"]
         save_embeddings(make_store(tokens, seed=0), path)
-        strat = OOVStrategy("ngram")
-        oov.build_ngram_index(load_embeddings(path), strat)
+        oov.build_ngram_index(load_embeddings(path))
         save_embeddings(make_store(tokens, seed=1), path)
         store = load_embeddings(path)
-        index = oov.build_ngram_index(store, strat)
+        index = oov.build_ngram_index(store)
         assert_same_index(index, NgramIndex(tokens))
         with np.load(index_file(store)) as archive:
             assert archive["sha256"].tobytes() == store.sha256
         with mock.patch.object(NgramIndex, "__init__", refuse_build):
-            assert_same_index(oov.build_ngram_index(load_embeddings(path), strat), index)
+            assert_same_index(oov.build_ngram_index(load_embeddings(path)), index)
 
     @pytest.mark.parametrize("variant", ["zero", "levenshtein"])
     def test_other_variants_write_no_index(self, tmp_path, variant):
@@ -762,8 +726,8 @@ class TestNgramIndexCache:
                 timeout=60,
             )
         assert proc.returncode == 0, proc.stderr
-        cached = "emb.txt" + oov.INDEX_SUFFIX.format(3, 6)
-        assert not os.path.exists("/dev/stdin" + oov.INDEX_SUFFIX.format(3, 6))
+        cached = "emb.txt" + oov.INDEX_SUFFIX
+        assert not os.path.exists("/dev/stdin" + oov.INDEX_SUFFIX)
         # A pipe is indexed in memory; a redirected file caches beside itself.
         if source == "pipe":
             assert proc.stdout == b"None bond\n"

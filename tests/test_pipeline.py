@@ -35,6 +35,8 @@ from finhyp.pipeline import (
 )
 from finhyp.synth import generate, write_dataset
 
+from conftest import RETIRED_SETTINGS
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -114,7 +116,7 @@ class TestConfig:
         assert cfg.c_grid == (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
         assert cfg.folds == 5
         assert cfg.oov_strategy == "zero"
-        assert len(cfg.indicators) == 7
+        assert len(dataclasses.fields(cfg)) == 16
 
     def test_validation(self):
         with pytest.raises(ValueError, match="one of zero, levenshtein, ngram, got 'nope'"):
@@ -125,10 +127,6 @@ class TestConfig:
             PipelineConfig(c_grid=(-1.0,))
         with pytest.raises(ValueError):
             PipelineConfig(folds=1)
-        with pytest.raises(ValueError):
-            PipelineConfig(ngram_min=5, ngram_max=3)
-        with pytest.raises(ValueError):
-            PipelineConfig(min_match_score=1.5)
         with pytest.raises(ValueError, match="out_dir must not be empty"):
             PipelineConfig(out_dir="")
 
@@ -161,6 +159,12 @@ class TestConfig:
     def test_from_dict_unknown_key(self):
         with pytest.raises(DataError, match="unknown config keys: typo"):
             config_from_dict({"typo": 1})
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_SETTINGS))
+    def test_from_dict_retired_key(self, key):
+        # fixed frontend settings are not configurable, even at their value
+        with pytest.raises(DataError, match=f"unknown config keys: {key}$"):
+            config_from_dict({key: RETIRED_SETTINGS[key]})
 
     def test_from_dict_tuple_coercion(self):
         cfg = config_from_dict({"c_grid": [0.1, 1.0], "labels": ["a", "b"]})
@@ -379,6 +383,16 @@ class TestTrainPredict:
         fe = json.loads(open(run.paths["frontend"]).read())
         assert fe["oov_strategy"] == "ngram"
         assert fe["embedding_dim"] == 8
+        assert sorted(fe) == [
+            "augment",
+            "cosine_features",
+            "edit_features",
+            "embedding_dim",
+            "handcrafted",
+            "labels",
+            "oov_strategy",
+            "scaler",
+        ]
         assert fe["labels"] == list(run.model.labels)
         assert len(fe["scaler"]["mins"]) == len(fe["scaler"]["maxs"])
         # model.txt holds exactly model_text of the model, and no temp file stays
@@ -491,8 +505,8 @@ class TestFrontendJson:
 
     def test_missing_key(self, synth_dir, tmp_path, trained, capsys):
         cfg, out, _ = trained
-        model_dir = self.tampered(out, tmp_path, lambda fe: fe.pop("ngram_min"))
-        with pytest.raises(DataError, match="missing keys: ngram_min"):
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.pop("oov_strategy"))
+        with pytest.raises(DataError, match="missing keys: oov_strategy"):
             run_predict(
                 dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
                 model_dir,
@@ -500,7 +514,7 @@ class TestFrontendJson:
             )
         code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path)
         assert code == 2
-        assert "ngram_min" in capsys.readouterr().err
+        assert "oov_strategy" in capsys.readouterr().err
 
     def test_bad_recorded_value(self, synth_dir, tmp_path, trained, capsys):
         cfg, out, _ = trained
@@ -519,9 +533,9 @@ class TestFrontendJson:
 
     def test_wrong_recorded_type(self, synth_dir, tmp_path, trained):
         cfg, out, _ = trained
-        model_dir = self.tampered(out, tmp_path, lambda fe: fe.update(ngram_min=2.5))
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.update(handcrafted=1))
         before = sorted(os.listdir(synth_dir))
-        with pytest.raises(DataError, match="frontend.json: config key 'ngram_min'"):
+        with pytest.raises(DataError, match="frontend.json: config key 'handcrafted'"):
             run_predict(
                 dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
                 model_dir,
@@ -546,13 +560,66 @@ class TestFrontendJson:
         with open(same.path, "rb") as a, open(other.path, "rb") as b:
             assert a.read() == b.read()
 
-    def test_indicator_count_error(self, synth_dir, tmp_path):
-        cfg = apply_preset(
-            base_cfg(synth_dir, tmp_path, indicators=("Inc.", "Corp", "Ltd")),
-            "BL.HF",
+    @pytest.mark.parametrize("labels", [5, None])
+    def test_wrong_label_type(self, synth_dir, tmp_path, trained, capsys, labels):
+        cfg, out, _ = trained
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.update(labels=labels))
+        with pytest.raises(DataError, match="frontend.json: config key 'labels'"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path / "o")
+        assert code == 2
+        assert "config key 'labels' must be a list of strings" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_retired_keys_at_fixed_values(self, synth_dir, tmp_path, trained):
+        # a model directory from a release that recorded the n-gram range,
+        # the indicators and the match threshold predicts the same bytes
+        cfg, out, _ = trained
+        model_dir = self.tampered(
+            out, tmp_path, lambda fe: fe.update(RETIRED_SETTINGS)
         )
-        with pytest.raises(DataError, match="exactly 7 indicator substrings"):
-            run_cv(cfg, synth_dir / "terms.csv")
+        runs = {}
+        for name, model in [("new", out), ("old", model_dir)]:
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / name)),
+                model,
+                synth_dir / "terms.csv",
+            )
+            runs[name] = (tmp_path / name / "predictions.jsonl").read_bytes()
+        assert runs["old"] == runs["new"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("indicators", RETIRED_SETTINGS["indicators"][:6] + ["Swap"]),
+            ("min_match_score", 0.3),
+            ("ngram_max", 5),
+            ("ngram_min", 2),
+        ],
+        ids=sorted(RETIRED_SETTINGS),
+    )
+    def test_retired_key_at_other_value(
+        self, synth_dir, tmp_path, trained, capsys, key, value
+    ):
+        # that model's feature rows can no longer be rebuilt
+        cfg, out, _ = trained
+        model_dir = self.tampered(out, tmp_path, lambda fe: fe.update({key: value}))
+        with pytest.raises(DataError, match=f"frontend.json: {key} .* cannot be"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path / "o")
+        assert code == 2
+        assert f"frontend.json: {key} {json.dumps(value)} cannot be replayed" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "o").exists()
 
 
 def refuse_parse(*args):
@@ -589,7 +656,7 @@ class TestStoreSidecar:
             assert cold and cold == (tmp_path / "warm" / name).read_bytes()
 
 
-INDEX_3_6 = "embeddings.txt" + oov.INDEX_SUFFIX.format(3, 6)
+INDEX_3_6 = "embeddings.txt" + oov.INDEX_SUFFIX
 PACK = "embeddings.txt" + oov.PACK_SUFFIX
 
 
@@ -780,9 +847,11 @@ class TestAugmentRuns:
         csv_path = tmp_path / "d.csv"
         csv_path.write_text("term\nswap\nbond\n")
 
+        made = []
+
         class StubFetcher:
-            def __init__(self, cfg):
-                self.cfg = cfg
+            def __init__(self, *args):
+                made.append(args)
 
             def __call__(self, term):
                 if term == "bond":
@@ -794,8 +863,11 @@ class TestAugmentRuns:
             out_dir=str(tmp_path),
             fetcher_base_url="http://defs.test/api",
             fetcher_rate_limit=0.0,
+            fetcher_timeout=2.5,
+            fetcher_user_agent="probe/1",
         )
         snap_path, count, failures = run_augment_fetch(cfg, csv_path)
+        assert made == [("http://defs.test/api", 2.5, "probe/1")]
         assert count == 1
         assert failures == 0
         assert json.loads(open(snap_path).read()) == {
