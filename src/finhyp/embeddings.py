@@ -1,5 +1,9 @@
 """Word2vec text-format embedding store with OOV-aware term embedding.
 
+The text is parsed in one pass, in chunks of lines whose values numpy's C
+parser reads, split at any whitespace str.split() splits at; only a chunk
+with a defect is walked line by line, with str.split() and float().
+
 A store is immutable after load; lookups are read-only and safe to run from
 multiple workers. Multi-word terms embed as the sum of their token vectors,
 read from a ``TokenTable``: one per run, mapping each distinct token of the
@@ -108,12 +112,12 @@ def load_embeddings(path) -> EmbeddingStore:
     "<token> <floats...>" row per line, UTF-8.
 
     A regular file whose sidecar (see the module docstring) matches its
-    SHA-256 loads from the sidecar; otherwise the text is parsed, and the
-    parsed store written to the sidecar. Bodies whose rows are single-space
-    separated are parsed by numpy's C parser; any other body is parsed
-    again, from its first line, by the per-line loop, which alone raises
-    EmbeddingFormatError for the body. A stream that cannot seek (a pipe)
-    is read into memory first.
+    SHA-256 loads from the sidecar; otherwise the text is parsed once, and
+    the parsed store written to the sidecar. numpy's C parser reads rows
+    separated, and ended, by any whitespace str.split() accepts (word2vec's
+    and fastText's rows end with a space); only a chunk with a defect is
+    walked line by line, raising EmbeddingFormatError at its first bad
+    line. A stream that cannot seek (a pipe) is read into memory first.
     """
     with open(path, encoding="utf-8") as fh:
         key = None
@@ -137,11 +141,7 @@ def load_embeddings(path) -> EmbeddingStore:
             # character, and dim separators, so the byte count bounds the
             # rows whatever the header claims.
             rows = count if size is None else min(count, size // (2 * dim + 1))
-            body = fh.tell()
-            store = _parse_body_fast(fh, count, dim, rows)
-            if store is None:
-                fh.seek(body)
-                store = _parse_body(fh, count, dim, rows)
+            store = _parse_body(fh, count, dim, rows)
         except UnicodeDecodeError as err:
             raise _not_utf8(fh, err) from None
         if key is not None:
@@ -207,78 +207,65 @@ def _write_sidecar(real: str, digest: bytes, store: EmbeddingStore) -> None:
 
 def _read_header(fh) -> tuple[int, int]:
     header = fh.readline()
-    parts = header.split()
-    if len(parts) != 2:
-        raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
     try:
-        count, dim = int(parts[0]), int(parts[1])
+        count, dim = map(int, header.split())
+        if count < 0 or dim < 1:
+            raise ValueError
     except ValueError:
         raise EmbeddingFormatError(
             f"line 1: malformed header {header.strip()!r}"
         ) from None
-    if count < 0 or dim < 1:
-        raise EmbeddingFormatError(f"line 1: malformed header {header.strip()!r}")
     return count, dim
 
 
-def _parse_body_fast(fh, count: int, dim: int, rows: int) -> EmbeddingStore | None:
-    """The store np.loadtxt reads from the body, or None when some line is
-    not "<token> <float> ... <float>" with single spaces, or the rows do
-    not make a valid store of count x dim.
-
-    Whatever np.loadtxt accepts here, str.split() and float() read as the
-    same token and values, so the result equals _parse_body's.
-    """
-    tokens: list[str] = []
-    vectors = np.empty((rows, dim), dtype=np.float64)
-    n = 0
-    while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
-        pairs = [line.split(" ", 1) for line in chunk]
-        if min(map(len, pairs)) < 2:
-            return None
-        heads = [p[0] for p in pairs]
-        rests = [p[1] for p in pairs]
-        # str.split() would cut a token holding whitespace; loadtxt skips
-        # (and warns on) a blank rest where the loop sees a short row.
-        if "" in heads or _WHITESPACE.search("".join(heads)):
-            return None
-        if "\n" in rests or "" in rests:
-            return None
-        try:
-            block = np.loadtxt(
-                rests,
-                dtype=np.float64,
-                delimiter=" ",
-                comments=None,
-                quotechar=None,
-                ndmin=2,
-            )
-        except ValueError:
-            return None
-        if block.shape != (len(chunk), dim) or n + len(chunk) > rows:
-            return None
-        vectors[n : n + len(chunk)] = block
-        tokens.extend(heads)
-        n += len(chunk)
-    if n != count:
-        return None
-    try:
-        # Duplicate tokens and non-finite values are refused here.
-        return EmbeddingStore(tokens, vectors)
-    except ValueError:
-        return None
-
-
 def _parse_body(fh, count: int, dim: int, rows: int) -> EmbeddingStore:
-    """Parse the body line by line, raising on the first bad line."""
+    """Parse the body in chunks of _CHUNK_LINES lines, raising on the first
+    bad line: _read_block reads the rests after each line's token, and _walk
+    a chunk that it refuses or that holds a blank or short row, a duplicate
+    token or a row beyond the header count."""
     tokens: list[str] = []
     seen: set[str] = set()
     vectors = np.empty((rows, dim), dtype=np.float64)
-    n = 0
-    for lineno, line in enumerate(fh, start=2):
-        if line.strip() == "":
-            continue
+    lineno = 2
+    while chunk := list(itertools.islice(fh, _CHUNK_LINES)):
+        n, pairs = len(tokens), [line.split(None, 1) for line in chunk]
+        block = None
+        if n + len(pairs) <= count and min(map(len, pairs)) == 2:
+            heads = {p[0] for p in pairs}
+            if len(heads) == len(pairs) and seen.isdisjoint(heads):
+                block = _read_block([p[1] for p in pairs], dim)
+        if block is None:
+            _walk(chunk, lineno, count, dim, tokens, seen, vectors)
+        else:
+            vectors[n : n + len(pairs)] = block
+            tokens.extend(p[0] for p in pairs)
+            seen |= heads
+        lineno += len(chunk)
+    del seen  # before the store builds its own index of the tokens
+    if len(tokens) != count:
+        raise EmbeddingFormatError(f"expected {count} rows, found {len(tokens)}")
+    return EmbeddingStore(tokens, vectors)
+
+
+def _read_block(rests: list[str], dim: int) -> np.ndarray | None:
+    """np.loadtxt's rows of rests, split at whitespace as str.split() splits,
+    or None unless they are len(rests) rows of dim finite values."""
+    try:
+        block = np.loadtxt(rests, delimiter=None, comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    ok = block.shape == (len(rests), dim) and np.isfinite(block).all()
+    return block if ok else None
+
+
+def _walk(lines, lineno: int, count: int, dim: int, tokens, seen, vectors) -> None:
+    """Add the rows of lines, the body lines from lineno on, to tokens, seen
+    and vectors, reading each line with str.split() and float(); raises on
+    the first bad line."""
+    for lineno, line in enumerate(lines, start=lineno):
         fields = line.split()
+        if not fields:
+            continue
         token, values = fields[0], fields[1:]
         if len(values) != dim:
             raise EmbeddingFormatError(
@@ -286,7 +273,7 @@ def _parse_body(fh, count: int, dim: int, rows: int) -> EmbeddingStore:
             )
         if token in seen:
             raise EmbeddingFormatError(f"line {lineno}: duplicate token {token!r}")
-        if n >= count:
+        if len(tokens) >= count:
             raise EmbeddingFormatError(
                 f"line {lineno}: more rows than header count {count}"
             )
@@ -300,13 +287,9 @@ def _parse_body(fh, count: int, dim: int, rows: int) -> EmbeddingStore:
             raise EmbeddingFormatError(
                 f"line {lineno}: non-finite value in row {token!r}"
             )
+        vectors[len(tokens)] = row
         seen.add(token)
         tokens.append(token)
-        vectors[n] = row
-        n += 1
-    if n != count:
-        raise EmbeddingFormatError(f"expected {count} rows, found {n}")
-    return EmbeddingStore(tokens, vectors)
 
 
 def _not_utf8(fh, err: UnicodeDecodeError) -> EmbeddingFormatError:

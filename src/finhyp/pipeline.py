@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 from .augment import (
@@ -140,6 +141,13 @@ class PipelineConfig:
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite_numbers(value) -> bool:
+    """A JSON list of numbers that float64 holds as finite values."""
+    return isinstance(value, list) and all(
+        _number(v) and abs(v) <= sys.float_info.max for v in value
+    )
 
 
 # What a JSON value must be for each field annotation, and its description.
@@ -497,20 +505,28 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
         raise DataError(f"{frontend_path}: {err}") from None
     if recorded.labels != model.labels:
         raise DataError("label set mismatch between model.txt and frontend.json")
+    trained_dim, state = frontend["embedding_dim"], frontend["scaler"]
+    if not _JSON_TYPES["int"][0](trained_dim):
+        raise DataError(
+            f"{frontend_path}: embedding_dim must be an integer, "
+            f"got {json.dumps(trained_dim)}"
+        )
+    bounds = state if isinstance(state, dict) else {}
+    mins, maxs = bounds.get("mins"), bounds.get("maxs")
+    if not (_finite_numbers(mins) and _finite_numbers(maxs) and len(mins) == len(maxs)):
+        raise DataError(
+            f"{frontend_path}: scaler mins and maxs must be equal-length "
+            "lists of finite numbers"
+        )
     cfg = dataclasses.replace(
         cfg, **{key: getattr(recorded, key) for key in FRONTEND_FIELDS}
     )
 
     terms, _ = load_terms(terms_path)
     matrix, _, dim, _ = _features(cfg, terms)
-    if dim != frontend["embedding_dim"]:
-        raise DataError(
-            f"embedding dim {dim} != trained dim {frontend['embedding_dim']}"
-        )
-    try:
-        scaler = MinMaxScaler.from_state(frontend["scaler"])
-    except (KeyError, TypeError, ValueError) as err:
-        raise DataError(f"bad scaler state: {err}") from None
+    if dim != trained_dim:
+        raise DataError(f"embedding dim {dim} != trained dim {trained_dim}")
+    scaler = MinMaxScaler.from_state(state)
     if scaler.n_features != matrix.shape[1]:
         raise DataError(
             f"feature width {matrix.shape[1]} != trained width {scaler.n_features}"

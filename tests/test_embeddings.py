@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finhyp import embeddings
@@ -93,14 +93,15 @@ class TestLoad:
             load_embeddings(write(tmp_path, "1000000000000 300\nab 1 2 3\n"))
 
     # The file is decoded in blocks, so a small file fails while its header is
-    # read; past the first block the fast path or the loop meets the byte.
+    # read; past the first block the byte is met after chunks that numpy read,
+    # or after a chunk walked line by line (its 1_0 only float() reads).
     @pytest.mark.parametrize(
         "body, lineno",
         [
             (b"ab\xff 1 2\ncd 1 2\n", 2),
             (b"ab 1 2\r\ncd 1 2\rx\xc3 1 2\n", 4),
             (CLEAN_ROWS + b"z\xff 1 2\n", 3002),
-            (b"ab  1 2\n" + CLEAN_ROWS + b"z\xff 1 2\n", 3003),
+            (b"ab 1_0 2\n" + CLEAN_ROWS + b"z\xff 1 2\n", 3003),
         ],
         ids=["header-read", "universal-newlines", "fast-path", "loop"],
     )
@@ -250,9 +251,12 @@ def store_texts(draw):
 
 
 class TestLoadOracle:
-    # np.loadtxt warns on a block of blank lines; the fast path never hands it one.
+    # np.loadtxt warns on a block of blank lines; the parser never hands it one.
     @pytest.mark.filterwarnings("error::UserWarning")
     @given(text=store_texts(), chunk=st.sampled_from([1, 2, 3, 512]))
+    # word2vec's and fastText's rows end with a space; some stores use tabs
+    @example(text="3 2\na 1 0 \nb 0 1 \nc 2 2 \n", chunk=2)
+    @example(text="3 2\na\t1\t0\nb\t0\t1\nc\t2\t2\n", chunk=2)
     @settings(
         max_examples=500,
         deadline=None,
@@ -273,14 +277,27 @@ class TestLoadOracle:
         save_embeddings(store, saved)
         fixed = write(tmp_path, "3 2\na 1 -2.5\nb 1e-3 .5\nc 0.000000 7\n")
 
-        def refuse(*args):
-            raise AssertionError("fast path fell back")
-
-        monkeypatch.setattr(embeddings, "_parse_body", refuse)
+        monkeypatch.setattr(embeddings, "_walk", refuse_walk)
         for path in (saved, fixed):
             assert outcome(load_embeddings, path) == outcome(
                 reference_load_embeddings, path
             )
+
+    @pytest.mark.parametrize(
+        "layout",
+        [lambda row: row + " ", lambda row: row.replace(" ", "\t")],
+        ids=["trailing-space", "tabs"],
+    )
+    def test_other_whitespace_never_reaches_the_loop(self, tmp_path, monkeypatch, layout):
+        tokens = [f"tok{i}" for i in range(1100)] + ["café", "漢字"]
+        store = EmbeddingStore(tokens, np.random.default_rng(4).normal(size=(1102, 3)))
+        saved = tmp_path / "saved.txt"
+        save_embeddings(store, saved)
+        header, *rows = saved.read_text(encoding="utf-8").splitlines()
+        path = write(tmp_path, "\n".join([header] + [layout(r) for r in rows]) + "\n")
+        monkeypatch.setattr(embeddings, "_walk", refuse_walk)
+        got = outcome(load_embeddings, path)
+        assert got == (store.vocab, store.vectors.shape, store.vectors.tobytes())
 
     def test_fifo_without_fast_path(self, tmp_path):
         got = load_through_fifo(tmp_path, b"2 2\na 1 0\nb  0 1\n")
@@ -299,12 +316,13 @@ class TestLoadOracle:
         assert got == ("error", "expected 1000000000000 rows, found 1")
 
     def test_clean_fifo_never_reaches_the_loop(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("fast path fell back")
-
-        monkeypatch.setattr(embeddings, "_parse_body", refuse)
+        monkeypatch.setattr(embeddings, "_walk", refuse_walk)
         got = load_through_fifo(tmp_path, b"2 2\na 1 0\nb 0 1\n")
         assert got == (["a", "b"], (2, 2), np.eye(2).tobytes())
+
+
+def refuse_walk(*args):
+    raise AssertionError("a chunk was walked line by line")
 
 
 def load_through_fifo(tmp_path, data):
@@ -437,9 +455,24 @@ class TestSidecar:
         assert store.vocab == ["a", "b"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
 
+    def test_file_bytes_pinned(self, tmp_path):
+        # A sidecar written by an earlier release loads only while a parse
+        # writes the same bytes: a change to the arrays, their order or their
+        # dtypes must bump _SIDECAR_VERSION and this digest. The rows end with
+        # a space, as word2vec's and fastText's do.
+        text = (
+            "4 3\nbond 0.1 -2.5 1e-3 \nswap .5 7 -0.0 \n"
+            "Swaption 1e+300 2.5e-320 3 \n中é- 0.000000 +1 -7 \n"
+        )
+        load_embeddings(write(tmp_path, text))
+        digest = hashlib.sha256(sidecar_of(tmp_path / "emb.txt").read_bytes())
+        assert digest.hexdigest() == (
+            "41f916b4d0c4eedd31f2ce03e2dcea0b3fe93487ac0d0f1c9cd9d0bc1edcefa4"
+        )
+
     def test_file_changed_during_parse_not_cached(self, tmp_path, monkeypatch):
         path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
-        parse = embeddings._parse_body_fast
+        parse = embeddings._parse_body
 
         def parse_then_append(fh, *args):
             store = parse(fh, *args)
@@ -447,7 +480,7 @@ class TestSidecar:
                 out.write("c 1 1\n")
             return store
 
-        monkeypatch.setattr(embeddings, "_parse_body_fast", parse_then_append)
+        monkeypatch.setattr(embeddings, "_parse_body", parse_then_append)
         store = load_embeddings(path)
         assert store.vocab == ["a", "b"]
         assert store.path is None and store.sha256 is None

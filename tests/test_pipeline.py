@@ -575,6 +575,62 @@ class TestFrontendJson:
         assert "config key 'labels' must be a list of strings" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def assert_refused(self, synth_dir, tmp_path, trained, capsys, edit, message):
+        cfg, out, _ = trained
+        model_dir = self.tampered(out, tmp_path, edit)
+        with pytest.raises(DataError, match=f"frontend.json: {message}"):
+            run_predict(
+                dataclasses.replace(cfg, out_dir=str(tmp_path / "o")),
+                model_dir,
+                synth_dir / "terms.csv",
+            )
+        code = self.predict_cli(cfg, model_dir, synth_dir / "terms.csv", tmp_path / "o")
+        assert code == 2
+        assert f"frontend.json: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("dim", ["8", True, 8.0], ids=["str", "bool", "float"])
+    def test_wrong_embedding_dim_type(self, synth_dir, tmp_path, trained, capsys, dim):
+        # "8" is the store's dim as a string; it is refused before any dim compare
+        self.assert_refused(
+            synth_dir, tmp_path, trained, capsys,
+            lambda fe: fe.update(embedding_dim=dim),
+            f"embedding_dim must be an integer, got {json.dumps(dim)}",
+        )
+
+    @pytest.mark.parametrize(
+        "bound, value",
+        [("mins", "1"), ("mins", True), ("maxs", None), ("maxs", math.nan),
+         ("mins", -math.inf), ("maxs", 10**400)],
+        ids=["str", "bool", "null", "nan", "-inf", "huge-int"],
+    )
+    def test_scaler_bound_not_finite_number(
+        self, synth_dir, tmp_path, trained, capsys, bound, value
+    ):
+        def edit(fe):
+            fe["scaler"][bound][1] = value
+
+        self.assert_refused(
+            synth_dir, tmp_path, trained, capsys, edit, "scaler mins and maxs must be"
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda fe: fe.update(scaler=[0.0]),
+            lambda fe: fe["scaler"].pop("maxs"),
+            lambda fe: fe["scaler"].update(maxs=1.0),
+            lambda fe: fe["scaler"]["maxs"].append(1.0),
+        ],
+        ids=["not-object", "no-maxs", "maxs-number", "lengths"],
+    )
+    def test_scaler_bounds_not_aligned_lists(
+        self, synth_dir, tmp_path, trained, capsys, edit
+    ):
+        self.assert_refused(
+            synth_dir, tmp_path, trained, capsys, edit, "scaler mins and maxs must be"
+        )
+
     def test_retired_keys_at_fixed_values(self, synth_dir, tmp_path, trained):
         # a model directory from a release that recorded the n-gram range,
         # the indicators and the match threshold predicts the same bytes
