@@ -14,13 +14,28 @@ Loading a regular file keeps a binary copy of the parsed store beside it,
 symlinks). The copy is an uncompressed numpy archive of the tokens (UTF-8,
 newline-joined), the float64 vectors, a format version and the SHA-256 of
 the store's bytes, so it takes about 8 x rows x dim bytes plus the tokens.
-A later load hashes the store and uses the copy only if its version and
-digest match; the vectors are the same bits either way. Nothing is written
-for a pipe or other non-regular file, for a store that fails to load, for a
-file that changed while it was parsed, or when the write itself fails (a
+A later load uses the copy only if its version and digest match the
+store's; the vectors are the same bits either way. Nothing is written for a
+pipe or other non-regular file, for a store that fails to load, for a file
+that changed while it was parsed, or when the write itself fails (a
 read-only directory, a full disk); the load succeeds regardless. A missing,
 stale or unreadable copy just means the text is parsed again, so deleting
 it is always safe.
+
+The digest comes from a one-line record beside the store,
+``<store>.finhyp-stat``, when the record's stat of the store (device,
+inode, size, mtime and ctime, in nanoseconds) equals the open file's;
+otherwise the store is hashed. A load that hashes the store and succeeds
+writes the record only if the file's stat did not change while it was
+hashed and its ctime is at least _STAT_MARGIN_NS older than the hash's
+start. No call can set a file's ctime, and the kernel sets it on every
+write, so a store written to after its record was written never matches
+the record; a store written less than the margin ago is hashed on every
+load, as a write within the same clock tick could leave its stat
+unchanged. The rule holds while the filesystem's clock and this host's
+agree to within the margin (a network filesystem sets ctime by the
+server's clock). A spoiled, foreign or stale record is ignored, and
+replaced after the next hash; deleting it is always safe.
 
 A store loaded from a regular file, parsed or from the sidecar, records
 that file's path after symlinks as ``EmbeddingStore.path`` and the SHA-256
@@ -39,6 +54,7 @@ import os
 import re
 import stat
 import string
+import time
 from collections import Counter
 
 import numpy as np
@@ -54,6 +70,14 @@ SIDECAR_SUFFIX = ".finhyp-cache.npz"
 # Bump when the sidecar's layout or the parse it records changes.
 _SIDECAR_VERSION = 1
 _HASH_BLOCK = 1 << 20
+
+STAT_SUFFIX = ".finhyp-stat"
+# The record's first fields; bump the version when its line changes.
+_STAT_TAG = "finhyp-stat 1"
+# How much older than a hash's start a store's ctime must be for the hash
+# to be recorded against the store's stat.
+_STAT_MARGIN_NS = 1_000_000_000
+_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}\n")
 
 
 class EmbeddingFormatError(ValueError):
@@ -113,50 +137,63 @@ def load_embeddings(path) -> EmbeddingStore:
 
     A regular file whose sidecar (see the module docstring) matches its
     SHA-256 loads from the sidecar; otherwise the text is parsed once, and
-    the parsed store written to the sidecar. numpy's C parser reads rows
-    separated, and ended, by any whitespace str.split() accepts (word2vec's
-    and fastText's rows end with a space); only a chunk with a defect is
-    walked line by line, raising EmbeddingFormatError at its first bad
-    line. A stream that cannot seek (a pipe) is read into memory first.
+    the parsed store written to the sidecar. The SHA-256 is read from the
+    stat record beside the file when that holds the file's current stat,
+    and is computed from the file's bytes, and then recorded if the file is
+    old enough, otherwise. numpy's C parser reads rows separated, and
+    ended, by any whitespace str.split() accepts (word2vec's and fastText's
+    rows end with a space); only a chunk with a defect is walked line by
+    line, raising EmbeddingFormatError at its first bad line. A stream that
+    cannot seek (a pipe) is read into memory first.
     """
     with open(path, encoding="utf-8") as fh:
-        key = None
+        key = store = None
         if fh.seekable():
             st = os.fstat(fh.fileno())
             size = st.st_size if stat.S_ISREG(st.st_mode) else None
             if size is not None:
                 key = _store_key(path, fh, st)
             if key is not None:
-                store = _read_sidecar(*key)
-                if store is not None:
-                    store.path, store.sha256 = key
-                    return store
+                real, digest, to_record = key
+                store = _read_sidecar(real, digest)
         else:
             data = fh.buffer.read()
             size = len(data)
             fh = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-        try:
-            count, dim = _read_header(fh)
-            # A row holds at least a token and dim values, each of one
-            # character, and dim separators, so the byte count bounds the
-            # rows whatever the header claims.
-            rows = count if size is None else min(count, size // (2 * dim + 1))
-            store = _parse_body(fh, count, dim, rows)
-        except UnicodeDecodeError as err:
-            raise _not_utf8(fh, err) from None
-        if key is not None:
-            now = os.fstat(fh.fileno())
-            # The digest was taken before the parse; a file written to since
-            # may not hold what was parsed.
-            if (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns):
-                store.path, store.sha256 = key
-                _write_sidecar(*key, store)
+        if store is None:
+            try:
+                count, dim = _read_header(fh)
+                # A row holds at least a token and dim values, each of one
+                # character, and dim separators, so the byte count bounds
+                # the rows whatever the header claims.
+                rows = count if size is None else min(count, size // (2 * dim + 1))
+                store = _parse_body(fh, count, dim, rows)
+            except UnicodeDecodeError as err:
+                raise _not_utf8(fh, err) from None
+            # The digest is of the file as it was before the parse; a file
+            # written to since may not hold what was parsed.
+            if key is None or _stat_key(os.fstat(fh.fileno())) != _stat_key(st):
+                return store
+            _write_sidecar(real, digest, store)
+        store.path, store.sha256 = real, digest
+        if to_record:
+            _write_stat(real, _stat_key(st), digest)
         return store
 
 
-def _store_key(path, fh, st) -> tuple[str, bytes] | None:
-    """(path after symlinks, SHA-256 of the file) when that path names the
-    regular file open as fh, else None; fh is left at its start.
+def _stat_key(st) -> tuple[int, ...]:
+    """The stat fields a write to the file changes (ctime always), with the
+    device and inode that name it."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _store_key(path, fh, st) -> tuple[str, bytes, bool] | None:
+    """(path after symlinks, SHA-256 of the file, whether to record that
+    digest against st) when that path names the regular file open as fh
+    and stat as st, else None; fh is left at its start. The digest is the
+    stat record's when it records st; otherwise the file is hashed, and
+    the digest is to be recorded if st is old enough and did not change
+    during the hash (see the module docstring).
 
     Resolving the path puts the sidecar beside the file itself, so a store
     opened as /dev/stdin or /proc/self/fd/N never writes under /dev."""
@@ -167,11 +204,45 @@ def _store_key(path, fh, st) -> tuple[str, bytes] | None:
         return None
     if (named.st_dev, named.st_ino) != (st.st_dev, st.st_ino):
         return None
+    key = _stat_key(st)
+    recorded = _read_stat(real, key)
+    if recorded is not None:
+        return real, recorded, False
+    start = time.time_ns()
     digest = hashlib.sha256()
     while block := fh.buffer.read(_HASH_BLOCK):
         digest.update(block)
     fh.seek(0)
-    return real, digest.digest()
+    old = st.st_ctime_ns <= start - _STAT_MARGIN_NS
+    return real, digest.digest(), old and _stat_key(os.fstat(fh.fileno())) == key
+
+
+def _stat_head(key: tuple[int, ...]) -> bytes:
+    """The stat record's line for a file of stat key, up to its digest."""
+    return " ".join([_STAT_TAG, *map(str, key), ""]).encode("ascii")
+
+
+def _read_stat(real: str, key: tuple[int, ...]) -> bytes | None:
+    """The digest the stat record of the file at real holds if it records
+    stat key, else None, as for a record that is absent or spoiled."""
+    try:
+        with open(real + STAT_SUFFIX, "rb") as fh:
+            line = fh.read(512)
+    except OSError:
+        return None
+    head = _stat_head(key)
+    if line.startswith(head) and _HEX_DIGEST.fullmatch(line, len(head)):
+        return bytes.fromhex(line[len(head) : -1].decode("ascii"))
+    return None
+
+
+def _write_stat(real: str, key: tuple[int, ...], digest: bytes) -> None:
+    """Write the stat record, ignoring a failed write as write_cache does."""
+    line = _stat_head(key).decode("ascii") + digest.hex() + "\n"
+    try:
+        atomic_write(real + STAT_SUFFIX, line)
+    except OSError:
+        pass
 
 
 def _sidecar_records(digest: bytes) -> dict:

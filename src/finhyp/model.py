@@ -66,7 +66,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.c_grid = tuple(float(c) for c in self.c_grid)
+        self.c_grid = tuple(map(as_float, self.c_grid))
         if not self.c_grid:
             raise ValueError("empty C grid")
         for c in self.c_grid:
@@ -111,6 +111,15 @@ class LogRegModel:
     @property
     def dim(self) -> int:
         return self.weights.shape[1]
+
+
+def as_float(x) -> float:
+    """float(x), with an int beyond float64's range taken as +-inf, so a
+    finiteness check refuses it rather than float() raise OverflowError."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _check_c(c) -> None:

@@ -36,6 +36,7 @@ from .model import (
     DEFAULT_C_GRID,
     LogRegModel,
     TrainConfig,
+    as_float,
     grid_search,
     load_model,
     model_text,
@@ -130,7 +131,7 @@ class PipelineConfig:
         TrainConfig(c_grid=self.c_grid, folds=self.folds, seed=self.seed)
         # a negative or NaN timeout fails every fetch, and a NaN or negative
         # rate turns throttling off
-        timeout, rate = self.fetcher_timeout, self.fetcher_rate_limit
+        timeout, rate = map(as_float, (self.fetcher_timeout, self.fetcher_rate_limit))
         if not (math.isfinite(timeout) and timeout > 0):
             raise ValueError("fetcher_timeout must be finite and positive")
         if not (math.isfinite(rate) and rate >= 0):

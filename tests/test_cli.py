@@ -10,7 +10,7 @@ import pytest
 
 import finhyp
 from finhyp.cli import FETCHER_URL_ENV, main
-from finhyp.embeddings import SIDECAR_SUFFIX
+from finhyp.embeddings import SIDECAR_SUFFIX, STAT_SUFFIX
 from finhyp.oov import INDEX_SUFFIX, PACK_SUFFIX
 from finhyp.pipeline import PRESETS
 
@@ -359,6 +359,36 @@ class TestDataErrors:
             "error: bad config: C grid repeats a value: (1.0, 1.0)\n"
         )
         assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("fetcher_timeout", "fetcher_timeout must be finite and positive"),
+            ("fetcher_rate_limit", "fetcher_rate_limit must be finite and >= 0"),
+            ("c_grid", "C must be finite and positive, got inf"),
+        ],
+    )
+    def test_int_beyond_float_range_exits_2(self, synth_dir, tmp_path, capsys, key, message):
+        # json.load reads 1e400 written as an integer as a Python int, which
+        # float() and math.isfinite cannot convert
+        huge = "1" + "0" * 400
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"%s": %s}' % (key, f"[{huge}]" if key == "c_grid" else huge))
+        code = main(
+            [
+                "cv",
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(synth_dir / "embeddings.txt"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: bad config: {message}\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -761,10 +791,13 @@ SRC_DIR = os.path.dirname(os.path.dirname(finhyp.__file__))
 WRITE_EVERY_ARTIFACT = """
 import dataclasses
 import sys
+from finhyp import embeddings
 from finhyp.augment import DefinitionDict
 from finhyp.pipeline import PipelineConfig, run_cv, run_inspect_oov, run_train
 from finhyp.synth import generate, write_dataset
 
+# the store's stat is recorded at its first load, however young it is
+embeddings._STAT_MARGIN_NS = -sys.maxsize
 out = sys.argv[1]
 csv_path, emb_path = write_dataset(generate(3, 36, seed=5, dim=8), out)
 cfg = PipelineConfig(
@@ -797,6 +830,7 @@ class TestFreshProcess:
             "terms.csv",
             "embeddings.txt",
             "embeddings.txt" + SIDECAR_SUFFIX,
+            "embeddings.txt" + STAT_SUFFIX,
             "embeddings.txt" + INDEX_SUFFIX,
             "embeddings.txt" + PACK_SUFFIX,
             "oov.txt",

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
+import types
 import zipfile
 from collections import Counter
 from unittest import mock
@@ -343,6 +345,39 @@ def sidecar_of(path):
     return path.parent / (path.name + embeddings.SIDECAR_SUFFIX)
 
 
+def stat_record_of(path):
+    return path.parent / (path.name + embeddings.STAT_SUFFIX)
+
+
+def write_settled(tmp_path, text):
+    """write(), then wait until a later write must change the file's ctime:
+    the kernel stamps ctime from a clock that ticks every few milliseconds,
+    so two writes within one tick can leave the same ctime."""
+    path = write(tmp_path, text)
+    time.sleep(0.05)
+    return path
+
+
+@pytest.fixture
+def aged(monkeypatch):
+    """A store written by write_settled is old enough for its stat to be
+    recorded."""
+    monkeypatch.setattr(embeddings, "_STAT_MARGIN_NS", 20_000_000)
+
+
+@pytest.fixture
+def sha256_calls(monkeypatch):
+    """The arguments of each hashlib.sha256 call made in finhyp.embeddings."""
+    calls = []
+
+    def sha256(*args):
+        calls.append(args)
+        return hashlib.sha256(*args)
+
+    monkeypatch.setattr(embeddings, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return calls
+
+
 SIDECAR_TOKENS = st.text(
     alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc"))
     | st.sampled_from("é漢\x00\x7f_"),
@@ -400,6 +435,13 @@ class TestSidecar:
         with np.load(sidecar_of(path)) as archive:
             digest = archive["sha256"].tobytes()
         assert digest == hashlib.sha256(path.read_bytes()).digest()
+
+    def test_bad_store_gets_no_record(self, tmp_path, aged):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1 2\n")
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError, match="^line 3: row length 3 != dim 2$"):
+                load_embeddings(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
 
     @pytest.mark.parametrize(
         "spoil",
@@ -489,6 +531,25 @@ class TestSidecar:
         assert OOVStrategy("ngram").resolve("aa", store) == "a"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
 
+    def test_rewrite_during_parse_with_mtime_restored_not_cached(self, tmp_path, monkeypatch):
+        # The same size and mtime, but a new ctime, which no call can set.
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        parse = embeddings._parse_body
+
+        def parse_then_rewrite(fh, *args):
+            store = parse(fh, *args)
+            stamp = os.stat(path)
+            with open(path, "r+", encoding="utf-8") as out:
+                out.write("2 2\na 0 1\nb 1 0\n")
+            os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+            return store
+
+        monkeypatch.setattr(embeddings, "_parse_body", parse_then_rewrite)
+        store = load_embeddings(path)
+        assert np.array_equal(store.vectors, np.eye(2))
+        assert store.path is None and store.sha256 is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
     @pytest.mark.parametrize(
         "body, message",
         [
@@ -543,6 +604,183 @@ class TestSidecar:
         assert not os.path.exists("/dev/stdin" + embeddings.SIDECAR_SUFFIX)
         # A pipe has no file to cache beside; a redirected file caches beside itself.
         assert sidecar_of(path).exists() == (source == "file")
+
+
+class TestStatRecord:
+    def test_warm_load_computes_no_sha256(self, tmp_path, aged, sha256_calls):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        cold = load_embeddings(path)
+        assert len(sha256_calls) == 1
+        inode = stat_record_of(path).stat().st_ino
+        for _ in range(2):
+            warm = load_embeddings(path)
+        assert len(sha256_calls) == 1
+        assert warm.vocab == cold.vocab
+        assert warm.vectors.tobytes() == cold.vectors.tobytes()
+        assert warm.sha256 == cold.sha256 == hashlib.sha256(path.read_bytes()).digest()
+        assert warm.path == cold.path == str(path)
+        # a load that reads the record does not rewrite it
+        assert stat_record_of(path).stat().st_ino == inode
+
+    def test_record_holds_stat_and_digest(self, tmp_path, aged):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        load_embeddings(path)
+        st = os.stat(path)
+        fields = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert stat_record_of(path).read_bytes() == (
+            "finhyp-stat 1 %d %d %d %d %d %s\n" % (*fields, digest)
+        ).encode("ascii")
+
+    def test_same_size_rewrite_with_mtime_restored(self, tmp_path, aged, sha256_calls):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        load_embeddings(path)
+        old_record = stat_record_of(path).read_bytes()
+        old_sidecar = sidecar_of(path).read_bytes()
+        stamp = os.stat(path)
+        with open(path, "r+", encoding="utf-8") as out:
+            out.write("2 2\na 0 1\nb 1 0\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        now = os.stat(path)
+        assert (now.st_ino, now.st_size, now.st_mtime_ns) == (
+            stamp.st_ino,
+            stamp.st_size,
+            stamp.st_mtime_ns,
+        )
+        store = load_embeddings(path)
+        assert len(sha256_calls) == 2
+        assert np.array_equal(store.vectors, [[0.0, 1.0], [1.0, 0.0]])
+        assert store.sha256 == hashlib.sha256(path.read_bytes()).digest()
+        assert sidecar_of(path).read_bytes() != old_sidecar
+        with np.load(sidecar_of(path)) as archive:
+            assert archive["sha256"].tobytes() == store.sha256
+        # the rewritten store's stat is recorded once it is old enough
+        time.sleep(0.05)
+        load_embeddings(path)
+        new_record = stat_record_of(path).read_bytes()
+        assert new_record != old_record
+        assert new_record.endswith(store.sha256.hex().encode("ascii") + b"\n")
+        hashes = len(sha256_calls)
+        assert load_embeddings(path).sha256 == store.sha256
+        assert len(sha256_calls) == hashes
+
+    def test_young_store_hashed_on_every_load(self, tmp_path, monkeypatch, sha256_calls):
+        monkeypatch.setattr(embeddings, "_STAT_MARGIN_NS", 3600 * 10**9)
+        path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        for n in range(1, 4):
+            assert load_embeddings(path).sha256 == hashlib.sha256(path.read_bytes()).digest()
+            assert len(sha256_calls) == n
+        assert not stat_record_of(path).exists()
+        assert sidecar_of(path).exists()
+
+    @pytest.mark.parametrize("sidecar", [False, True])
+    def test_store_written_during_hash_not_recorded(self, tmp_path, aged, monkeypatch, sidecar):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        if sidecar:
+            load_embeddings(path)
+            stat_record_of(path).unlink()
+
+        class RewritingHash:
+            # The same bytes written again: only the file's ctime changes.
+            def __init__(self):
+                self.inner = hashlib.sha256()
+
+            def update(self, block):
+                self.inner.update(block)
+                with open(path, "r+", encoding="utf-8") as out:
+                    out.write("2 2\na 1 0\nb 0 1\n")
+
+            def digest(self):
+                return self.inner.digest()
+
+        monkeypatch.setattr(embeddings, "hashlib", types.SimpleNamespace(sha256=RewritingHash))
+        store = load_embeddings(path)
+        assert store.vocab == ["a", "b"]
+        assert not stat_record_of(path).exists()
+        # a parse of a file written to since its hash caches nothing
+        assert sidecar_of(path).exists() == sidecar
+        assert (store.sha256 is None) == (not sidecar)
+
+    def test_bad_store_gets_no_record(self, tmp_path, aged):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1 2\n")
+        for _ in range(2):
+            with pytest.raises(EmbeddingFormatError, match="^line 3: row length 3 != dim 2$"):
+                load_embeddings(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["emb.txt"]
+
+    @pytest.mark.parametrize(
+        "spoil",
+        ["truncated", "garbage", "empty", "tag", "version", "stat", "uppercase", "two-lines"],
+    )
+    def test_bad_record_ignored_and_replaced(self, tmp_path, aged, sha256_calls, spoil):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        good = load_embeddings(path)
+        record = stat_record_of(path)
+        valid = record.read_bytes()
+        tag, version, *fields, digest = valid.split()
+        ctime = str(int(fields[-1]) + 1).encode()
+        record.write_bytes(
+            {
+                "truncated": valid[: len(valid) // 2],
+                "garbage": b"\xff\x00 not a record\n",
+                "empty": b"",
+                "tag": b" ".join([b"finhyp-cache", version, *fields, digest]) + b"\n",
+                "version": b" ".join([tag, b"2", *fields, digest]) + b"\n",
+                "stat": b" ".join([tag, version, *fields[:-1], ctime, digest]) + b"\n",
+                "uppercase": valid.upper().replace(b"FINHYP-STAT", b"finhyp-stat"),
+                "two-lines": valid + valid,
+            }[spoil]
+        )
+        store = load_embeddings(path)
+        assert len(sha256_calls) == 2
+        assert store.vocab == good.vocab
+        assert store.vectors.tobytes() == good.vectors.tobytes()
+        assert store.sha256 == good.sha256
+        assert record.read_bytes() == valid
+
+    @pytest.mark.parametrize(
+        "fields",
+        [(2**64 - 1,) * 5, (0, 2**64 - 1, 0, -1, -1), (-1,) * 5],
+        ids=["max", "mixed", "negative"],
+    )
+    def test_stat_values_round_trip(self, tmp_path, fields):
+        real = str(tmp_path / "emb.txt")
+        digest = hashlib.sha256(b"store").digest()
+        embeddings._write_stat(real, fields, digest)
+        assert embeddings._read_stat(real, fields) == digest
+        for i, value in enumerate(fields):
+            for other in (value + 1, -value):
+                if other != value:
+                    changed = fields[:i] + (other,) + fields[i + 1 :]
+                    assert embeddings._read_stat(real, changed) is None
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_read_only_directory_still_loads(
+        self, tmp_path, monkeypatch, aged, sha256_calls, cached
+    ):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        if cached:
+            load_embeddings(path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        real_mkstemp = tempfile.mkstemp
+
+        def mkstemp(*args, dir=None, **kwargs):
+            # as for a user without write permission, which root is not
+            if os.path.samefile(dir, tmp_path):
+                raise PermissionError(errno.EACCES, "Permission denied", dir)
+            return real_mkstemp(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        tmp_path.chmod(0o555)
+        try:
+            stores = [load_embeddings(path) for _ in range(2)]
+        finally:
+            tmp_path.chmod(0o755)
+        for store in stores:
+            assert store.vocab == ["a", "b"]
+            assert store.sha256 == hashlib.sha256(path.read_bytes()).digest()
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert len(sha256_calls) == (1 if cached else 2)
 
 
 class TestSave:
