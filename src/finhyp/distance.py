@@ -1,4 +1,4 @@
-"""Edit distance: Myers' bit-parallel algorithm, with a DP beyond 64 characters.
+"""Edit distance: Myers' bit-parallel algorithm.
 
 Myers' algorithm (Myers 1999, *JACM* 46:395, in the form of Hyyrö 2001)
 keeps one column of the DP between a pattern and a text as two bit vectors,
@@ -11,15 +11,16 @@ scans of a vocabulary packed once per store, ``PackedWords``) run it in
 numpy: each pattern of at most 64 characters is one uint64 word, the texts
 are the lanes of the vector axis, the patterns a second axis, and the loop
 runs over text positions. Texts are mapped to a dense alphabet of small
-unsigned symbols; a pattern character outside it matches nothing. A
-pattern longer than 64 characters runs a numpy DP over the same symbols
-instead. The scalar ``levenshtein``, for the n-gram tie-breaks, runs the
-algorithm on Python ints, which have no width limit.
+unsigned symbols; a pattern character outside it matches nothing. The
+scalar ``levenshtein`` runs the algorithm on Python ints, which have no
+width limit: the n-gram tie-breaks call it, and so does each pair of
+``levenshtein_matrix`` whose pattern is longer than 64 characters.
 
 ``nearest`` takes all of a run's queries at once. It scans the packed
 vocabulary's length groups in rings r = 0, 1, 2, ... of |length - len(query)|,
 and at each ring scans a group once, in one Myers pass whose patterns are
-every open query at that gap. A pass holds at most ``_CHUNK`` lanes x
+every open query at that gap; a longer query is a lane instead, with the
+group's words as patterns. A pass holds at most ``_CHUNK`` lanes x
 patterns; a larger one is split. A bare ``str`` is not a batch of queries,
 and raises TypeError.
 """
@@ -33,8 +34,8 @@ BACKEND = "python"
 
 # Longest pattern that fits one uint64 word of Myers' algorithm.
 _WORD = 64
-# Most lanes x patterns in one ``nearest`` Myers pass: each of its uint64
-# work arrays then holds at most 8 MiB.
+# Most lanes x patterns in one Myers pass, and symbols x patterns in one
+# ``levenshtein_matrix`` match table: each uint64 array holds at most 8 MiB.
 _CHUNK = 1 << 20
 _ONE = np.uint64(1)
 _PAIRS = np.uint64(0x5555555555555555)
@@ -51,7 +52,8 @@ def codes(text: str) -> np.ndarray:
 
 def levenshtein(a: str, b: str) -> int:
     """Minimal number of single-character edits turning ``a`` into ``b``."""
-    # The longer string is the pattern, so the loop runs over the shorter.
+    # The longer string is the pattern, of any length, so the loop runs over
+    # the shorter.
     if len(a) < len(b):
         a, b = b, a
     peq: dict[str, int] = {}
@@ -95,8 +97,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 def _alphabet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct code points of points, and a table from each code
     point up to the largest to its symbol, its index among them. The table
-    has the smallest unsigned dtype that also holds their count, the DP's
-    symbol for a character outside them."""
+    has the smallest unsigned dtype that also holds their count: the pack
+    cache's ``symbols`` has that dtype, and ``oov._read_pack`` checks it."""
     alphabet = _sorted_unique(points)
     size = int(alphabet[-1]) + 1 if len(alphabet) else 0
     table = np.zeros(size, dtype=np.min_scalar_type(len(alphabet)))
@@ -158,43 +160,12 @@ def _peq(alphabet: np.ndarray, patterns) -> tuple[np.ndarray, np.ndarray]:
     return peq, masks
 
 
-def _dp_row(alphabet: np.ndarray, pattern: str) -> np.ndarray:
-    """Symbols of pattern for ``_last_row``; a character outside the
-    alphabet gets len(alphabet), which no text symbol equals."""
-    sym = _find(alphabet, codes(pattern))
-    return np.where(sym >= 0, sym, len(alphabet))
-
-
-def _last_row(cols: np.ndarray, row: np.ndarray, bound: int = -1):
-    """Final DP row of ``row`` against every line of ``cols`` (n, m).
-
-    Entry [r, j] is the distance from ``row`` to the first j characters of
-    line r. With bound >= 0, returns None as soon as every entry of a row
-    exceeds bound (row minima never decrease, so no line can come back).
-    """
-    n, m = cols.shape
-    steps = np.arange(m + 1, dtype=np.int32)
-    prev = np.repeat(steps[None, :], n, axis=0)
-    curr = np.empty_like(prev)
-    for i, ch in enumerate(row.tolist(), 1):
-        curr[:, 0] = i
-        # substitution (or match) and deletion
-        np.minimum(prev[:, :-1] + (cols != ch), prev[:, 1:] + 1, out=curr[:, 1:])
-        # insertion: curr[j] = min over k <= j of curr[k] + (j - k)
-        curr -= steps
-        np.minimum.accumulate(curr, axis=1, out=curr)
-        curr += steps
-        if bound >= 0 and curr.min() > bound:
-            return None
-        prev, curr = curr, prev
-    return prev
-
-
 def levenshtein_matrix(texts, targets) -> np.ndarray:
     """(N, K) int32 distances from each of N texts to each of K targets.
 
     The texts are the lanes, longest first, and the targets of at most 64
-    characters are the patterns of one Myers pass over text positions.
+    characters the patterns of Myers passes over text positions, sliced to
+    stay within ``_CHUNK``; a longer target's column comes from ``levenshtein``.
     """
     texts = list(texts)
     targets = list(targets)
@@ -210,15 +181,15 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
     active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
     short = [k for k, t in enumerate(targets) if len(t) <= _WORD]
-    if short:
-        peq, masks = _peq(alphabet, [targets[k] for k in short])
+    step = max(1, _CHUNK // max(len(texts), len(alphabet), 1))
+    for at in range(0, len(short), step):
+        part = short[at : at + step]
+        peq, masks = _peq(alphabet, [targets[k] for k in part])
         deltas = _myers(peq, sym_t, active.tolist(), masks)
-        out[order[:, None], short] = lens[:, None] + deltas
-    rows = np.arange(len(texts))
+        out[order[:, None], part] = lens[:, None] + deltas
     for k, target in enumerate(targets):
         if len(target) > _WORD:
-            last = _last_row(sym_t.T, _dp_row(alphabet, target))
-            out[order, k] = last[rows, lens]
+            out[:, k] = [levenshtein(t, target) for t in texts]
     return out
 
 
@@ -295,8 +266,8 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     group is left at that gap. At each ring, a group is scanned once for all
     open queries that need it: one Myers pass with those of at most 64
     characters as its patterns, split so that lanes x patterns stays within
-    ``_CHUNK``, and the DP for each longer one. Duplicate queries are
-    scanned once.
+    ``_CHUNK``, and one ``levenshtein_matrix`` from the longer ones to the
+    group's words. Duplicate queries are scanned once.
     """
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of str, not a str")
@@ -310,10 +281,6 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     peq, masks = _peq(
         candidates.alphabet, [q if len(q) <= _WORD else "" for q in unique]
     )
-    rows = {
-        k: _dp_row(candidates.alphabet, unique[k])
-        for k in np.flatnonzero(lq > _WORD).tolist()
-    }
     lengths = np.array(sorted(candidates.buckets), dtype=np.intp)
     # the widest gap at which each query has a group left
     reach = np.maximum(lq - lengths[0], lengths[-1] - lq)
@@ -348,10 +315,12 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
                 deltas = _myers(peq[:, part], sym_t, [len(ids)] * length, masks[part])
                 for j, k in enumerate(part.tolist()):
                     keep(k, length, ids, length + deltas[:, j])
-            for k in cols[lq[cols] > _WORD].tolist():
-                last = _last_row(sym_t.T, rows[k], int(best_d[k]))
-                if last is not None:
-                    keep(k, length, ids, last[:, length])
+            longer = cols[lq[cols] > _WORD].tolist()
+            if longer:
+                group = [words[i] for i in ids.tolist()]
+                dists = levenshtein_matrix([unique[k] for k in longer], group)
+                for k, dist in zip(longer, dists):
+                    keep(k, length, ids, dist)
         r += 1
     index = {q: k for k, q in enumerate(unique)}
     return [(best_i[index[q]], int(best_d[index[q]])) for q in queries]

@@ -75,6 +75,9 @@ class TrainConfig:
             raise ValueError(f"C grid repeats a value: {self.c_grid}")
         if self.folds < 2:
             raise ValueError("folds must be >= 2")
+        # numpy's generator refuses a negative seed, but only once folds are drawn
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         # NaN fails every comparison, and infinity "converges" at the start
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(

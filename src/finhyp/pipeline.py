@@ -409,6 +409,10 @@ def _fit(cfg: PipelineConfig, dataset_path, failure: str):
     the class indices y, the training config and the grid-search result;
     grid-search errors become "<failure> failed: ..."."""
     terms, gold_labels = load_dataset(dataset_path)
+    if cfg.folds > len(terms):
+        raise DataError(
+            f"folds must not exceed the number of labeled rows ({len(terms)})"
+        )
     matrix, label_set, dim, coverage = _features(cfg, terms, gold_labels)
     scaler = MinMaxScaler().fit(matrix)
     X = scaler.transform(matrix)

@@ -361,6 +361,63 @@ class TestDataErrors:
         assert os.listdir(data) == ["embeddings.txt"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_negative_seed_fails_before_the_store(
+        self, synth_dir, tmp_path, capsys, command
+    ):
+        # numpy's generator would refuse it only after the features are built
+        data = tmp_path / "data"
+        data.mkdir()
+        store = (synth_dir / "embeddings.txt").read_bytes()
+        (data / "embeddings.txt").write_bytes(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        argv = [
+            command,
+            str(synth_dir / "terms.csv"),
+            "--embeddings",
+            str(data / "embeddings.txt"),
+            "--out",
+            str(tmp_path / "out"),
+        ]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: bad config: seed must be >= 0, got -1\n"
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "usage error: seed must be >= 0, got -1\n"
+        assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("folds", [37, 10**40 - 1], ids=["rows-plus-one", "40-digits"])
+    @pytest.mark.parametrize("command", ["cv", "train"])
+    def test_folds_beyond_row_count_exits_2(
+        self, synth_dir, tmp_path, capsys, command, folds
+    ):
+        # the synth set has 36 labeled rows; the message does not echo folds
+        data = tmp_path / "data"
+        data.mkdir()
+        store = (synth_dir / "embeddings.txt").read_bytes()
+        (data / "embeddings.txt").write_bytes(store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"folds": folds}))
+        code = main(
+            [
+                command,
+                str(synth_dir / "terms.csv"),
+                "--config",
+                str(cfg),
+                "--embeddings",
+                str(data / "embeddings.txt"),
+                "--out",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: folds must not exceed the number of labeled rows (36)\n"
+        )
+        assert os.listdir(data) == ["embeddings.txt"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "key, message",
         [

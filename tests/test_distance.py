@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finhyp import distance
@@ -251,8 +251,9 @@ class TestNumpyKernels:
 
 
 # Patterns of at most 64 characters fill one uint64 word of Myers' algorithm;
-# longer ones take the DP. Labels and queries draw from characters the texts
-# never hold, as well as from the texts' own.
+# a longer target takes the scalar levenshtein, and a longer query is a lane
+# against the words as patterns. Labels and queries draw from characters the
+# texts never hold, as well as from the texts' own.
 PATTERN_ALPHABET = EDGE_ALPHABET + "Zλ"
 
 
@@ -285,6 +286,10 @@ class TestWordBoundary:
         ),
     )
     @settings(max_examples=40, deadline=None)
+    # a long query's nearest words tie across the 64-character word boundary
+    @example(query="a" * 65, cands=["a" * 66, "a" * 64])
+    @example(query="ab" * 32 + "a", cands=["ab" * 33, "ab" * 32, "b" + "ab" * 32])
+    @example(query="a" * 63 + "bc", cands=["a" * 63 + "bcd", "a" * 62 + "bc"])
     def test_nearest_against_brute_force(self, query, cands):
         assert nearest([query], PackedWords(cands))[0] == brute_nearest(query, cands)
 
@@ -296,24 +301,34 @@ class TestWordBoundary:
     def test_scalar_against_reference(self, a, b):
         assert levenshtein(a, b) == reference_levenshtein(a, b)
 
-    def test_dp_only_beyond_64(self, monkeypatch):
+    def test_scalar_only_beyond_64(self, monkeypatch):
         calls = []
-        real = distance._last_row
+        real = distance.levenshtein
 
-        def counting(cols, row, bound=-1):
-            calls.append(len(row))
-            return real(cols, row, bound)
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
 
-        monkeypatch.setattr(distance, "_last_row", counting)
+        monkeypatch.setattr(distance, "levenshtein", counting)
         texts = ["a" * 70, "ab", ""]
         packed = PackedWords(texts)
         levenshtein_matrix(texts, ["", "a", "b" * 64])
         nearest(["a"], packed)
         nearest(["b" * 64], packed)
+        nearest(["a" * 65], PackedWords(["ab", "b" * 64]))
         assert calls == []
+        # a long target once per text; a long query once per long word
         levenshtein_matrix(texts, ["b" * 64, "a" * 65])
-        nearest(["a" * 65], packed)
-        assert calls == [65, 65]
+        assert calls == [(t, "a" * 65) for t in texts]
+        calls.clear()
+        # "z" matches nothing, so the scans visit every group
+        nearest(["z" * 65, "z" * 66], PackedWords(texts + ["b" * 80]))
+        assert sorted(calls) == [
+            ("z" * 65, "a" * 70),
+            ("z" * 65, "b" * 80),
+            ("z" * 66, "a" * 70),
+            ("z" * 66, "b" * 80),
+        ]
 
 
 # Query batches: short and long queries, "" and characters outside the
@@ -376,6 +391,35 @@ class TestBatchNearest:
         # unless one pattern alone exceeds it
         assert len(passes) > n_whole
         assert all(lanes * k <= chunk or k == 1 for lanes, k in passes)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 12])
+    def test_split_long_queries_give_the_same_answers(self, monkeypatch, chunk):
+        # a query over 64 characters is a lane, the group's words of up to
+        # 64 characters the patterns, and the query's alphabet the match
+        # table's rows
+        rng = random.Random(chunk)
+        cands = ["".join(rng.choices("abc", k=rng.randint(60, 68))) for _ in range(40)]
+        queries = ["".join(rng.choices("abcZ", k=rng.randint(65, 70))) for _ in range(8)]
+        packed = PackedWords(cands)
+        passes = []
+        real = distance._myers
+
+        def recording(peq, sym_t, active, mask):
+            passes.append((sym_t.shape[1], peq.shape[0], peq.shape[1]))
+            return real(peq, sym_t, active, mask)
+
+        monkeypatch.setattr(distance, "_myers", recording)
+        whole = nearest(queries, packed)
+        n_whole = len(passes)
+        assert whole == [nearest([q], packed)[0] for q in queries]
+        passes.clear()
+        monkeypatch.setattr(distance, "_CHUNK", chunk)
+        assert nearest(queries, packed) == whole
+        assert len(passes) > n_whole
+        assert all(
+            (lanes * k <= chunk and symbols * k <= chunk) or k == 1
+            for lanes, symbols, k in passes
+        )
 
     def test_bare_str_rejected(self):
         with pytest.raises(TypeError):

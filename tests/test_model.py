@@ -890,6 +890,8 @@ class TestTrainConfig:
             TrainConfig(c_grid=(0.0,))
         with pytest.raises(ValueError):
             TrainConfig(folds=1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError):
             TrainConfig(grad_tol=0.0)
 

@@ -156,6 +156,15 @@ class TestConfig:
         with pytest.raises(DataError, match="bad config: C grid repeats a value"):
             config_from_dict({"c_grid": [0.1, 1, 1.0]})
 
+    @pytest.mark.parametrize("seed", [-1, -(10**40)])
+    def test_negative_seed_rejected(self, seed):
+        # numpy's generator refuses it, but only once the folds are drawn
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}$"):
+            PipelineConfig(seed=seed)
+        with pytest.raises(DataError, match=f"bad config: seed must be >= 0, got {seed}$"):
+            config_from_dict({"seed": seed})
+        assert PipelineConfig(seed=0).seed == 0
+
     def test_from_dict_unknown_key(self):
         with pytest.raises(DataError, match="unknown config keys: typo"):
             config_from_dict({"typo": 1})
