@@ -37,6 +37,9 @@ _WORD = 64
 # Most lanes x patterns in one Myers pass, and symbols x patterns in one
 # ``levenshtein_matrix`` match table: each uint64 array holds at most 8 MiB.
 _CHUNK = 1 << 20
+# Most patterns whose match bits ``_peq`` sets at once: it makes about eight
+# 8-byte temporaries per character, at most 4 MiB for 1024 of 64 characters.
+_PEQ_PATTERNS = 1 << 10
 _ONE = np.uint64(1)
 _PAIRS = np.uint64(0x5555555555555555)
 _NIBBLES = np.uint64(0x3333333333333333)
@@ -144,17 +147,20 @@ def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask) -> np.ndarray:
 
 
 def _peq(alphabet: np.ndarray, patterns) -> tuple[np.ndarray, np.ndarray]:
-    """(A, K) match bits of K patterns of at most 64 characters over the
-    alphabet, and their (K,) masks."""
+    """(A, K) match bits of a list of K patterns of at most 64 characters
+    over the alphabet, and their (K,) masks. The bits are set for slices of
+    at most ``_PEQ_PATTERNS`` patterns at a time."""
     lens = np.array([len(p) for p in patterns], dtype=np.intp)
-    sym = _find(alphabet, codes("".join(patterns)))
-    pattern = np.repeat(np.arange(len(patterns)), lens)
-    bit = np.arange(len(sym)) - np.repeat(np.cumsum(lens) - lens, lens)
-    hit = sym >= 0
     peq = np.zeros((len(alphabet), len(patterns)), dtype=np.uint64)
-    np.bitwise_or.at(
-        peq, (sym[hit], pattern[hit]), _ONE << bit[hit].astype(np.uint64)
-    )
+    for at in range(0, len(patterns), _PEQ_PATTERNS):
+        part = lens[at : at + _PEQ_PATTERNS]
+        sym = _find(alphabet, codes("".join(patterns[at : at + _PEQ_PATTERNS])))
+        pattern = np.repeat(np.arange(at, at + len(part)), part)
+        bit = np.arange(len(sym)) - np.repeat(np.cumsum(part) - part, part)
+        hit = sym >= 0
+        np.bitwise_or.at(
+            peq, (sym[hit], pattern[hit]), _ONE << bit[hit].astype(np.uint64)
+        )
     # 2**64 - 1 is computed exactly in Python; a uint64 shift by 64 is not.
     masks = np.array([2**m - 1 for m in lens.tolist()], dtype=np.uint64)
     return peq, masks

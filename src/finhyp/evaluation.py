@@ -68,9 +68,10 @@ def macro_f1(preds, gold, n_classes: int):
 def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
     """k disjoint index folds with per-class counts differing by at most 1.
 
-    Within each class the assignment order is a seeded shuffle; classes are
-    processed in sorted label order and the fold offset rotates between
-    classes so overall fold sizes stay balanced. Deterministic under a
+    Classes are taken in sorted label order, and the j-th member of a
+    class's seeded shuffle goes to fold (j + offset) % k, where offset is
+    the member count of the classes before it, so overall fold sizes stay
+    balanced. Deterministic under a
     fixed seed. Classes with fewer than k members land in only some folds.
     """
     n = len(labels)
@@ -78,24 +79,22 @@ def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
         raise ValueError("k must be >= 2")
     if k > n:
         raise ValueError(f"k = {k} exceeds sample count {n}")
-    groups: dict = {}
-    for i, lab in enumerate(labels):
-        groups.setdefault(lab, []).append(i)
+    _, classes = np.unique(np.asarray(labels), return_inverse=True)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
+    fold = np.empty(n, dtype=np.int64)
     offset = 0
-    for lab in sorted(groups):
-        idx = np.array(groups[lab])
+    for c in range(classes.max() + 1):
+        idx = np.flatnonzero(classes == c)
         rng.shuffle(idx)
-        for j, i in enumerate(idx):
-            folds[(j + offset) % k].append(int(i))
+        fold[idx] = (np.arange(len(idx)) + offset) % k
         offset = (offset + len(idx)) % k
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+    return [np.flatnonzero(fold == f) for f in range(k)]
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Metrics of one evaluation split, serializable as text and JSON."""
+    """Metrics of one evaluation split. ``to_text`` gives report.txt, and
+    ``dataclasses.asdict`` the payload of report.json."""
 
     labels: tuple[str, ...]
     n: int
@@ -117,17 +116,6 @@ class EvalReport:
         for lab, row in zip(self.labels, self.confusion):
             lines.append(f"confusion[{lab}]: " + " ".join(str(v) for v in row))
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "mean_rank": self.mean_rank,
-            "macro_f1": self.macro_f1,
-            "labels": list(self.labels),
-            "per_class_f1": list(self.per_class_f1),
-            "confusion": [list(row) for row in self.confusion],
-        }
 
 
 def evaluate(preds, gold, labels) -> EvalReport:

@@ -7,6 +7,8 @@ distance blocks read the (possibly definition-augmented) text.
 """
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from . import distance
@@ -142,13 +144,32 @@ class MinMaxScaler:
         return {"mins": self.mins.tolist(), "maxs": self.maxs.tolist()}
 
     @classmethod
-    def from_state(cls, state: dict) -> "MinMaxScaler":
+    def from_state(cls, state) -> "MinMaxScaler":
+        """The scaler whose state() gave state. ValueError unless state is a
+        dict whose mins and maxs are equal-length lists of finite numbers."""
+        bounds = state if isinstance(state, dict) else {}
+        mins, maxs = bounds.get("mins"), bounds.get("maxs")
+        if not (
+            _finite_numbers(mins) and _finite_numbers(maxs) and len(mins) == len(maxs)
+        ):
+            raise ValueError(
+                "scaler mins and maxs must be equal-length lists of finite numbers"
+            )
         scaler = cls()
-        scaler.mins = np.asarray(state["mins"], dtype=np.float64)
-        scaler.maxs = np.asarray(state["maxs"], dtype=np.float64)
-        if scaler.mins.ndim != 1 or scaler.mins.shape != scaler.maxs.shape:
-            raise ValueError("mins and maxs must be 1-D and aligned")
+        scaler.mins = np.array(mins, dtype=np.float64)
+        scaler.maxs = np.array(maxs, dtype=np.float64)
         return scaler
+
+
+def _finite_numbers(value) -> bool:
+    """A JSON list of numbers, not bools, that float64 holds as finite
+    values (NaN fails the comparison, and so does an int beyond its range)."""
+    return isinstance(value, list) and all(
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
+        for v in value
+    )
 
 
 def assemble_features(

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from .evaluation import accuracy, mean_rank, stratified_kfold
 ARMIJO = 1e-4
 STALL = 1e-15  # relative loss change below which a step cannot register
 MAX_ITER = 100  # Newton steps before a fit stops, not converged
+GRAD_TOL = 1e-6  # gradient infinity-norm at which a fit has converged
 EPS = np.finfo(np.float64).eps
 TRI_BLOCK = 32  # rows of the triangular blocks that _lower_inverse inverts whole
 MODEL_MAGIC = "finhyp-logreg v1"
@@ -60,8 +62,10 @@ DEFAULT_C_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 @dataclass
 class TrainConfig:
+    # GRAD_TOL under the name of the field it replaced, for code that still
+    # reads the tolerance from a config
+    grad_tol: ClassVar[float] = GRAD_TOL
     c_grid: tuple[float, ...] = DEFAULT_C_GRID
-    grad_tol: float = 1e-6
     folds: int = 5
     seed: int = 0
 
@@ -78,11 +82,6 @@ class TrainConfig:
         # numpy's generator refuses a negative seed, but only once folds are drawn
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        # NaN fails every comparison, and infinity "converges" at the start
-        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
-            raise ValueError(
-                f"grad_tol must be finite and positive, got {self.grad_tol!r}"
-            )
 
 
 @dataclass
@@ -96,7 +95,7 @@ class LogRegModel:
     hessian_products: int = 0  # CG steps over all Newton steps
     preconditioners: int = 0  # A^-1 builds (calls of _inverse)
     grad_max: float = float("nan")  # final gradient infinity-norm
-    converged: bool = False  # grad_max reached TrainConfig.grad_tol
+    converged: bool = False  # grad_max reached GRAD_TOL
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -327,7 +326,6 @@ def train(
     y,
     labels,
     c: float,
-    cfg: TrainConfig | None = None,
     start: LogRegModel | None = None,
 ) -> LogRegModel:
     """Minimize the regularized log-loss by preconditioned truncated
@@ -340,7 +338,7 @@ def train(
     Hessian-vector products than the first solve under the current A^-1.
 
     Stops, converged, when the gradient infinity-norm drops to
-    cfg.grad_tol. Stops, not converged, after MAX_ITER Newton steps, or
+    GRAD_TOL. Stops, not converged, after MAX_ITER Newton steps, or
     when backtracking shrinks the first-order decrease step * |g'p| to
     STALL * |loss|, where float64 can no longer resolve the change. The
     model records iterations (Newton steps), hessian_products (CG steps),
@@ -350,8 +348,6 @@ def train(
     never increases between steps. A trial whose loss overflows fails like
     any other, without a warning.
     """
-    if cfg is None:
-        cfg = TrainConfig()
     labels = tuple(labels)
     _check_c(c)
     X, y = _check_xy(X, y, len(labels))
@@ -374,7 +370,7 @@ def train(
     loss, g = value_and_grad(theta)
     iterations = products = builds = 0
     rebuild = True
-    while iterations < MAX_ITER and np.abs(g).max() > cfg.grad_tol:
+    while iterations < MAX_ITER and np.abs(g).max() > GRAD_TOL:
         P = _softmax(theta @ Xat, axis=0)
         if rebuild:
             inverse = _inverse(_input_gram(P, Xa, pen))
@@ -407,7 +403,7 @@ def train(
         hessian_products=products,
         preconditioners=builds,
         grad_max=grad_max,
-        converged=grad_max <= cfg.grad_tol,
+        converged=grad_max <= GRAD_TOL,
     )
 
 
@@ -455,7 +451,7 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
     ties, then the smaller C. Each fold fits the grid in ascending C, each
     fit starting from the fold's fit at the next smaller C (a warm start
     along the regularization path), so a fit's parameters depend on the
-    other C values only within cfg.grad_tol. Rows come back in grid order.
+    other C values only within GRAD_TOL. Rows come back in grid order.
     """
     labels = tuple(labels)
     X, y = _check_xy(X, y, len(labels))
@@ -473,7 +469,7 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
         train_idx = all_idx[train_mask]
         m = None
         for c in sorted(cfg.c_grid):
-            m = train(X[train_idx], y[train_idx], labels, c, cfg, start=m)
+            m = train(X[train_idx], y[train_idx], labels, c, start=m)
             preds = oof[c][test_idx] = rank_labels(predict_proba(m, X[test_idx]))
             fold_mrs[c].append(mean_rank(preds, y[test_idx]))
             fold_accs[c].append(accuracy(preds, y[test_idx]))

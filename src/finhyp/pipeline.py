@@ -13,7 +13,6 @@ import io
 import json
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 from .augment import (
@@ -142,13 +141,6 @@ class PipelineConfig:
 
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite_numbers(value) -> bool:
-    """A JSON list of numbers that float64 holds as finite values."""
-    return isinstance(value, list) and all(
-        _number(v) and abs(v) <= sys.float_info.max for v in value
-    )
 
 
 # What a JSON value must be for each field annotation, and its description.
@@ -372,22 +364,6 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
     return matrix, label_set, store.dim, coverage
 
 
-def _grid_payload(result) -> dict:
-    return {
-        "best_c": result.best_c,
-        "rows": [
-            {
-                "c": row.c,
-                "mean_rank": row.mean_rank,
-                "accuracy": row.accuracy,
-                "fold_mean_ranks": list(row.fold_mean_ranks),
-                "fold_accuracies": list(row.fold_accuracies),
-            }
-            for row in result.rows
-        ],
-    }
-
-
 # ---------------------------------------------------------------------- runs
 
 
@@ -406,8 +382,8 @@ def _fit(cfg: PipelineConfig, dataset_path, failure: str):
     """Grid search over a labeled dataset's ``_features`` matrix, scaled by
     a ``MinMaxScaler`` fitted to all of its rows. Returns the label set, the
     store dimension, the coverage, the fitted scaler, the scaled matrix X,
-    the class indices y, the training config and the grid-search result;
-    grid-search errors become "<failure> failed: ..."."""
+    the class indices y and the grid-search result; grid-search errors
+    become "<failure> failed: ..."."""
     terms, gold_labels = load_dataset(dataset_path)
     if cfg.folds > len(terms):
         raise DataError(
@@ -422,7 +398,7 @@ def _fit(cfg: PipelineConfig, dataset_path, failure: str):
         result = grid_search(X, y, label_set.labels, tcfg)
     except ValueError as err:
         raise DataError(f"{failure} failed: {err}") from None
-    return label_set.labels, dim, coverage, scaler, X, y, tcfg, result
+    return label_set.labels, dim, coverage, scaler, X, y, result
 
 
 @dataclass
@@ -436,15 +412,16 @@ class CvRun:
 def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     """Grid-searched cross-validation; writes report.txt, report.json,
     grid.json and folds.json under cfg.out_dir."""
-    labels, _, coverage, _, _, y, _, result = _fit(
+    labels, _, coverage, _, _, y, result = _fit(
         cfg, dataset_path, "cross-validation"
     )
     report = evaluate(result.oof_predictions[result.best_c], y, labels)
     folds = {"folds": [[int(i) for i in fold] for fold in result.folds]}
+    grid = {"best_c": result.best_c, "rows": [dataclasses.asdict(r) for r in result.rows]}
     paths = {
         "report_txt": _write_out(cfg, "report.txt", report.to_text()),
-        "report_json": _write_out(cfg, "report.json", report.to_json_dict()),
-        "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
+        "report_json": _write_out(cfg, "report.json", dataclasses.asdict(report)),
+        "grid_json": _write_out(cfg, "grid.json", grid),
         "folds_json": _write_out(cfg, "folds.json", folds),
     }
     return CvRun(report, result.best_c, coverage, paths)
@@ -461,16 +438,17 @@ class TrainRun:
 def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     """Grid-search then fit on the full dataset; writes model.txt plus the
     frontend.json needed to rebuild identical feature rows at predict time."""
-    labels, dim, coverage, scaler, X, y, tcfg, result = _fit(
+    labels, dim, coverage, scaler, X, y, result = _fit(
         cfg, dataset_path, "training"
     )
-    model = train(X, y, labels, result.best_c, tcfg)
+    model = train(X, y, labels, result.best_c)
     frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
     frontend.update(labels=labels, embedding_dim=dim, scaler=scaler.state())
+    grid = {"best_c": result.best_c, "rows": [dataclasses.asdict(r) for r in result.rows]}
     paths = {
         "model": _write_out(cfg, "model.txt", model_text(model)),
         "frontend": _write_out(cfg, "frontend.json", frontend),
-        "grid_json": _write_out(cfg, "grid.json", _grid_payload(result)),
+        "grid_json": _write_out(cfg, "grid.json", grid),
     }
     return TrainRun(model, result.best_c, coverage, paths)
 
@@ -516,13 +494,10 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
             f"{frontend_path}: embedding_dim must be an integer, "
             f"got {json.dumps(trained_dim)}"
         )
-    bounds = state if isinstance(state, dict) else {}
-    mins, maxs = bounds.get("mins"), bounds.get("maxs")
-    if not (_finite_numbers(mins) and _finite_numbers(maxs) and len(mins) == len(maxs)):
-        raise DataError(
-            f"{frontend_path}: scaler mins and maxs must be equal-length "
-            "lists of finite numbers"
-        )
+    try:
+        scaler = MinMaxScaler.from_state(state)
+    except ValueError as err:
+        raise DataError(f"{frontend_path}: {err}") from None
     cfg = dataclasses.replace(
         cfg, **{key: getattr(recorded, key) for key in FRONTEND_FIELDS}
     )
@@ -531,7 +506,6 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
     matrix, _, dim, _ = _features(cfg, terms)
     if dim != trained_dim:
         raise DataError(f"embedding dim {dim} != trained dim {trained_dim}")
-    scaler = MinMaxScaler.from_state(state)
     if scaler.n_features != matrix.shape[1]:
         raise DataError(
             f"feature width {matrix.shape[1]} != trained width {scaler.n_features}"

@@ -1,5 +1,7 @@
 """Edit distance: reference oracles, metric axioms, the numpy batch DPs."""
 import random
+import string
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,6 +250,43 @@ class TestNumpyKernels:
         assert levenshtein_matrix(texts, targets).tolist() == [
             [levenshtein(t, g) for g in targets] for t in texts
         ]
+
+    @pytest.mark.parametrize("budget", [1, 7, 64])
+    def test_sliced_match_table_gives_the_same_distances(self, monkeypatch, budget):
+        rng = random.Random(budget)
+        texts = ["".join(rng.choices("abc", k=rng.randint(0, 9))) for _ in range(12)]
+        targets = ["".join(rng.choices("abcZ", k=rng.randint(0, 12))) for _ in range(30)]
+        slices = []
+        real = distance._find
+
+        def recording(keys, key):
+            slices.append(len(key))
+            return real(keys, key)
+
+        monkeypatch.setattr(distance, "_find", recording)
+        monkeypatch.setattr(distance, "_PEQ_PATTERNS", budget)
+        assert levenshtein_matrix(texts, targets).tolist() == [
+            [reference_levenshtein(t, g) for g in targets] for t in texts
+        ]
+        # the table is set in slices of at most budget patterns
+        assert len(slices) == -(-len(targets) // budget)
+        assert sum(slices) == sum(map(len, targets))
+
+    def test_match_table_scratch_memory_is_bounded(self):
+        # one text against 40,000 words: the (alphabet x words) match table
+        # takes 7.9 MiB, and setting its bits for all words at once took
+        # another 26 MiB of temporaries
+        rng = random.Random(0)
+        text = "".join(rng.choices(string.ascii_lowercase, k=70))
+        words = ["".join(rng.choices(string.ascii_lowercase, k=12)) for _ in range(40_000)]
+        tracemalloc.start()
+        try:
+            out = levenshtein_matrix([text], words)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert out[0, :40].tolist() == [levenshtein(text, w) for w in words[:40]]
 
 
 # Patterns of at most 64 characters fill one uint64 word of Myers' algorithm;

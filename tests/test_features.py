@@ -1,4 +1,6 @@
 """Hand-crafted features, distance features, scaling and row assembly."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,32 @@ class TestMinMaxScaler:
         scaler = MinMaxScaler().fit(X)
         again = MinMaxScaler.from_state(scaler.state())
         assert np.array_equal(scaler.transform(X), again.transform(X))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"mins": [0.0, math.nan], "maxs": [1.0, 1.0]},
+            {"mins": [0.0, 0.0], "maxs": [1.0, math.inf]},
+            {"mins": [-math.inf], "maxs": [1.0]},
+            {"mins": [None], "maxs": [1.0]},
+            {"mins": [True], "maxs": [1.0]},
+            {"mins": ["1"], "maxs": [2.0]},
+            {"mins": [0], "maxs": [10**400]},
+            {"mins": [[0.0, 1.0]], "maxs": [[1.0, 2.0]]},
+            {"mins": [0.0, 0.0], "maxs": [1.0]},
+            {"mins": [0.0]},
+            [[0.0], [1.0]],
+        ],
+        ids=[
+            "nan", "inf", "-inf", "none", "bool", "str", "huge-int",
+            "nested", "unequal", "no-maxs", "not-a-dict",
+        ],
+    )
+    def test_bad_state_rejected(self, state):
+        # a recorded state is read from frontend.json; -inf would make
+        # transform return NaN
+        with pytest.raises(ValueError, match="equal-length lists of finite numbers"):
+            MinMaxScaler.from_state(state)
 
     @given(
         hnp.arrays(

@@ -465,8 +465,7 @@ class TestTrain:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(350, 76))
         y = rng.integers(0, 17, size=350)
-        cfg = TrainConfig()
-        m = train(X, y, tuple(f"k{i}" for i in range(17)), 10.0, cfg)
+        m = train(X, y, tuple(f"k{i}" for i in range(17)), 10.0)
         assert m.converged
         assert 0 < m.iterations < model_mod.MAX_ITER
         # at least one CG product per Newton step, at most K (D+1)
@@ -475,20 +474,19 @@ class TestTrain:
         assert 0 < m.preconditioners < m.iterations
         _, gw, gb = loss_and_grad(m.weights, m.bias, X, y, 10.0)
         assert max(np.abs(gw).max(), np.abs(gb).max()) == m.grad_max
-        assert m.grad_max <= cfg.grad_tol
+        assert m.grad_max <= model_mod.GRAD_TOL
 
     def test_converges_on_tiny_c_large_loss(self, monkeypatch):
         # loss ~5500 and C=1e-5: a step's first-order decrease near the
         # optimum is below float64 resolution of the loss, so gradient steps
-        # stall before grad_tol; Newton steps converge first
+        # stall before GRAD_TOL; Newton steps converge first
         losses = record_accepted_losses(monkeypatch)
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4000, 8))
         y = rng.integers(0, 4, size=4000)
-        cfg = TrainConfig()
-        m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
+        m = train(X, y, ("a", "b", "c", "d"), 1e-5)
         assert m.converged
-        assert m.grad_max <= cfg.grad_tol
+        assert m.grad_max <= model_mod.GRAD_TOL
         assert 0 < m.iterations < model_mod.MAX_ITER // 10
         assert len(losses) == m.iterations + 1
         assert np.all(np.diff(losses) <= 0)
@@ -516,12 +514,11 @@ class TestTrain:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(4000, 8))
         y = rng.integers(0, 4, size=4000)
-        cfg = TrainConfig()
-        m = train(X, y, ("a", "b", "c", "d"), 1e-5, cfg)
+        m = train(X, y, ("a", "b", "c", "d"), 1e-5)
         assert not m.converged
         assert m.iterations == 2
         assert len(directions) == 3
-        assert m.grad_max > cfg.grad_tol
+        assert m.grad_max > model_mod.GRAD_TOL
         assert len(losses) == m.iterations + 1
         assert np.all(np.diff(losses) <= 0)
         # backtracking halved until step * |slope| <= STALL * |loss|
@@ -818,7 +815,7 @@ class TestGridSearch:
         cfg = TrainConfig(c_grid=(0.01, 1.0, 100.0), folds=3, seed=0)
         result = grid_search(X, y, ("a", "b"), cfg)
         assert result.best_c == 0.01
-        assert train(X, y, ("a", "b"), result.best_c, cfg).c == 0.01
+        assert train(X, y, ("a", "b"), result.best_c).c == 0.01
 
     def test_rows_in_grid_order_and_aligned_oof(self):
         rng = np.random.default_rng(21)
@@ -841,9 +838,9 @@ class TestGridSearch:
         calls = []
         original = model_mod.train
 
-        def recorded(X, y, labels, c, cfg=None, start=None):
+        def recorded(X, y, labels, c, start=None):
             calls.append((len(y), c, start))
-            calls[-1] += (original(X, y, labels, c, cfg, start=start),)
+            calls[-1] += (original(X, y, labels, c, start=start),)
             return calls[-1][-1]
 
         monkeypatch.setattr(model_mod, "train", recorded)
@@ -877,8 +874,8 @@ class TestGridSearch:
         r1 = grid_search(X, y, ("a", "b", "c"), cfg)
         r2 = grid_search(X, y, ("a", "b", "c"), cfg)
         assert r1.best_c == r2.best_c
-        m1 = train(X, y, ("a", "b", "c"), r1.best_c, cfg)
-        m2 = train(X, y, ("a", "b", "c"), r2.best_c, cfg)
+        m1 = train(X, y, ("a", "b", "c"), r1.best_c)
+        m2 = train(X, y, ("a", "b", "c"), r2.best_c)
         assert np.array_equal(m1.weights, m2.weights)
 
 
@@ -892,8 +889,6 @@ class TestTrainConfig:
             TrainConfig(folds=1)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
-        with pytest.raises(ValueError):
-            TrainConfig(grad_tol=0.0)
 
     @pytest.mark.parametrize("grid", [(1.0, 1.0), (0.1, 10.0, 0.1), (1, 1.0)])
     def test_repeated_c_rejected(self, grid):
@@ -912,12 +907,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="C must be finite and positive"):
             LogRegModel(np.zeros((2, 1)), np.zeros(2), c, ("a", "b"))
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
-    def test_grad_tol_must_be_finite_and_positive(self, tol):
-        # NaN would return the all-zero start after 0 iterations, and
-        # infinity would report convergence there
-        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
-            TrainConfig(grad_tol=tol)
+    def test_grad_tol_is_the_constant(self):
+        # a class attribute for code that reads the tolerance off a config,
+        # not a setting
+        assert TrainConfig().grad_tol == model_mod.GRAD_TOL == 1e-6
+        with pytest.raises(TypeError):
+            TrainConfig(grad_tol=1e-3)
 
     def test_default_grid(self):
         assert TrainConfig().c_grid == (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
