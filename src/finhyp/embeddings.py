@@ -22,20 +22,10 @@ read-only directory, a full disk); the load succeeds regardless. A missing,
 stale or unreadable copy just means the text is parsed again, so deleting
 it is always safe.
 
-The digest comes from a one-line record beside the store,
-``<store>.finhyp-stat``, when the record's stat of the store (device,
-inode, size, mtime and ctime, in nanoseconds) equals the open file's;
-otherwise the store is hashed. A load that hashes the store and succeeds
-writes the record only if the file's stat did not change while it was
-hashed and its ctime is at least _STAT_MARGIN_NS older than the hash's
-start. No call can set a file's ctime, and the kernel sets it on every
-write, so a store written to after its record was written never matches
-the record; a store written less than the margin ago is hashed on every
-load, as a write within the same clock tick could leave its stat
-unchanged. The rule holds while the filesystem's clock and this host's
-agree to within the margin (a network filesystem sets ctime by the
-server's clock). A spoiled, foreign or stale record is ignored, and
-replaced after the next hash; deleting it is always safe.
+The digest comes from the store's stat record (see ``finhyp.fileio``),
+``<store>.finhyp-stat``, when that holds the open file's stat; otherwise
+the store is hashed, and a load that succeeds records the hash under the
+record's rule.
 
 A store loaded from a regular file, parsed or from the sidecar, records
 that file's path after symlinks as ``EmbeddingStore.path`` and the SHA-256
@@ -59,6 +49,8 @@ from collections import Counter
 
 import numpy as np
 
+from .fileio import STAT_SUFFIX  # re-exported: the suffix of the store's record
+from .fileio import _read_stat, _recordable, _stat_key, _write_stat
 from .fileio import atomic_write, read_cache, write_cache
 
 # Body lines per np.loadtxt call: small enough that a chunk's strings and
@@ -70,14 +62,6 @@ SIDECAR_SUFFIX = ".finhyp-cache.npz"
 # Bump when the sidecar's layout or the parse it records changes.
 _SIDECAR_VERSION = 1
 _HASH_BLOCK = 1 << 20
-
-STAT_SUFFIX = ".finhyp-stat"
-# The record's first fields; bump the version when its line changes.
-_STAT_TAG = "finhyp-stat 1"
-# How much older than a hash's start a store's ctime must be for the hash
-# to be recorded against the store's stat.
-_STAT_MARGIN_NS = 1_000_000_000
-_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}\n")
 
 
 class EmbeddingFormatError(ValueError):
@@ -181,19 +165,13 @@ def load_embeddings(path) -> EmbeddingStore:
         return store
 
 
-def _stat_key(st) -> tuple[int, ...]:
-    """The stat fields a write to the file changes (ctime always), with the
-    device and inode that name it."""
-    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
-
-
 def _store_key(path, fh, st) -> tuple[str, bytes, bool] | None:
     """(path after symlinks, SHA-256 of the file, whether to record that
     digest against st) when that path names the regular file open as fh
     and stat as st, else None; fh is left at its start. The digest is the
     stat record's when it records st; otherwise the file is hashed, and
     the digest is to be recorded if st is old enough and did not change
-    during the hash (see the module docstring).
+    during the hash (see ``finhyp.fileio``).
 
     Resolving the path puts the sidecar beside the file itself, so a store
     opened as /dev/stdin or /proc/self/fd/N never writes under /dev."""
@@ -213,36 +191,7 @@ def _store_key(path, fh, st) -> tuple[str, bytes, bool] | None:
     while block := fh.buffer.read(_HASH_BLOCK):
         digest.update(block)
     fh.seek(0)
-    old = st.st_ctime_ns <= start - _STAT_MARGIN_NS
-    return real, digest.digest(), old and _stat_key(os.fstat(fh.fileno())) == key
-
-
-def _stat_head(key: tuple[int, ...]) -> bytes:
-    """The stat record's line for a file of stat key, up to its digest."""
-    return " ".join([_STAT_TAG, *map(str, key), ""]).encode("ascii")
-
-
-def _read_stat(real: str, key: tuple[int, ...]) -> bytes | None:
-    """The digest the stat record of the file at real holds if it records
-    stat key, else None, as for a record that is absent or spoiled."""
-    try:
-        with open(real + STAT_SUFFIX, "rb") as fh:
-            line = fh.read(512)
-    except OSError:
-        return None
-    head = _stat_head(key)
-    if line.startswith(head) and _HEX_DIGEST.fullmatch(line, len(head)):
-        return bytes.fromhex(line[len(head) : -1].decode("ascii"))
-    return None
-
-
-def _write_stat(real: str, key: tuple[int, ...], digest: bytes) -> None:
-    """Write the stat record, ignoring a failed write as write_cache does."""
-    line = _stat_head(key).decode("ascii") + digest.hex() + "\n"
-    try:
-        atomic_write(real + STAT_SUFFIX, line)
-    except OSError:
-        pass
+    return real, digest.digest(), _recordable(fh.fileno(), key, start)
 
 
 def _sidecar_records(digest: bytes) -> dict:

@@ -94,7 +94,8 @@ def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
 @dataclass(frozen=True)
 class EvalReport:
     """Metrics of one evaluation split. ``to_text`` gives report.txt, and
-    ``dataclasses.asdict`` the payload of report.json."""
+    ``vars`` the payload of report.json, whose tuples json.dumps writes as
+    lists."""
 
     labels: tuple[str, ...]
     n: int

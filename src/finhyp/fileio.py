@@ -1,11 +1,36 @@
-"""Crash-safe file output shared by every writer in the package, and the
-read/write pair of the caches kept beside an embedding store."""
+"""Crash-safe file output shared by every writer in the package, the
+read/write pair of the caches kept beside an embedding store, and the stat
+records that let a reader trust a file it has read in full before.
+
+A stat record is a one-line file beside the file it describes,
+``<file>.finhyp-stat``: a tag, the file's stat key (device, inode, size,
+mtime and ctime, in nanoseconds) and a SHA-256 digest, as 64 hex digits, of
+what the file's reader checks (the store's bytes for an embedding store, its
+members' CRC-32s for a cache). A reader takes the digest from the record only
+when the record's key is the open file's; otherwise it reads the file in
+full, and once that read succeeds writes the record, but only if the file's
+stat did not change during the read and its ctime is at least
+_STAT_MARGIN_NS older than the read's start. No call can set a file's ctime,
+and the kernel sets it on every write, so a file written to after its record
+was written never matches the record; a file written less than the margin
+ago is read in full every time, as a write within the same clock tick could
+leave its stat unchanged. The rule holds while the filesystem's clock and
+this host's agree to within the margin (a network filesystem sets ctime by
+the server's clock). A spoiled, foreign or stale record is ignored, and
+replaced after the next full read; deleting it is always safe.
+"""
 from __future__ import annotations
 
 import contextlib
+import hashlib
+import math
 import os
+import re
+import struct
 import tempfile
+import time
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -15,6 +40,23 @@ import numpy as np
 _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 _MODE = 0o666 & ~_UMASK
+
+STAT_SUFFIX = ".finhyp-stat"
+# The record's first fields; bump the version when its line changes.
+_STAT_TAG = "finhyp-stat 1"
+# How much older than a full read's start a file's ctime must be for the
+# read to be recorded against the file's stat.
+_STAT_MARGIN_NS = 1_000_000_000
+_HEX_DIGEST = re.compile(rb"[0-9a-f]{64}\n")
+
+# A zip local file header (PKWARE APPNOTE 4.3.7): its signature, the fields
+# the central directory repeats, and the lengths of the name and extra field
+# that follow it.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
 
 
 @contextlib.contextmanager
@@ -50,20 +92,123 @@ def atomic_write(path, text: str) -> None:
         fh.write(text)
 
 
-def read_cache(path, records: dict, names) -> dict | None:
-    """The members of the numpy archive at path that names lists, if each
-    member that records names equals the array it maps to; else None, as
-    for a file that is absent or unreadable. Pickled members are refused,
-    never loaded."""
+def _stat_key(st) -> tuple[int, ...]:
+    """The stat fields a write to the file changes (ctime always), with the
+    device and inode that name it."""
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _recordable(fd: int, key: tuple[int, ...], start: int) -> bool:
+    """Whether a full read of the file open as fd, of stat key, begun at
+    time.time_ns() start, may be recorded: the file's ctime is at least
+    _STAT_MARGIN_NS older than start, and its stat is still key."""
+    return key[4] <= start - _STAT_MARGIN_NS and _stat_key(os.fstat(fd)) == key
+
+
+def _stat_head(key: tuple[int, ...]) -> bytes:
+    """The stat record's line for a file of stat key, up to its digest."""
+    return " ".join([_STAT_TAG, *map(str, key), ""]).encode("ascii")
+
+
+def _read_stat(path: str, key: tuple[int, ...]) -> bytes | None:
+    """The digest the stat record of the file at path holds if it records
+    stat key, else None, as for a record that is absent or spoiled."""
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            if not all(np.array_equal(archive[k], v) for k, v in records.items()):
-                return None
-            return {name: archive[name] for name in names}
-    except Exception:
-        # np.load and zipfile raise many kinds of error on an absent,
-        # truncated or foreign file; each means the cache is rebuilt.
+        with open(path + STAT_SUFFIX, "rb") as fh:
+            line = fh.read(512)
+    except OSError:
         return None
+    head = _stat_head(key)
+    if line.startswith(head) and _HEX_DIGEST.fullmatch(line, len(head)):
+        return bytes.fromhex(line[len(head) : -1].decode("ascii"))
+    return None
+
+
+def _write_stat(path: str, key: tuple[int, ...], digest: bytes) -> None:
+    """Write the stat record, ignoring a failed write as write_cache does."""
+    line = _stat_head(key).decode("ascii") + digest.hex() + "\n"
+    try:
+        atomic_write(path + STAT_SUFFIX, line)
+    except OSError:
+        pass
+
+
+def read_cache(path, records: dict, names) -> dict | None:
+    """The members of the numpy archive at path that names lists, if the
+    archive holds just the members records and names list, and each member
+    that records names equals the array it maps to; else None, as for a file
+    that is absent, unreadable or refused.
+
+    zipfile reads only the central directory. Each member must be stored
+    uncompressed and hold a version 1.0 or 2.0 .npy header of a C-ordered
+    array without objects (so nothing is ever unpickled) whose bytes fill
+    the rest of the member; the member is read with one readinto into a
+    fresh buffer, whose bytes after the header are the array. Every
+    member's CRC-32 is checked, unless the archive's stat record (see the
+    module docstring) holds its current stat and the SHA-256 of its
+    members' CRC-32s, in central-directory order; a read that checks them
+    and succeeds writes that record.
+    """
+    path = os.fspath(path)
+    try:
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            start = time.time_ns()
+            with zipfile.ZipFile(fh) as archive:
+                infos = archive.infolist()
+            if sorted(i.filename for i in infos) != sorted(
+                name + ".npy" for name in [*records, *names]
+            ):
+                return None
+            crcs = b"".join(i.CRC.to_bytes(4, "little") for i in infos)
+            digest = hashlib.sha256(crcs).digest()
+            key = _stat_key(st)
+            trusted = _read_stat(path, key) == digest
+            arrays = {
+                i.filename[:-4]: _read_member(fh, i, st.st_size, not trusted) for i in infos
+            }
+            if not all(np.array_equal(arrays[k], v) for k, v in records.items()):
+                return None
+            if not trusted and _recordable(fh.fileno(), key, start):
+                _write_stat(path, key, digest)
+        return {name: arrays[name] for name in names}
+    except Exception:
+        # zipfile, numpy's header parser and _read_member raise many kinds
+        # of error on an absent, truncated or foreign file; each means the
+        # cache is rebuilt.
+        return None
+
+
+def _read_member(fh, info: zipfile.ZipInfo, size: int, check_crc: bool) -> np.ndarray:
+    """The array the .npy member info of the zip archive open as fh, of
+    size bytes, holds; raises ValueError for a member read_cache refuses."""
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{info.filename}: compressed")
+    fh.seek(info.header_offset)
+    signature, name_len, extra_len = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
+    if signature != zipfile.stringFileHeader:
+        raise ValueError(f"{info.filename}: bad local header")
+    offset = info.header_offset + _LOCAL_HEADER.size + name_len + extra_len
+    fh.seek(offset)
+    version = np.lib.format.read_magic(fh)
+    if version not in _NPY_HEADERS:
+        raise ValueError(f"{info.filename}: .npy version {version}")
+    shape, fortran_order, dtype = _NPY_HEADERS[version](fh)
+    if fortran_order or dtype.hasobject:
+        raise ValueError(f"{info.filename}: Fortran order or object dtype")
+    header = fh.tell() - offset
+    length = info.file_size
+    if header + math.prod(shape) * dtype.itemsize != length:
+        raise ValueError(f"{info.filename}: header and data do not fill the member")
+    if offset + length > size:
+        raise ValueError(f"{info.filename}: beyond the end of the file")
+    member = np.empty(length, dtype=np.uint8)
+    fh.seek(offset)
+    if fh.readinto(member) != length:
+        raise ValueError(f"{info.filename}: truncated")
+    if check_crc and zlib.crc32(member) != info.CRC:
+        raise ValueError(f"{info.filename}: bad CRC-32")
+    return member[header:].view(dtype).reshape(shape)
 
 
 def write_cache(path, arrays: dict) -> None:

@@ -417,10 +417,10 @@ def run_cv(cfg: PipelineConfig, dataset_path) -> CvRun:
     )
     report = evaluate(result.oof_predictions[result.best_c], y, labels)
     folds = {"folds": [[int(i) for i in fold] for fold in result.folds]}
-    grid = {"best_c": result.best_c, "rows": [dataclasses.asdict(r) for r in result.rows]}
+    grid = {"best_c": result.best_c, "rows": [vars(r) for r in result.rows]}
     paths = {
         "report_txt": _write_out(cfg, "report.txt", report.to_text()),
-        "report_json": _write_out(cfg, "report.json", dataclasses.asdict(report)),
+        "report_json": _write_out(cfg, "report.json", vars(report)),
         "grid_json": _write_out(cfg, "grid.json", grid),
         "folds_json": _write_out(cfg, "folds.json", folds),
     }
@@ -444,7 +444,7 @@ def run_train(cfg: PipelineConfig, dataset_path) -> TrainRun:
     model = train(X, y, labels, result.best_c)
     frontend = {key: getattr(cfg, key) for key in FRONTEND_FIELDS}
     frontend.update(labels=labels, embedding_dim=dim, scaler=scaler.state())
-    grid = {"best_c": result.best_c, "rows": [dataclasses.asdict(r) for r in result.rows]}
+    grid = {"best_c": result.best_c, "rows": [vars(r) for r in result.rows]}
     paths = {
         "model": _write_out(cfg, "model.txt", model_text(model)),
         "frontend": _write_out(cfg, "frontend.json", frontend),

@@ -848,13 +848,13 @@ SRC_DIR = os.path.dirname(os.path.dirname(finhyp.__file__))
 WRITE_EVERY_ARTIFACT = """
 import dataclasses
 import sys
-from finhyp import embeddings
+from finhyp import fileio
 from finhyp.augment import DefinitionDict
 from finhyp.pipeline import PipelineConfig, run_cv, run_inspect_oov, run_train
 from finhyp.synth import generate, write_dataset
 
-# the store's stat is recorded at its first load, however young it is
-embeddings._STAT_MARGIN_NS = -sys.maxsize
+# a stat is recorded at the first full read of its file, however young it is
+fileio._STAT_MARGIN_NS = -sys.maxsize
 out = sys.argv[1]
 csv_path, emb_path = write_dataset(generate(3, 36, seed=5, dim=8), out)
 cfg = PipelineConfig(
@@ -890,6 +890,9 @@ class TestFreshProcess:
             "embeddings.txt" + STAT_SUFFIX,
             "embeddings.txt" + INDEX_SUFFIX,
             "embeddings.txt" + PACK_SUFFIX,
+            # the sidecar and the index are read after they are written
+            "embeddings.txt" + SIDECAR_SUFFIX + STAT_SUFFIX,
+            "embeddings.txt" + INDEX_SUFFIX + STAT_SUFFIX,
             "oov.txt",
             "report.txt",
             "report.json",

@@ -1,6 +1,7 @@
 """Embedding store: parsing, persistence, the token table and term summation."""
 import errno
 import hashlib
+import io
 import math
 import os
 import re
@@ -12,6 +13,7 @@ import time
 import tracemalloc
 import types
 import zipfile
+import zlib
 from collections import Counter
 from unittest import mock
 
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from finhyp import embeddings
+from finhyp import embeddings, fileio
 from finhyp.embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
@@ -362,7 +364,7 @@ def write_settled(tmp_path, text):
 def aged(monkeypatch):
     """A store written by write_settled is old enough for its stat to be
     recorded."""
-    monkeypatch.setattr(embeddings, "_STAT_MARGIN_NS", 20_000_000)
+    monkeypatch.setattr(fileio, "_STAT_MARGIN_NS", 20_000_000)
 
 
 @pytest.fixture
@@ -665,7 +667,7 @@ class TestStatRecord:
         assert len(sha256_calls) == hashes
 
     def test_young_store_hashed_on_every_load(self, tmp_path, monkeypatch, sha256_calls):
-        monkeypatch.setattr(embeddings, "_STAT_MARGIN_NS", 3600 * 10**9)
+        monkeypatch.setattr(fileio, "_STAT_MARGIN_NS", 3600 * 10**9)
         path = write(tmp_path, "2 2\na 1 0\nb 0 1\n")
         for n in range(1, 4):
             assert load_embeddings(path).sha256 == hashlib.sha256(path.read_bytes()).digest()
@@ -746,13 +748,13 @@ class TestStatRecord:
     def test_stat_values_round_trip(self, tmp_path, fields):
         real = str(tmp_path / "emb.txt")
         digest = hashlib.sha256(b"store").digest()
-        embeddings._write_stat(real, fields, digest)
-        assert embeddings._read_stat(real, fields) == digest
+        fileio._write_stat(real, fields, digest)
+        assert fileio._read_stat(real, fields) == digest
         for i, value in enumerate(fields):
             for other in (value + 1, -value):
                 if other != value:
                     changed = fields[:i] + (other,) + fields[i + 1 :]
-                    assert embeddings._read_stat(real, changed) is None
+                    assert fileio._read_stat(real, changed) is None
 
     @pytest.mark.parametrize("cached", [False, True])
     def test_read_only_directory_still_loads(
@@ -830,6 +832,78 @@ class TestAtomicWrite:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f"]
 
 
+VERSION_RECORD = {"v": np.array([1], dtype=np.int64)}
+
+
+def cache_record_of(path):
+    return path.parent / (path.name + fileio.STAT_SUFFIX)
+
+
+@pytest.fixture
+def crc32_calls(monkeypatch):
+    """The length of the buffer of each zlib.crc32 call made in
+    finhyp.fileio."""
+    calls = []
+
+    def crc32(data, *args):
+        calls.append(len(data))
+        return zlib.crc32(data, *args)
+
+    monkeypatch.setattr(fileio, "zlib", types.SimpleNamespace(crc32=crc32))
+    return calls
+
+
+def flip_bit(path, data: bytes, at: int) -> None:
+    """Flip the low bit of byte at of data's last copy in the file at path,
+    writing the file in place."""
+    with open(path, "r+b") as fh:
+        offset = fh.read().rindex(data) + at
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 1]))
+
+
+def npy_bytes(header: dict, data: bytes, version=(1, 0)) -> bytes:
+    """An .npy file of header and data in numpy's version 1.0 layout or, for
+    any other version, in its 2.0 layout under that version number."""
+    buf = io.BytesIO()
+    if version == (1, 0):
+        np.lib.format.write_array_header_1_0(buf, header)
+    else:
+        np.lib.format.write_array_header_2_0(buf, header)
+    return buf.getvalue()[:6] + bytes(version) + buf.getvalue()[8:] + data
+
+
+def write_members(path, spoil=None) -> None:
+    """A zip of the .npy members v = [1] and a = arange(6) in shape (2, 3),
+    as np.savez writes one, with member a spoiled as spoil names."""
+    a = np.arange(6, dtype=np.int64)
+    header = {"descr": "<i8", "fortran_order": False, "shape": (2, 3)}
+    member = npy_bytes(header, a.tobytes())
+    if spoil == "object":
+        buf = io.BytesIO()
+        np.save(buf, np.array([Tripwire()], dtype=object), allow_pickle=True)
+        member = buf.getvalue()
+    elif spoil == "fortran":
+        member = npy_bytes({**header, "fortran_order": True}, a.tobytes())
+    elif spoil == "npy-3.0":
+        member = npy_bytes(header, a.tobytes(), version=(3, 0))
+    elif spoil == "size":
+        member += b"\0"
+    compression = zipfile.ZIP_DEFLATED if spoil == "deflated" else zipfile.ZIP_STORED
+    v = npy_bytes({"descr": "<i8", "fortran_order": False, "shape": (1,)}, a[1:2].tobytes())
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("v.npy", v)
+        archive.writestr("a.npy", member, compress_type=compression)
+    if spoil == "signature":
+        with zipfile.ZipFile(path) as archive:
+            offset = archive.getinfo("a.npy").header_offset
+        with open(path, "r+b") as fh:
+            fh.seek(offset + 3)
+            fh.write(b"\x05")
+
+
 class TestReadCache:
     @pytest.mark.parametrize("spoil", ["record", "missing", "pickled", "crc"])
     def test_refused(self, tmp_path, spoil):
@@ -854,6 +928,122 @@ class TestReadCache:
         write_cache(path, {"v": np.array([1], dtype=np.int64), "a": a})
         arrays = read_cache(path, {"v": np.array([1], dtype=np.int64)}, ["a"])
         assert np.array_equal(arrays["a"], a)
+
+    @pytest.mark.parametrize(
+        "spoil", ["deflated", "object", "fortran", "npy-3.0", "size", "signature"]
+    )
+    def test_member_refused(self, tmp_path, spoil):
+        path = tmp_path / "c.npz"
+        for case in (None, spoil):
+            write_members(path, spoil=case)
+            Tripwire.unpickled.clear()
+            arrays = read_cache(path, VERSION_RECORD, ["a"])
+            if case is None:
+                # the archive reads but for the spoiled member
+                assert np.array_equal(arrays["a"], np.arange(6).reshape(2, 3))
+            else:
+                assert arrays is None
+            assert Tripwire.unpickled == []
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4)])
+    def test_zero_size_member_round_trips(self, tmp_path, aged, shape):
+        path = tmp_path / "c.npz"
+        a = np.zeros(shape, dtype=np.float64)
+        write_cache(path, {**VERSION_RECORD, "a": a, "b": np.arange(3)})
+        time.sleep(0.05)
+        # a read that checks the CRC-32s, then one that trusts the record
+        for _ in range(2):
+            arrays = read_cache(path, VERSION_RECORD, ["a", "b"])
+            assert arrays["a"].shape == shape and arrays["a"].dtype == np.float64
+            assert np.array_equal(arrays["b"], np.arange(3))
+        assert cache_record_of(path).exists()
+
+    def test_crc_checked_unless_recorded(self, tmp_path, aged, crc32_calls):
+        path = tmp_path / "c.npz"
+        members = {**VERSION_RECORD, "a": np.arange(64), "b": np.ones((2, 3))}
+        write_cache(path, members)
+        with zipfile.ZipFile(path) as archive:
+            infos = archive.infolist()
+        time.sleep(0.05)
+        # one CRC-32 of each whole member, then none
+        for calls in ([i.file_size for i in infos], [], []):
+            arrays = read_cache(path, VERSION_RECORD, ["a", "b"])
+            assert crc32_calls == calls
+            assert np.array_equal(arrays["a"], members["a"])
+            assert np.array_equal(arrays["b"], members["b"])
+            crc32_calls.clear()
+        # The record holds the cache's stat and the SHA-256 of its members'
+        # CRC-32s in central-directory order.
+        crcs = b"".join(i.CRC.to_bytes(4, "little") for i in infos)
+        st = os.stat(path)
+        fields = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        record = cache_record_of(path)
+        assert record.read_bytes() == (
+            "finhyp-stat 1 %d %d %d %d %d %s\n" % (*fields, hashlib.sha256(crcs).hexdigest())
+        ).encode("ascii")
+        # a record of the right stat but another digest is not trusted, and
+        # is replaced after the check
+        valid = record.read_bytes()
+        record.write_bytes(valid[:-65] + b"0" * 64 + b"\n")
+        assert read_cache(path, VERSION_RECORD, ["a", "b"]) is not None
+        assert len(crc32_calls) == 3
+        assert record.read_bytes() == valid
+
+    def test_young_cache_checked_on_every_read(self, tmp_path, monkeypatch, crc32_calls):
+        monkeypatch.setattr(fileio, "_STAT_MARGIN_NS", 3600 * 10**9)
+        path = tmp_path / "c.npz"
+        write_cache(path, {**VERSION_RECORD, "a": np.arange(64)})
+        for n in range(1, 4):
+            assert np.array_equal(read_cache(path, VERSION_RECORD, ["a"])["a"], np.arange(64))
+            assert len(crc32_calls) == 2 * n
+        assert not cache_record_of(path).exists()
+
+    @pytest.mark.parametrize("spoil", ["crc", "record"])
+    def test_failed_read_not_recorded(self, tmp_path, aged, spoil):
+        path = tmp_path / "c.npz"
+        write_cache(path, {**VERSION_RECORD, "a": np.arange(64)})
+        if spoil == "crc":
+            flip_bit(path, np.arange(64).tobytes(), 8)
+        records = {"v": np.array([2 if spoil == "record" else 1], dtype=np.int64)}
+        time.sleep(0.05)
+        for _ in range(2):
+            assert read_cache(path, records, ["a"]) is None
+        assert not cache_record_of(path).exists()
+
+    def test_flipped_bit_after_record_refused(self, tmp_path, aged):
+        path = tmp_path / "c.npz"
+        write_cache(path, {**VERSION_RECORD, "a": np.arange(64)})
+        time.sleep(0.05)
+        assert read_cache(path, VERSION_RECORD, ["a"]) is not None
+        assert cache_record_of(path).exists()
+        # in place: the same inode and size, with the old mtime put back
+        stamp = os.stat(path)
+        flip_bit(path, np.arange(64).tobytes(), 8)
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        now = os.stat(path)
+        assert (now.st_ino, now.st_size, now.st_mtime_ns) == (
+            stamp.st_ino,
+            stamp.st_size,
+            stamp.st_mtime_ns,
+        )
+        assert read_cache(path, VERSION_RECORD, ["a"]) is None
+
+    def test_failed_record_write_still_reads(self, tmp_path, aged, monkeypatch):
+        path = tmp_path / "c.npz"
+        write_cache(path, {**VERSION_RECORD, "a": np.arange(64)})
+        time.sleep(0.05)
+        attempts = []
+
+        def mkstemp(*args, **kwargs):
+            attempts.append(kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", mkstemp)
+        for n in range(1, 3):
+            arrays = read_cache(path, VERSION_RECORD, ["a"])
+            assert np.array_equal(arrays["a"], np.arange(64))
+            assert len(attempts) == n
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz"]
 
 
 class TestStore:
