@@ -270,7 +270,9 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     |length - len(query)|, which bounds a length group's distances from
     below. A query leaves the scan once r exceeds its best distance or no
     group is left at that gap. At each ring, a group is scanned once for all
-    open queries that need it: one Myers pass with those of at most 64
+    open queries that need it, less those whose best word so far lies at
+    distance r and is shorter than the group's words, which the group
+    could at best tie: one Myers pass with those of at most 64
     characters as its patterns, split so that lanes x patterns stays within
     ``_CHUNK``, and one ``levenshtein_matrix`` from the longer ones to the
     group's words. Duplicate queries are scanned once.
@@ -292,6 +294,7 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     reach = np.maximum(lq - lengths[0], lengths[-1] - lq)
     best_i = [-1] * len(unique)
     best_d = np.full(len(unique), -1, dtype=np.int64)
+    best_len = np.zeros(len(unique), dtype=np.intp)
 
     def keep(k: int, length: int, ids: np.ndarray, dist: np.ndarray) -> None:
         """Take group length's nearest word for query k if it beats the best."""
@@ -303,6 +306,7 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
         # ids ascend, so min() keeps the earliest of equal words
         best_i[k] = min(ids[dist == d].tolist(), key=words.__getitem__)
         best_d[k] = d
+        best_len[k] = length
 
     r = 0
     while True:
@@ -314,6 +318,10 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
             length = int(lengths[g])
             ids, sym_t = candidates.buckets[length]
             cols = np.flatnonzero(at_gap[g])
+            # keep() refuses a group that can at best tie with a query's
+            # shorter best word (r == best_d), so it is not scanned for it
+            d = best_d[cols]
+            cols = cols[(d < 0) | (r < d) | (length < best_len[cols])]
             short = cols[lq[cols] <= _WORD]
             step = max(1, _CHUNK // len(ids))
             for at in range(0, len(short), step):

@@ -27,6 +27,13 @@ The digest comes from the store's stat record (see ``finhyp.fileio``),
 the store is hashed, and a load that succeeds records the hash under the
 record's rule.
 
+The sidecar has a stat record of its own, written only after a read that
+checked its CRC-32s and every store check. A read that record vouches for
+maps the vectors (``fileio.read_cache``) rather than reading them: the
+store skips its check of every value, and ``EmbeddingStore.rows`` checks
+each row that a ``TokenTable`` copies, so a run reads only the rows it
+uses. Mapped pages that a run touches count toward its RSS.
+
 A store loaded from a regular file, parsed or from the sidecar, records
 that file's path after symlinks as ``EmbeddingStore.path`` and the SHA-256
 of its bytes as ``EmbeddingStore.sha256``, so that caches derived from the
@@ -72,14 +79,17 @@ class EmbeddingStore:
     """Vocabulary of unique tokens, each with a dense vector of length dim."""
 
     def __init__(self, tokens, vectors):
-        vectors = np.asarray(vectors, dtype=np.float64)
+        vectors = np.asanyarray(vectors, dtype=np.float64)
+        # The file that vectors map (a warm load's sidecar), whose rows
+        # ``rows`` checks as it copies them, in place of the check below.
+        self._mapped = vectors.filename if isinstance(vectors, np.memmap) else None
         if vectors.ndim != 2:
             raise ValueError("vectors must be a 2-D array")
         if vectors.shape[0] != len(tokens):
             raise ValueError("token/vector count mismatch")
         if vectors.shape[1] < 1:
             raise ValueError("vector dimension must be positive")
-        if not np.all(np.isfinite(vectors)):
+        if self._mapped is None and not np.all(np.isfinite(vectors)):
             raise ValueError("vectors contain non-finite values")
         self.vocab: list[str] = list(tokens)
         self._index: dict[str, int] = dict(zip(self.vocab, range(len(self.vocab))))
@@ -105,7 +115,21 @@ class EmbeddingStore:
         return token in self._index
 
     def vector(self, token: str) -> np.ndarray:
-        return self.vectors[self._index[token]]
+        return self.rows([self._index[token]])[0]
+
+    def rows(self, ids: list) -> np.ndarray:
+        """A copy of the vectors' rows ids. A mapped store's rows are
+        checked as they are copied: a non-finite value raises
+        EmbeddingFormatError naming the mapped file."""
+        rows = self.vectors[ids]
+        if self._mapped is not None:
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+            if len(bad):
+                token = self.vocab[ids[bad[0]]]
+                raise EmbeddingFormatError(
+                    f"{self._mapped}: non-finite value in row {token!r}"
+                )
+        return rows
 
     @property
     def vocab_lower(self) -> list[str]:
@@ -203,18 +227,23 @@ def _sidecar_records(digest: bytes) -> dict:
 
 def _read_sidecar(real: str, digest: bytes) -> EmbeddingStore | None:
     """The store the sidecar of the file at real holds if it records this
-    version and digest, else None."""
+    version and digest, else None. A trusted read maps the vectors (see
+    ``fileio.read_cache``), so the store checks the rows a run copies
+    rather than every value."""
     records = _sidecar_records(digest)
-    arrays = read_cache(real + SIDECAR_SUFFIX, records, ["tokens", "vectors"])
-    if arrays is None or arrays["vectors"].dtype != np.float64:
+    names = ["tokens", "vectors"]
+    return read_cache(real + SIDECAR_SUFFIX, records, names, _sidecar_store, ["vectors"])
+
+
+def _sidecar_store(arrays: dict) -> EmbeddingStore | None:
+    """The store of a sidecar's tokens and vectors, through the store's own
+    shape, finiteness and duplicate checks; raises ValueError, or returns
+    None, for a sidecar they refuse."""
+    if arrays["vectors"].dtype != np.float64:
         return None
     blob = arrays["tokens"].tobytes()
-    try:
-        tokens = blob.decode("utf-8").split("\n") if blob else []
-        # The store's own shape, finiteness and duplicate checks.
-        return EmbeddingStore(tokens, arrays["vectors"])
-    except ValueError:
-        return None
+    tokens = blob.decode("utf-8").split("\n") if blob else []
+    return EmbeddingStore(tokens, arrays["vectors"])
 
 
 def _write_sidecar(real: str, digest: bytes, store: EmbeddingStore) -> None:
@@ -382,7 +411,7 @@ class TokenTable:
         place = {i: n for n, i in enumerate(used, start=1)}
         self.rows = {t: place.get(i, 0) for t, i in found.items()}
         self.vectors = np.zeros((len(used) + 1, store.dim))
-        self.vectors[1:] = store.vectors[used]
+        self.vectors[1:] = store.rows(used)
         self.vectors.setflags(write=False)
 
 

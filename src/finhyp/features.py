@@ -30,8 +30,8 @@ def handcrafted(term_raw: str) -> np.ndarray:
     for i, sub in enumerate(INDICATORS):
         if sub in term_raw:
             out[i] = 1.0
-    upper = sum(1 for ch in term_raw if ch.isupper())
-    lower = sum(1 for ch in term_raw if ch.islower())
+    upper = sum(map(str.isupper, term_raw))
+    lower = sum(map(str.islower, term_raw))
     out[7] = len(term_raw)
     out[8] = upper
     out[9] = upper / max(lower, 1)

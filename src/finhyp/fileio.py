@@ -133,21 +133,28 @@ def _write_stat(path: str, key: tuple[int, ...], digest: bytes) -> None:
         pass
 
 
-def read_cache(path, records: dict, names) -> dict | None:
-    """The members of the numpy archive at path that names lists, if the
-    archive holds just the members records and names list, and each member
-    that records names equals the array it maps to; else None, as for a file
-    that is absent, unreadable or refused.
+def read_cache(path, records: dict, names, check=None, mapped=()):
+    """check(arrays), where arrays maps each member of the numpy archive at
+    path that names lists to its array, if the archive holds just the
+    members records and names list, each member that records names equals
+    the array it maps to, and check returns other than None; else None, as
+    for a file that is absent, unreadable or refused. Without check, the
+    result is arrays.
 
     zipfile reads only the central directory. Each member must be stored
     uncompressed and hold a version 1.0 or 2.0 .npy header of a C-ordered
     array without objects (so nothing is ever unpickled) whose bytes fill
-    the rest of the member; the member is read with one readinto into a
-    fresh buffer, whose bytes after the header are the array. Every
-    member's CRC-32 is checked, unless the archive's stat record (see the
+    the rest of the member. Every member's CRC-32 is checked, and each
+    member read with one readinto into a fresh buffer, whose bytes after
+    the header are the array, unless the archive's stat record (see the
     module docstring) holds its current stat and the SHA-256 of its
-    members' CRC-32s, in central-directory order; a read that checks them
-    and succeeds writes that record.
+    members' CRC-32s, in central-directory order. Such a trusted read
+    checks no CRC-32, and returns each member that mapped names as a
+    read-only np.memmap of the file (a zero-size one as an empty array),
+    whose pages are read, and count toward the process's RSS, only as they
+    are touched. Any other read that succeeds, check included, writes the
+    record; so a trusted read only maps bytes that check passed in full
+    under the same stat.
     """
     path = os.fspath(path)
     try:
@@ -164,24 +171,30 @@ def read_cache(path, records: dict, names) -> dict | None:
             digest = hashlib.sha256(crcs).digest()
             key = _stat_key(st)
             trusted = _read_stat(path, key) == digest
-            arrays = {
-                i.filename[:-4]: _read_member(fh, i, st.st_size, not trusted) for i in infos
-            }
-            if not all(np.array_equal(arrays[k], v) for k, v in records.items()):
+            arrays = {}
+            for info in infos:
+                name = info.filename[:-4]
+                map_it = trusted and name in mapped
+                arrays[name] = _read_member(fh, info, st.st_size, not trusted, map_it)
+            if not all(np.array_equal(arrays.pop(k), v) for k, v in records.items()):
                 return None
-            if not trusted and _recordable(fh.fileno(), key, start):
+            result = arrays if check is None else check(arrays)
+            if result is not None and not trusted and _recordable(fh.fileno(), key, start):
                 _write_stat(path, key, digest)
-        return {name: arrays[name] for name in names}
+        return result
     except Exception:
-        # zipfile, numpy's header parser and _read_member raise many kinds
-        # of error on an absent, truncated or foreign file; each means the
-        # cache is rebuilt.
+        # zipfile, numpy's header parser, _read_member and check raise many
+        # kinds of error on an absent, truncated or foreign file; each means
+        # the cache is rebuilt.
         return None
 
 
-def _read_member(fh, info: zipfile.ZipInfo, size: int, check_crc: bool) -> np.ndarray:
+def _read_member(
+    fh, info: zipfile.ZipInfo, size: int, check_crc: bool, mapped: bool
+) -> np.ndarray:
     """The array the .npy member info of the zip archive open as fh, of
-    size bytes, holds; raises ValueError for a member read_cache refuses."""
+    size bytes, holds, read or, if mapped, mapped as read_cache says;
+    raises ValueError for a member read_cache refuses."""
     if info.compress_type != zipfile.ZIP_STORED:
         raise ValueError(f"{info.filename}: compressed")
     fh.seek(info.header_offset)
@@ -202,6 +215,13 @@ def _read_member(fh, info: zipfile.ZipInfo, size: int, check_crc: bool) -> np.nd
         raise ValueError(f"{info.filename}: header and data do not fill the member")
     if offset + length > size:
         raise ValueError(f"{info.filename}: beyond the end of the file")
+    if mapped:
+        if length == header:
+            # np.memmap refuses to map no bytes, and there are none to read
+            array = np.empty(shape, dtype)
+            array.setflags(write=False)
+            return array
+        return np.memmap(fh, dtype, "r", offset + header, shape)
     member = np.empty(length, dtype=np.uint8)
     fh.seek(offset)
     if fh.readinto(member) != length:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -184,7 +185,8 @@ def build_ngram_index(store: EmbeddingStore) -> NgramIndex:
     path = store.path + INDEX_SUFFIX
     ngrams = np.array([NGRAM_MIN, NGRAM_MAX], dtype=np.int64)
     records = _records(store, _INDEX_VERSION, ngrams=ngrams)
-    index = _read_index(path, records, store.vocab)
+    check = partial(_read_index, entries=store.vocab)
+    index = read_cache(path, records, _MEMBERS, check)
     if index is None:
         index = NgramIndex(store.vocab)
         write_cache(path, {**records, **{n: index._array(n) for n in _MEMBERS}})
@@ -205,11 +207,10 @@ def _records(store: EmbeddingStore, version: int, **extra) -> dict:
     }
 
 
-def _read_index(path, records: dict, entries):
-    """The index cached at path if its records match and its arrays are
-    consistent, else None."""
-    arrays = read_cache(path, records, _MEMBERS)
-    if arrays is None or any(a.ndim != 1 for a in arrays.values()):
+def _read_index(arrays: dict, entries):
+    """The index of entries whose cached arrays, by name, are arrays, if
+    they are consistent, else None."""
+    if any(a.ndim != 1 for a in arrays.values()):
         return None
     if arrays["alphabet"].dtype != np.int32:
         return None
@@ -245,18 +246,18 @@ def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
         return distance.PackedWords(store.vocab_lower)
     path = store.path + PACK_SUFFIX
     records = _records(store, _PACK_VERSION)
-    packed = _read_pack(path, records, store.vocab_lower)
+    check = partial(_read_pack, words=store.vocab_lower)
+    packed = read_cache(path, records, _PACK_MEMBERS, check)
     if packed is None:
         packed = distance.PackedWords(store.vocab_lower)
         write_cache(path, {**records, **{n: getattr(packed, n) for n in _PACK_MEMBERS}})
     return packed
 
 
-def _read_pack(path, records: dict, words: list):
-    """The pack of words cached at path if its records match and its arrays
+def _read_pack(arrays: dict, words: list):
+    """The pack of words whose cached arrays, by name, are arrays, if they
     are consistent, else None."""
-    arrays = read_cache(path, records, _PACK_MEMBERS)
-    if arrays is None or any(a.ndim != 1 for a in arrays.values()):
+    if any(a.ndim != 1 for a in arrays.values()):
         return None
     alphabet, order = arrays["alphabet"], arrays["order"]
     sizes, symbols = arrays["sizes"], arrays["symbols"]

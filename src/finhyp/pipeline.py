@@ -297,6 +297,15 @@ def _load_store(path) -> EmbeddingStore:
         raise DataError(str(err)) from None
 
 
+def _token_table(store: EmbeddingStore, texts, resolver) -> TokenTable:
+    """The texts' ``TokenTable``; a non-finite row that it copies from a
+    mapped sidecar is a DataError naming the sidecar."""
+    try:
+        return TokenTable(store, texts, resolver)
+    except EmbeddingFormatError as err:
+        raise DataError(str(err)) from None
+
+
 def _augment(cfg: PipelineConfig, terms):
     """Every term augmented from cfg's snapshot, and the matched fraction."""
     path = cfg.snapshot_path
@@ -347,7 +356,7 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
                 "dataset labels outside the configured label set: "
                 + ", ".join(extra)
             )
-    table = TokenTable(store, [*texts, *labels], resolver)
+    table = _token_table(store, [*texts, *labels], resolver)
     try:
         label_set = LabelSet.build(labels, table)
     except ValueError as err:
@@ -542,7 +551,7 @@ def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
     The counts and substitutes are those of the texts' ``TokenTable``."""
     terms, _ = load_terms(dataset_path)
     store, resolver, texts, _ = _inputs(cfg, terms)
-    table = TokenTable(store, texts, resolver)
+    table = _token_table(store, texts, resolver)
     occurrences = sum(table.oov.values())
     lines = [f"oov_unique: {len(table.oov)}", f"oov_occurrences: {occurrences}"]
     lines.extend(

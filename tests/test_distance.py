@@ -460,6 +460,26 @@ class TestBatchNearest:
             for lanes, symbols, k in passes
         )
 
+    def test_group_that_can_only_tie_is_not_scanned(self, monkeypatch):
+        # At ring 1, "bonds" finds "bond" at distance 1; "bonded" is as far
+        # in length and longer, so it could at best tie and lose, and is
+        # not scanned for it. "swapps" still scans the 4-letter group at
+        # ring 2, where a word as near as "swapped" would win by length.
+        cands = ["bond", "bonded", "swapped"]
+        queries = ["bonds", "swapps"]
+        passes = []
+        real = distance._myers
+
+        def recording(peq, sym_t, active, mask):
+            passes.append((sym_t.shape[0], peq.shape[1]))
+            return real(peq, sym_t, active, mask)
+
+        monkeypatch.setattr(distance, "_myers", recording)
+        assert nearest(queries, PackedWords(cands)) == [(0, 1), (2, 2)]
+        assert [brute_nearest(q, cands) for q in queries] == [(0, 1), (2, 2)]
+        # (group length, patterns) of each pass: ring 0, ring 1, ring 2
+        assert passes == [(6, 1), (4, 1), (7, 1), (4, 1)]
+
     def test_bare_str_rejected(self):
         with pytest.raises(TypeError):
             nearest("swap", PackedWords(["swap", "bond"]))

@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from finhyp import embeddings, fileio
+from finhyp.cli import main
 from finhyp.embeddings import (
     EmbeddingFormatError,
     EmbeddingStore,
@@ -1044,6 +1045,156 @@ class TestReadCache:
             assert np.array_equal(arrays["a"], np.arange(64))
             assert len(attempts) == n
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.npz"]
+
+
+@pytest.fixture
+def readinto_sizes(monkeypatch):
+    """The length of the buffer of each readinto call on a file that
+    finhyp.fileio opens."""
+    sizes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def readinto(self, buf):
+            sizes.append(len(buf))
+            return self._fh.readinto(buf)
+
+    monkeypatch.setattr(fileio, "open", lambda *a: Recording(open(*a)), raising=False)
+    return sizes
+
+
+def member_sizes(path) -> dict:
+    with zipfile.ZipFile(path) as archive:
+        return {i.filename[:-4]: i.file_size for i in archive.infolist()}
+
+
+def load_recorded(path):
+    """Load the store at path, written by write_settled under aged, twice:
+    the first load writes its sidecar, and the second checks the sidecar's
+    CRC-32s and records its stat, so that the next read of it is trusted."""
+    cold = load_embeddings(path)
+    time.sleep(0.05)
+    load_embeddings(path)
+    assert cache_record_of(sidecar_of(path)).exists()
+    return cold
+
+
+class TestMappedVectors:
+    def test_trusted_load_maps_the_vectors(self, tmp_path, aged, readinto_sizes):
+        path = write_settled(tmp_path, "3 2\nbond 1 0\nswap 0.5 0.25\nrate 2 2\n")
+        cold = load_recorded(path)
+        sizes = member_sizes(sidecar_of(path))
+        readinto_sizes.clear()
+        warm = load_embeddings(path)
+        assert isinstance(warm.vectors, np.memmap)
+        assert warm.vectors.filename == str(sidecar_of(path))
+        assert not warm.vectors.flags.writeable
+        assert warm.vectors.tobytes() == cold.vectors.tobytes()
+        # every member but the vectors is read into a buffer
+        del sizes["vectors"]
+        assert sorted(readinto_sizes) == sorted(sizes.values())
+        texts = ["swap Rate", "bonds swap", "zzz"]
+        cold_table, warm_table = (
+            TokenTable(store, texts, OOVStrategy("levenshtein")) for store in (cold, warm)
+        )
+        assert type(warm_table.vectors) is np.ndarray
+        assert warm_table.rows == cold_table.rows
+        assert warm_table.vectors.tobytes() == cold_table.vectors.tobytes()
+        assert warm.vector("rate").tobytes() == cold.vector("rate").tobytes()
+
+    def test_empty_store_loads_through_the_mapped_path(self, tmp_path, aged, readinto_sizes):
+        path = write_settled(tmp_path, "0 3\n")
+        load_recorded(path)
+        sizes = member_sizes(sidecar_of(path))
+        readinto_sizes.clear()
+        warm = load_embeddings(path)
+        assert warm.vocab == []
+        assert warm.vectors.shape == (0, 3) and warm.vectors.dtype == np.float64
+        assert not warm.vectors.flags.writeable
+        del sizes["vectors"]
+        assert sorted(readinto_sizes) == sorted(sizes.values())
+        table = TokenTable(warm, ["bond"], OOVStrategy("zero"))
+        assert table.vectors.tobytes() == np.zeros((1, 3)).tobytes()
+
+    @pytest.mark.parametrize("case", ["young", "rewritten"])
+    def test_untrusted_sidecar_read_in_full(
+        self, tmp_path, monkeypatch, crc32_calls, readinto_sizes, case
+    ):
+        margin = 3600 * 10**9 if case == "young" else 20_000_000
+        monkeypatch.setattr(fileio, "_STAT_MARGIN_NS", margin)
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        cold = load_embeddings(path)
+        sidecar = sidecar_of(path)
+        if case == "rewritten":
+            time.sleep(0.05)
+            load_embeddings(path)
+            assert cache_record_of(sidecar).exists()
+            # the same bytes, written in place: only the stat changes
+            sidecar.write_bytes(sidecar.read_bytes())
+        sizes = sorted(member_sizes(sidecar).values())
+        for _ in range(2):
+            crc32_calls.clear()
+            readinto_sizes.clear()
+            store = load_embeddings(path)
+            assert type(store.vectors) is np.ndarray
+            assert store.vectors.tobytes() == cold.vectors.tobytes()
+            assert sorted(crc32_calls) == sorted(readinto_sizes) == sizes
+        assert cache_record_of(sidecar).exists() == (case == "rewritten")
+
+    @pytest.mark.parametrize("spoil", ["nan", "duplicate"])
+    def test_refused_sidecar_gets_no_record(self, tmp_path, aged, monkeypatch, spoil):
+        path = write_settled(tmp_path, "2 2\na 1 0\nb 0 1\n")
+        load_embeddings(path)
+        sidecar = sidecar_of(path)
+        # the digest and version still match the store's
+        if spoil == "nan":
+            rewrite_archive(sidecar, vectors=np.array([[1.0, 0.0], [np.nan, 1.0]]))
+        else:
+            rewrite_archive(sidecar, tokens=np.frombuffer(b"a\na", dtype=np.uint8))
+        spoiled = sidecar.read_bytes()
+        # the refused sidecar stays, as it would in a read-only directory
+        monkeypatch.setattr(embeddings, "write_cache", lambda *args: None)
+        time.sleep(0.05)
+        for _ in range(3):
+            store = load_embeddings(path)
+            assert store.vocab == ["a", "b"]
+            assert type(store.vectors) is np.ndarray
+            assert store.vectors.tobytes() == np.eye(2).tobytes()
+        assert sidecar.read_bytes() == spoiled
+        assert not cache_record_of(sidecar).exists()
+
+    def test_non_finite_mapped_row_is_an_exit_2_error(self, tmp_path, aged, capsys):
+        path = write_settled(tmp_path, "3 2\nbond 1 0\nswap 0.5 0.25\nrate 2 2\n")
+        terms = tmp_path / "terms.csv"
+        terms.write_text("term\nswap rate\n", encoding="utf-8")
+        load_recorded(path)
+        sidecar = sidecar_of(path)
+        digest = bytes.fromhex(cache_record_of(sidecar).read_text().split()[-1])
+        # Corruption that the stat record cannot show: the swap row turns
+        # NaN in place, and the record is rewritten for the new stat.
+        data = sidecar.read_bytes()
+        at = data.rindex(np.array([0.5, 0.25]).tobytes())
+        with open(sidecar, "r+b") as fh:
+            fh.seek(at)
+            fh.write(np.array([np.nan, 0.25]).tobytes())
+        fileio._write_stat(str(sidecar), fileio._stat_key(os.stat(sidecar)), digest)
+        assert isinstance(load_embeddings(path).vectors, np.memmap)
+        args = ["--embeddings", str(path), "--out", str(tmp_path / "out")]
+        assert main(["inspect-oov", str(terms), *args]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {sidecar}: non-finite value in row 'swap'\n"
+        )
 
 
 class TestStore:
