@@ -16,13 +16,20 @@ scalar ``levenshtein`` runs the algorithm on Python ints, which have no
 width limit: the n-gram tie-breaks call it, and so does each pair of
 ``levenshtein_matrix`` whose pattern is longer than 64 characters.
 
-``nearest`` takes all of a run's queries at once. It scans the packed
-vocabulary's length groups in rings r = 0, 1, 2, ... of |length - len(query)|,
-and at each ring scans a group once, in one Myers pass whose patterns are
-every open query at that gap; a longer query is a lane instead, with the
-group's words as patterns. A pass holds at most ``_CHUNK`` lanes x
-patterns; a larger one is split. A bare ``str`` is not a batch of queries,
-and raises TypeError.
+``nearest`` takes all of a run's queries at once. It visits (query, word)
+pairs in increasing order of a cheap lower bound on their distance, a
+character-set form of the count filter (Jokinen, Tarhio & Ukkonen 1996):
+the larger of the length gap and the number of signature bits that either
+side has and the other lacks. A signature holds bit s % 63 of each symbol
+s, and bit 63 for any query character outside the alphabet. At step t = 0,
+1, 2, ... each length group gets at most one Myers pass, whose lanes are
+its (query, word) pairs at bound t, each scored against its own query, and
+a query is settled once its best distance is at most t, so a word that
+cannot win is never scanned and no pair is scanned twice. A query longer
+than 64 characters is a lane instead, with its words as patterns. A pass
+holds at most ``_CHUNK`` symbols, and a bound array at most ``_CHUNK``
+queries x words; a larger one is split. A bare ``str`` is not a batch of
+queries, and raises TypeError.
 """
 from __future__ import annotations
 
@@ -34,12 +41,16 @@ BACKEND = "python"
 
 # Longest pattern that fits one uint64 word of Myers' algorithm.
 _WORD = 64
-# Most lanes x patterns in one Myers pass, and symbols x patterns in one
-# ``levenshtein_matrix`` match table: each uint64 array holds at most 8 MiB.
+# Most lanes x patterns in one Myers pass, symbols x patterns in one
+# ``levenshtein_matrix`` match table, queries x words in one ``nearest``
+# bound array and text symbols in one ``nearest`` pass of (query, word)
+# pairs: each 8-byte array holds at most 8 MiB.
 _CHUNK = 1 << 20
 # Most patterns whose match bits ``_peq`` sets at once: it makes about eight
 # 8-byte temporaries per character, at most 4 MiB for 1024 of 64 characters.
 _PEQ_PATTERNS = 1 << 10
+# A distance or bound above any other: no best word yet, no step left.
+_NONE = np.iinfo(np.int64).max
 _ONE = np.uint64(1)
 _PAIRS = np.uint64(0x5555555555555555)
 _NIBBLES = np.uint64(0x3333333333333333)
@@ -110,13 +121,23 @@ def _alphabet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a uint64 array, as int64 (numpy 1.x has no
-    bitwise_count). Bit counts are summed in pairs, nibbles and bytes; the
-    multiply adds the eight byte counts into the top byte."""
+    """Set bits of each entry of a uint64 array, as int64: numpy's
+    ``bitwise_count`` where it has one (numpy 2), else ``_swar_popcount``."""
+    return np.bitwise_count(x).astype(np.int64)
+
+
+def _swar_popcount(x: np.ndarray) -> np.ndarray:
+    """``_popcount`` for numpy 1.x, which has no bitwise_count. Bit counts
+    are summed in pairs, nibbles and bytes; the multiply adds the eight
+    byte counts into the top byte."""
     x = x - ((x >> _ONE) & _PAIRS)
     x = (x & _NIBBLES) + ((x >> np.uint64(2)) & _NIBBLES)
     x = (x + (x >> np.uint64(4))) & _BYTES
     return ((x * _BYTE_SUM) >> np.uint64(56)).astype(np.int64)
+
+
+if not hasattr(np, "bitwise_count"):
+    _popcount = _swar_popcount
 
 
 def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask) -> np.ndarray:
@@ -209,7 +230,9 @@ class PackedWords:
     character's index in alphabet, in the smallest unsigned dtype that also
     holds len(alphabet). ``buckets`` maps each length with words to a view
     of its ids, a slice of order, and of its (length, n) symbol matrix, one
-    word per column, a slice of symbols. ``_assign`` alone sets these
+    word per column, a slice of symbols. The pack keeps no strings: symbols
+    ascend with code points, so comparing two words' symbol columns orders
+    them as comparing the words does. ``_assign`` alone sets these
     attributes, for a build and a cache alike.
     """
 
@@ -235,14 +258,11 @@ class PackedWords:
             start += size
             at += size * length
         self._assign(
-            words,
-            {"alphabet": alphabet, "order": order, "sizes": sizes, "symbols": symbols},
+            {"alphabet": alphabet, "order": order, "sizes": sizes, "symbols": symbols}
         )
 
-    def _assign(self, words: list, arrays) -> None:
-        """Make this the pack of words whose four arrays, by name, are
-        arrays."""
-        self.words = words
+    def _assign(self, arrays) -> None:
+        """Make this the pack whose four arrays, by name, are arrays."""
         self.alphabet = arrays["alphabet"]
         self.order = arrays["order"]
         self.sizes = arrays["sizes"]
@@ -257,6 +277,60 @@ class PackedWords:
             at += size * length
 
 
+def _spell(alphabet: np.ndarray, sym_t: np.ndarray) -> list[str]:
+    """The words whose (length, n) symbol matrix is sym_t, one per column."""
+    length, n = sym_t.shape
+    if not length:
+        return [""] * n
+    points = alphabet[sym_t.T].astype("<i4", copy=False).tobytes()
+    text = points.decode("utf-32-le", "surrogatepass")
+    return [text[at : at + length] for at in range(0, length * n, length)]
+
+
+def _bits(alphabet: np.ndarray) -> np.ndarray:
+    """Signature bit of each symbol of the alphabet, s % 63, and last that
+    of every character outside it, 63 (``_find``'s -1 picks it)."""
+    return _ONE << np.append(np.arange(len(alphabet)) % 63, 63).astype(np.uint64)
+
+
+def _query_signatures(alphabet: np.ndarray, texts: list) -> np.ndarray:
+    """The set of signature bits of each text's characters, as a uint64."""
+    lens = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    sig = np.zeros(len(texts), dtype=np.uint64)
+    sym = _find(alphabet, codes("".join(texts)))
+    owner = np.repeat(np.arange(len(texts)), lens)
+    np.bitwise_or.at(sig, owner, _bits(alphabet)[sym])
+    return sig
+
+
+def _word_signatures(alphabet: np.ndarray, sym_t: np.ndarray) -> np.ndarray:
+    """The set of signature bits of each column of a (length, n) symbol
+    matrix, one row at a time."""
+    bits = _bits(alphabet)
+    sig = np.zeros(sym_t.shape[1], dtype=np.uint64)
+    for row in sym_t:
+        sig |= bits[row]
+    return sig
+
+
+def _bound(w_sig: np.ndarray, q_sig: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """(K, n) lower bounds on the edit distances of K queries and n words,
+    from their signatures and the K gaps of the queries' lengths to the
+    words': an edit removes at most one character and adds at most one, so
+    it takes at least as many edits as either side has signature bits the
+    other lacks."""
+    common = _popcount(q_sig[:, None] & w_sig)
+    own = np.maximum(_popcount(q_sig)[:, None], _popcount(w_sig))
+    return np.maximum(own - common, gap[:, None])
+
+
+def _runs(a: np.ndarray):
+    """(value, start, stop) of each run of equal entries of a."""
+    starts = np.flatnonzero(_first(a))
+    stops = np.append(starts[1:], len(a))
+    return zip(a[starts].tolist(), starts.tolist(), stops.tolist())
+
+
 def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     """Index and distance of the word of ``candidates`` closest to each query.
 
@@ -266,75 +340,101 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
     sequence of them. Pack a word list into ``PackedWords`` once and pass
     the pack to every scan of it.
 
-    The queries are scanned together, in rings r = 0, 1, 2, ... of
-    |length - len(query)|, which bounds a length group's distances from
-    below. A query leaves the scan once r exceeds its best distance or no
-    group is left at that gap. At each ring, a group is scanned once for all
-    open queries that need it, less those whose best word so far lies at
-    distance r and is shorter than the group's words, which the group
-    could at best tie: one Myers pass with those of at most 64
-    characters as its patterns, split so that lanes x patterns stays within
-    ``_CHUNK``, and one ``levenshtein_matrix`` from the longer ones to the
-    group's words. Duplicate queries are scanned once.
+    The (query, word) pairs are scanned in steps t of a lower bound on their
+    distance (``_bound``), taking only the steps at which some pair has its
+    bound. At step t the length groups are taken shortest first, each once,
+    for the open queries that have words at bound t there, less those whose
+    best word so far lies at distance t and is shorter than the group's
+    words. Their bounds are computed in slices of at most ``_CHUNK``
+    queries x words, which also give the next step at which each of them
+    has words in the group, and each pair at bound t is one lane of one
+    Myers pass, scored against its own query: at most ``_CHUNK`` symbols
+    per pass, more passes for more. A query longer than 64 characters takes
+    its words in one ``levenshtein_matrix`` call instead. A query is settled
+    after step t once its best distance is at most t. Duplicate queries are
+    scanned once.
     """
     if isinstance(queries, str):
         raise TypeError("queries must be a sequence of str, not a str")
     queries = list(queries)
-    words = candidates.words
-    if not words:
+    if not candidates.buckets:
         raise ValueError("empty candidate list")
+    alphabet = candidates.alphabet
     unique = list(dict.fromkeys(queries))
     lq = np.array([len(q) for q in unique], dtype=np.intp)
     # A query longer than a word gets an unused placeholder column.
-    peq, masks = _peq(
-        candidates.alphabet, [q if len(q) <= _WORD else "" for q in unique]
-    )
-    lengths = np.array(sorted(candidates.buckets), dtype=np.intp)
-    # the widest gap at which each query has a group left
-    reach = np.maximum(lq - lengths[0], lengths[-1] - lq)
-    best_i = [-1] * len(unique)
-    best_d = np.full(len(unique), -1, dtype=np.int64)
+    peq, masks = _peq(alphabet, [q if len(q) <= _WORD else "" for q in unique])
+    flat = peq.reshape(-1)
+    q_sig = _query_signatures(alphabet, unique)
+    lengths = sorted(candidates.buckets)
+    # The next step at which each group has words at each query's bound;
+    # a bound is never below the gap of their lengths.
+    upcoming = np.abs(np.array(lengths, dtype=np.int64)[:, None] - lq)
+    w_sigs = {}
+    # Each query's best key, (distance, length, symbols, id), and its first
+    # two entries as arrays; no best yet compares above every pair.
+    best = [None] * len(unique)
+    best_d = np.full(len(unique), _NONE)
     best_len = np.zeros(len(unique), dtype=np.intp)
 
-    def keep(k: int, length: int, ids: np.ndarray, dist: np.ndarray) -> None:
-        """Take group length's nearest word for query k if it beats the best."""
+    def keep(k: int, length: int, ids: np.ndarray, sym_t: np.ndarray, dist) -> None:
+        """Take the nearest of a group's words for query k if it beats the best."""
         d = int(dist.min())
-        if best_d[k] >= 0 and (
-            d > best_d[k] or (d == best_d[k] and length >= len(words[best_i[k]]))
-        ):
+        if (d, length) > (best_d[k], best_len[k]):
             return
-        # ids ascend, so min() keeps the earliest of equal words
-        best_i[k] = min(ids[dist == d].tolist(), key=words.__getitem__)
-        best_d[k] = d
-        best_len[k] = length
+        # the first of the nearest words by spelling, then by id
+        tied = np.flatnonzero(dist == d)
+        for row in sym_t:
+            if len(tied) == 1:
+                break
+            tied = tied[row[tied] == row[tied].min()]
+        key = (d, length, sym_t[:, tied[0]].tolist(), int(ids[tied[0]]))
+        if best[k] is None or key < best[k]:
+            best[k] = key
+            best_d[k] = d
+            best_len[k] = length
 
-    r = 0
-    while True:
-        live = (r <= reach) & ((best_d < 0) | (r <= best_d))
-        if not live.any():
-            break
-        at_gap = (np.abs(lq - lengths[:, None]) == r) & live
-        for g in np.flatnonzero(at_gap.any(axis=1)).tolist():
-            length = int(lengths[g])
+    t = int(upcoming.min(initial=_NONE))
+    while t < _NONE:
+        for g in np.flatnonzero((upcoming[:, best_d >= t] == t).any(axis=1)).tolist():
+            length = lengths[g]
+            cols = np.flatnonzero(
+                (upcoming[g] == t)
+                & ((best_d > t) | ((best_d == t) & (best_len >= length)))
+            )
+            if not len(cols):
+                continue
             ids, sym_t = candidates.buckets[length]
-            cols = np.flatnonzero(at_gap[g])
-            # keep() refuses a group that can at best tie with a query's
-            # shorter best word (r == best_d), so it is not scanned for it
-            d = best_d[cols]
-            cols = cols[(d < 0) | (r < d) | (length < best_len[cols])]
-            short = cols[lq[cols] <= _WORD]
+            if length not in w_sigs:
+                w_sigs[length] = _word_signatures(alphabet, sym_t)
+            hits = []
             step = max(1, _CHUNK // len(ids))
-            for at in range(0, len(short), step):
-                part = short[at : at + step]
-                deltas = _myers(peq[:, part], sym_t, [len(ids)] * length, masks[part])
-                for j, k in enumerate(part.tolist()):
-                    keep(k, length, ids, length + deltas[:, j])
-            longer = cols[lq[cols] > _WORD].tolist()
-            if longer:
-                group = [words[i] for i in ids.tolist()]
-                dists = levenshtein_matrix([unique[k] for k in longer], group)
-                for k, dist in zip(longer, dists):
-                    keep(k, length, ids, dist)
-        r += 1
+            for at in range(0, len(cols), step):
+                part = cols[at : at + step]
+                gap = np.abs(length - lq[part])
+                bound = _bound(w_sigs[length], q_sig[part], gap)
+                upcoming[g, part] = bound.min(axis=1, initial=_NONE, where=bound > t)
+                k, w = np.nonzero(bound == t)
+                hits.append((part[k], w))
+            # the pairs at bound t, by query, ascending ids within each
+            k, w = map(np.concatenate, zip(*hits))
+            longer = lq[k] > _WORD
+            for q, a, b in _runs(k[longer]):
+                lanes = w[longer][a:b]
+                lane_sym = sym_t[:, lanes]
+                dist = levenshtein_matrix([unique[q]], _spell(alphabet, lane_sym))[0]
+                keep(q, length, ids[lanes], lane_sym, dist)
+            k, w = k[~longer], w[~longer]
+            step = max(1, _CHUNK // max(length, 1))
+            for at in range(0, len(k), step):
+                pattern, lanes = k[at : at + step], w[at : at + step]
+                lane_sym = sym_t[:, lanes]
+                # each lane's characters index its own query's match bits
+                pairs = lane_sym.astype(np.intp) * len(unique) + pattern
+                deltas = _myers(flat, pairs, [len(lanes)] * length, masks[pattern])
+                dist = length + deltas
+                for q, a, b in _runs(pattern):
+                    keep(q, length, ids[lanes[a:b]], lane_sym[:, a:b], dist[a:b])
+        t = int(upcoming[:, best_d > t].min(initial=_NONE))
     index = {q: k for k, q in enumerate(unique)}
-    return [(best_i[index[q]], int(best_d[index[q]])) for q in queries]
+    return [(best[index[q]][3], best[index[q]][0]) for q in queries]

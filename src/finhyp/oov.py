@@ -246,7 +246,7 @@ def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
         return distance.PackedWords(store.vocab_lower)
     path = store.path + PACK_SUFFIX
     records = _records(store, _PACK_VERSION)
-    check = partial(_read_pack, words=store.vocab_lower)
+    check = partial(_read_pack, count=len(store.vocab))
     packed = read_cache(path, records, _PACK_MEMBERS, check)
     if packed is None:
         packed = distance.PackedWords(store.vocab_lower)
@@ -254,9 +254,9 @@ def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
     return packed
 
 
-def _read_pack(arrays: dict, words: list):
-    """The pack of words whose cached arrays, by name, are arrays, if they
-    are consistent, else None."""
+def _read_pack(arrays: dict, count: int):
+    """The pack of count words whose cached arrays, by name, are arrays, if
+    they are consistent, else None."""
     if any(a.ndim != 1 for a in arrays.values()):
         return None
     alphabet, order = arrays["alphabet"], arrays["order"]
@@ -267,24 +267,24 @@ def _read_pack(arrays: dict, words: list):
         return None
     if symbols.dtype != np.min_scalar_type(len(alphabet)):
         return None
-    if np.any((sizes < 0) | (sizes > len(words))) or sizes.sum() != len(words):
+    if np.any((sizes < 0) | (sizes > count)) or sizes.sum() != count:
         return None
     # order lists every word once, by length, then ascending, as nearest's
     # tie-break needs; each bucket's symbols fill its (length, n) matrix;
     # and every symbol indexes the alphabet.
-    if len(order) != len(words) or np.any(order < 0):
+    if len(order) != count or np.any(order < 0):
         return None
-    if not np.all(np.bincount(order, minlength=len(words)) == 1):
+    if not np.all(np.bincount(order, minlength=count) == 1):
         return None
     length = np.repeat(np.arange(len(sizes)), sizes)
-    if np.any(np.diff(length * len(words) + order) <= 0):
+    if np.any(np.diff(length * count + order) <= 0):
         return None
     if len(symbols) != np.arange(len(sizes)) @ sizes:
         return None
     if len(symbols) and symbols.max() >= len(alphabet):
         return None
     packed = distance.PackedWords.__new__(distance.PackedWords)
-    packed._assign(words, arrays)
+    packed._assign(arrays)
     return packed
 
 

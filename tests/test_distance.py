@@ -370,6 +370,67 @@ class TestWordBoundary:
         ]
 
 
+# Words of up to 12 characters and of more than 64, from the texts'
+# alphabet; the queries draw also from characters the words never hold.
+BOUND_WORDS = st.one_of(
+    st.text(alphabet=EDGE_ALPHABET, max_size=12),
+    st.text(alphabet=EDGE_ALPHABET, min_size=65, max_size=80),
+)
+BOUND_QUERIES = st.one_of(
+    st.text(alphabet=PATTERN_ALPHABET, max_size=12), BOUNDARY_PATTERNS
+)
+# 130 distinct characters: symbols s and s + 63 share a signature bit.
+WIDE = "".join(map(chr, range(0x100, 0x182)))
+
+
+class TestBound:
+    @staticmethod
+    def bounds(queries, words):
+        """nearest's lower bound of each (word, query) pair, by word."""
+        packed = PackedWords(words)
+        q_sig = distance._query_signatures(packed.alphabet, queries)
+        lq = np.array([len(q) for q in queries], dtype=np.intp)
+        out = {}
+        for length, (ids, sym_t) in packed.buckets.items():
+            w_sig = distance._word_signatures(packed.alphabet, sym_t)
+            bound = distance._bound(w_sig, q_sig, np.abs(length - lq))
+            out.update(zip(ids.tolist(), bound.T.tolist()))
+        return [out[i] for i in range(len(words))]
+
+    @given(
+        queries=st.lists(BOUND_QUERIES, min_size=1, max_size=4),
+        words=st.lists(BOUND_WORDS, min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    @example(queries=[WIDE[:70], WIDE[63:], "", "Z"], words=[WIDE, WIDE[::-1][:66], ""])
+    def test_bound_never_exceeds_the_distance(self, queries, words):
+        for w, row in zip(words, self.bounds(queries, words)):
+            assert all(b <= levenshtein(q, w) for q, b in zip(queries, row))
+
+    def test_known_bounds(self):
+        words = ["bond", "bonded", "swapped", "", "ab" * 40]
+        # length gaps, letters the word lacks, letters the query lacks
+        assert self.bounds(["bonds"], words) == [[1], [1], [4], [5], [75]]
+        assert self.bounds(["swapps"], words) == [[4], [5], [2], [6], [74]]
+        # "Z" is outside the words' alphabet, so no word has its bit
+        assert self.bounds(["Z", "bondZ"], words) == [
+            [4, 1], [5, 1], [6, 5], [1, 5], [79, 75]
+        ]
+
+
+def test_popcount_counts_every_bit():
+    # _swar_popcount is _popcount on numpy 1.x, which has no bitwise_count
+    rng = np.random.default_rng(0)
+    x = np.concatenate(
+        [rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False),
+         np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)]
+    )
+    want = [int(v).bit_count() for v in x.tolist()]
+    for count in (distance._popcount, distance._swar_popcount):
+        got = count(x.reshape(17, 12))
+        assert got.dtype == np.int64 and got.reshape(-1).tolist() == want
+
+
 # Query batches: short and long queries, "" and characters outside the
 # candidates' alphabet (Z and λ), with every other query repeated.
 BATCH_QUERIES = st.lists(
@@ -407,78 +468,158 @@ class TestBatchNearest:
             brute_nearest(q, cands) for q in queries
         ]
 
+    @staticmethod
+    def record_splits(monkeypatch, passes, bounds):
+        """Spy on every Myers pass and every queries x words bound array.
+        A pass of ``nearest`` pairs, whose match table is flat, is recorded
+        as (lanes, text length); one of ``levenshtein_matrix`` as (lanes,
+        match table rows, patterns)."""
+        real_myers, real_bound = distance._myers, distance._bound
+
+        def myers(peq, sym_t, active, mask):
+            if peq.ndim == 1:
+                passes.append((sym_t.shape[1], sym_t.shape[0]))
+            else:
+                passes.append((sym_t.shape[1], peq.shape[0], peq.shape[1]))
+            return real_myers(peq, sym_t, active, mask)
+
+        def bound(w_sig, q_sig, gap):
+            out = real_bound(w_sig, q_sig, gap)
+            bounds.append(out.shape)
+            return out
+
+        monkeypatch.setattr(distance, "_myers", myers)
+        monkeypatch.setattr(distance, "_bound", bound)
+
+    @staticmethod
+    def within(chunk, passes, bounds):
+        """Each pass and bound array stays within chunk, unless one lane,
+        pattern or query alone exceeds it."""
+        for p in passes:
+            if len(p) == 2:
+                lanes, length = p
+                assert lanes * max(length, 1) <= chunk or lanes == 1
+            else:
+                lanes, symbols, k = p
+                assert (lanes * k <= chunk and symbols * k <= chunk) or k == 1
+        assert all(k * n <= chunk or k == 1 for k, n in bounds)
+
     @pytest.mark.parametrize("chunk", [1, 5, 12])
     def test_split_groups_give_the_same_answers(self, monkeypatch, chunk):
+        # Three letters give many words the same signature, so a group
+        # holds many pairs at a step's bound.
         rng = random.Random(chunk)
         cands = ["".join(rng.choices("abc", k=rng.randint(2, 5))) for _ in range(60)]
         queries = ["".join(rng.choices("abcZ", k=rng.randint(0, 7))) for _ in range(30)]
         packed = PackedWords(cands)
-        passes = []
-        real = distance._myers
-
-        def recording(peq, sym_t, active, mask):
-            passes.append((sym_t.shape[1], peq.shape[1]))
-            return real(peq, sym_t, active, mask)
-
-        monkeypatch.setattr(distance, "_myers", recording)
+        passes, bounds = [], []
+        self.record_splits(monkeypatch, passes, bounds)
         whole = nearest(queries, packed)
-        n_whole = len(passes)
+        n_whole, n_whole_bounds = len(passes), len(bounds)
         passes.clear()
+        bounds.clear()
         monkeypatch.setattr(distance, "_CHUNK", chunk)
         assert nearest(queries, packed) == whole
-        # groups were split, and lanes x patterns stays within the bound
-        # unless one pattern alone exceeds it
-        assert len(passes) > n_whole
-        assert all(lanes * k <= chunk or k == 1 for lanes, k in passes)
+        # passes and bound arrays were split, and each stays within chunk
+        assert len(passes) > n_whole and len(bounds) > n_whole_bounds
+        self.within(chunk, passes, bounds)
 
     @pytest.mark.parametrize("chunk", [1, 5, 12])
     def test_split_long_queries_give_the_same_answers(self, monkeypatch, chunk):
-        # a query over 64 characters is a lane, the group's words of up to
-        # 64 characters the patterns, and the query's alphabet the match
+        # a query over 64 characters is a lane, its words of up to 64
+        # characters the patterns, and the query's alphabet the match
         # table's rows
         rng = random.Random(chunk)
         cands = ["".join(rng.choices("abc", k=rng.randint(60, 68))) for _ in range(40)]
         queries = ["".join(rng.choices("abcZ", k=rng.randint(65, 70))) for _ in range(8)]
         packed = PackedWords(cands)
-        passes = []
-        real = distance._myers
-
-        def recording(peq, sym_t, active, mask):
-            passes.append((sym_t.shape[1], peq.shape[0], peq.shape[1]))
-            return real(peq, sym_t, active, mask)
-
-        monkeypatch.setattr(distance, "_myers", recording)
+        passes, bounds = [], []
+        self.record_splits(monkeypatch, passes, bounds)
         whole = nearest(queries, packed)
-        n_whole = len(passes)
+        n_whole, n_whole_bounds = len(passes), len(bounds)
         assert whole == [nearest([q], packed)[0] for q in queries]
         passes.clear()
+        bounds.clear()
         monkeypatch.setattr(distance, "_CHUNK", chunk)
         assert nearest(queries, packed) == whole
-        assert len(passes) > n_whole
-        assert all(
-            (lanes * k <= chunk and symbols * k <= chunk) or k == 1
-            for lanes, symbols, k in passes
-        )
+        assert len(passes) > n_whole and len(bounds) > n_whole_bounds
+        self.within(chunk, passes, bounds)
 
-    def test_group_that_can_only_tie_is_not_scanned(self, monkeypatch):
-        # At ring 1, "bonds" finds "bond" at distance 1; "bonded" is as far
-        # in length and longer, so it could at best tie and lose, and is
-        # not scanned for it. "swapps" still scans the 4-letter group at
-        # ring 2, where a word as near as "swapped" would win by length.
-        cands = ["bond", "bonded", "swapped"]
-        queries = ["bonds", "swapps"]
-        passes = []
+    @staticmethod
+    def record_pairs(monkeypatch, packed, passes):
+        """Spy on every Myers pass of ``nearest`` pairs, as its (word,
+        query index) lanes. A pair's text is its word's symbols, each
+        times the number of queries plus its query's index, so that it
+        picks its own query's match bits from the flat table."""
         real = distance._myers
 
         def recording(peq, sym_t, active, mask):
-            passes.append((sym_t.shape[0], peq.shape[1]))
+            sym, query = np.divmod(sym_t, len(peq) // len(packed.alphabet))
+            passes.append([
+                ("".join(chr(packed.alphabet[s]) for s in sym[:, r]), int(query[0, r]))
+                for r in range(sym_t.shape[1])
+            ])
             return real(peq, sym_t, active, mask)
 
         monkeypatch.setattr(distance, "_myers", recording)
-        assert nearest(queries, PackedWords(cands)) == [(0, 1), (2, 2)]
+
+    def test_group_that_can_only_tie_is_not_scanned(self, monkeypatch):
+        # "bonds" is at bound 1 from "bond" and "bonded" (a letter apart in
+        # length, and each lacks one letter of the other). At step 1 the
+        # 4-letter group comes first and finds "bond" at distance 1, so the
+        # 6-letter group, whose words could at best tie and lose, is not
+        # scanned for it. "swapps" is at bound 2 from "swapped" (which has
+        # "e" and "d" besides its letters), and at 4 and 5 from the
+        # others, so it scans "swapped" alone, at step 2.
+        cands = ["bond", "bonded", "swapped"]
+        queries = ["bonds", "swapps"]
+        packed = PackedWords(cands)
+        passes = []
+        self.record_pairs(monkeypatch, packed, passes)
+        assert nearest(queries, packed) == [(0, 1), (2, 2)]
         assert [brute_nearest(q, cands) for q in queries] == [(0, 1), (2, 2)]
-        # (group length, patterns) of each pass: ring 0, ring 1, ring 2
-        assert passes == [(6, 1), (4, 1), (7, 1), (4, 1)]
+        assert passes == [[("bond", 0)], [("swapped", 1)]]
+
+    def test_later_word_of_the_same_length_wins_a_tie(self, monkeypatch):
+        # "ab" finds "ba" at step 0 (same letters), at distance 2. "Ac" is
+        # at bound 2, as long and lexicographically smaller ("A" < "b"), so
+        # step 2 scans it, and it wins the tie; no pair is at bound 1.
+        cands = ["ba", "Ac"]
+        packed = PackedWords(cands)
+        passes = []
+        self.record_pairs(monkeypatch, packed, passes)
+        assert nearest(["ab"], packed) == [(1, 2)] == [brute_nearest("ab", cands)]
+        assert passes == [[("ba", 0)], [("Ac", 0)]]
+
+    def test_far_words_never_become_lanes(self, monkeypatch):
+        # one word a letter from the query among 3,000 that share none of
+        # its letters, all of its length or near it: a far word's bound is
+        # at least 4, and the query is settled at distance 1 after step 1
+        rng = random.Random(5)
+        letters = "bcdefghijk"
+        far = ["".join(rng.choices(letters, k=rng.randint(4, 6))) for _ in range(3000)]
+        cands = far[:1500] + ["swap"] + far[1500:]
+        packed = PackedWords(cands)
+        passes = []
+        self.record_pairs(monkeypatch, packed, passes)
+        assert nearest(["swaps"], packed) == [(1500, 1)]
+        assert brute_nearest("swaps", cands) == (1500, 1)
+        assert passes == [[("swap", 0)]]
+
+    def test_each_pair_is_scanned_once(self, monkeypatch):
+        # Far queries scan many pairs over many steps; each (word, query)
+        # pair of distinct words is a lane at its own bound only.
+        rng = random.Random(8)
+        cands = {"".join(rng.choices("abcdef", k=rng.randint(1, 8))) for _ in range(300)}
+        cands = sorted(cands)
+        queries = ["".join(rng.choices("aeiouxy", k=rng.randint(1, 9))) for _ in range(20)]
+        packed = PackedWords(cands)
+        passes = []
+        self.record_pairs(monkeypatch, packed, passes)
+        assert nearest(queries, packed) == [brute_nearest(q, cands) for q in queries]
+        lanes = [pair for p in passes for pair in p]
+        assert len(passes) > 10
+        assert len(set(lanes)) == len(lanes)
 
     def test_bare_str_rejected(self):
         with pytest.raises(TypeError):

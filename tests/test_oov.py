@@ -742,10 +742,11 @@ def pack_file(store):
 
 
 def assert_same_pack(warm, cold):
-    """The same words, alphabet and buckets, arrays with their dtypes."""
-    assert warm.words == cold.words
-    assert warm.alphabet.dtype == cold.alphabet.dtype
-    np.testing.assert_array_equal(warm.alphabet, cold.alphabet)
+    """The same four arrays and buckets, arrays with their dtypes."""
+    for name in ("alphabet", "order", "sizes", "symbols"):
+        got, want = getattr(warm, name), getattr(cold, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
     assert warm.buckets.keys() == cold.buckets.keys()
     for length, (ids, sym) in cold.buckets.items():
         got_ids, got_sym = warm.buckets[length]
