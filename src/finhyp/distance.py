@@ -8,9 +8,20 @@ down the last column.
 
 ``levenshtein_matrix`` (the edit-feature block) and ``nearest`` (the OOV
 scans of a vocabulary packed once per store, ``PackedWords``) run it in
-numpy: each pattern of at most 64 characters is one uint64 word, the texts
-are the lanes of the vector axis, the patterns a second axis, and the loop
-runs over text positions. Texts are mapped to a dense alphabet of small
+numpy: the texts are the lanes of the vector axis, uint64 words of pattern
+bits a second axis, and the loop runs over text positions, in place on
+buffers allocated once per pass. ``levenshtein_matrix`` packs several
+targets into one word, the multiple-pattern form of Hyyrö, Fredriksson &
+Navarro (2005, *ACM JEA* 10). In target order, a target of m <= 63
+characters takes m bits and one zero gap bit above them in the current
+word if they fit, else in a new word; a 64-character target fills a word
+of its own (``_layout``). Each step ORs the low bit of every pattern into
+the horizontal +1 vector where a lone pattern ORs 1, and ANDs the vertical
++1 vector with the word's pattern bits, so no carry or shift crosses a gap
+into the next pattern, and each target's distance is read under its own
+bits. The 17 labels of the synthetic set, 226 bits with their gaps, take 4
+words instead of 17. ``nearest``'s pairwise passes run the same kernel with
+one pattern per lane, at bit 0. Texts are mapped to a dense alphabet of small
 unsigned symbols; a pattern character outside it matches nothing. The
 scalar ``levenshtein`` runs the algorithm on Python ints, which have no
 width limit: the n-gram tie-breaks call it, and so does each pair of
@@ -41,7 +52,7 @@ BACKEND = "python"
 
 # Longest pattern that fits one uint64 word of Myers' algorithm.
 _WORD = 64
-# Most lanes x patterns in one Myers pass, symbols x patterns in one
+# Most lanes x uint64 words in one Myers pass, symbols x uint64 words in one
 # ``levenshtein_matrix`` match table, queries x words in one ``nearest``
 # bound array and text symbols in one ``nearest`` pass of (query, word)
 # pairs: each 8-byte array holds at most 8 MiB.
@@ -140,59 +151,114 @@ if not hasattr(np, "bitwise_count"):
     _popcount = _swar_popcount
 
 
-def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask) -> np.ndarray:
-    """Summed vertical deltas of the last DP column of each lane.
+def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask):
+    """The +1 and -1 vertical delta vectors, (pv, mv), of the last DP column
+    of each lane.
 
-    ``peq[s]`` holds the match bits of symbol s for each pattern (shape
-    (A,) or (A, K)); ``sym_t`` is (L, n), lane r's text down column r. Step
-    j advances only the first ``active[j]`` lanes, so a lane whose text is
+    ``peq[s]`` holds the match bits of symbol s in each word (shape (A,) or
+    (A, W)); ``sym_t`` is (L, n), lane r's text down column r. Step j
+    advances only the first ``active[j]`` lanes, so a lane whose text is
     shorter than L must come after every longer one, and its vectors stay
-    as its last character left them. ``mask`` has the low m bits set for a
-    pattern of m characters.
+    as its last character left them. ``mask`` broadcasts against the lanes'
+    words and has the bits of each pattern of each word set; a pattern of m
+    characters holds m bits, with a zero gap bit above them unless it ends
+    the word. The low bit of each run of mask bits, ``starts``, takes the
+    place of the single pattern's ``| 1``, and pv is ANDed with mask, so no
+    carry or shift crosses from one pattern into the next. A pattern's
+    summed deltas are the set bits of pv less those of mv under its own
+    bits. The step works in place on buffers allocated once.
     """
     shape = (sym_t.shape[1],) + peq.shape[1:]
-    pv = np.empty(shape, dtype=np.uint64)
-    pv[...] = mask
+    mask = np.broadcast_to(mask, shape)
+    # The top row of a global distance grows by 1 per text character.
+    starts = mask & ~(mask << _ONE)
+    pv = mask.copy()
     mv = np.zeros(shape, dtype=np.uint64)
+    buffers = [np.empty(shape, dtype=np.uint64) for _ in range(4)]
+    lanes = -1
     for j, n in enumerate(active):
-        eq = peq[sym_t[j, :n]]
-        p, m = pv[:n], mv[:n]
-        xv = eq | m
-        xh = (((eq & p) + p) ^ p) | eq
-        # The top row of a global distance grows by 1 per text character.
-        ph = ((m | ~(xh | p)) << _ONE) | _ONE
-        mh = (p & xh) << _ONE
-        p[...] = mh | ~(xv | ph)
-        m[...] = ph & xv
-    return _popcount(pv & mask) - _popcount(mv & mask)
+        if n != lanes:
+            # views of the first n lanes, made again only when n changes
+            p, m, k, s, eq, xv, xh, ph = (a[:n] for a in (pv, mv, mask, starts, *buffers))
+            lanes = n
+        peq.take(sym_t[j, :n], axis=0, out=eq, mode="clip")
+        np.bitwise_or(eq, m, xv)
+        # xh = (((eq & pv) + pv) ^ pv) | eq
+        np.bitwise_and(eq, p, xh)
+        np.add(xh, p, xh)
+        np.bitwise_xor(xh, p, xh)
+        np.bitwise_or(xh, eq, xh)
+        # ph = ((mv | ~(xh | pv)) << 1) | starts
+        np.bitwise_or(xh, p, ph)
+        np.invert(ph, ph)
+        np.bitwise_or(ph, m, ph)
+        np.left_shift(ph, _ONE, ph)
+        np.bitwise_or(ph, s, ph)
+        # mh = (pv & xh) << 1, kept in xh
+        np.bitwise_and(p, xh, xh)
+        np.left_shift(xh, _ONE, xh)
+        # pv = (mh | ~(xv | ph)) & mask; mv = ph & xv
+        np.bitwise_or(xv, ph, p)
+        np.invert(p, p)
+        np.bitwise_or(p, xh, p)
+        np.bitwise_and(p, k, p)
+        np.bitwise_and(ph, xv, m)
+    return pv, mv
 
 
-def _peq(alphabet: np.ndarray, patterns) -> tuple[np.ndarray, np.ndarray]:
-    """(A, K) match bits of a list of K patterns of at most 64 characters
-    over the alphabet, and their (K,) masks. The bits are set for slices of
-    at most ``_PEQ_PATTERNS`` patterns at a time."""
+def _layout(lens) -> tuple[np.ndarray, np.ndarray]:
+    """Word and first bit of each pattern of lengths lens, each at most 64,
+    packed in order: a pattern takes its m bits and a zero gap bit above
+    them in the current word if they fit, else starts a new word. A
+    64-character pattern has no room for the gap and fills a word."""
+    word = np.empty(len(lens), dtype=np.intp)
+    shift = np.empty(len(lens), dtype=np.intp)
+    at, used = -1, _WORD
+    for k, m in enumerate(lens):
+        size = min(m + 1, _WORD)
+        if used + size > _WORD:
+            at, used = at + 1, 0
+        word[k], shift[k] = at, used
+        used += size
+    return word, shift
+
+
+def _peq(alphabet: np.ndarray, patterns, layout=None) -> tuple[np.ndarray, np.ndarray]:
+    """(A, W) match bits of a list of K patterns of at most 64 characters
+    over the alphabet, and each pattern's own bits, (K,). Pattern k starts
+    at bit ``shift[k]`` of word ``word[k]``, where layout is (word, shift)
+    (``_layout``); without one, each pattern has a word of its own, at bit
+    0. The bits are set for slices of at most ``_PEQ_PATTERNS`` patterns at
+    a time."""
     lens = np.array([len(p) for p in patterns], dtype=np.intp)
-    peq = np.zeros((len(alphabet), len(patterns)), dtype=np.uint64)
+    if layout is None:
+        layout = (np.arange(len(patterns)), np.zeros(len(patterns), dtype=np.intp))
+    word, shift = layout
+    peq = np.zeros((len(alphabet), int(word[-1]) + 1 if len(word) else 0), np.uint64)
     for at in range(0, len(patterns), _PEQ_PATTERNS):
         part = lens[at : at + _PEQ_PATTERNS]
         sym = _find(alphabet, codes("".join(patterns[at : at + _PEQ_PATTERNS])))
         pattern = np.repeat(np.arange(at, at + len(part)), part)
         bit = np.arange(len(sym)) - np.repeat(np.cumsum(part) - part, part)
+        bit += shift[pattern]
         hit = sym >= 0
         np.bitwise_or.at(
-            peq, (sym[hit], pattern[hit]), _ONE << bit[hit].astype(np.uint64)
+            peq, (sym[hit], word[pattern[hit]]), _ONE << bit[hit].astype(np.uint64)
         )
     # 2**64 - 1 is computed exactly in Python; a uint64 shift by 64 is not.
-    masks = np.array([2**m - 1 for m in lens.tolist()], dtype=np.uint64)
-    return peq, masks
+    bits = np.array(
+        [2**m - 1 << s for m, s in zip(lens.tolist(), shift.tolist())], dtype=np.uint64
+    )
+    return peq, bits
 
 
 def levenshtein_matrix(texts, targets) -> np.ndarray:
     """(N, K) int32 distances from each of N texts to each of K targets.
 
-    The texts are the lanes, longest first, and the targets of at most 64
-    characters the patterns of Myers passes over text positions, sliced to
-    stay within ``_CHUNK``; a longer target's column comes from ``levenshtein``.
+    The texts are the lanes, longest first. The targets of at most 64
+    characters are packed into words (``_layout``), the words the patterns
+    of Myers passes over text positions, sliced to stay within ``_CHUNK``;
+    a longer target's column comes from ``levenshtein``.
     """
     texts = list(texts)
     targets = list(targets)
@@ -208,11 +274,18 @@ def levenshtein_matrix(texts, targets) -> np.ndarray:
     active = len(texts) - np.searchsorted(lens[::-1], np.arange(width), side="right")
     out = np.empty((len(texts), len(targets)), dtype=np.int32)
     short = [k for k, t in enumerate(targets) if len(t) <= _WORD]
+    word, shift = _layout([len(targets[k]) for k in short])
     step = max(1, _CHUNK // max(len(texts), len(alphabet), 1))
-    for at in range(0, len(short), step):
-        part = short[at : at + step]
-        peq, masks = _peq(alphabet, [targets[k] for k in part])
-        deltas = _myers(peq, sym_t, active.tolist(), masks)
+    # the first target of each pass of at most step words
+    firsts = np.searchsorted(word, np.arange(0, word[-1] + 1 if short else 0, step))
+    for a, b in zip(firsts.tolist(), firsts[1:].tolist() + [len(short)]):
+        part = short[a:b]
+        at = word[a:b] - word[a]
+        peq, bits = _peq(alphabet, [targets[k] for k in part], (at, shift[a:b]))
+        masks = np.zeros(peq.shape[1], dtype=np.uint64)
+        np.bitwise_or.at(masks, at, bits)
+        pv, mv = _myers(peq, sym_t, active.tolist(), masks)
+        deltas = _popcount(pv[:, at] & bits) - _popcount(mv[:, at] & bits)
         out[order[:, None], part] = lens[:, None] + deltas
     for k, target in enumerate(targets):
         if len(target) > _WORD:
@@ -431,8 +504,8 @@ def nearest(queries, candidates: PackedWords) -> list[tuple[int, int]]:
                 lane_sym = sym_t[:, lanes]
                 # each lane's characters index its own query's match bits
                 pairs = lane_sym.astype(np.intp) * len(unique) + pattern
-                deltas = _myers(flat, pairs, [len(lanes)] * length, masks[pattern])
-                dist = length + deltas
+                pv, mv = _myers(flat, pairs, [len(lanes)] * length, masks[pattern])
+                dist = length + _popcount(pv) - _popcount(mv)
                 for q, a, b in _runs(pattern):
                     keep(q, length, ids[lanes[a:b]], lane_sym[:, a:b], dist[a:b])
         t = int(upcoming[:, best_d > t].min(initial=_NONE))

@@ -18,24 +18,35 @@ INDICATORS = ("Inc.", "Corp", "Ltd", "Bank", "Index", "Rate", "%")
 HANDCRAFTED_WIDTH = 10
 
 
-def handcrafted(term_raw: str) -> np.ndarray:
-    """The 10 hand-crafted features of the original term string.
+def handcrafted(terms) -> np.ndarray:
+    """The 10 hand-crafted features of each original term string: an (N, 10)
+    block for a sequence of N terms, one (10,) row for a single ``str``.
 
     Positions 0-6: substring INDICATORS[i] present (case-sensitive). 7:
     character count. 8: upper-case letter count. 9: upper/lower ratio with
     the denominator floored at 1 (all-caps terms would otherwise divide by
-    zero).
+    zero). The letter counts test each distinct character once and sum the
+    tests per term.
     """
-    out = np.zeros(HANDCRAFTED_WIDTH)
+    single = isinstance(terms, str)
+    batch = [terms] if single else list(terms)
+    lens = np.array([len(t) for t in batch], dtype=np.intp)
+    out = np.zeros((len(batch), HANDCRAFTED_WIDTH))
     for i, sub in enumerate(INDICATORS):
-        if sub in term_raw:
-            out[i] = 1.0
-    upper = sum(map(str.isupper, term_raw))
-    lower = sum(map(str.islower, term_raw))
-    out[7] = len(term_raw)
-    out[8] = upper
-    out[9] = upper / max(lower, 1)
-    return out
+        out[:, i] = [sub in t for t in batch]
+    chars, inverse = np.unique(distance.codes("".join(batch)), return_inverse=True)
+    owner = np.repeat(np.arange(len(batch)), lens)
+
+    def count(test) -> np.ndarray:
+        """Characters of each term that pass test."""
+        passed = np.array([test(chr(c)) for c in chars.tolist()], dtype=bool)
+        return np.bincount(owner[passed[inverse]], minlength=len(batch))
+
+    upper, lower = count(str.isupper), count(str.islower)
+    out[:, 7] = lens
+    out[:, 8] = upper
+    out[:, 9] = upper / np.maximum(lower, 1)
+    return out[0] if single else out
 
 
 class LabelSet:
@@ -196,7 +207,7 @@ def assemble_features(
     vecs = embed_term(table, texts)
     blocks = [vecs]
     if hand:
-        blocks.append(np.vstack([handcrafted(raw) for raw in raw_terms]))
+        blocks.append(handcrafted(raw_terms))
     if cosine:
         blocks.append(cosine_features(vecs, labels))
     if edit:

@@ -15,6 +15,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .augment import (
     MIN_MATCH_SCORE,
     DefinitionDict,
@@ -524,18 +526,29 @@ def run_predict(cfg: PipelineConfig, model_dir, terms_path) -> PredictRun:
             f"model dim {model.dim} != trained feature width {scaler.n_features}"
         )
     probs = predict_proba(model, scaler.transform(matrix))
-    lines = [
-        json.dumps(
-            {
-                "term": term,
-                "top3": [model.labels[i] for i in ranked],
-                "probs": [row[i] for i in ranked],
-            }
-        )
-        for term, ranked, row in zip(terms, rank_labels(probs).tolist(), probs.tolist())
-    ]
+    lines = _prediction_lines(terms, model.labels, rank_labels(probs), probs)
     out_path = _write_out(cfg, "predictions.jsonl", "\n".join(lines) + "\n")
     return PredictRun(out_path, len(terms))
+
+
+def _prediction_lines(terms, labels, ranked, probs) -> list[str]:
+    """The predictions.jsonl line of each term: what ``json.dumps`` writes
+    for {"term": term, "top3": [labels[i] for i in ranked row], "probs":
+    [probs row[i] for i in ranked row]}, from one %-template. Each label is
+    escaped once, each term by json's own escaper, and each probability, a
+    finite float, is written as its repr, as json writes a float."""
+    escape = json.encoder.encode_basestring_ascii
+    names = np.array([escape(label) for label in labels], dtype=object)
+    k = ranked.shape[1]
+    template = (
+        '{"term": %s, "top3": [' + ", ".join(["%s"] * k) + '], "probs": ['
+        + ", ".join(["%r"] * k) + "]}"
+    )
+    top = np.take_along_axis(probs, ranked, axis=1).tolist()
+    return [
+        template % (escape(term), *named, *row)
+        for term, named, row in zip(terms, names[ranked].tolist(), top)
+    ]
 
 
 @dataclass

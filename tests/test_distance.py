@@ -2,6 +2,7 @@
 import random
 import string
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -368,6 +369,80 @@ class TestWordBoundary:
             ("z" * 66, "a" * 70),
             ("z" * 66, "b" * 80),
         ]
+
+
+# Targets of up to 63 characters share a Myers word, each followed by a zero
+# gap bit; a 64-character target fills a word, a longer one is scalar.
+SHORT_TARGETS = st.lists(
+    st.text(alphabet=PATTERN_ALPHABET, min_size=1, max_size=10), min_size=8, max_size=30
+)
+PACKED_TEXTS = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(alphabet=EDGE_ALPHABET, max_size=12),
+        st.text(alphabet=EDGE_ALPHABET, min_size=65, max_size=90),
+    ),
+    max_size=5,
+)
+
+
+class TestPackedTargets:
+    @staticmethod
+    def pass_words(texts, targets):
+        """``levenshtein_matrix``'s distances, and the number of words of
+        each of its Myers passes."""
+        with mock.patch.object(distance, "_myers", wraps=distance._myers) as spy:
+            out = levenshtein_matrix(texts, targets).tolist()
+        return out, [c.args[0].shape[1] for c in spy.call_args_list]
+
+    def test_layout(self):
+        word, shift = distance._layout([5, 0, 63, 64, 10, 10, 10, 10, 10, 10])
+        # an empty target takes its gap bit; 63 characters and the gap fill
+        # a word, and so do 64 characters without one; five 10-character
+        # targets and their gaps take 55 bits, and a sixth does not fit
+        assert word.tolist() == [0, 0, 1, 2, 3, 3, 3, 3, 3, 4]
+        assert shift.tolist() == [0, 6, 0, 0, 0, 11, 22, 33, 44, 0]
+
+    @given(texts=PACKED_TEXTS, targets=SHORT_TARGETS, empty_at=st.integers(0, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_shared_words_against_reference(self, texts, targets, empty_at):
+        targets.insert(min(empty_at, len(targets)), "")
+        out, words = self.pass_words(texts, targets)
+        assert out == [[reference_levenshtein(t, g) for g in targets] for t in texts]
+        # one pass, fewer words than targets
+        assert len(words) == 1 and words[0] < len(targets)
+
+    @given(
+        texts=PACKED_TEXTS,
+        targets=st.lists(
+            st.one_of(
+                st.sampled_from([62, 63, 64, 65, 80]).flatmap(text_of_length),
+                st.text(alphabet=PATTERN_ALPHABET, max_size=10),
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(texts=["", "a" * 70], targets=["a" * 63, "b", "a" * 64, "", "a" * 65])
+    @example(texts=["ab" * 40, "b"], targets=["b" * 10, "ab" * 31 + "a", "ab" * 32])
+    def test_word_edges_against_reference(self, texts, targets):
+        assert levenshtein_matrix(texts, targets).tolist() == [
+            [reference_levenshtein(t, g) for g in targets] for t in texts
+        ]
+
+    def test_labels_fill_four_words(self):
+        # the 17 hypernym labels of the synthetic set take 226 bits
+        labels = [
+            "bonds", "central securities depository", "credit events",
+            "credit index", "debt pricing and yields", "equity index", "forward",
+            "funds", "future", "mmis", "option", "parametric schedules",
+            "regulatory agency", "securities restrictions", "stock corporation",
+            "stocks", "swap",
+        ]
+        texts = ["credit default swaps on bonds", "", "x" * 70]
+        out, words = self.pass_words(texts, labels)
+        assert out == [[reference_levenshtein(t, g) for g in labels] for t in texts]
+        assert words == [4]
 
 
 # Words of up to 12 characters and of more than 64, from the texts'

@@ -30,7 +30,49 @@ def build_labels(words, store):
     return LabelSet.build(words, table(store, words))
 
 
+def reference_handcrafted(term_raw: str) -> np.ndarray:
+    """Per-row oracle for the hand-crafted block: the 10 features of one
+    term, one character and one indicator at a time."""
+    out = np.zeros(10)
+    for i, sub in enumerate(INDICATORS):
+        if sub in term_raw:
+            out[i] = 1.0
+    upper = sum(map(str.isupper, term_raw))
+    lower = sum(map(str.islower, term_raw))
+    out[7] = len(term_raw)
+    out[8] = upper
+    out[9] = upper / max(lower, 1)
+    return out
+
+
+# Titlecase (neither upper nor lower), non-BMP upper- and lower-case
+# letters, digits, a lone surrogate, and fragments of the indicators.
+HAND_TERMS = st.lists(
+    st.one_of(
+        st.sampled_from(INDICATORS + ("Inc", "Corp.", "ǅ", "ǆ", "Ǆ", "𝐀", "𝐚", "𐐀", "𐐨")),
+        st.text(alphabet="aZ7 .%ǅ𝐀𝐚\ud800ΣσİßBankIndexRate", max_size=12),
+        st.text(max_size=6),
+    ),
+    max_size=6,
+).map("".join)
+
+
 class TestHandcrafted:
+    @given(terms=st.lists(HAND_TERMS, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_block_matches_rows(self, terms):
+        block = handcrafted(terms)
+        assert block.shape == (len(terms), 10)
+        assert block.tolist() == [reference_handcrafted(t).tolist() for t in terms]
+
+    @given(term=HAND_TERMS)
+    @settings(max_examples=40, deadline=None)
+    def test_one_term_is_one_row(self, term):
+        row = handcrafted(term)
+        assert row.shape == (10,)
+        assert row.tolist() == reference_handcrafted(term).tolist()
+        assert row.tolist() == handcrafted([term])[0].tolist()
+
     def test_default_indicator_count(self):
         assert len(INDICATORS) == 7
         assert "Inc." in INDICATORS

@@ -10,11 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finhyp import distance, embeddings, oov
 from finhyp.cli import main
 from finhyp.embeddings import save_embeddings, EmbeddingStore
-from finhyp.model import model_text
+from finhyp.model import model_text, rank_labels
 from finhyp.pipeline import (
     DataError,
     PRESETS,
@@ -26,6 +28,7 @@ from finhyp.pipeline import (
     load_config,
     load_dataset,
     load_terms,
+    _prediction_lines,
     run_augment_apply,
     run_augment_fetch,
     run_cv,
@@ -381,6 +384,53 @@ def trained(synth_dir, tmp_path_factory):
     cfg = apply_preset(base_cfg(synth_dir, out), "BL.HF.OOVm.D2")
     run = run_train(cfg, synth_dir / "terms.csv")
     return cfg, out, run
+
+
+# Quotes, backslashes, control characters, DEL, non-ASCII, non-BMP, lone
+# surrogates and the line and paragraph separators, which json escapes.
+JSON_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\\x00\x08\x1f\x7f\x80é€\u2028\u2029\ud800\U0001f600\U0010ffff'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+PROBS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308, 1e-300])
+
+
+@st.composite
+def scored_terms(draw):
+    """Terms, unique labels and an (N, K) probability matrix."""
+    terms = draw(st.lists(JSON_TEXT, max_size=4))
+    labels = draw(st.lists(JSON_TEXT, min_size=1, max_size=5, unique=True))
+    row = st.lists(PROBS, min_size=len(labels), max_size=len(labels))
+    rows = draw(st.lists(row, min_size=len(terms), max_size=len(terms)))
+    return terms, labels, np.array(rows, dtype=np.float64).reshape(len(terms), len(labels))
+
+
+class TestPredictionLines:
+    @given(scored=scored_terms())
+    @settings(max_examples=100, deadline=None)
+    @example(
+        scored=(
+            ['a"\\b\x7f', "\u2028\x00"],
+            ["x", "é", "\U0001f600", "\ud800"],
+            np.array([[0.0, 1.0, 5e-324, 0.5], [1 / 3, 2 / 3, 0.0, 1e-310]]),
+        )
+    )
+    def test_lines_equal_json_dumps(self, scored):
+        terms, labels, probs = scored
+        ranked = rank_labels(probs)
+        assert _prediction_lines(terms, labels, ranked, probs) == [
+            json.dumps(
+                {
+                    "term": term,
+                    "top3": [labels[i] for i in order],
+                    "probs": [row[i] for i in order],
+                }
+            )
+            for term, order, row in zip(terms, ranked.tolist(), probs.tolist())
+        ]
 
 
 class TestTrainPredict:

@@ -99,6 +99,9 @@ def test_hooks_see_the_calls_they_wrap(traced):
     assert cv["pipeline.write_bytes"] > 0
     predict = tracer.layer_metrics(runs["predict"])
     assert predict["model.predict_calls"] == 1
+    # the hand-crafted and edit blocks run inside the names perfbench wraps
+    assert predict["features.handcrafted_s"] > 0
+    assert predict["features.edit_s"] > 0
     assert tracer.layer_metrics(runs["oov"])["distance.nearest_calls"] == 1
     resolve = tracer.layer_metrics(runs["resolve"])
     assert resolve["oov.resolve_calls"] == 2
