@@ -13,11 +13,15 @@ It is minimized by a line-search truncated Newton method (Nocedal &
 Wright, Numerical Optimization, sec. 7.1; the trust-region form is Lin,
 Weng & Keerthi 2008, the solver of LIBLINEAR). The parameters are one
 (K, D+1) matrix [W | b], which the solver works on against Xa = [X | 1]
-and its contiguous transpose, both made once per fit; loss_and_grad is
-handed the W and b views of it. Each Newton step solves H p = -g
-approximately by conjugate gradients, with Hessian-vector products taken
-from the softmax at the current point (see ``_hessian_product``), so the
-Hessian is never formed. CG is preconditioned by I_K (x) A, where
+and its contiguous transpose Xa', both made once per fit; loss_and_grad is
+handed the W and b views of it and the X' rows of Xa', so every logit
+product of a fit runs against a contiguous matrix. Each Newton step solves
+H p = -g approximately by conjugate gradients, with Hessian-vector
+products taken from the softmax at the current point (see
+``_hessian_product``), so the Hessian is never formed. That softmax is the
+one loss_and_grad wrote when it scored the point, as the accepted trial
+of the previous step's line search (or as the start), so a point's
+logits are computed once. CG is preconditioned by I_K (x) A, where
 A = Xa' diag(s) Xa + diag(pen) is the input factor of a Kronecker-factored
 curvature (Martens & Grosse 2015), built from a step's softmax with
 s_i = mean_k p_ik (1 - p_ik), and pen is 1/C on the W columns and 0 on the
@@ -29,10 +33,10 @@ unusable or whose CG solve took more Hessian-vector products than the
 first solve under that A^-1 did.
 The step is found by backtracking (halving, Armijo constant 1e-4) with
 each trial point scored by ``loss_and_grad``; the accepted trial's
-gradient starts the next step, so the objective is evaluated once per
-trial. A fit also stops, as not converged, after MAX_ITER Newton steps or
-once backtracking shrinks the decrease a step promises below float64
-resolution of the loss (STALL).
+gradient and softmax start the next step, so the objective is evaluated
+once per trial. A fit also stops, as not converged, after MAX_ITER Newton
+steps or once backtracking shrinks the decrease a step promises below
+float64 resolution of the loss (STALL).
 
 A fit starts from zero, or from the parameters of another model
 (``start``). ``grid_search`` uses that for a warm start along the
@@ -151,13 +155,16 @@ def _check_xy(X, y, n_classes):
     return X, y
 
 
-def _data_term(W, b, X, y):
+def _data_term(W, b, X, y, xt=None):
     """The data term of the loss, with the exponentials of the class-major
     (K, N) logits shifted by their column maxima, the column sums of those
     exponentials, and the flat positions y * N + arange(N) of the gold
-    logits."""
+    logits. The logits are W X' + b against xt, X's contiguous transpose,
+    which is copied here when not given."""
+    if xt is None:
+        xt = np.ascontiguousarray(X.T)
     n = len(y)
-    z = W @ X.T
+    z = W @ xt
     z += b[:, None]
     gold = y * n
     gold += np.arange(n)
@@ -179,10 +186,16 @@ def loss_value(W, b, X, y, c) -> float:
     return _data_term(W, b, X, y)[0] + _penalty(W, c)
 
 
-def loss_and_grad(W, b, X, y, c):
-    """Objective value with its analytic gradient (see module docstring)."""
-    data, e, s, gold = _data_term(W, b, X, y)
+def loss_and_grad(W, b, X, y, c, xt=None, softmax=None):
+    """Objective value with its analytic gradient (see module docstring).
+    xt is X's contiguous transpose, which a caller that evaluates many
+    points of one X makes once; without it the copy is made here, so the
+    arithmetic, and every bit of the result, is the same either way. A
+    (K, N) softmax array, when given, receives the softmax at the point."""
+    data, e, s, gold = _data_term(W, b, X, y, xt)
     e /= s  # the (K, N) softmax
+    if softmax is not None:
+        np.copyto(softmax, e)
     e.ravel()[gold] -= 1.0  # e is contiguous, so ravel is a view
     grad_w = e @ X
     grad_w += W / c
@@ -282,7 +295,7 @@ def _newton_direction(g, hessian_product, inverse=None):
     p = np.zeros_like(g)
     r = -g
     z = r if inverse is None else r @ inverse
-    d = z
+    d = z.copy()  # updated in place, and z may be r
     rz = float(np.vdot(r, z))
     for step in range(g.size):
         q = hessian_product(d)
@@ -291,31 +304,32 @@ def _newton_direction(g, hessian_product, inverse=None):
         if not alpha < math.inf:
             return (p if step else -g), step + 1
         p += alpha * d
-        r = r - alpha * q
+        r -= alpha * q
         if math.sqrt(float(np.vdot(r, r))) <= tol:
             break
         z = r if inverse is None else r @ inverse
         rz_new = float(np.vdot(r, z))
-        d = z + (rz_new / rz) * d
+        d *= rz_new / rz
+        d += z
         rz = rz_new
     return p, step + 1
 
 
 def _backtrack(f, theta, p, loss: float, slope: float):
     """Armijo backtracking along p from a unit step, halving on failure.
-    f maps a point to its (loss, gradient). A trial whose loss is not
-    finite fails, and its overflow raises no warning. Returns the accepted
-    point with its loss and gradient, or None once the first-order
-    decrease step * |slope| falls to STALL * |loss|."""
+    f maps a point to its (loss, gradient, softmax). A trial whose loss is
+    not finite fails, and its overflow raises no warning. Returns the
+    accepted point with its loss, gradient and softmax, or None once the
+    first-order decrease step * |slope| falls to STALL * |loss|."""
     step = 1.0
     while True:
         # far along a long first step, from a saturated start, the loss
         # overflows to inf (or NaN); the comparison below rejects both
         with np.errstate(over="ignore", invalid="ignore"):
             trial = theta + step * p
-            trial_loss, trial_g = f(trial)
+            trial_loss, trial_g, trial_p = f(trial)
         if trial_loss <= loss + ARMIJO * step * slope:
-            return trial, trial_loss, trial_g
+            return trial, trial_loss, trial_g, trial_p
         step *= 0.5
         if step * -slope <= STALL * abs(loss):
             return None
@@ -363,15 +377,18 @@ def train(
     else:
         raise ValueError("start model has other labels or another feature width")
 
-    def value_and_grad(t):
-        loss, gw, gb = loss_and_grad(t[:, :d], t[:, d], X, y, c)
-        return loss, np.column_stack([gw, gb])
+    xt = Xat[:d]  # X', contiguous
 
-    loss, g = value_and_grad(theta)
+    def evaluate(t):
+        # positional, so a wrapper that takes *args sees every call
+        P = np.empty((k, len(y)))
+        loss, gw, gb = loss_and_grad(t[:, :d], t[:, d], X, y, c, xt, P)
+        return loss, np.column_stack([gw, gb]), P
+
+    loss, g, P = evaluate(theta)
     iterations = products = builds = 0
     rebuild = True
     while iterations < MAX_ITER and np.abs(g).max() > GRAD_TOL:
-        P = _softmax(theta @ Xat, axis=0)
         if rebuild:
             inverse = _inverse(_input_gram(P, Xa, pen))
             builds += 1
@@ -388,10 +405,10 @@ def train(
         if not -math.inf < slope < 0:
             p = -g
             slope = -float(np.vdot(g, g))
-        accepted = _backtrack(value_and_grad, theta, p, loss, slope)
+        accepted = _backtrack(evaluate, theta, p, loss, slope)
         if accepted is None:
             break  # stalled
-        theta, loss, g = accepted
+        theta, loss, g, P = accepted
         iterations += 1
     grad_max = float(np.abs(g).max())
     return LogRegModel(
@@ -467,12 +484,14 @@ def grid_search(X, y, labels, cfg: TrainConfig) -> GridSearchResult:
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
         train_idx = all_idx[train_mask]
+        X_train, y_train = X[train_idx], y[train_idx]
+        X_test, y_test = X[test_idx], y[test_idx]
         m = None
         for c in sorted(cfg.c_grid):
-            m = train(X[train_idx], y[train_idx], labels, c, start=m)
-            preds = oof[c][test_idx] = rank_labels(predict_proba(m, X[test_idx]))
-            fold_mrs[c].append(mean_rank(preds, y[test_idx]))
-            fold_accs[c].append(accuracy(preds, y[test_idx]))
+            m = train(X_train, y_train, labels, c, start=m)
+            preds = oof[c][test_idx] = rank_labels(predict_proba(m, X_test))
+            fold_mrs[c].append(mean_rank(preds, y_test))
+            fold_accs[c].append(accuracy(preds, y_test))
     rows = [
         GridRow(
             c=c,

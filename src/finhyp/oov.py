@@ -38,6 +38,7 @@ and packed in memory only.
 """
 from __future__ import annotations
 
+import math
 import unicodedata
 from dataclasses import dataclass
 from functools import partial
@@ -350,12 +351,24 @@ def _jaccard(text, lo, span, size, index: NgramIndex):
 
 def _closest(low: str, ids: list[int], index: NgramIndex) -> int:
     """The id among ascending ids whose lowercased entry comes first by
-    (edit distance to low, length, entry); the smaller id on a tie."""
-    words = {i: index.entries[i].lower() for i in ids}
-    return min(
-        ids,
-        key=lambda i: (distance.levenshtein(low, words[i]), len(words[i]), words[i]),
-    )
+    (edit distance to low, length, entry); the smaller id on a tie.
+
+    The length gap |len(low) - len(entry)| is a lower bound on the edit
+    distance, so the candidates are visited in order of (gap, length,
+    entry, id), and the scan stops at the first whose (gap, length, entry)
+    is not below the best key found so far: neither it nor any later
+    candidate can come first. Candidates with an equal key share their gap,
+    so they are visited in id order and the first one found is kept."""
+    words = ((index.entries[i].lower(), i) for i in ids)
+    candidates = sorted((abs(len(w) - len(low)), len(w), w, i) for w, i in words)
+    best = (math.inf,)
+    for gap, size, word, i in candidates:
+        if (gap, size, word) >= best:
+            break
+        key = (distance.levenshtein(low, word), size, word)
+        if key < best:
+            best, closest = key, i
+    return closest
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,26 @@ class TestGradient:
                     scale = max(np.abs(ref).max(), 1.0)
                     assert np.abs(got - ref).max() <= 1e-12 * scale
 
+    def test_transpose_and_softmax_outputs_change_no_bit(self):
+        # a fit passes X's contiguous transpose and a softmax output; the
+        # call without them makes the copy itself and computes the same bits
+        rng = np.random.default_rng(36)
+        for n, d, k in [(1, 1, 2), (233, 76, 17), (40, 3, 6)]:
+            X = rng.normal(size=(n, d))
+            y = rng.integers(0, k, size=n)
+            theta = rng.normal(size=(k, d + 1))
+            W, b = theta[:, :d], theta[:, d]
+            loss, gw, gb = loss_and_grad(W, b, X, y, 0.1)
+            P = np.full((k, n), np.nan)
+            got = loss_and_grad(W, b, X, y, 0.1, np.ascontiguousarray(X.T), P)
+            assert got[0] == loss
+            assert got[1].tobytes() == gw.tobytes()
+            assert got[2].tobytes() == gb.tobytes()
+            assert np.all(P > 0)
+            assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-15 * k
+            Xat = np.vstack([X.T, np.ones(n)])
+            assert np.abs(P - model_mod._softmax(theta @ Xat, axis=0)).max() <= 1e-15
+
     def test_bias_not_penalized(self):
         X = np.zeros((2, 1))
         y = np.array([0, 1])
@@ -523,6 +543,43 @@ class TestTrain:
         assert np.all(np.diff(losses) <= 0)
         # backtracking halved until step * |slope| <= STALL * |loss|
         assert 3 + 20 < calls["loss_and_grad"] < 3 + 100
+
+    @pytest.mark.parametrize("c", [0.001, 1.0, 100.0])
+    def test_step_softmax_is_the_accepted_trials(self, monkeypatch, c):
+        # each Newton step hands _hessian_product the softmax that
+        # loss_and_grad wrote at the step's point (the start, then each
+        # accepted trial), and train computes no softmax of its own
+        points, softmaxes = [], []
+        backtrack, product = model_mod._backtrack, model_mod._hessian_product
+
+        def recorded_backtrack(f, theta, p, loss, slope):
+            accepted = backtrack(f, theta, p, loss, slope)
+            if accepted is not None:
+                points.append(accepted[0])
+            return accepted
+
+        def recorded_product(P, Xa, Xat, pen):
+            softmaxes.append(P.copy())
+            return product(P, Xa, Xat, pen)
+
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("train computed a softmax")
+
+        softmax = model_mod._softmax
+        monkeypatch.setattr(model_mod, "_backtrack", recorded_backtrack)
+        monkeypatch.setattr(model_mod, "_hessian_product", recorded_product)
+        monkeypatch.setattr(model_mod, "_softmax", no_softmax)
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(233, 76))
+        y = rng.integers(0, 17, size=233)
+        labels = tuple(f"k{i}" for i in range(17))
+        start = LogRegModel(rng.normal(size=(17, 76)), rng.normal(size=17), 1.0, labels)
+        m = train(X, y, labels, c, start=start)
+        assert m.converged and len(softmaxes) == m.iterations > 2
+        Xat = np.vstack([X.T, np.ones(len(y))])
+        start_point = np.column_stack([start.weights, start.bias])
+        for theta, P in zip([start_point] + points, softmaxes):
+            assert np.abs(P - softmax(theta @ Xat, axis=0)).max() <= 1e-14
 
     @pytest.mark.parametrize("c", [1e-5, 0.001, 1.0, 100.0])
     def test_one_evaluation_per_trial(self, monkeypatch, c):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import unicodedata
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -287,6 +288,54 @@ class TestBatchedMatches:
         want = best_ngram_matches(texts, index)
         with mock.patch.object(oov, "_POSTINGS", bound):
             assert best_ngram_matches(texts, index) == want
+
+
+# "İ" lowercases to "i" and a combining dot, so its lowered entry is longer:
+# the length gap that orders the tie-break candidates is measured on that.
+CLOSEST_CHARS = "aAbBiİ\u0307"
+
+
+class TestClosest:
+    """The n-gram tie-break visits candidates in order of a lower bound on
+    the key and stops early; the answer is the minimum of the whole key."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        entries=st.lists(words(CLOSEST_CHARS, 6), min_size=1, max_size=12),
+        low=words(CLOSEST_CHARS, 6).map(str.lower),
+        data=st.data(),
+    )
+    @example(entries=["Rates", "rates", "rater", "ratex"], low="rate", data=None)
+    @example(entries=["", "A", "a", ""], low="", data=None)
+    @example(entries=["İ", "i\u0307", "ii", "I"], low="i", data=None)
+    def test_equals_minimum_of_the_full_key(self, entries, low, data):
+        everyone = list(range(len(entries)))
+        ids = everyone if data is None else data.draw(
+            st.lists(st.sampled_from(everyone), min_size=1, unique=True).map(sorted)
+        )
+        lowered = [e.lower() for e in entries]
+
+        def key(i):
+            return levenshtein(low, lowered[i]), len(lowered[i]), lowered[i]
+
+        want = min(ids, key=key)
+        index = SimpleNamespace(entries=entries)
+        assert oov._closest(low, ids, index) == want
+
+    def test_stops_at_the_bound(self):
+        # "rates" is one edit away at length gap 1; "ratesxx" and "r" have a
+        # gap of 3, so their distances are never computed
+        calls = []
+        entries = ["ratesxx", "rates", "r", "Rates"]
+
+        def counted(a, b):
+            calls.append(b)
+            return levenshtein(a, b)
+
+        with mock.patch.object(distance, "levenshtein", counted):
+            index = SimpleNamespace(entries=entries)
+            assert oov._closest("rate", [0, 1, 2, 3], index) == 1
+        assert calls == ["rates"]
 
 
 class TestOOVStrategy:
