@@ -10,10 +10,8 @@ from .augment import (
     DefinitionDict,
     HttpFetcher,
     augment_dataset,
-    augment_one,
     fetch_definitions,
     first_sentence,
-    match_term,
     normalize,
 )
 from .distance import BACKEND, levenshtein, nearest

@@ -3,8 +3,10 @@
 Each term is matched against a dictionary of definitions, exactly first and
 then fuzzily by character-n-gram similarity; on a match the first sentence
 of the definition is appended as "term. sentence". Unmatched terms pass
-through untouched. The pipeline only ever reads offline snapshot files;
-populating a snapshot from a remote source goes through a pluggable fetcher.
+through untouched. A dataset is matched in one pass: one exact-headword
+lookup per term, then one ``best_ngram_matches`` call for the terms left.
+The pipeline only ever reads offline snapshot files; populating a snapshot
+from a remote source goes through a pluggable fetcher.
 """
 from __future__ import annotations
 
@@ -90,23 +92,6 @@ class DefinitionDict:
         )
 
 
-def match_term(term: str, ddict: DefinitionDict) -> str | None:
-    """Headword for a term: exact after normalization, else the best n-gram
-    match scoring at least MIN_MATCH_SCORE, else None."""
-    if len(ddict) == 0:
-        return None
-    norm = normalize(term)
-    if norm in ddict.entries:
-        return norm
-    found = best_ngram_matches([norm], ddict.index)[0]
-    if found is None:
-        return None
-    entry_id, score = found
-    if score < MIN_MATCH_SCORE:
-        return None
-    return ddict.headwords[entry_id]
-
-
 @dataclass(frozen=True)
 class AugmentedTerm:
     raw: str
@@ -115,18 +100,31 @@ class AugmentedTerm:
     text: str
 
 
-def augment_one(raw: str, ddict: DefinitionDict) -> AugmentedTerm:
-    """Augment a raw term string."""
-    head = match_term(raw, ddict)
-    if head is None:
-        return AugmentedTerm(raw, None, None, raw)
-    sentence = first_sentence(ddict.definition(head))
-    return AugmentedTerm(raw, head, sentence, f"{raw}. {sentence}")
-
-
 def augment_dataset(terms, ddict: DefinitionDict):
-    """Augment every term; returns (augmented list, matched/total coverage)."""
-    out = [augment_one(t, ddict) for t in terms]
+    """Augment every term; returns (augmented list, matched/total coverage).
+
+    A term's headword is its normalized form when the dictionary has it,
+    else the best n-gram match scoring at least MIN_MATCH_SCORE, else None;
+    the distinct terms without an exact headword are matched in one
+    ``best_ngram_matches`` call. A bare ``str`` raises TypeError.
+    """
+    if isinstance(terms, str):
+        raise TypeError("terms must be an iterable of str, not a str")
+    terms = list(terms)
+    norms = [normalize(t) for t in terms]
+    heads = {n: n for n in norms if n in ddict.entries}
+    rest = [n for n in dict.fromkeys(norms) if n not in heads]
+    if rest and len(ddict):
+        for norm, found in zip(rest, best_ngram_matches(rest, ddict.index)):
+            if found is not None and found[1] >= MIN_MATCH_SCORE:
+                heads[norm] = ddict.headwords[found[0]]
+    sentences = {h: first_sentence(ddict.entries[h]) for h in set(heads.values())}
+    out = []
+    for raw, norm in zip(terms, norms):
+        head = heads.get(norm)
+        sentence = sentences.get(head)
+        text = raw if head is None else f"{raw}. {sentence}"
+        out.append(AugmentedTerm(raw, head, sentence, text))
     matched = sum(1 for a in out if a.matched_headword is not None)
     coverage = matched / len(out) if out else 0.0
     return out, coverage

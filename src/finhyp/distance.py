@@ -63,10 +63,6 @@ _PEQ_PATTERNS = 1 << 10
 # A distance or bound above any other: no best word yet, no step left.
 _NONE = np.iinfo(np.int64).max
 _ONE = np.uint64(1)
-_PAIRS = np.uint64(0x5555555555555555)
-_NIBBLES = np.uint64(0x3333333333333333)
-_BYTES = np.uint64(0x0F0F0F0F0F0F0F0F)
-_BYTE_SUM = np.uint64(0x0101010101010101)
 
 
 def codes(text: str) -> np.ndarray:
@@ -122,8 +118,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 def _alphabet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct code points of points, and a table from each code
     point up to the largest to its symbol, its index among them. The table
-    has the smallest unsigned dtype that also holds their count: the pack
-    cache's ``symbols`` has that dtype, and ``oov._read_pack`` checks it."""
+    has the smallest unsigned dtype that also holds their count: a pack's
+    ``symbols`` has that dtype, and ``PackedWords.from_arrays`` checks it."""
     alphabet = _sorted_unique(points)
     size = int(alphabet[-1]) + 1 if len(alphabet) else 0
     table = np.zeros(size, dtype=np.min_scalar_type(len(alphabet)))
@@ -132,23 +128,8 @@ def _alphabet(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _popcount(x: np.ndarray) -> np.ndarray:
-    """Set bits of each entry of a uint64 array, as int64: numpy's
-    ``bitwise_count`` where it has one (numpy 2), else ``_swar_popcount``."""
+    """Set bits of each entry of a uint64 array, as int64."""
     return np.bitwise_count(x).astype(np.int64)
-
-
-def _swar_popcount(x: np.ndarray) -> np.ndarray:
-    """``_popcount`` for numpy 1.x, which has no bitwise_count. Bit counts
-    are summed in pairs, nibbles and bytes; the multiply adds the eight
-    byte counts into the top byte."""
-    x = x - ((x >> _ONE) & _PAIRS)
-    x = (x & _NIBBLES) + ((x >> np.uint64(2)) & _NIBBLES)
-    x = (x + (x >> np.uint64(4))) & _BYTES
-    return ((x * _BYTE_SUM) >> np.uint64(56)).astype(np.int64)
-
-
-if not hasattr(np, "bitwise_count"):
-    _popcount = _swar_popcount
 
 
 def _myers(peq: np.ndarray, sym_t: np.ndarray, active, mask):
@@ -306,7 +287,7 @@ class PackedWords:
     word per column, a slice of symbols. The pack keeps no strings: symbols
     ascend with code points, so comparing two words' symbol columns orders
     them as comparing the words does. ``_assign`` alone sets these
-    attributes, for a build and a cache alike.
+    attributes, for a build and a cache (``from_arrays``) alike.
     """
 
     def __init__(self, words):
@@ -348,6 +329,40 @@ class PackedWords:
             self.buckets[length] = (self.order[start : start + size], block)
             start += size
             at += size * length
+
+    @classmethod
+    def from_arrays(cls, arrays: dict, count: int) -> PackedWords | None:
+        """The pack of count words whose four arrays, by name, are arrays,
+        if they are consistent, else None."""
+        if any(a.ndim != 1 for a in arrays.values()):
+            return None
+        alphabet, order = arrays["alphabet"], arrays["order"]
+        sizes, symbols = arrays["sizes"], arrays["symbols"]
+        if alphabet.dtype != np.int32 or np.any(alphabet[1:] <= alphabet[:-1]):
+            return None
+        if order.dtype != np.int64 or sizes.dtype != np.int64:
+            return None
+        if symbols.dtype != np.min_scalar_type(len(alphabet)):
+            return None
+        if np.any((sizes < 0) | (sizes > count)) or sizes.sum() != count:
+            return None
+        # order lists every word once, by length, then ascending, as
+        # nearest's tie-break needs; each bucket's symbols fill its
+        # (length, n) matrix; and every symbol indexes the alphabet.
+        if len(order) != count or np.any(order < 0):
+            return None
+        if not np.all(np.bincount(order, minlength=count) == 1):
+            return None
+        length = np.repeat(np.arange(len(sizes)), sizes)
+        if np.any(np.diff(length * count + order) <= 0):
+            return None
+        if len(symbols) != np.arange(len(sizes)) @ sizes:
+            return None
+        if len(symbols) and symbols.max() >= len(alphabet):
+            return None
+        packed = cls.__new__(cls)
+        packed._assign(arrays)
+        return packed
 
 
 def _spell(alphabet: np.ndarray, sym_t: np.ndarray) -> list[str]:

@@ -19,8 +19,8 @@ HANDCRAFTED_WIDTH = 10
 
 
 def handcrafted(terms) -> np.ndarray:
-    """The 10 hand-crafted features of each original term string: an (N, 10)
-    block for a sequence of N terms, one (10,) row for a single ``str``.
+    """The (N, 10) block of hand-crafted features of a sequence of N
+    original term strings; a bare ``str`` raises TypeError.
 
     Positions 0-6: substring INDICATORS[i] present (case-sensitive). 7:
     character count. 8: upper-case letter count. 9: upper/lower ratio with
@@ -28,25 +28,26 @@ def handcrafted(terms) -> np.ndarray:
     zero). The letter counts test each distinct character once and sum the
     tests per term.
     """
-    single = isinstance(terms, str)
-    batch = [terms] if single else list(terms)
-    lens = np.array([len(t) for t in batch], dtype=np.intp)
-    out = np.zeros((len(batch), HANDCRAFTED_WIDTH))
+    if isinstance(terms, str):
+        raise TypeError("terms must be a sequence of str, not a str")
+    terms = list(terms)
+    lens = np.array([len(t) for t in terms], dtype=np.intp)
+    out = np.zeros((len(terms), HANDCRAFTED_WIDTH))
     for i, sub in enumerate(INDICATORS):
-        out[:, i] = [sub in t for t in batch]
-    chars, inverse = np.unique(distance.codes("".join(batch)), return_inverse=True)
-    owner = np.repeat(np.arange(len(batch)), lens)
+        out[:, i] = [sub in t for t in terms]
+    chars, inverse = np.unique(distance.codes("".join(terms)), return_inverse=True)
+    owner = np.repeat(np.arange(len(terms)), lens)
 
     def count(test) -> np.ndarray:
         """Characters of each term that pass test."""
         passed = np.array([test(chr(c)) for c in chars.tolist()], dtype=bool)
-        return np.bincount(owner[passed[inverse]], minlength=len(batch))
+        return np.bincount(owner[passed[inverse]], minlength=len(terms))
 
     upper, lower = count(str.isupper), count(str.islower)
     out[:, 7] = lens
     out[:, 8] = upper
     out[:, 9] = upper / np.maximum(lower, 1)
-    return out[0] if single else out
+    return out
 
 
 class LabelSet:

@@ -26,15 +26,15 @@ SHA-256, ``EmbeddingStore.sha256``, which also keys the store's own sidecar,
 and the interpreter's Unicode version, as ``str.lower()`` depends on it),
 then the arrays: ``_MEMBERS`` for the index, ``_PACK_MEMBERS``
 for the pack. A cache whose records all match, and whose arrays pass the
-structural checks of ``_read_index`` or ``_read_pack``, is used in place
-of a build; the index or pack is the same arrays either way. Any other
-cache is rebuilt and rewritten, so a rewrite of the store file that changes
-only its vectors rebuilds each once. The index is read or written only by
-``build_ngram_index`` and the pack only by ``pack_vocabulary``, so a run
-touches a cache only when it needs what it holds. A failed write is
-ignored, so deleting a cache is always safe. A store without a digest (read
-from a pipe, built in memory, or changed while it was parsed) is indexed
-and packed in memory only.
+structural checks of ``_read_index`` or ``distance.PackedWords.from_arrays``,
+is used in place of a build; the index or pack is the same arrays either
+way. Any other cache is rebuilt and rewritten, so a rewrite of the store
+file that changes only its vectors rebuilds each once. The index is read
+or written only by ``build_ngram_index`` and the pack only by
+``pack_vocabulary``, so a run touches a cache only when it needs what it
+holds. A failed write is ignored, so deleting a cache is always safe. A
+store without a digest (read from a pipe, built in memory, or changed
+while it was parsed) is indexed and packed in memory only.
 """
 from __future__ import annotations
 
@@ -247,45 +247,11 @@ def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
         return distance.PackedWords(store.vocab_lower)
     path = store.path + PACK_SUFFIX
     records = _records(store, _PACK_VERSION)
-    check = partial(_read_pack, count=len(store.vocab))
+    check = partial(distance.PackedWords.from_arrays, count=len(store.vocab))
     packed = read_cache(path, records, _PACK_MEMBERS, check)
     if packed is None:
         packed = distance.PackedWords(store.vocab_lower)
         write_cache(path, {**records, **{n: getattr(packed, n) for n in _PACK_MEMBERS}})
-    return packed
-
-
-def _read_pack(arrays: dict, count: int):
-    """The pack of count words whose cached arrays, by name, are arrays, if
-    they are consistent, else None."""
-    if any(a.ndim != 1 for a in arrays.values()):
-        return None
-    alphabet, order = arrays["alphabet"], arrays["order"]
-    sizes, symbols = arrays["sizes"], arrays["symbols"]
-    if alphabet.dtype != np.int32 or np.any(alphabet[1:] <= alphabet[:-1]):
-        return None
-    if order.dtype != np.int64 or sizes.dtype != np.int64:
-        return None
-    if symbols.dtype != np.min_scalar_type(len(alphabet)):
-        return None
-    if np.any((sizes < 0) | (sizes > count)) or sizes.sum() != count:
-        return None
-    # order lists every word once, by length, then ascending, as nearest's
-    # tie-break needs; each bucket's symbols fill its (length, n) matrix;
-    # and every symbol indexes the alphabet.
-    if len(order) != count or np.any(order < 0):
-        return None
-    if not np.all(np.bincount(order, minlength=count) == 1):
-        return None
-    length = np.repeat(np.arange(len(sizes)), sizes)
-    if np.any(np.diff(length * count + order) <= 0):
-        return None
-    if len(symbols) != np.arange(len(sizes)) @ sizes:
-        return None
-    if len(symbols) and symbols.max() >= len(alphabet):
-        return None
-    packed = distance.PackedWords.__new__(distance.PackedWords)
-    packed._assign(arrays)
     return packed
 
 

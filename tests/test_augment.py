@@ -3,18 +3,20 @@ import json
 import logging
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finhyp.augment import (
+    MIN_MATCH_SCORE,
     AugmentedTerm,
     DefinitionDict,
     HttpFetcher,
     augment_dataset,
-    augment_one,
     fetch_definitions,
     first_sentence,
-    match_term,
     normalize,
 )
+from finhyp.oov import best_ngram_matches
 
 
 @pytest.fixture
@@ -102,59 +104,63 @@ class TestDefinitionDict:
 
 class TestMatchTerm:
     def test_exact_after_normalization(self, defs):
-        assert match_term("Swap", defs) == "swap"
-        assert match_term("  CORPORATE   BOND ", defs) == "corporate bond"
+        assert augment_dataset(["Swap"], defs)[0][0].matched_headword == "swap"
+        (a,), _ = augment_dataset(["  CORPORATE   BOND "], defs)
+        assert a.matched_headword == "corporate bond"
 
     def test_fuzzy_plural(self, defs):
-        assert match_term("interest rate swaps", defs) == "interest rate swap"
+        (a,), _ = augment_dataset(["interest rate swaps"], defs)
+        assert a.matched_headword == "interest rate swap"
 
     def test_no_shared_ngrams(self, defs):
-        assert match_term("XJ9-ZQ", defs) is None
+        assert augment_dataset(["XJ9-ZQ"], defs)[0][0].matched_headword is None
 
     def test_below_threshold_rejected(self, defs):
         # shares a few grams with "swap" but far under 0.2 similarity
-        assert match_term("swahili dictionary volume", defs) is None
+        (a,), _ = augment_dataset(["swahili dictionary volume"], defs)
+        assert a.matched_headword is None
 
     def test_threshold_inclusive(self):
         # {abc, bcx, abcx} vs {abc, bcd, abcd}: Jaccard 1/5, the threshold
         # itself; "abcxy" has 6 grams and scores 1/8
         ddict = DefinitionDict({"abcd": "A test entry."})
-        assert match_term("abcx", ddict) == "abcd"
-        assert match_term("abcxy", ddict) is None
+        assert augment_dataset(["abcx"], ddict)[0][0].matched_headword == "abcd"
+        assert augment_dataset(["abcxy"], ddict)[0][0].matched_headword is None
 
     def test_empty_dict(self):
-        assert match_term("swap", DefinitionDict({})) is None
+        (a,), _ = augment_dataset(["swap"], DefinitionDict({}))
+        assert a.matched_headword is None
 
 
 class TestAugmentOne:
     def test_matched_term_gets_sentence(self, defs):
-        a = augment_one("Swap", defs)
+        a = augment_dataset(["Swap"], defs)[0][0]
         assert a.raw == "Swap"
         assert a.matched_headword == "swap"
         assert a.definition_sentence == "A swap is a derivative."
         assert a.text == "Swap. A swap is a derivative."
 
     def test_unmatched_passes_through(self, defs):
-        a = augment_one("XJ9-ZQ", defs)
+        a = augment_dataset(["XJ9-ZQ"], defs)[0][0]
         assert a.matched_headword is None
         assert a.definition_sentence is None
         assert a.text == "XJ9-ZQ"
 
     def test_idempotent_on_augmented_term(self, defs):
-        once = augment_one("Swap", defs)
+        once = augment_dataset(["Swap"], defs)[0][0]
         # an augmented term is re-augmented from its raw string
-        twice = augment_one(once.raw, defs)
+        twice = augment_dataset([once.raw], defs)[0][0]
         assert twice == once
 
     def test_text_never_shorter_than_raw(self, defs):
         for term in ["Swap", "bond", "XJ9-ZQ", "interest rate swaps"]:
-            a = augment_one(term, defs)
+            a = augment_dataset([term], defs)[0][0]
             assert len(a.text) >= len(a.raw)
             assert a.text.startswith(a.raw) or a.text == a.raw
 
     def test_equality_iff_unmatched(self, defs):
-        assert augment_one("XJ9-ZQ", defs).text == "XJ9-ZQ"
-        assert augment_one("Swap", defs).text != "Swap"
+        assert augment_dataset(["XJ9-ZQ"], defs)[0][0].text == "XJ9-ZQ"
+        assert augment_dataset(["Swap"], defs)[0][0].text != "Swap"
 
 
 class TestAugmentDataset:
@@ -173,6 +179,62 @@ class TestAugmentDataset:
         out, coverage = augment_dataset([], defs)
         assert out == []
         assert coverage == 0.0
+
+    def test_bare_str_raises(self, defs):
+        # a str is an iterable of terms "S", "w", "a", "p", and not a batch
+        with pytest.raises(TypeError):
+            augment_dataset("Swap", defs)
+
+    def test_any_iterable(self, defs):
+        terms = ["Swap", "XJ9-ZQ", "interest rate swaps"]
+        assert augment_dataset(iter(terms), defs) == augment_dataset(terms, defs)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_term_reference(self, data):
+        # blank definitions drop their entry, and headwords that normalize
+        # alike merge
+        entries = st.dictionaries(
+            st.text(alphabet="abcde ", max_size=9),
+            st.sampled_from(["A first. Second.", "No period", "  ", "x.y. z"]),
+            max_size=6,
+        )
+        ddict = DefinitionDict(data.draw(entries))
+        # case and whitespace variants of the headwords, other texts over
+        # their letters, and texts that share no gram with any of them
+        pool = [
+            v
+            for h in ddict.headwords
+            for v in (h, h.upper(), f"  {h} ", h.replace(" ", "\t "))
+        ]
+        term = st.one_of(
+            st.text(alphabet="abcdeAB ", max_size=10),
+            st.text(alphabet="XYZ9 ", max_size=6),
+            *([st.sampled_from(pool)] if pool else []),
+        )
+        terms = data.draw(st.lists(term, max_size=8))
+        terms += terms[: data.draw(st.integers(0, len(terms)))]
+        out, coverage = augment_dataset(terms, ddict)
+        assert out == [reference_augment(t, ddict) for t in terms]
+        matched = sum(a.matched_headword is not None for a in out)
+        assert coverage == (matched / len(terms) if terms else 0.0)
+
+
+def reference_augment(term: str, ddict: DefinitionDict) -> AugmentedTerm:
+    """Per-term oracle for augment_dataset: the exact headword, else the
+    best n-gram match scoring at least MIN_MATCH_SCORE, else none."""
+    norm = normalize(term)
+    head = None
+    if norm in ddict.entries:
+        head = norm
+    elif len(ddict):
+        found = best_ngram_matches([norm], ddict.index)[0]
+        if found is not None and found[1] >= MIN_MATCH_SCORE:
+            head = ddict.headwords[found[0]]
+    if head is None:
+        return AugmentedTerm(term, None, None, term)
+    sentence = first_sentence(ddict.definition(head))
+    return AugmentedTerm(term, head, sentence, f"{term}. {sentence}")
 
 
 class TestFetch:

@@ -494,16 +494,14 @@ class TestBound:
 
 
 def test_popcount_counts_every_bit():
-    # _swar_popcount is _popcount on numpy 1.x, which has no bitwise_count
     rng = np.random.default_rng(0)
     x = np.concatenate(
         [rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False),
          np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)]
     )
     want = [int(v).bit_count() for v in x.tolist()]
-    for count in (distance._popcount, distance._swar_popcount):
-        got = count(x.reshape(17, 12))
-        assert got.dtype == np.int64 and got.reshape(-1).tolist() == want
+    got = distance._popcount(x.reshape(17, 12))
+    assert got.dtype == np.int64 and got.reshape(-1).tolist() == want
 
 
 # Query batches: short and long queries, "" and characters outside the

@@ -65,20 +65,17 @@ class TestHandcrafted:
         assert block.shape == (len(terms), 10)
         assert block.tolist() == [reference_handcrafted(t).tolist() for t in terms]
 
-    @given(term=HAND_TERMS)
-    @settings(max_examples=40, deadline=None)
-    def test_one_term_is_one_row(self, term):
-        row = handcrafted(term)
-        assert row.shape == (10,)
-        assert row.tolist() == reference_handcrafted(term).tolist()
-        assert row.tolist() == handcrafted([term])[0].tolist()
+    def test_bare_str_raises(self):
+        # a str is a sequence of one-character terms, and not a batch
+        with pytest.raises(TypeError):
+            handcrafted("Swap")
 
     def test_default_indicator_count(self):
         assert len(INDICATORS) == 7
         assert "Inc." in INDICATORS
 
     def test_apple_inc(self):
-        row = handcrafted("Apple Inc.")
+        row = handcrafted(["Apple Inc."])[0]
         # indicators: only "Inc." fires
         assert row[:7].tolist() == [1, 0, 0, 0, 0, 0, 0]
         assert row[7] == len("Apple Inc.")  # 10 characters
@@ -86,14 +83,14 @@ class TestHandcrafted:
         assert row[9] == pytest.approx(2 / 6)
 
     def test_case_sensitive_substring(self):
-        assert handcrafted("apple inc.")[:7].tolist() == [0] * 7
+        assert handcrafted(["apple inc."])[0][:7].tolist() == [0] * 7
 
     def test_all_upper_ratio_guard(self):
-        row = handcrafted("ABC")
+        row = handcrafted(["ABC"])[0]
         assert row[7] == 3 and row[8] == 3 and row[9] == 3.0
 
     def test_width_is_ten(self):
-        assert handcrafted("x").shape == (10,)
+        assert handcrafted(["x"])[0].shape == (10,)
 
 
 def cosine_distance(u, v) -> float:
@@ -340,7 +337,7 @@ class TestAssembly:
         assert X.shape == (1, 2 + 10 + 2 + 2)
         row = X[0]
         assert row[:2].tolist() == [1.0, 0.0]  # embedding of "bond"
-        assert row[2:12].tolist() == handcrafted("bond Inc.").tolist()
+        assert row[2:12].tolist() == handcrafted(["bond Inc."])[0].tolist()
         assert row[12:14] == pytest.approx([0.0, 1.0])  # cosine block
         assert row[14:16].tolist() == [0.0, levenshtein("bond", "option")]
 
