@@ -34,7 +34,6 @@ from .evaluation import (
 )
 from .features import (
     INDICATORS,
-    LabelSet,
     MinMaxScaler,
     assemble_features,
     handcrafted,

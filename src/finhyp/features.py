@@ -3,7 +3,8 @@
 A full feature row is [embedding | 10 hand-crafted | K cosine | K edit
 distance] in that fixed order, min-max scaled to [-1, 1] column-wise.
 Hand-crafted features read the original term; the embedding and both
-distance blocks read the (possibly definition-augmented) text.
+distance blocks read the (possibly definition-augmented) text. The labels
+are plain strings, in the order the classifier and the metrics share.
 """
 from __future__ import annotations
 
@@ -50,62 +51,32 @@ def handcrafted(terms) -> np.ndarray:
     return out
 
 
-class LabelSet:
-    """Ordered class labels with their embedding vectors.
-
-    The order is fixed at construction and shared by the classifier, the
-    metrics and the distance features.
-    """
-
-    def __init__(self, labels, vectors):
-        labels = tuple(labels)
-        if len(labels) < 2:
-            raise ValueError("at least 2 labels required")
-        if len(set(labels)) != len(labels):
-            raise ValueError("labels must be unique")
-        vectors = np.asarray(vectors, dtype=np.float64)
-        if vectors.shape[0] != len(labels):
-            raise ValueError("label/vector count mismatch")
-        self.labels = labels
-        self.vectors = vectors
-        self.vectors.setflags(write=False)
-        self._index = {lab: i for i, lab in enumerate(labels)}
-
-    @classmethod
-    def build(cls, labels, table: TokenTable) -> "LabelSet":
-        """Labels embedded from a table that holds their tokens."""
-        return cls(labels, embed_term(table, list(labels)))
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: str) -> int:
-        return self._index[label]
-
-
 def _unit_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     return m / np.where(norms > 0.0, norms, 1.0)
 
 
-def cosine_features(vecs, labels: LabelSet) -> np.ndarray:
+def cosine_features(vecs, label_vecs) -> np.ndarray:
     """(N, K) cosine distances, 1 - cosine similarity clipped to [0, 2], from
-    each term vector to each label vector. A zero-norm term or label stays a
-    zero row after normalisation, so its distances are exactly 1.
+    each term vector to each of the (K, D) label vectors. A zero-norm term
+    or label stays a zero row after normalisation, so its distances are
+    exactly 1.
 
     The product is stacked as N one-row products, not one (N, D) @ (D, K)
     GEMM, whose blocking makes a row's rounding depend on the rows batched
     with it; this way a row's features are the same bits in any batch.
     """
     unit = _unit_rows(np.asarray(vecs, dtype=np.float64))
-    sim = (unit[:, None, :] @ _unit_rows(labels.vectors).T)[:, 0, :]
+    unit_labels = _unit_rows(np.asarray(label_vecs, dtype=np.float64))
+    sim = (unit[:, None, :] @ unit_labels.T)[:, 0, :]
     return np.clip(1.0 - sim, 0.0, 2.0)
 
 
-def edit_features(texts, labels: LabelSet) -> np.ndarray:
-    """(N, K) edit distances from each lowercased text to each lowercased label."""
+def edit_features(texts, labels) -> np.ndarray:
+    """(N, K) edit distances from each lowercased text to each of the K
+    lowercased label strings."""
     return distance.levenshtein_matrix(
-        [t.lower() for t in texts], [lab.lower() for lab in labels.labels]
+        [t.lower() for t in texts], [lab.lower() for lab in labels]
     ).astype(float)
 
 
@@ -188,7 +159,7 @@ def assemble_features(
     raw_terms,
     texts,
     table: TokenTable,
-    labels: LabelSet,
+    labels,
     *,
     hand: bool = False,
     cosine: bool = False,
@@ -197,9 +168,10 @@ def assemble_features(
     """Unscaled feature matrix, one row per term: the embedding, then each
     optional block that is switched on (hand-crafted, cosine, edit).
 
-    raw_terms carry the casing/length signals; texts are what gets embedded,
-    from a table that holds their tokens, and measured against the labels
-    (identical to raw_terms when no augmentation ran).
+    raw_terms carry the casing/length signals; texts are what gets embedded
+    and measured against the label strings (identical to raw_terms when no
+    augmentation ran). The table must hold the tokens of the texts and of
+    the labels, which are embedded from it only for the cosine block.
     """
     if len(raw_terms) != len(texts):
         raise ValueError("raw_terms and texts must align")
@@ -210,7 +182,7 @@ def assemble_features(
     if hand:
         blocks.append(handcrafted(raw_terms))
     if cosine:
-        blocks.append(cosine_features(vecs, labels))
+        blocks.append(cosine_features(vecs, embed_term(table, labels)))
     if edit:
         blocks.append(edit_features(texts, labels))
     return np.hstack(blocks)

@@ -129,8 +129,9 @@ def as_float(x) -> float:
 
 
 def _check_c(c) -> None:
-    # NaN fails every comparison, so "c <= 0" alone would let it through
-    if not (math.isfinite(c) and c > 0):
+    # NaN fails every comparison, so "c <= 0" alone would let it through;
+    # a C whose reciprocal overflows makes the penalty at W = 0 inf * 0 = NaN
+    if not (math.isfinite(c) and c > 0 and math.isfinite(1.0 / float(c))):
         raise ValueError(f"C must be finite and positive, got {c!r}")
 
 
@@ -155,44 +156,36 @@ def _check_xy(X, y, n_classes):
     return X, y
 
 
-def _data_term(W, b, X, y, xt=None):
-    """The data term of the loss, with the exponentials of the class-major
-    (K, N) logits shifted by their column maxima, the column sums of those
-    exponentials, and the flat positions y * N + arange(N) of the gold
-    logits. The logits are W X' + b against xt, X's contiguous transpose,
-    which is copied here when not given."""
-    if xt is None:
-        xt = np.ascontiguousarray(X.T)
-    n = len(y)
-    z = W @ xt
-    z += b[:, None]
-    gold = y * n
-    gold += np.arange(n)
-    zmax = z.max(axis=0)
-    zgold = z.take(gold)
-    z -= zmax
-    np.exp(z, out=z)
-    s = z.sum(axis=0)
-    return float((np.log(s) + zmax - zgold).sum()), z, s, gold
-
-
 def _penalty(W, c) -> float:
     w = W.ravel()
     return 0.5 / c * float(w @ w)
 
 
 def loss_value(W, b, X, y, c) -> float:
-    """The loss of loss_and_grad, bit for bit, without the gradient."""
-    return _data_term(W, b, X, y)[0] + _penalty(W, c)
+    """The objective value of loss_and_grad, without the rest."""
+    return loss_and_grad(W, b, X, y, c)[0]
 
 
 def loss_and_grad(W, b, X, y, c, xt=None, softmax=None):
     """Objective value with its analytic gradient (see module docstring).
-    xt is X's contiguous transpose, which a caller that evaluates many
-    points of one X makes once; without it the copy is made here, so the
-    arithmetic, and every bit of the result, is the same either way. A
-    (K, N) softmax array, when given, receives the softmax at the point."""
-    data, e, s, gold = _data_term(W, b, X, y, xt)
+    The logits are W X' + b against xt, X's contiguous transpose, which a
+    caller that evaluates many points of one X makes once; without it the
+    copy is made here, so the arithmetic, and every bit of the result, is
+    the same either way. A (K, N) softmax array, when given, receives the
+    softmax at the point."""
+    if xt is None:
+        xt = np.ascontiguousarray(X.T)
+    n = len(y)
+    e = W @ xt  # the class-major (K, N) logits
+    e += b[:, None]
+    gold = y * n  # the flat positions of the gold logits
+    gold += np.arange(n)
+    zmax = e.max(axis=0)
+    zgold = e.take(gold)
+    e -= zmax
+    np.exp(e, out=e)
+    s = e.sum(axis=0)
+    data = float((np.log(s) + zmax - zgold).sum())
     e /= s  # the (K, N) softmax
     if softmax is not None:
         np.copyto(softmax, e)

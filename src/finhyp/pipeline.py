@@ -31,7 +31,7 @@ from .embeddings import (
     load_embeddings,
 )
 from .evaluation import EvalReport, evaluate
-from .features import INDICATORS, LabelSet, MinMaxScaler, assemble_features
+from .features import INDICATORS, MinMaxScaler, assemble_features
 from .fileio import atomic_write
 from .model import (
     DEFAULT_C_GRID,
@@ -338,12 +338,14 @@ def _inputs(cfg: PipelineConfig, terms):
 
 def _features(cfg: PipelineConfig, terms, dataset_labels=None):
     """The unscaled ``assemble_features`` matrix of terms under cfg's
-    frontend, with its label set, the store dimension and augmentation
+    frontend, with its label tuple, the store dimension and augmentation
     coverage (None when augmentation is off).
 
-    The label set is cfg.labels, else the dataset's labels in sorted order;
-    a dataset label outside it is a DataError. The texts and the labels are
-    embedded from one ``TokenTable``."""
+    The labels are cfg.labels, else the dataset's labels in sorted order;
+    a dataset label outside them is a DataError, and so is a label without
+    a token, one that holds a line break (model.txt and report.txt keep a
+    label to one line), fewer than 2 labels or a repeated label. The texts
+    and the labels are embedded from one ``TokenTable``."""
     store, resolver, texts, coverage = _inputs(cfg, terms)
     if cfg.labels:
         labels = cfg.labels
@@ -359,20 +361,25 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
                 + ", ".join(extra)
             )
     table = _token_table(store, [*texts, *labels], resolver)
-    try:
-        label_set = LabelSet.build(labels, table)
-    except ValueError as err:
-        raise DataError(f"bad label set: {err}") from None
+    for label in labels:
+        if not label.split():
+            raise DataError(f"bad label set: empty term {label!r}")
+        if label.splitlines() != [label]:
+            raise DataError(f"bad label set: line break in label {label!r}")
+    if len(labels) < 2:
+        raise DataError("bad label set: at least 2 labels required")
+    if len(set(labels)) != len(labels):
+        raise DataError("bad label set: labels must be unique")
     matrix = assemble_features(
         terms,
         texts,
         table,
-        label_set,
+        labels,
         hand=cfg.handcrafted,
         cosine=cfg.cosine_features,
         edit=cfg.edit_features,
     )
-    return matrix, label_set, store.dim, coverage
+    return matrix, labels, store.dim, coverage
 
 
 # ---------------------------------------------------------------------- runs
@@ -391,7 +398,7 @@ def _write_out(cfg: PipelineConfig, name: str, content) -> str:
 
 def _fit(cfg: PipelineConfig, dataset_path, failure: str):
     """Grid search over a labeled dataset's ``_features`` matrix, scaled by
-    a ``MinMaxScaler`` fitted to all of its rows. Returns the label set, the
+    a ``MinMaxScaler`` fitted to all of its rows. Returns the label tuple, the
     store dimension, the coverage, the fitted scaler, the scaled matrix X,
     the class indices y and the grid-search result; grid-search errors
     become "<failure> failed: ..."."""
@@ -400,16 +407,17 @@ def _fit(cfg: PipelineConfig, dataset_path, failure: str):
         raise DataError(
             f"folds must not exceed the number of labeled rows ({len(terms)})"
         )
-    matrix, label_set, dim, coverage = _features(cfg, terms, gold_labels)
+    matrix, labels, dim, coverage = _features(cfg, terms, gold_labels)
     scaler = MinMaxScaler().fit(matrix)
     X = scaler.transform(matrix)
-    y = [label_set.index(lab) for lab in gold_labels]
+    index = {lab: i for i, lab in enumerate(labels)}
+    y = [index[lab] for lab in gold_labels]
     tcfg = TrainConfig(c_grid=cfg.c_grid, folds=cfg.folds, seed=cfg.seed)
     try:
-        result = grid_search(X, y, label_set.labels, tcfg)
+        result = grid_search(X, y, labels, tcfg)
     except ValueError as err:
         raise DataError(f"{failure} failed: {err}") from None
-    return label_set.labels, dim, coverage, scaler, X, y, result
+    return labels, dim, coverage, scaler, X, y, result
 
 
 @dataclass

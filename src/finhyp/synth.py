@@ -10,6 +10,7 @@ so the two classes are separable only through surface features.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -112,7 +113,8 @@ def generate(
         )
     if n < k_classes:
         raise ValueError(f"need n >= k_classes, got n={n}, k={k_classes}")
-    if dim < 1 or sigma < 0 or not 0 <= typo_rate <= 1:
+    # NaN fails both comparisons, and an infinite sigma gives infinite vectors
+    if dim < 1 or not 0 <= sigma < math.inf or not 0 <= typo_rate <= 1:
         raise ValueError("invalid dim, sigma, or typo_rate")
 
     labels = [name for name, _ in CLASS_PROFILE[:k_classes]]

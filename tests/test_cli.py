@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, output artifacts, config precedence."""
+import csv
 import json
 import os
 import stat
@@ -62,6 +63,15 @@ class TestSynthCommand:
 
     def test_bad_rows_is_usage_error(self, tmp_path):
         assert main(["synth", "--classes", "5", "--rows", "3", "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_usage_error(self, tmp_path, capsys, sigma):
+        code = main(["synth", "--sigma", sigma, "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: invalid dim, sigma, or typo_rate\n"
+        )
+        assert not (tmp_path / "s").exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -489,6 +499,81 @@ class TestCvCommand:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: bad label set: empty term {blank!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def cv_with_labels(self, synth_dir, tmp_path, labels, terms_csv=None):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"c_grid": [1.0], "folds": 3, "labels": labels}))
+        return main(
+            ["cv", str(terms_csv or synth_dir / "terms.csv"), "--config", str(cfg),
+             "--embeddings", str(synth_dir / "embeddings.txt"),
+             "--out", str(tmp_path / "out")]
+        )
+
+    def test_one_label_exits_2(self, synth_dir, tmp_path, capsys):
+        rows = (synth_dir / "terms.csv").read_text().splitlines()[1:7]
+        only = rows[0].rsplit(",", 1)[1]
+        terms_csv = tmp_path / "one.csv"
+        terms_csv.write_text(
+            "term,label\n" + "".join(f"{r.rsplit(',', 1)[0]},{only}\n" for r in rows)
+        )
+        code = self.cv_with_labels(synth_dir, tmp_path, [only], terms_csv)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: bad label set: at least 2 labels required\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_label_exits_2(self, synth_dir, tmp_path, capsys):
+        rows = (synth_dir / "terms.csv").read_text().splitlines()[1:]
+        labels = sorted({row.rsplit(",", 1)[1] for row in rows})
+        code = self.cv_with_labels(synth_dir, tmp_path, labels + labels[:1])
+        assert code == 2
+        assert capsys.readouterr().err == "error: bad label set: labels must be unique\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, source, brk",
+        [
+            ("cv", "dataset", "\n"),
+            ("cv", "config", "\n"),
+            ("train", "dataset", "\n"),
+            ("train", "config", "\n"),
+            ("cv", "dataset", "\r"),
+            ("cv", "dataset", "\x85"),
+            ("train", "config", "\u2028"),
+        ],
+    )
+    def test_label_with_line_break_exits_2(
+        self, synth_dir, tmp_path, capsys, command, source, brk
+    ):
+        # model.txt holds one label per line and report.txt one f1 line per
+        # label, and load_model splits the file with str.splitlines
+        with open(synth_dir / "terms.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        labels = sorted({label for _, label in rows[1:]})
+        broken = labels[0][:3] + brk + labels[0][3:]
+        args = [command, str(synth_dir / "terms.csv")]
+        if source == "dataset":
+            for row in rows[1:]:
+                if row[1] == labels[0]:
+                    row[1] = broken
+            args[1] = str(tmp_path / "terms.csv")
+            with open(args[1], "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+            cfg = {"c_grid": [1.0], "folds": 3}
+        else:
+            cfg = {"c_grid": [1.0], "folds": 3, "labels": labels + [broken]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = main(
+            args + ["--config", str(tmp_path / "cfg.json"),
+                    "--embeddings", str(synth_dir / "embeddings.txt"),
+                    "--out", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad label set: line break in label {broken!r}\n"
         )
         assert not (tmp_path / "out").exists()
 

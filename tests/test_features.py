@@ -11,7 +11,6 @@ from finhyp.distance import levenshtein
 from finhyp.embeddings import EmbeddingStore, TokenTable
 from finhyp.features import (
     INDICATORS,
-    LabelSet,
     MinMaxScaler,
     assemble_features,
     cosine_features,
@@ -24,10 +23,6 @@ from finhyp.oov import OOVStrategy
 def table(store, texts):
     """The zero-strategy token table of texts."""
     return TokenTable(store, texts, OOVStrategy("zero"))
-
-
-def build_labels(words, store):
-    return LabelSet.build(words, table(store, words))
 
 
 def reference_handcrafted(term_raw: str) -> np.ndarray:
@@ -109,9 +104,9 @@ def cosine_distance(u, v) -> float:
 
 
 def cosine_block(vecs, label_vecs) -> np.ndarray:
-    label_vecs = np.asarray(label_vecs, dtype=np.float64)
-    names = [f"l{j}" for j in range(len(label_vecs))]
-    return cosine_features(np.asarray(vecs, dtype=np.float64), LabelSet(names, label_vecs))
+    return cosine_features(
+        np.asarray(vecs, dtype=np.float64), np.asarray(label_vecs, dtype=np.float64)
+    )
 
 
 # Nonzero elements stay away from 0 so no norm or norm product underflows,
@@ -192,41 +187,18 @@ class TestCosineDistance:
         assert np.all(out[:, ~labels.any(axis=1)] == 1.0)
 
 
-def two_label_set():
-    return LabelSet(["bond", "option"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-
-
-class TestLabelSet:
-    def test_requires_two(self):
-        with pytest.raises(ValueError):
-            LabelSet(["only"], np.zeros((1, 2)))
-
-    def test_unique(self):
-        with pytest.raises(ValueError):
-            LabelSet(["a", "a"], np.zeros((2, 2)))
-
-    def test_index_follows_order(self):
-        labels = two_label_set()
-        assert labels.index("bond") == 0
-        assert labels.index("option") == 1
-
-    def test_build_embeds_multiword_labels(self):
-        store = EmbeddingStore(
-            ["equity", "index"], np.array([[1.0, 0.0], [0.0, 1.0]])
-        )
-        ls = build_labels(["Equity Index", "equity"], store)
-        assert np.array_equal(ls.vectors[0], [1.0, 1.0])
-        assert np.array_equal(ls.vectors[1], [1.0, 0.0])
+TWO_LABELS = ("bond", "option")
+TWO_LABEL_VECTORS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
 
 class TestDistanceFeatures:
     def test_cosine_block(self):
-        out = cosine_features(np.array([[1.0, 0.0], [0.0, 2.0]]), two_label_set())
+        out = cosine_features(np.array([[1.0, 0.0], [0.0, 2.0]]), TWO_LABEL_VECTORS)
         assert out.shape == (2, 2)
         assert out.ravel() == pytest.approx([0.0, 1.0, 1.0, 0.0])
 
     def test_edit_block_lowercases(self):
-        out = edit_features(["BOND"], two_label_set())[0]
+        out = edit_features(["BOND"], TWO_LABELS)[0]
         assert out.tolist() == [0.0, levenshtein("bond", "option")]
 
 
@@ -313,16 +285,15 @@ class TestAssembly:
         self.store = EmbeddingStore(
             ["bond", "option"], np.array([[1.0, 0.0], [0.0, 1.0]])
         )
-        self.labels = build_labels(["bond", "option"], self.store)
+        self.labels = TWO_LABELS
 
     def test_feature_width_accounting(self):
         words = ["bond", "swap", "option", "future", "index"]
         store = EmbeddingStore(words, np.random.default_rng(0).normal(size=(5, 32)))
-        labels = build_labels(words, store)
 
         def width(**blocks):
             return assemble_features(
-                ["Bond Inc."], ["bond"], table(store, ["bond"]), labels, **blocks
+                ["Bond Inc."], ["bond"], table(store, ["bond", *words]), words, **blocks
             ).shape[1]
 
         assert width(**ALL_ON) == 32 + 10 + 5 + 5
@@ -332,7 +303,11 @@ class TestAssembly:
 
     def test_block_layout(self):
         X = assemble_features(
-            ["bond Inc."], ["bond"], table(self.store, ["bond"]), self.labels, **ALL_ON
+            ["bond Inc."],
+            ["bond"],
+            table(self.store, ["bond", *self.labels]),
+            self.labels,
+            **ALL_ON,
         )
         assert X.shape == (1, 2 + 10 + 2 + 2)
         row = X[0]
@@ -344,7 +319,11 @@ class TestAssembly:
     def test_raw_vs_text_split(self):
         # casing features come from raw; the embedding comes from text
         X = assemble_features(
-            ["BOND"], ["option"], table(self.store, ["option"]), self.labels, **ALL_ON
+            ["BOND"],
+            ["option"],
+            table(self.store, ["option", *self.labels]),
+            self.labels,
+            **ALL_ON,
         )
         row = X[0]
         assert row[:2].tolist() == [0.0, 1.0]
@@ -353,7 +332,7 @@ class TestAssembly:
     def test_rows_equal_single_row_assembly(self):
         rng = np.random.default_rng(3)
         store = EmbeddingStore(["bond", "option", "swap"], rng.normal(size=(3, 5)))
-        labels = build_labels(["bond", "option", "swap"], store)
+        labels = ["bond", "option", "swap"]
         raw = ["bond Inc.", "Option bond", "SWAP", "unknown"]
         texts = ["bond", "option bond", "swap. a bond", "unknown"]
         for blocks in (
@@ -362,27 +341,35 @@ class TestAssembly:
             dict(hand=True, cosine=True, edit=False),
             dict(hand=False, cosine=False, edit=True),
         ):
-            X = assemble_features(raw, texts, table(store, texts), labels, **blocks)
+            X = assemble_features(
+                raw, texts, table(store, [*texts, *labels]), labels, **blocks
+            )
             hand = 10 if blocks["hand"] else 0
             width = 5 + hand + 3 * (blocks["cosine"] + blocks["edit"])
             assert X.shape == (4, width)
             for i in range(4):
                 one = assemble_features(
-                    [raw[i]], [texts[i]], table(store, [texts[i]]), labels, **blocks
+                    [raw[i]],
+                    [texts[i]],
+                    table(store, [texts[i], *labels]),
+                    labels,
+                    **blocks,
                 )
                 assert X[i].tobytes() == one[0].tobytes()
 
     def test_alignment_enforced(self):
         with pytest.raises(ValueError):
-            assemble_features(["a"], [], table(self.store, []), self.labels, **ALL_ON)
+            assemble_features(
+                ["a"], [], table(self.store, self.labels), self.labels, **ALL_ON
+            )
         with pytest.raises(ValueError):
-            assemble_features([], [], table(self.store, []), self.labels, **ALL_ON)
+            assemble_features([], [], table(self.store, self.labels), self.labels, **ALL_ON)
 
     def test_assembled_matrix_scales(self):
         m = assemble_features(
             ["bond", "option Inc."],
             ["bond", "option"],
-            table(self.store, ["bond", "option"]),
+            table(self.store, ["bond", "option", *self.labels]),
             self.labels,
             **ALL_ON,
         )
@@ -390,3 +377,17 @@ class TestAssembly:
         X = scaler.transform(m)
         assert np.all(X >= -1.0) and np.all(X <= 1.0)
         assert scaler.n_features == X.shape[1] == m.shape[1]
+
+    def test_cosine_block_embeds_multiword_labels(self):
+        # a label's vector is the sum of its tokens' rows, as a term's is
+        store = EmbeddingStore(["equity", "index"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        labels = ["Equity Index", "equity"]
+        texts = ["equity index", "index"]
+        X = assemble_features(
+            texts, texts, table(store, [*texts, *labels]), labels, cosine=True
+        )
+        expected = cosine_features(
+            np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 1.0], [1.0, 0.0]])
+        )
+        assert X[:, 2:].tobytes() == expected.tobytes()
+        assert X[0, 2:] == pytest.approx([0.0, 1.0 - 0.5**0.5])

@@ -964,6 +964,18 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="C must be finite and positive"):
             LogRegModel(np.zeros((2, 1)), np.zeros(2), c, ("a", "b"))
 
+    @pytest.mark.parametrize("c", [1e-320, 5e-324, 5.5e-309])
+    def test_c_with_infinite_reciprocal_rejected(self, c):
+        # 1 / C overflows, so the penalty at the zero start is inf * 0 = NaN
+        # and no line search can stall out of it
+        assert not math.isfinite(1.0 / c)
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            TrainConfig(c_grid=(1.0, c))
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            LogRegModel(np.zeros((2, 1)), np.zeros(2), c, ("a", "b"))
+        # the smallest C that float64 takes the reciprocal of is still a C
+        assert TrainConfig(c_grid=(1e-308,)).c_grid == (1e-308,)
+
     def test_grad_tol_is_the_constant(self):
         # a class attribute for code that reads the tolerance off a config,
         # not a setting

@@ -145,7 +145,8 @@ class TestConfig:
         # 0 turns throttling off
         assert PipelineConfig(fetcher_rate_limit=0.0).fetcher_rate_limit == 0.0
 
-    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    # 1 / 1e-320 overflows, and a fit at that C never left its line search
+    @pytest.mark.parametrize("c", [math.nan, math.inf, 1e-320])
     def test_non_finite_c_rejected(self, c):
         with pytest.raises(ValueError, match="C must be finite and positive, got"):
             PipelineConfig(c_grid=(0.1, c))
@@ -267,8 +268,8 @@ class TestPrepareFrontend:
     def test_labels_inferred_sorted(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path)
         terms, labels = load_dataset(synth_dir / "terms.csv")
-        matrix, label_set, dim, coverage = _features(cfg, terms, labels)
-        assert label_set.labels == tuple(sorted(set(labels)))
+        matrix, label_tuple, dim, coverage = _features(cfg, terms, labels)
+        assert label_tuple == tuple(sorted(set(labels)))
         assert coverage is None
         assert matrix.shape == (len(terms), dim)
         assert _inputs(cfg, terms)[2] == terms
@@ -277,8 +278,8 @@ class TestPrepareFrontend:
         terms, labels = load_dataset(synth_dir / "terms.csv")
         ordered = tuple(dict.fromkeys(labels))
         cfg = base_cfg(synth_dir, tmp_path, labels=ordered)
-        _, label_set, _, _ = _features(cfg, terms, labels)
-        assert label_set.labels == ordered
+        _, label_tuple, _, _ = _features(cfg, terms, labels)
+        assert label_tuple == ordered
 
     def test_extra_dataset_label_rejected(self, synth_dir, tmp_path):
         cfg = base_cfg(synth_dir, tmp_path, labels=("OnlyOne", "Another"))
