@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 usage problem, 2 unreadable/inconsistent data.
+Exit codes: 0 success, 1 usage problem, 2 bad input data or unwritable output.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from .pipeline import (
     run_inspect_oov,
     run_predict,
     run_train,
+    writing,
 )
 from .synth import generate, write_dataset
 
@@ -188,7 +189,8 @@ def _cmd_synth(args) -> int:
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
-    csv_path, emb_path = write_dataset(data, args.out)
+    with writing(args.out):
+        csv_path, emb_path = write_dataset(data, args.out)
     print(f"wrote: {csv_path}")
     print(f"wrote: {emb_path}")
     return 0

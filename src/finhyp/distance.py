@@ -287,7 +287,8 @@ class PackedWords:
     word per column, a slice of symbols. The pack keeps no strings: symbols
     ascend with code points, so comparing two words' symbol columns orders
     them as comparing the words does. ``_assign`` alone sets these
-    attributes, for a build and a cache (``from_arrays``) alike.
+    attributes, and ``arrays``, the four by name, for a build and a cache
+    (``from_arrays``) alike.
     """
 
     def __init__(self, words):
@@ -315,8 +316,9 @@ class PackedWords:
             {"alphabet": alphabet, "order": order, "sizes": sizes, "symbols": symbols}
         )
 
-    def _assign(self, arrays) -> None:
+    def _assign(self, arrays: dict) -> None:
         """Make this the pack whose four arrays, by name, are arrays."""
+        self.arrays = arrays
         self.alphabet = arrays["alphabet"]
         self.order = arrays["order"]
         self.sizes = arrays["sizes"]

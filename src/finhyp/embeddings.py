@@ -106,7 +106,6 @@ class EmbeddingStore:
         # SHA-256 of its bytes; None for a pipe or a store built in memory.
         self.path: str | None = None
         self.sha256: bytes | None = None
-        self._vocab_lower: list[str] | None = None
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -130,13 +129,6 @@ class EmbeddingStore:
                     f"{self._mapped}: non-finite value in row {token!r}"
                 )
         return rows
-
-    @property
-    def vocab_lower(self) -> list[str]:
-        """Lowercased vocabulary, aligned with vocab order (cached)."""
-        if self._vocab_lower is None:
-            self._vocab_lower = [t.lower() for t in self.vocab]
-        return self._vocab_lower
 
 
 def load_embeddings(path) -> EmbeddingStore:

@@ -18,23 +18,24 @@ score. The edit-distance tie-break runs only for a text whose best score
 two or more entries share. A run resolves all of its OOV tokens in one call.
 
 Two caches of a store loaded from a file sit beside that file: its n-gram
-index, ``<store>.finhyp-ngram-3-6.npz``, and its lowercased
-vocabulary packed for ``distance.nearest``, ``<store>.finhyp-pack.npz``.
-Each is an uncompressed numpy archive of records (``_records``: a format
-version, for the index the gram range, the entry count, the store file's
-SHA-256, ``EmbeddingStore.sha256``, which also keys the store's own sidecar,
-and the interpreter's Unicode version, as ``str.lower()`` depends on it),
-then the arrays: ``_MEMBERS`` for the index, ``_PACK_MEMBERS``
-for the pack. A cache whose records all match, and whose arrays pass the
-structural checks of ``_read_index`` or ``distance.PackedWords.from_arrays``,
-is used in place of a build; the index or pack is the same arrays either
-way. Any other cache is rebuilt and rewritten, so a rewrite of the store
-file that changes only its vectors rebuilds each once. The index is read
-or written only by ``build_ngram_index`` and the pack only by
-``pack_vocabulary``, so a run touches a cache only when it needs what it
-holds. A failed write is ignored, so deleting a cache is always safe. A
-store without a digest (read from a pipe, built in memory, or changed
-while it was parsed) is indexed and packed in memory only.
+index, ``<store>.finhyp-ngram-3-6.npz``, and its lowercased vocabulary
+packed for ``distance.nearest``, ``<store>.finhyp-pack.npz``. One path,
+``_cached``, reads or builds each. A cache is an uncompressed numpy archive
+of records (a format version, for the index the gram range, the entry count,
+the store file's SHA-256, ``EmbeddingStore.sha256``, which also keys the
+store's own sidecar, and the interpreter's Unicode version, as
+``str.lower()`` depends on it), then the structure's ``arrays``:
+``_MEMBERS`` for the index, ``_PACK_MEMBERS`` for the pack. A cache whose
+records all match, and whose arrays pass the structure's own checks,
+``NgramIndex.from_arrays`` or ``distance.PackedWords.from_arrays``, is used
+in place of a build; the index or pack is the same arrays either way. Any
+other cache is rebuilt and rewritten, so a rewrite of the store file that
+changes only its vectors rebuilds each once. The index is read or written
+only by ``build_ngram_index`` and the pack only by ``pack_vocabulary``, so a
+run touches a cache only when it needs what it holds. A failed write is
+ignored, so deleting a cache is always safe. A store without a digest (read
+from a pipe, built in memory, or changed while it was parsed) is indexed and
+packed in memory only.
 """
 from __future__ import annotations
 
@@ -142,11 +143,11 @@ class NgramIndex:
     (n-1)-grams) * len(alphabet), so never overflow int64. Grams of length
     n in NGRAM_MIN..NGRAM_MAX get global ids: their id plus ``len(keys[m])``
     for each level m from NGRAM_MIN below n. Entry ids of gram g are
-    ``post[indptr[g]:indptr[g + 1]]``, ascending, and
-    ``count[i]`` is the number of distinct grams of entry i. The index keeps
-    the entries as given. ``_assign`` alone sets these attributes, from the
-    arrays that ``_MEMBERS`` names, for a build and a cache alike.
-    Immutable after build.
+    ``post[indptr[g]:indptr[g + 1]]``, ascending, and ``count[i]`` is the
+    number of distinct grams of entry i. The index keeps the entries as
+    given. ``_assign`` alone sets these attributes, and ``arrays``, their
+    dict by ``_MEMBERS`` name, for a build and a cache (``from_arrays``)
+    alike. Immutable after build.
     """
 
     def __init__(self, entries):
@@ -161,10 +162,11 @@ class NgramIndex:
         arrays.update(alphabet=alphabet, indptr=indptr, post=post, count=count)
         self._assign(entries, arrays)
 
-    def _assign(self, entries: list, arrays):
+    def _assign(self, entries: list, arrays: dict):
         """Make this the index of entries whose arrays, by ``_MEMBERS``
         name, are arrays."""
         self.entries = entries
+        self.arrays = arrays
         self.alphabet = arrays["alphabet"]
         self.keys = {1: np.arange(len(self.alphabet))}
         self.keys.update({n: arrays[f"keys{n}"] for n in range(2, NGRAM_MAX + 1)})
@@ -172,87 +174,79 @@ class NgramIndex:
         self.post = arrays["post"]
         self.count = arrays["count"]
 
-    def _array(self, name: str) -> np.ndarray:
-        """The array that ``_MEMBERS`` names name; ``_assign`` inverted."""
-        return self.keys[int(name[4:])] if name[:4] == "keys" else getattr(self, name)
+    @classmethod
+    def from_arrays(cls, arrays: dict, entries) -> NgramIndex | None:
+        """The index of entries whose arrays, by ``_MEMBERS`` name, are
+        arrays, if they are consistent, else None."""
+        if any(a.ndim != 1 for a in arrays.values()):
+            return None
+        if arrays["alphabet"].dtype != np.int32:
+            return None
+        if any(arrays[name].dtype != np.int64 for name in _MEMBERS[1:]):
+            return None
+        # _find looks symbols and keys up by searchsorted
+        if any(np.any(arrays[n][1:] <= arrays[n][:-1]) for n in _MEMBERS[:NGRAM_MAX]):
+            return None
+        index = cls.__new__(cls)
+        index._assign(list(entries), arrays)
+        indptr, post = index.indptr, index.post
+        n_grams = sum(len(index.keys[n]) for n in range(NGRAM_MIN, NGRAM_MAX + 1))
+        # Every gram id that best_ngram_matches can look up indexes indptr,
+        # every posting indexes the entries, and count is what the build would
+        # have made.
+        if len(indptr) != n_grams + 1 or indptr[0] != 0 or indptr[-1] != len(post):
+            return None
+        if np.any(indptr[1:] < indptr[:-1]):
+            return None
+        if np.any(post < 0) or np.any(post >= len(entries)):
+            return None
+        if not np.array_equal(index.count, np.bincount(post, minlength=len(entries))):
+            return None
+        return index
 
 
 def build_ngram_index(store: EmbeddingStore) -> NgramIndex:
     """The n-gram index of the store's vocabulary, read from its cache beside
     the store file when that is valid, else built (and, for a store with a
     digest, cached); see the module docstring."""
-    if store.sha256 is None:
-        return NgramIndex(store.vocab)
-    path = store.path + INDEX_SUFFIX
+    read = partial(NgramIndex.from_arrays, entries=store.vocab)
+    build = partial(NgramIndex, store.vocab)
     ngrams = np.array([NGRAM_MIN, NGRAM_MAX], dtype=np.int64)
-    records = _records(store, _INDEX_VERSION, ngrams=ngrams)
-    check = partial(_read_index, entries=store.vocab)
-    index = read_cache(path, records, _MEMBERS, check)
-    if index is None:
-        index = NgramIndex(store.vocab)
-        write_cache(path, {**records, **{n: index._array(n) for n in _MEMBERS}})
-    return index
+    return _cached(
+        store, INDEX_SUFFIX, _INDEX_VERSION, _MEMBERS, read, build, ngrams=ngrams
+    )
 
 
-def _records(store: EmbeddingStore, version: int, **extra) -> dict:
-    """The records a cache of data derived from the store's vocabulary must
-    match: its format version, any extra records, the entry count, the store
-    file's SHA-256, and the Unicode version of the interpreter, whose
-    ``str.lower()`` the data depend on; each as a 1-D array."""
-    return {
+def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
+    """The store's lowercased vocabulary packed for ``distance.nearest``, read
+    from its cache beside the store file when that is valid, else packed
+    (and, for a store with a digest, cached); see the module docstring."""
+    read = partial(distance.PackedWords.from_arrays, count=len(store))
+
+    def build():
+        return distance.PackedWords([t.lower() for t in store.vocab])
+
+    return _cached(store, PACK_SUFFIX, _PACK_VERSION, _PACK_MEMBERS, read, build)
+
+
+def _cached(store: EmbeddingStore, suffix, version, members, read, build, **extra):
+    """read(arrays) of the cache at the store's path plus suffix if valid,
+    else build(), written there in members order; see the module docstring."""
+    if store.sha256 is None:
+        return build()
+    path = store.path + suffix
+    records = {
         "version": np.array([version], dtype=np.int64),
         **extra,
         "entries": np.array([len(store)], dtype=np.int64),
         "sha256": np.frombuffer(store.sha256, dtype=np.uint8),
         "unicode": np.frombuffer(unicodedata.unidata_version.encode(), np.uint8),
     }
-
-
-def _read_index(arrays: dict, entries):
-    """The index of entries whose cached arrays, by name, are arrays, if
-    they are consistent, else None."""
-    if any(a.ndim != 1 for a in arrays.values()):
-        return None
-    if arrays["alphabet"].dtype != np.int32:
-        return None
-    if any(arrays[name].dtype != np.int64 for name in _MEMBERS[1:]):
-        return None
-    # _find looks symbols and keys up by searchsorted
-    if any(np.any(arrays[n][1:] <= arrays[n][:-1]) for n in _MEMBERS[:NGRAM_MAX]):
-        return None
-    index = NgramIndex.__new__(NgramIndex)
-    index._assign(list(entries), arrays)
-    indptr, post = index.indptr, index.post
-    n_grams = sum(len(index.keys[n]) for n in range(NGRAM_MIN, NGRAM_MAX + 1))
-    # Every gram id that best_ngram_matches can look up indexes indptr,
-    # every posting indexes the entries, and count is what the build would
-    # have made.
-    if len(indptr) != n_grams + 1 or indptr[0] != 0 or indptr[-1] != len(post):
-        return None
-    if np.any(indptr[1:] < indptr[:-1]):
-        return None
-    if np.any(post < 0) or np.any(post >= len(entries)):
-        return None
-    if not np.array_equal(index.count, np.bincount(post, minlength=len(entries))):
-        return None
-    return index
-
-
-def pack_vocabulary(store: EmbeddingStore) -> distance.PackedWords:
-    """The store's lowercased vocabulary packed for ``distance.nearest``,
-    read from its cache beside the store file when that is valid, else
-    packed (and, for a store with a digest, cached); see the module
-    docstring."""
-    if store.sha256 is None:
-        return distance.PackedWords(store.vocab_lower)
-    path = store.path + PACK_SUFFIX
-    records = _records(store, _PACK_VERSION)
-    check = partial(distance.PackedWords.from_arrays, count=len(store.vocab))
-    packed = read_cache(path, records, _PACK_MEMBERS, check)
-    if packed is None:
-        packed = distance.PackedWords(store.vocab_lower)
-        write_cache(path, {**records, **{n: getattr(packed, n) for n in _PACK_MEMBERS}})
-    return packed
+    cached = read_cache(path, records, members, read)
+    if cached is None:
+        cached = build()
+        write_cache(path, {**records, **{n: cached.arrays[n] for n in members}})
+    return cached
 
 
 def best_ngram_matches(texts, index: NgramIndex) -> list:

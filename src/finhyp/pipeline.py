@@ -7,6 +7,7 @@ echoes), so a rerun with identical inputs is byte-identical.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -49,7 +50,16 @@ from .oov import NGRAM_MAX, NGRAM_MIN, OOVStrategy
 
 
 class DataError(Exception):
-    """Unreadable or inconsistent input files/artifacts (CLI exit code 2)."""
+    """Unreadable/inconsistent inputs or an unwritable output (CLI exit code 2)."""
+
+
+@contextlib.contextmanager
+def writing(path):
+    """Raise an OSError of the block, a write of path, as a DataError."""
+    try:
+        yield
+    except OSError as err:
+        raise DataError(f"cannot write {path}: {err}") from None
 
 
 # Ablation ladder: each preset fixes the frontend; everything else
@@ -358,7 +368,7 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
         if extra:
             raise DataError(
                 "dataset labels outside the configured label set: "
-                + ", ".join(extra)
+                + ", ".join(map(repr, extra))
             )
     table = _token_table(store, [*texts, *labels], resolver)
     for label in labels:
@@ -388,11 +398,12 @@ def _features(cfg: PipelineConfig, terms, dataset_labels=None):
 def _write_out(cfg: PipelineConfig, name: str, content) -> str:
     """Write content to name under cfg.out_dir atomically and return the
     path; content is text, or a payload written as sorted, indented JSON."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, name)
     if not isinstance(content, str):
         content = json.dumps(content, sort_keys=True, indent=2) + "\n"
-    atomic_write(path, content)
+    with writing(path):
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        atomic_write(path, content)
     return path
 
 
@@ -587,20 +598,19 @@ def run_inspect_oov(cfg: PipelineConfig, dataset_path) -> OovRun:
 
 def run_augment_apply(cfg: PipelineConfig, dataset_path):
     """Write augmented.csv showing term/text/matched headword per row;
-    returns (path, coverage)."""
+    returns (path, coverage). A row with "\\r" in a field, which csv.writer
+    leaves bare under a "\\n" line terminator, has every field quoted."""
     terms, gold_labels = load_terms(dataset_path)
     augmented, coverage = _augment(cfg, terms)
-
+    rows = [["term", "text", "matched_headword"]]
+    rows += [[a.raw, a.text, a.matched_headword or ""] for a in augmented]
+    if gold_labels is not None:
+        rows = [[r[0], lab, *r[1:]] for r, lab in zip(rows, ["label", *gold_labels])]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if gold_labels is None:
-        writer.writerow(["term", "text", "matched_headword"])
-        for a in augmented:
-            writer.writerow([a.raw, a.text, a.matched_headword or ""])
-    else:
-        writer.writerow(["term", "label", "text", "matched_headword"])
-        for a, lab in zip(augmented, gold_labels):
-            writer.writerow([a.raw, lab, a.text, a.matched_headword or ""])
+    plain = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in field for field in row) else plain).writerow(row)
     return _write_out(cfg, "augmented.csv", buf.getvalue()), coverage
 
 
@@ -614,10 +624,9 @@ def run_augment_fetch(cfg: PipelineConfig, terms_path):
         cfg.fetcher_base_url, cfg.fetcher_timeout, cfg.fetcher_user_agent
     )
     snapshot_out = cfg.snapshot_path or os.path.join(cfg.out_dir, "snapshot.json")
-    directory = os.path.dirname(os.fspath(snapshot_out))
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    ddict, failures = fetch_definitions(
-        terms, fetcher, snapshot_out, cfg.fetcher_rate_limit
-    )
+    with writing(snapshot_out):  # a failed fetch is counted, not raised
+        os.makedirs(os.path.dirname(os.fspath(snapshot_out)) or ".", exist_ok=True)
+        ddict, failures = fetch_definitions(
+            terms, fetcher, snapshot_out, cfg.fetcher_rate_limit
+        )
     return snapshot_out, len(ddict), failures

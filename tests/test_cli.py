@@ -577,6 +577,21 @@ class TestCvCommand:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_outside_label_named_by_repr(self, synth_dir, tmp_path, capsys):
+        with open(synth_dir / "terms.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        labels = sorted({label for _, label in rows[1:]})
+        rows[1][1] = "Regulatory\nAgency"
+        terms_csv = tmp_path / "terms.csv"
+        with open(terms_csv, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(rows)
+        assert self.cv_with_labels(synth_dir, tmp_path, labels, terms_csv) == 2
+        assert capsys.readouterr().err == (
+            "error: dataset labels outside the configured label set: "
+            "'Regulatory\\nAgency'\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_changes_folds(self, synth_dir, fast_cfg, tmp_path):
         outs = []
         for seed in ("1", "2"):
@@ -961,6 +976,25 @@ def run_python(code, *args, umask="022"):
         text=True,
         env=dict(os.environ, PYTHONPATH=SRC_DIR),
     )
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["cv", "synth"])
+    def test_output_below_a_file_exits_2(self, synth_dir, tmp_path, command):
+        # exit 2 with the path named, not a traceback and exit 1
+        (tmp_path / "afile").write_text("")
+        out = str(tmp_path / "afile" / "x")
+        if command == "cv":
+            args = ["cv", str(synth_dir / "terms.csv"), "--preset", "BL",
+                    "--embeddings", str(synth_dir / "embeddings.txt")]
+        else:
+            args = ["synth", "--rows", "40"]
+        code = "import sys\nfrom finhyp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        proc = run_python(code, *args, "--out", out)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write " + out)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
 
 class TestFreshProcess:

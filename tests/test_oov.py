@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import unicodedata
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -398,7 +399,7 @@ class TestOOVStrategy:
         store = make_store(["bond", "swap", "option"])
         tokens = ["bonds", "swaps", "optin", "xq", "zz", "bonds"]
         assert all(sub in store.vocab for sub in strat.resolve_all(tokens, store))
-        assert packed == [store.vocab_lower]
+        assert packed == [lowered(store)]
         other = make_store(["Bands", "yield"])
         # "qq" shares no n-gram, so the n-gram variant scans the vocabulary too
         assert strat.resolve_all(["bandz", "yields", "qq"], other) == [
@@ -406,7 +407,7 @@ class TestOOVStrategy:
             "yield",
             "Bands",
         ]
-        assert packed == [store.vocab_lower, other.vocab_lower]
+        assert packed == [lowered(store), lowered(other)]
 
     def test_ngram_packs_no_vocabulary_when_every_token_shares_grams(
         self, monkeypatch
@@ -507,6 +508,11 @@ class TestOOVStrategy:
             assert sub == store.vocab[match[0]]
 
 
+def lowered(store):
+    """The store's vocabulary lowercased, the words its pack is built of."""
+    return [t.lower() for t in store.vocab]
+
+
 def index_file(store):
     return store.path + oov.INDEX_SUFFIX
 
@@ -522,11 +528,12 @@ def filed_store(directory, tokens):
 
 
 def assert_same_index(warm, cold):
-    """Every attribute equal, arrays with their dtypes."""
+    """Every attribute equal, arrays with their dtypes, the member dict
+    ``arrays`` included."""
     assert vars(warm).keys() == vars(cold).keys()
     for name, want in vars(cold).items():
         got = getattr(warm, name)
-        if name == "keys":
+        if name in ("keys", "arrays"):
             assert got.keys() == want.keys()
             pairs = [(got[n], want[n]) for n in want]
         elif isinstance(want, np.ndarray):
@@ -665,21 +672,7 @@ class TestNgramIndexCache:
             with np.load(path) as archive:
                 keys = archive["keys4"]
             rewrite_archive(path, keys4=keys[::-1].copy())
-        assert path.read_bytes() != valid
-        Tripwire.unpickled.clear()
-        built = []
-        real_init = NgramIndex.__init__
-
-        def counting_init(self, *args):
-            built.append(args)
-            real_init(self, *args)
-
-        with mock.patch.object(NgramIndex, "__init__", counting_init):
-            index = oov.build_ngram_index(store)
-        assert Tripwire.unpickled == []
-        assert len(built) == 1
-        assert_same_index(index, cold)
-        assert path.read_bytes() == valid
+        assert_rebuilt_and_rewritten(CACHES["index"], store, cold, valid)
 
     def test_file_bytes_pinned(self, tmp_path):
         # A cache written by an earlier release loads without a rebuild only
@@ -697,14 +690,6 @@ class TestNgramIndexCache:
         assert digest == (
             "5714fdc805abbe1d0a275d74503d73724c8dbe2784171eb03a56a63e00e2b1ad"
         )
-
-    def test_new_vocabulary_is_indexed_again(self, tmp_path):
-        oov.build_ngram_index(filed_store(tmp_path, ["bond", "swap"]))
-        store = filed_store(tmp_path, ["bond", "swaps"])
-        index = oov.build_ngram_index(store)
-        assert_same_index(index, NgramIndex(store.vocab))
-        with mock.patch.object(NgramIndex, "__init__", refuse_build):
-            assert_same_index(oov.build_ngram_index(store), index)
 
     def test_warm_run_neither_parses_nor_builds(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -743,13 +728,6 @@ class TestNgramIndexCache:
         assert not list(tmp_path.glob("*.finhyp-ngram-*"))
         written = ["emb.txt" + oov.PACK_SUFFIX] if variant == "levenshtein" else []
         assert [p.name for p in tmp_path.iterdir()] == written
-
-    def test_store_without_path_is_indexed_in_memory(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        store = make_store(["bond", "swap"])
-        assert store.path is None
-        assert OOVStrategy("ngram").resolve("bonds", store) == "bond"
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("source", ["pipe", "file"])
     def test_dev_stdin(self, tmp_path, source):
@@ -791,11 +769,16 @@ def pack_file(store):
 
 
 def assert_same_pack(warm, cold):
-    """The same four arrays and buckets, arrays with their dtypes."""
-    for name in ("alphabet", "order", "sizes", "symbols"):
-        got, want = getattr(warm, name), getattr(cold, name)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
+    """The same four arrays, in the member dict ``arrays`` too, and buckets,
+    arrays with their dtypes."""
+    assert warm.arrays.keys() == cold.arrays.keys() == set(oov._PACK_MEMBERS)
+    for name in oov._PACK_MEMBERS:
+        for got, want in [
+            (getattr(warm, name), getattr(cold, name)),
+            (warm.arrays[name], cold.arrays[name]),
+        ]:
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
     assert warm.buckets.keys() == cold.buckets.keys()
     for length, (ids, sym) in cold.buckets.items():
         got_ids, got_sym = warm.buckets[length]
@@ -912,21 +895,7 @@ class TestVocabularyPackCache:
         elif spoil == "symbol above range":
             symbols[0] = len(alphabet)
             rewrite_archive(path, symbols=symbols)
-        assert path.read_bytes() != valid
-        Tripwire.unpickled.clear()
-        built = []
-        real_init = distance.PackedWords.__init__
-
-        def counting_init(self, words):
-            built.append(words)
-            real_init(self, words)
-
-        with mock.patch.object(distance.PackedWords, "__init__", counting_init):
-            packed = oov.pack_vocabulary(store)
-        assert Tripwire.unpickled == []
-        assert built == [store.vocab_lower]
-        assert_same_pack(packed, cold)
-        assert path.read_bytes() == valid
+        assert_rebuilt_and_rewritten(CACHES["pack"], store, cold, valid)
 
     def test_file_bytes_pinned(self, tmp_path):
         # As for the n-gram index: a change to the pack's arrays, their
@@ -974,16 +943,68 @@ class TestVocabularyPackCache:
         assert strat.resolve("qq", store) == "bond"
         assert (tmp_path / os.path.basename(pack_file(store))).exists()
 
-    def test_new_vocabulary_is_packed_again(self, tmp_path):
-        oov.pack_vocabulary(filed_store(tmp_path, ["bond", "swap"]))
-        store = filed_store(tmp_path, ["bond", "swaps"])
-        packed = oov.pack_vocabulary(store)
-        assert_same_pack(packed, distance.PackedWords(["bond", "swaps"]))
-        with mock.patch.object(distance.PackedWords, "__init__", refuse_pack):
-            assert_same_pack(oov.pack_vocabulary(store), packed)
 
-    def test_store_without_path_is_packed_in_memory(self, tmp_path, monkeypatch):
+# The two caches of a store's vocabulary: the file, the read-or-build call,
+# the class a build makes and the words it is given, a stand-in for its
+# constructor that refuses to build, the comparison of two builds, and the
+# OOV variant that reads the cache.
+CACHES = {
+    "index": SimpleNamespace(
+        file=index_file,
+        get=lambda store: oov.build_ngram_index(store),
+        cls=NgramIndex,
+        words=lambda store: store.vocab,
+        refuse=refuse_build,
+        same=assert_same_index,
+        variant="ngram",
+    ),
+    "pack": SimpleNamespace(
+        file=pack_file,
+        get=lambda store: oov.pack_vocabulary(store),
+        cls=distance.PackedWords,
+        words=lowered,
+        refuse=refuse_pack,
+        same=assert_same_pack,
+        variant="levenshtein",
+    ),
+}
+
+
+def assert_rebuilt_and_rewritten(cache, store, cold, valid):
+    """The cache file of the store, spoiled, is refused without unpickling
+    anything, built once from the store's words, the same as cold, and
+    rewritten with the valid bytes."""
+    path = Path(cache.file(store))
+    assert path.read_bytes() != valid
+    Tripwire.unpickled.clear()
+    built = []
+    real_init = cache.cls.__init__
+
+    def counting_init(self, words):
+        built.append(words)
+        real_init(self, words)
+
+    with mock.patch.object(cache.cls, "__init__", counting_init):
+        rebuilt = cache.get(store)
+    assert Tripwire.unpickled == []
+    assert built == [cache.words(store)]
+    cache.same(rebuilt, cold)
+    assert path.read_bytes() == valid
+
+
+@pytest.mark.parametrize("cache", CACHES.values(), ids=CACHES)
+class TestVocabularyCaches:
+    def test_new_vocabulary_is_built_again(self, tmp_path, cache):
+        cache.get(filed_store(tmp_path, ["bond", "swap"]))
+        store = filed_store(tmp_path, ["bond", "swaps"])
+        built = cache.get(store)
+        cache.same(built, cache.cls(cache.words(store)))
+        with mock.patch.object(cache.cls, "__init__", cache.refuse):
+            cache.same(cache.get(store), built)
+
+    def test_store_without_path_is_built_in_memory(self, tmp_path, monkeypatch, cache):
         monkeypatch.chdir(tmp_path)
         store = make_store(["bond", "swap"])
-        assert OOVStrategy("levenshtein").resolve("bonds", store) == "bond"
+        assert store.path is None
+        assert OOVStrategy(cache.variant).resolve("bonds", store) == "bond"
         assert list(tmp_path.iterdir()) == []

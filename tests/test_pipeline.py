@@ -1,4 +1,5 @@
 """End-to-end pipeline runs against small synthetic datasets."""
+import csv
 import dataclasses
 import errno
 import hashlib
@@ -951,6 +952,31 @@ class TestAugmentRuns:
         assert coverage == 1.0
         rows = open(out_path).read().splitlines()
         assert rows[0] == "term,text,matched_headword"
+
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_apply_csv_reads_back_as_its_rows(self, tmp_path, labeled):
+        # csv.writer(lineterminator="\n") would leave a "\r" field bare
+        terms = ["Bond\rSwap", "Bond\nSwap", 'Bond "Swap"', "Bond,Swap", "Swap"]
+        labels = ["Bonds", "Swap\rs", "Bonds", "Bonds", "Swaps"]
+        rows = [[t, lab] for t, lab in zip(terms, labels)]
+        if not labeled:
+            rows = [row[:1] for row in rows]
+        csv_path = tmp_path / "d.csv"
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+            writer.writerows([["term", "label"] if labeled else ["term"], *rows])
+        snapshot = tmp_path / "snap.json"
+        snapshot.write_text("{}")
+        cfg = PipelineConfig(out_dir=str(tmp_path), snapshot_path=str(snapshot))
+        out_path, coverage = run_augment_apply(cfg, csv_path)
+        assert coverage == 0.0
+        with open(out_path, encoding="utf-8", newline="") as fh:
+            got = list(csv.reader(fh))
+        header = ["term", "label"] if labeled else ["term"]
+        assert got == [
+            header + ["text", "matched_headword"],
+            *(row + [row[0], ""] for row in rows),
+        ]
 
     def test_fetch_requires_base_url(self, tmp_path):
         csv_path = tmp_path / "d.csv"
